@@ -7,6 +7,13 @@ inside a unit window, the charge extends linearly over K-classes, and a small
 set of closure rules is iterated to a fixpoint to decide semistability of the
 other catalog objects.  "unknown" is a legal verdict; a rule contradiction is
 an error, never silently resolved.
+
+Phases and verdicts do not change when every charge is scaled by a positive
+rational, so the engine computes on each point's primitive integer
+normalisation of its charges (denominators cleared, common factor divided
+out) and never on ``Fraction``: the anchor phases carry the integer charges
+and ``charge_of`` returns integer Gaussians.  The point's rational charges
+are what it stores, serializes, compares and transforms.
 """
 
 from __future__ import annotations
@@ -14,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Dict, List, Optional, Tuple
 
-from .catalog import ExcObject, hom_dims, kclass, parse_label
+from .catalog import ExcObject, hom_dims, kclass
 from .exact import (
     ExactError,
     Gaussian,
@@ -60,8 +68,17 @@ class StabilityPoint:
     global_shift: int = 0
     # per-charge offset corrections; nonzero only after quarter rotations
     extra_offsets: Tuple[int, int, int] = (0, 0, 0)
+    # the charges times the positive rational that makes them a primitive
+    # integer triple; derived, so not part of ==, hash or the JSON form
+    int_charges: Tuple[Gaussian, Gaussian, Gaussian] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
+        for name in ("charges", "shift", "extra_offsets"):
+            v = getattr(self, name)
+            if not isinstance(v, tuple) or len(v) != 3:
+                raise ValueError("%s must be a 3-tuple, got %r" % (name, v))
         if self.family not in FAMILY_IDS:
             raise ValueError("unknown family %r" % (self.family,))
         base = family_triple(self.family, self.m)
@@ -72,14 +89,16 @@ class StabilityPoint:
         for z in self.charges:
             if z.is_zero() or not z.in_upper_branch():
                 raise ValueError("charges must be nonzero upper-branch values")
+        object.__setattr__(self, "int_charges", _primitive(self.charges))
 
     def anchor(self) -> ExcTriple:
         return family_triple(self.family, self.m).shifted(self.shift)
 
     def anchor_phases(self) -> Tuple[Phase, Phase, Phase]:
+        """The anchor phases, carrying the integer-normalised charges."""
         return tuple(
             Phase(self.global_shift + e, z)
-            for e, z in zip(self.extra_offsets, self.charges)
+            for e, z in zip(self.extra_offsets, self.int_charges)
         )
 
     def to_json(self) -> dict:
@@ -109,6 +128,17 @@ class StabilityPoint:
         )
 
 
+def _primitive(charges) -> Tuple[Gaussian, Gaussian, Gaussian]:
+    """The charges times the positive rational that clears every denominator
+    and leaves the six integer components with gcd 1."""
+    parts = [Fraction(c) for z in charges for c in (z.re, z.im)]
+    den = lcm(*(c.denominator for c in parts))
+    ints = [c.numerator * (den // c.denominator) for c in parts]
+    g = gcd(*ints)
+    ints = [c // g for c in ints]
+    return tuple(Gaussian(ints[i], ints[i + 1]) for i in (0, 2, 4))
+
+
 def standard_heart_point(charges, global_shift: int = 0) -> StabilityPoint:
     """The anchor whose extension closure is the category of representations:
     simples (1,0,0), (0,1,0), (0,0,1)."""
@@ -119,52 +149,54 @@ def standard_heart_point(charges, global_shift: int = 0) -> StabilityPoint:
 # central charge on all of K
 
 
+def _det3(u: Vec3, v: Vec3, w: Vec3) -> int:
+    """The determinant with columns u, v, w."""
+    return (
+        u.L * (v.R * w.T - v.T * w.R)
+        - v.L * (u.R * w.T - u.T * w.R)
+        + w.L * (u.R * v.T - u.T * v.R)
+    )
+
+
 @lru_cache(maxsize=None)
 def _basis_solver(k0: Vec3, k1: Vec3, k2: Vec3):
-    det = (
-        k0.L * (k1.R * k2.T - k1.T * k2.R)
-        - k1.L * (k0.R * k2.T - k0.T * k2.R)
-        + k2.L * (k0.R * k1.T - k0.T * k1.R)
-    )
+    """Cramer's rule for c = sum lam_i k_i, scaled by |det|: the solver
+    returns the signed integer cofactors sign(det) * d_i = |det| * lam_i."""
+    det = _det3(k0, k1, k2)
     if det == 0:  # pragma: no cover - excluded by the anchor invariant
         raise EngineError("anchor K-classes degenerate")
+    s = 1 if det > 0 else -1
 
     def solve(c: Vec3):
-        cols = (k0, k1, k2)
-
-        def rep(i):
-            m = [list(col) for col in cols]
-            m[i] = list(c)
-            d = (
-                m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                - m[1][0] * (m[0][1] * m[2][2] - m[0][2] * m[2][1])
-                + m[2][0] * (m[0][1] * m[1][2] - m[0][2] * m[1][1])
-            )
-            return Fraction(d, det)
-
-        return (rep(0), rep(1), rep(2))
+        return (s * _det3(c, k1, k2), s * _det3(k0, c, k2), s * _det3(k0, k1, c))
 
     return solve
 
 
 def charge_of(point: StabilityPoint, x) -> Gaussian:
-    """Z extended linearly: x may be an ExcObject or a K-class triple.
+    """Z extended linearly, times a positive factor fixed per point: x may be
+    an ExcObject or a K-class triple.
+
+    The result is an integer Gaussian: Z(x) scaled by |det| of the anchor
+    K-classes and by the point's integer normalisation of its charges.  It
+    has the direction of Z(x), and sums and differences of charges of one
+    point have the directions of the true sums and differences, which is
+    all that phases use.
 
     The stored charges are upper-branch representatives; the direction of the
     anchor phase ``Phase(g + e_i, z_i)`` is ``(-1) ** (g + e_i) * z_i``, so
     the true charge of anchor ``i`` carries that sign.
     """
     c = kclass(x) if isinstance(x, ExcObject) else Vec3(*x)
-    solve = _basis_solver(*point.anchor().kclasses())
-    lam = solve(c)
+    lam = _basis_solver(*point.anchor().kclasses())(c)
     g = point.global_shift
-    return sum(
-        (
-            z.scale(lam[i] if (g + point.extra_offsets[i]) % 2 == 0 else -lam[i])
-            for i, z in enumerate(point.charges)
-        ),
-        Gaussian.of(0, 0),
-    )
+    re = im = 0
+    for li, e, z in zip(lam, point.extra_offsets, point.int_charges):
+        if (g + e) % 2:
+            li = -li
+        re += li * z.re
+        im += li * z.im
+    return Gaussian(re, im)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +206,7 @@ def charge_of(point: StabilityPoint, x) -> Gaussian:
 @dataclass
 class Verdict:
     status: str  # "semistable" | "unstable" | "unknown"
-    phase: Optional[Phase] = None  # phase of the *base* object when pinned
+    phase: Optional[Phase] = None  # phase of the *base* object when semistable
     witness: Optional[str] = None
     rules: Tuple[str, ...] = ()
 
@@ -195,8 +227,10 @@ class _State:
         self.v: Dict[ExcObject, Verdict] = {}
         self.changed = False
 
-    def set_ss(self, obj: ExcObject, phase: Optional[Phase], rule: str):
-        base, phase = _to_base(obj, phase)
+    def set_ss(self, obj: ExcObject, phase: Phase, rule: str):
+        base = obj.base()
+        if obj.shift:
+            phase = phase.plus(-obj.shift)
         cur = self.v.get(base)
         if cur is None:
             self.v[base] = Verdict("semistable", phase, None, (rule,))
@@ -207,13 +241,7 @@ class _State:
                 "paper-rule inconsistency: %s semistable by %s, unstable by %s"
                 % (base, rule, cur.rules)
             )
-        if phase is None:
-            return
-        if cur.phase is None:
-            cur.phase = phase
-            cur.rules += (rule,)
-            self.changed = True
-        elif not cur.phase.same_as(phase):
+        if not cur.phase.same_as(phase):
             raise EngineError(
                 "paper-rule inconsistency: %s has phases %r (%s) and %r (%s)"
                 % (base, cur.phase, cur.rules, phase, rule)
@@ -230,12 +258,6 @@ class _State:
                 "paper-rule inconsistency: %s unstable by %s, semistable by %s"
                 % (base, rule, cur.rules)
             )
-
-
-def _to_base(obj: ExcObject, phase: Optional[Phase]):
-    if obj.shift and phase is not None:
-        phase = phase.plus(-obj.shift)
-    return obj.base(), phase
 
 
 _PHASE_P1 = int_phase(1)
@@ -389,11 +411,7 @@ def _decide(point: StabilityPoint, window: int) -> Dict[ExcObject, Verdict]:
     # transition, and each object makes at most two
     for _ in range(2 * len(scope) + 2):
         st.changed = False
-        known = {
-            o: v.phase
-            for o, v in list(st.v.items())
-            if v.status == "semistable" and v.phase is not None
-        }
+        known = {o: v.phase for o, v in st.v.items() if v.status == "semistable"}
 
         # chain neighbors more than one phase apart kill the rest of the chain
         for (x, px) in list(known.items()):
@@ -448,7 +466,7 @@ def _decide(point: StabilityPoint, window: int) -> Dict[ExcObject, Verdict]:
 
 def semistable(point: StabilityPoint, x: ExcObject, window: int = DEFAULT_WINDOW) -> Verdict:
     v = _decide(point, window).get(x.base(), UNKNOWN)
-    if v.status == "semistable" and v.phase is not None and x.shift:
+    if v.status == "semistable" and x.shift:
         return Verdict(v.status, v.phase.plus(x.shift), v.witness, v.rules)
     return v
 
@@ -457,10 +475,7 @@ def phase_of(point: StabilityPoint, x: ExcObject, window: int = DEFAULT_WINDOW) 
     v = semistable(point, x, window)
     if v.status != "semistable":
         raise UndecidedError("%s is not decided semistable" % (x,))
-    if v.phase is not None:
-        return v.phase
-    ph = _resolve_offset(point, x.base())
-    return ph.plus(x.shift) if x.shift else ph
+    return v.phase
 
 
 def _offset_candidates(point: StabilityPoint, xb: ExcObject,
@@ -480,7 +495,7 @@ def _offset_candidates(point: StabilityPoint, xb: ExcObject,
     known = [
         (o, v.phase)
         for o, v in _decide(point, window).items()
-        if v.status == "semistable" and v.phase is not None and o != xb
+        if v.status == "semistable" and o != xb
     ]
     hits = []
     for o in range(g - 3, g + 5):
@@ -502,14 +517,6 @@ def _offset_candidates(point: StabilityPoint, xb: ExcObject,
     return hits
 
 
-def _resolve_offset(point: StabilityPoint, xb: ExcObject,
-                    window: int = DEFAULT_WINDOW) -> Phase:
-    hits = _offset_candidates(point, xb, window)
-    if len(hits) != 1:
-        raise ExactError("offset unresolved for %s (%d candidates)" % (xb, len(hits)))
-    return hits[0]
-
-
 @lru_cache(maxsize=65536)
 def conditional_phase(point: StabilityPoint, xb: ExcObject,
                       window: int = DEFAULT_WINDOW) -> Optional[Phase]:
@@ -521,14 +528,10 @@ def conditional_phase(point: StabilityPoint, xb: ExcObject,
     v = _decide(point, window).get(xb, UNKNOWN)
     if v.status == "unstable":
         return None
-    if v.status == "semistable" and v.phase is not None:
+    if v.status == "semistable":
         return v.phase
     hits = _offset_candidates(point, xb, window)
     if not hits:
-        if v.status == "semistable":
-            raise EngineError(
-                "paper-rule inconsistency: no phase offset fits %s" % (xb,)
-            )
         return None
     if len(hits) > 1:
         raise ExactError(
@@ -567,15 +570,16 @@ def shift(point: StabilityPoint, n: int) -> StabilityPoint:
 
 
 def rotate_quarter(point: StabilityPoint, k: int) -> StabilityPoint:
-    """Multiply every charge by i^k; every phase moves by exactly k/2, with
-    offsets recomputed when a charge crosses the branch cut."""
+    """Multiply every stored charge by i^k; every phase moves by exactly k/2,
+    with offsets recomputed when a charge crosses the branch cut."""
     if k % 2 == 0:
         delta = int_phase(k // 2) if k else None
     else:
         delta = Phase((k - 1) // 2, Gaussian.of(0, 1))
     charges = []
     extras = []
-    for ph in point.anchor_phases():
+    for e, z in zip(point.extra_offsets, point.charges):
+        ph = Phase(point.global_shift + e, z)
         np = phase_add(ph, delta) if delta is not None else ph
         charges.append(np.charge)
         extras.append(np.offset - point.global_shift)

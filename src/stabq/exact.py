@@ -1,8 +1,13 @@
 """Exact complex-rational arithmetic and exact phase comparisons.
 
-Charges are Gaussian rationals (rational real and imaginary parts).  A phase
-is stored as an integer offset together with a nonzero charge lying in the
-closed upper branch
+Charges are Gaussian rationals (rational real and imaginary parts).  A
+component that is a Python ``int`` stays an ``int`` through construction,
+scaling and the ring operations, so integer Gaussians never touch
+``Fraction``; the engine computes on each stability point's primitive
+integer normalisation of its charges.
+
+A phase is stored as an integer offset together with a nonzero charge lying
+in the closed upper branch
 
     Hbar = {im > 0} u {im = 0, re < 0},
 
@@ -21,8 +26,8 @@ from typing import Union
 Rat = Union[int, Fraction, str]
 
 
-def _frac(x: Rat) -> Fraction:
-    if isinstance(x, Fraction):
+def _frac(x: Rat) -> Union[int, Fraction]:
+    if isinstance(x, (int, Fraction)):
         return x
     return Fraction(x)
 
@@ -44,11 +49,12 @@ def sign(x: Fraction) -> int:
 
 @dataclass(frozen=True)
 class Gaussian:
-    """A Gaussian rational re + im*i, always kept in reduced form
-    (Fraction normalizes automatically)."""
+    """A Gaussian rational re + im*i.  Each component is an ``int`` or a
+    ``Fraction`` (kept reduced by ``Fraction`` itself); equal values compare
+    and hash equal whichever type holds them."""
 
-    re: Fraction
-    im: Fraction
+    re: Union[int, Fraction]
+    im: Union[int, Fraction]
 
     @staticmethod
     def of(re: Rat, im: Rat = 0) -> "Gaussian":
@@ -163,8 +169,11 @@ def side_of(z: Gaussian, v: Gaussian) -> Side:
 class Phase:
     """offset + arg(charge)/pi with arg(charge) in (0, pi].
 
-    Two phases are equal iff the offsets agree and the charges are positive
-    real multiples of each other.  The total order is decided exactly.
+    ``==`` and ``hash`` compare the representation: ``Phase(0, 1+i)`` and
+    ``Phase(0, 2+2i)`` are the same value but not ``==``.  Compare values
+    with ``same_as`` and ``cmp`` (equal iff the offsets agree and the
+    charges are positive real multiples of each other); the total order is
+    decided exactly.
     """
 
     offset: int
@@ -190,7 +199,9 @@ class Phase:
     def cmp(self, other: "Phase") -> int:
         if self.offset != other.offset:
             return -1 if self.offset < other.offset else 1
-        return normarg_cmp(self.charge, other.charge)
+        # both charges are checked upper-branch at construction, so this is
+        # normarg_cmp without the re-validation
+        return -sign(self.charge.cross(other.charge))
 
     def __lt__(self, other):
         return self.cmp(other) < 0
@@ -217,10 +228,6 @@ class Phase:
 
     def __repr__(self):
         return "Phase(%d, %r)" % (self.offset, self.charge)
-
-
-def phase_cmp(p1: Phase, p2: Phase) -> int:
-    return p1.cmp(p2)
 
 
 def phase_diff(p1: Phase, p0: Phase) -> Phase:
@@ -273,10 +280,6 @@ def window_arg(z: Gaussian, anchor: Phase) -> Phase:
     if found is None:  # pragma: no cover - precondition guarantees existence
         raise ExactError("no window representative")
     return found
-
-
-def window_arg_cmp(z: Gaussian, anchor: Phase, rhs: Phase) -> int:
-    return window_arg(z, anchor).cmp(rhs)
 
 
 def phase_in_closed_window(z: Gaussian, low: Phase, high: Phase):

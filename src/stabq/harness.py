@@ -9,7 +9,6 @@ characterization.  Samples where a needed verdict is out of reach count as
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from dataclasses import dataclass, field
@@ -18,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import engine, regions
 from .catalog import ExcObject, parse_label
-from .exact import ExactError, Gaussian, Phase, frac_to_str, window_arg
+from .exact import ExactError, Gaussian, Phase, window_arg
 from .triples import FAMILY_IDS, family_triple, shift_set_members
 
 DEFAULT_BOUND = 64

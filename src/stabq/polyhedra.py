@@ -221,7 +221,8 @@ def appendix_member(pt: AngularPoint, set_id: str) -> bool:
 
 
 def _msq(p: Phase) -> Fraction:
-    return p.charge.norm_sq()
+    # a Fraction even for an integer charge, so quotients stay exact
+    return Fraction(p.charge.norm_sq())
 
 
 def _scale_phase(p: Phase, f: Fraction) -> Phase:
@@ -278,7 +279,7 @@ def _stage1_point_u1(sample: AngularPoint, s: Fraction, u, v, r0_sq, r1_sq,
     q0 = _scale_phase(p0, (1 - s) + s * f_end)
     # coordinate 1: move angle to phi0 + u
     t1 = phase_add(p0, u)
-    m1 = t1.charge.norm_sq()
+    m1 = _msq(t1)
     if grow1:
         mu1 = max(Fraction(1), r1_sq / m1) * boost
     else:

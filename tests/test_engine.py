@@ -107,6 +107,96 @@ def test_rotate_full_turn_is_shift_by_two():
         assert phase_diff(q, p).same_as(int_phase(2))
 
 
+# rotate_quarter(pt, k).to_json() for k = 0..4, as written before the engine
+# computed on integer-normalised charges
+_ROTATED = {
+    "F2": [
+        ([("-1", "1"), ("1/2", "2"), ("3", "1/3")], None),
+        ([("1", "1"), ("-2", "1/2"), ("-1/3", "3")], [1, 0, 0]),
+        ([("-1", "1"), ("1/2", "2"), ("3", "1/3")], [1, 1, 1]),
+        ([("1", "1"), ("-2", "1/2"), ("-1/3", "3")], [2, 1, 1]),
+        ([("-1", "1"), ("1/2", "2"), ("3", "1/3")], [2, 2, 2]),
+    ],
+    "F8": [
+        ([("-3/4", "2/9"), ("5/6", "7/10"), ("-4", "0")], None),
+        ([("2/9", "3/4"), ("-7/10", "5/6"), ("0", "4")], [1, 0, 1]),
+        ([("-3/4", "2/9"), ("5/6", "7/10"), ("-4", "0")], [1, 1, 1]),
+        ([("2/9", "3/4"), ("-7/10", "5/6"), ("0", "4")], [2, 1, 2]),
+        ([("-3/4", "2/9"), ("5/6", "7/10"), ("-4", "0")], [2, 2, 2]),
+    ],
+}
+
+
+def test_rotate_quarter_keeps_stored_charges_exact():
+    pts = [
+        engine.StabilityPoint(
+            "F2", 1, (0, -1, -2), (_g(-1, 1), _g("1/2", 2), _g(3, "1/3")), 1
+        ),
+        _std(_g("-3/4", "2/9"), _g("5/6", "7/10"), _g(-4, 0)),
+    ]
+    for pt in pts:
+        for k, (charges, extras) in enumerate(_ROTATED[pt.family]):
+            want = {
+                "anchor": {
+                    "family": pt.family,
+                    "m": pt.m,
+                    "shift": list(pt.shift),
+                },
+                "charges": [{"re": re, "im": im} for re, im in charges],
+                "global_shift": pt.global_shift,
+            }
+            if extras is not None:
+                want["extra_offsets"] = extras
+            assert engine.rotate_quarter(pt, k).to_json() == want
+        assert engine.rotate_quarter(pt, 4).charges == pt.charges
+        turned = pt
+        for _ in range(4):
+            turned = engine.rotate_quarter(turned, 1)
+        assert turned.charges == pt.charges
+        assert turned == engine.rotate_quarter(pt, 4)
+
+
+def _det3(cols):
+    (a, b, c), (d, e, f), (g, h, i) = cols
+    return a * (e * i - f * h) - d * (b * i - c * h) + g * (b * f - c * e)
+
+
+def _true_charge(pt, c):
+    """Z(c) from the stored rational charges by a Fraction Cramer solve."""
+    cols = [tuple(k) for k in pt.anchor().kclasses()]
+    det = Fraction(_det3(cols))
+    re = im = Fraction(0)
+    for i, z in enumerate(pt.charges):
+        m = list(cols)
+        m[i] = tuple(c)
+        lam = _det3(m) / det
+        if (pt.global_shift + pt.extra_offsets[i]) % 2:
+            lam = -lam
+        re += lam * z.re
+        im += lam * z.im
+    return re, im
+
+
+def test_charge_of_is_positive_multiple_of_true_charge():
+    from stabq.catalog import kclass
+
+    rng = random.Random(17)
+    for fid in FAMILY_IDS:
+        base = harness.sample_sigma((fid, rng.randint(-2, 2)), rng=rng, bound=24)
+        for pt in (base, engine.shift(base, 1), engine.rotate_quarter(base, 1)):
+            factor = None
+            for o in engine._universe(pt, 3):
+                for x in (o, o.shifted(1)):
+                    z = engine.charge_of(pt, x)
+                    assert type(z.re) is int and type(z.im) is int
+                    re, im = _true_charge(pt, kclass(x))
+                    # z = t * Z(x) with t > 0, the same t for the whole point
+                    t = Fraction(z.re, 1) / re if re else Fraction(z.im, 1) / im
+                    assert t > 0 and (z.re, z.im) == (t * re, t * im)
+                    assert factor in (None, t)
+                    factor = t
+
+
 def test_unstable_verdict_from_big_gap():
     # phases of a^0 and a^1 more than one apart: the rest of the a-chain dies
     pt = engine.StabilityPoint(
@@ -177,3 +267,17 @@ def test_invalid_points_rejected():
         engine.StabilityPoint("F8", 0, (0, 5, 0), (_g(0, 1),) * 3)
     with pytest.raises(ValueError):
         engine.StabilityPoint("F8", 0, (0, 0, -1), (_g(0, 1), _g(1, -1), _g(0, 1)))
+    z = _g(0, 1)
+    for args in (
+        ("F8", 0, (0, 0, -1), ()),
+        ("F8", 0, (0, 0, -1), (z, z)),
+        ("F8", 0, (0, 0, -1), (z,) * 4),
+        ("F8", 0, (0, 0, -1), [z, z, z]),
+        ("F8", 0, (0, 0), (z,) * 3),
+        ("F8", 0, (0, 0, -1, 0), (z,) * 3),
+        ("F8", 0, (0, 0, -1), (z,) * 3, 0, ()),
+        ("F8", 0, (0, 0, -1), (z,) * 3, 0, (0, 0)),
+        ("F8", 0, (0, 0, -1), (z,) * 3, 0, (0, 0, 0, 0)),
+    ):
+        with pytest.raises(ValueError):
+            engine.StabilityPoint(*args)

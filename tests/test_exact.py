@@ -113,6 +113,22 @@ def test_int_phase_values():
     assert int_phase(0).offset == -1
 
 
+def test_integer_components_stay_int():
+    z = Gaussian.of(3, -2)
+    w = z.scale(5) * Gaussian.of(1, 1) - Gaussian.of(0, 7)
+    assert all(type(c) is int for c in (z.re, z.im, w.re, w.im))
+    assert type(z.cross(w)) is int
+    # equal values compare and hash equal whichever type holds them
+    q = Gaussian.of(Fraction(3), Fraction(-2))
+    assert z == q and hash(z) == hash(q) and z.to_json() == q.to_json()
+
+
+def test_phase_eq_is_representation_equality():
+    p, q = Phase(0, Gaussian.of(1, 1)), Phase(0, Gaussian.of(2, 2))
+    assert p != q
+    assert p.same_as(q) and p.cmp(q) == 0
+
+
 @given(_phases())
 def test_direction_parity(p):
     d = p.direction()

@@ -95,6 +95,23 @@ def test_cli_classify_and_oracle(tmp_path, capsys):
     assert rep["object"] == "b[0]" and rep["semistable_in_heart"] in (True, False)
 
 
+def test_cli_oracle_refuses_points_outside_standard_heart(tmp_path, capsys):
+    std = standard_heart_point(
+        (Gaussian.of(-1, 1), Gaussian.of(0, 1), Gaussian.of(1, 1))
+    )
+    others = {
+        "f2": harness.sample_sigma(("F2", 0), seed=1),
+        "shifted": standard_heart_point(std.charges, global_shift=1),
+    }
+    for name, pt in others.items():
+        path = tmp_path / ("%s.json" % name)
+        path.write_text(json.dumps(pt.to_json()))
+        assert cli.main(["oracle", str(path), "b[0]"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("oracle: ") and captured.err.count("\n") == 1
+
+
 def test_cli_verify(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = cli.main(
