@@ -34,7 +34,7 @@ class ExcObject:
             raise ValueError("M/M' carry no index")
 
     def base(self) -> "ExcObject":
-        return ExcObject(self.kind, self.m, 0)
+        return self if self.shift == 0 else ExcObject(self.kind, self.m, 0)
 
     def shifted(self, n: int) -> "ExcObject":
         return ExcObject(self.kind, self.m, self.shift + n)
@@ -128,13 +128,6 @@ def hom_dims(x: ExcObject, y: ExcObject):
         return None
     d0 = 0 if chi > 0 else 1
     return (d0 + x.total_shift() - y.total_shift(), abs(chi))
-
-
-def hom_at(x: ExcObject, y: ExcObject, degree: int) -> int:
-    h = hom_dims(x, y)
-    if h is None or h[0] != degree:
-        return 0
-    return h[1]
 
 
 class NotExceptionalClass(ValueError):

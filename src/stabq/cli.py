@@ -1,4 +1,10 @@
-"""Command-line interface: `stab <subcommand>`."""
+"""Command-line interface: `stab <subcommand>`.
+
+Exit codes: 0 success, 1 a verification mismatch (`stab verify`), 2 input
+the command cannot use (a missing or malformed file, a bad label, an
+unknown lemma, a point outside the oracle's domain), reported as one
+`<command>: ...` line on stderr.
+"""
 
 from __future__ import annotations
 
@@ -15,7 +21,33 @@ from .catalog import (
     kclass,
     parse_label,
 )
-from .triples import ExcTriple, MUTATION_OPS, mutate_triple
+from .triples import (
+    ExcTriple,
+    MUTATION_OPS,
+    is_exceptional_collection,
+    mutate_triple,
+)
+
+
+class _BadInput(Exception):
+    """Input the command cannot use; ``main`` reports it and returns 2."""
+
+
+def _label(s: str) -> ExcObject:
+    try:
+        return parse_label(s)
+    except ValueError as e:
+        raise _BadInput(str(e))
+
+
+def _load_json(path: str):
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except OSError as e:
+        raise _BadInput("cannot read %s: %s" % (path, e.strerror or e))
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+        raise _BadInput("%s is not valid JSON: %s" % (path, e))
 
 
 def _cmd_catalog(args) -> int:
@@ -37,7 +69,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_hom(args) -> int:
-    x, y = parse_label(args.x), parse_label(args.y)
+    x, y = _label(args.x), _label(args.y)
     h = hom_dims(x, y)
     if h is None:
         print("hom*(%s, %s) = 0" % (x, y))
@@ -49,19 +81,24 @@ def _cmd_hom(args) -> int:
 def _cmd_mutate(args) -> int:
     labels = [s.strip() for s in args.triple.split(",")]
     if len(labels) != 3:
-        print("expected three comma-separated labels", file=sys.stderr)
-        return 2
-    t = ExcTriple(tuple(parse_label(s) for s in labels))
+        raise _BadInput("expected three comma-separated labels")
+    t = ExcTriple(tuple(_label(s) for s in labels))
+    if not is_exceptional_collection(t):
+        raise _BadInput("%s is not an exceptional collection" % (t,))
     if args.op not in MUTATION_OPS:
-        print("op must be one of %s" % (MUTATION_OPS,), file=sys.stderr)
-        return 2
+        raise _BadInput("op must be one of %s" % (MUTATION_OPS,))
     print(str(mutate_triple(t, args.op)))
     return 0
 
 
 def _load_point(path: str) -> engine.StabilityPoint:
-    with open(path) as f:
-        return engine.StabilityPoint.from_json(json.load(f))
+    d = _load_json(path)
+    try:
+        return engine.StabilityPoint.from_json(d)
+    except KeyError as e:
+        raise _BadInput("%s: missing key %s" % (path, e))
+    except (TypeError, ValueError) as e:
+        raise _BadInput("%s: not a stability point: %s" % (path, e))
 
 
 def _cmd_classify(args) -> int:
@@ -73,6 +110,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.lemma != "all" and args.lemma not in harness.LEMMA_IDS:
+        raise _BadInput("unknown lemma id %r" % (args.lemma,))
     ids = harness.LEMMA_IDS if args.lemma == "all" else (args.lemma,)
     reports = [harness.verify_lemma(lid, args.n, args.seed) for lid in ids]
     payload = [r.to_json() for r in reports]
@@ -86,8 +125,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_slice(args) -> int:
-    with open(args.spec) as f:
-        spec = json.load(f)
+    spec = _load_json(args.spec)
+    try:
+        harness.slice_params(spec)
+    except KeyError as e:
+        raise _BadInput("%s: missing key %s" % (args.spec, e))
+    except (TypeError, ValueError) as e:
+        raise _BadInput("%s: bad slice spec: %s" % (args.spec, e))
     harness.slice_svg(spec, args.out)
     return 0
 
@@ -97,13 +141,11 @@ def _cmd_oracle(args) -> int:
     if (pt.family, pt.m, pt.shift, pt.global_shift, pt.extra_offsets) != (
         "F8", 0, (0, 0, -1), 0, (0, 0, 0)
     ):
-        print(
-            "oracle: only standard-heart points (F8, m 0, shift (0,0,-1), "
-            "global_shift 0, no extra_offsets) are in its domain",
-            file=sys.stderr,
+        raise _BadInput(
+            "only standard-heart points (F8, m 0, shift (0,0,-1), "
+            "global_shift 0, no extra_offsets) are in its domain"
         )
-        return 2
-    obj = parse_label(args.object)
+    obj = _label(args.object)
     rep = build_matrices(obj, q=2)
     zs = tuple(
         engine.charge_of(pt, v)
@@ -163,7 +205,11 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_oracle)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _BadInput as e:
+        print("%s: %s" % (args.cmd, e), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

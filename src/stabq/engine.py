@@ -14,6 +14,13 @@ normalisation of its charges (denominators cleared, common factor divided
 out) and never on ``Fraction``: the anchor phases carry the integer charges
 and ``charge_of`` returns integer Gaussians.  The point's rational charges
 are what it stores, serializes, compares and transforms.
+
+Each point owns its analyses, one per window (``StabilityPoint.analysis``):
+the rule fixpoint's verdicts, the memoised conditional phases, and the tail
+enclosures ``regions`` derives from them.  An analysis is built on the first
+lookup at its window and lives exactly as long as its point; nothing is
+cached process-wide on points, so equal but distinct point objects each
+compute their own (identical) results.
 """
 
 from __future__ import annotations
@@ -73,6 +80,10 @@ class StabilityPoint:
     int_charges: Tuple[Gaussian, Gaussian, Gaussian] = field(
         init=False, repr=False, compare=False
     )
+    # window -> Analysis, filled on first lookup; derived like int_charges
+    analyses: Dict[int, "Analysis"] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         for name in ("charges", "shift", "extra_offsets"):
@@ -90,6 +101,15 @@ class StabilityPoint:
             if z.is_zero() or not z.in_upper_branch():
                 raise ValueError("charges must be nonzero upper-branch values")
         object.__setattr__(self, "int_charges", _primitive(self.charges))
+        object.__setattr__(self, "analyses", {})
+
+    def analysis(self, window: int = DEFAULT_WINDOW) -> "Analysis":
+        """The engine's analysis of this point at ``window``, built on first
+        use and kept for the life of the point."""
+        a = self.analyses.get(window)
+        if a is None:
+            a = self.analyses[window] = Analysis(self, window)
+        return a
 
     def anchor(self) -> ExcTriple:
         return family_triple(self.family, self.m).shifted(self.shift)
@@ -264,7 +284,6 @@ _PHASE_P1 = int_phase(1)
 _PHASE_M1 = int_phase(-1)
 
 
-@lru_cache(maxsize=65536)
 def _unit_window_shifts(p_ref: Phase, p: Phase) -> List[int]:
     """Integers k with |(p + k) - p_ref| < 1 (at most two of them)."""
     base = p_ref.offset - p.offset
@@ -398,9 +417,17 @@ def _sigma_triple_rules(point: StabilityPoint, st: "_State", scope,
         st.set_ss(y_obj, py, "three-factor%s" % name)
 
 
-@lru_cache(maxsize=4096)
 def _decide(point: StabilityPoint, window: int) -> Dict[ExcObject, Verdict]:
     st = _State()
+    # the phases of one point recur across triples; memoised for this run
+    shifts: Dict[Tuple[Phase, Phase], List[int]] = {}
+
+    def unit_shifts(p_ref: Phase, p: Phase) -> List[int]:
+        out = shifts.get((p_ref, p))
+        if out is None:
+            out = shifts[p_ref, p] = _unit_window_shifts(p_ref, p)
+        return out
+
     anchor = point.anchor()
     scope = {o.base() for o in _universe(point, window)}
     for obj, ph in zip(anchor.objs, point.anchor_phases()):
@@ -441,8 +468,8 @@ def _decide(point: StabilityPoint, window: int) -> Dict[ExcObject, Verdict]:
                     ph.append(pb.plus(o.shift))
                 if len(ph) != 3:
                     continue
-                for s1 in _unit_window_shifts(ph[0], ph[1]):
-                    for s2 in _unit_window_shifts(ph[0], ph[2]):
+                for s1 in unit_shifts(ph[0], ph[1]):
+                    for s2 in unit_shifts(ph[0], ph[2]):
                         if not in_shift_set(t, (0, s1, s2)):
                             continue
                         f1, f2 = ph[1].plus(s1), ph[2].plus(s2)
@@ -464,8 +491,27 @@ def _decide(point: StabilityPoint, window: int) -> Dict[ExcObject, Verdict]:
     return st.v
 
 
+class Analysis:
+    """What the engine derives for one point at one window.
+
+    ``verdicts`` is the rule fixpoint, by base object.  ``phases`` memoises
+    ``conditional_phase`` by base object: a phase, None, or, for an offset
+    left unresolved, the number of candidates (an int), so that no
+    exception object and its traceback are kept.  ``tails`` holds the tail
+    enclosures of ``regions``, by side (True for the high tail).  An
+    analysis keeps no reference to its point."""
+
+    def __init__(self, point: StabilityPoint, window: int):
+        self.verdicts: Dict[ExcObject, Verdict] = _decide(point, window)
+        self.phases: Dict[ExcObject, object] = {}
+        self.tails: Dict[bool, dict] = {}
+
+
 def semistable(point: StabilityPoint, x: ExcObject, window: int = DEFAULT_WINDOW) -> Verdict:
-    v = _decide(point, window).get(x.base(), UNKNOWN)
+    """The verdict on x from the point's analysis at ``window``.  Results
+    belong to the point object: equal but distinct points compute their
+    own."""
+    v = point.analysis(window).verdicts.get(x.base(), UNKNOWN)
     if v.status == "semistable" and x.shift:
         return Verdict(v.status, v.phase.plus(x.shift), v.witness, v.rules)
     return v
@@ -479,7 +525,7 @@ def phase_of(point: StabilityPoint, x: ExcObject, window: int = DEFAULT_WINDOW) 
 
 
 def _offset_candidates(point: StabilityPoint, xb: ExcObject,
-                       window: int) -> List[Phase]:
+                       verdicts: Dict[ExcObject, Verdict]) -> List[Phase]:
     """Phases the base object could have if semistable: the hom constraints
     against every decided-semistable object with a pinned phase (a nonzero
     hom in degree d from U to V forces phi(U) <= phi(V) + d) usually leave a
@@ -494,7 +540,7 @@ def _offset_candidates(point: StabilityPoint, xb: ExcObject,
     g = point.global_shift
     known = [
         (o, v.phase)
-        for o, v in _decide(point, window).items()
+        for o, v in verdicts.items()
         if v.status == "semistable" and o != xb
     ]
     hits = []
@@ -517,26 +563,40 @@ def _offset_candidates(point: StabilityPoint, xb: ExcObject,
     return hits
 
 
-@lru_cache(maxsize=65536)
+_MISSING = object()
+
+
 def conditional_phase(point: StabilityPoint, xb: ExcObject,
                       window: int = DEFAULT_WINDOW) -> Optional[Phase]:
     """The phase the base object has -- or would have, were it semistable.
 
     Returns the decided phase for a semistable object, None when the object
     cannot be semistable (decided unstable, or no offset is consistent with
-    the hom constraints), and raises when several offsets remain."""
-    v = _decide(point, window).get(xb, UNKNOWN)
+    the hom constraints), and raises ExactError, on every call, when several
+    offsets remain.  Memoised in the point's analysis at ``window``."""
+    an = point.analysis(window)
+    ph = an.phases.get(xb, _MISSING)
+    if ph is _MISSING:
+        ph = an.phases[xb] = _conditional_phase(point, xb, an.verdicts)
+    if isinstance(ph, int):
+        raise ExactError("offset unresolved for %s (%d candidates)" % (xb, ph))
+    return ph
+
+
+def _conditional_phase(point: StabilityPoint, xb: ExcObject,
+                       verdicts: Dict[ExcObject, Verdict]):
+    """conditional_phase's outcome, with the candidate count standing for
+    an unresolved offset."""
+    v = verdicts.get(xb, UNKNOWN)
     if v.status == "unstable":
         return None
     if v.status == "semistable":
         return v.phase
-    hits = _offset_candidates(point, xb, window)
+    hits = _offset_candidates(point, xb, verdicts)
     if not hits:
         return None
     if len(hits) > 1:
-        raise ExactError(
-            "offset unresolved for %s (%d candidates)" % (xb, len(hits))
-        )
+        return len(hits)
     return hits[0]
 
 

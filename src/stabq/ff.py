@@ -15,7 +15,7 @@ from itertools import product
 from typing import Dict, List, Optional, Tuple
 
 from .exact import Gaussian, normarg_cmp
-from .gf import GF, Matrix, mat_mul, mat_vec, rref, zeros
+from .gf import GF, Matrix, mat_vec, rref, zeros
 from .quiver import Vec3, euler_form
 
 

@@ -1,13 +1,13 @@
 """Tiny finite fields (order 2, 3, 4) and dense linear algebra over them.
 
 Elements are plain ints 0..q-1; GF(4) is GF(2)[x]/(x^2+x+1) with elements
-encoded as bit pairs.  Just enough here for rank/nullspace computations and
-subspace enumeration on desk-scale matrices.
+encoded as bit pairs.  Just enough here for the row reductions and
+matrix-vector products of the subrepresentation search on desk-scale
+matrices.
 """
 
 from __future__ import annotations
 
-from itertools import product
 from typing import List, Sequence
 
 
@@ -73,19 +73,6 @@ def identity(n: int) -> Matrix:
     return m
 
 
-def mat_mul(F: GF, a: Matrix, b: Matrix) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = zeros(rows, cols)
-    for i in range(rows):
-        for k in range(inner):
-            if a[i][k] == 0:
-                continue
-            aik = a[i][k]
-            for j in range(cols):
-                out[i][j] = F.add(out[i][j], F.mul(aik, b[k][j]))
-    return out
-
-
 def mat_vec(F: GF, a: Matrix, v: Sequence[int]) -> List[int]:
     out = [0] * len(a)
     for i, row in enumerate(a):
@@ -117,69 +104,3 @@ def rref(F: GF, m: Matrix) -> Matrix:
         if r == rows:
             break
     return m
-
-
-def rank(F: GF, m: Matrix) -> int:
-    if not m or not m[0]:
-        return 0
-    return sum(1 for row in rref(F, m) if any(row))
-
-
-def nullspace_dim(F: GF, m: Matrix) -> int:
-    cols = len(m[0]) if m else 0
-    return cols - rank(F, m)
-
-
-def row_space_canon(F: GF, vectors: Sequence[Sequence[int]], dim: int):
-    """Canonical form (tuple of rref rows) of the span of the given vectors
-    inside F^dim.  Usable as a dict key for subspaces."""
-    rows = [list(v) for v in vectors if any(v)]
-    if not rows:
-        return ()
-    red = rref(F, rows)
-    return tuple(tuple(r) for r in red if any(r))
-
-
-def all_subspaces(F: GF, dim: int):
-    """All subspaces of F^dim, as canonical rref-row tuples.  Exponential in
-    dim; fine for dim <= 4 over the supported fields."""
-    if dim == 0:
-        return [()]
-    vectors = [v for v in product(F.elements(), repeat=dim)]
-    seen = {(): ()}
-    # grow spans vector by vector
-    frontier = [()]
-    while frontier:
-        new_frontier = []
-        for sub in frontier:
-            basis = [list(r) for r in sub]
-            for v in vectors:
-                if not any(v):
-                    continue
-                canon = row_space_canon(F, basis + [list(v)], dim)
-                if canon not in seen:
-                    seen[canon] = canon
-                    new_frontier.append(canon)
-        frontier = new_frontier
-    return list(seen.values())
-
-
-def subspace_contains(F: GF, sub, v) -> bool:
-    """Membership of vector v in a canonical-rref subspace."""
-    if not any(v):
-        return True
-    canon = row_space_canon(F, list(sub) + [list(v)], len(v))
-    return canon == sub
-
-
-def subspace_dim(sub) -> int:
-    return len(sub)
-
-
-def in_image_closure(F: GF, sub_rows, mat: Matrix, src_rows) -> bool:
-    """True iff mat maps the subspace spanned by src_rows into the subspace
-    sub_rows (all canonical tuples of row vectors)."""
-    for v in src_rows:
-        if not subspace_contains(F, sub_rows, mat_vec(F, mat, v)):
-            return False
-    return True

@@ -589,7 +589,7 @@ def _heart_test_objects(max_entry: int = 4):
     """Exceptional representations of the standard heart with every dimension
     entry at most max_entry, as (catalog object, FiniteRep, subrep classes)."""
     from . import ff
-    from .catalog import build_matrices, dim_vector, object_from_kclass
+    from .catalog import build_matrices, object_from_kclass
     from .quiver import Vec3
 
     dims = [Vec3(0, 1, 0), Vec3(1, 0, 1)]
@@ -672,31 +672,47 @@ def _grid_charge(i: int, res: int) -> Gaussian:
     return Gaussian.of(1 - u * u, 2 * u)
 
 
-def slice_svg(spec: dict, out_path: str) -> None:
-    """Render membership of the named regions over a 2D rational grid of
-    first/second anchor charge directions; the third charge is fixed.
+def slice_params(spec: dict):
+    """The regions, anchor (family, m, shift), resolution and third charge
+    of a slice spec, checked: a malformed spec raises KeyError, TypeError or
+    ValueError here rather than midway through the render.
 
     spec keys: regions (list of composite names), anchor {family,m,shift},
     resolution (grid size per axis), z2 {re, im} (optional).
     """
+    if not isinstance(spec, dict):
+        raise TypeError("a slice spec is a JSON object")
     names = list(spec.get("regions", ("Ta", "Tb", "MidM")))
+    unknown = [n for n in names if n not in regions.COMPOSITES]
+    if unknown:
+        raise ValueError("unknown regions %s" % (unknown,))
     a = spec.get("anchor", {"family": "F8", "m": 0, "shift": [0, 0, -1]})
+    anchor = (a["family"], int(a["m"]), tuple(int(x) for x in a["shift"]))
     res = int(spec.get("resolution", 16))
+    if res < 1:
+        raise ValueError("resolution must be positive")
     z2 = (
         Gaussian.from_json(spec["z2"])
         if "z2" in spec
         else Gaussian.of(Fraction(-1), Fraction(1))
     )
+    # the anchor and z2 are valid iff the first grid point is
+    engine.StabilityPoint(*anchor, (_grid_charge(0, res),) * 2 + (z2,))
+    return names, anchor, res, z2
+
+
+def slice_svg(spec: dict, out_path: str) -> None:
+    """Render membership of the named regions over a 2D rational grid of
+    first/second anchor charge directions; the third charge is fixed.
+    ``spec`` is described at ``slice_params``."""
+    names, anchor, res, z2 = slice_params(spec)
     cell = 12
     rows: List[str] = ["i,j," + ",".join(names)]
     rects: List[str] = []
     for i in range(res):
         for j in range(res):
             pt = engine.StabilityPoint(
-                a["family"],
-                int(a["m"]),
-                tuple(int(x) for x in a["shift"]),
-                (_grid_charge(i, res), _grid_charge(j, res), z2),
+                *anchor, (_grid_charge(i, res), _grid_charge(j, res), z2)
             )
             hits = []
             for name in names:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact import (

@@ -33,10 +33,6 @@ class Vec3(NamedTuple):
         return self.L >= 0 and self.R >= 0 and self.T >= 0
 
 
-# Dimension vectors and K-classes share the representation.
-DimVector = Vec3
-KClass = Vec3
-
 DELTA = Vec3(1, 1, 1)
 
 

@@ -12,10 +12,11 @@ from typing import Dict, List, Optional, Tuple
 
 from . import engine
 from .catalog import ExcObject, hom_dims
-from .exact import ExactError, Phase, Side, side_of, window_arg
+from .exact import ExactError, Phase, window_arg
 from .triples import (
     A_SIDE,
     B_SIDE,
+    FAMILY_SHAPES,
     ExcTriple,
     alpha_beta_gamma,
     extreme_shift,
@@ -136,19 +137,6 @@ def in_named_cell(point, fid: str, m: int, window: int = WINDOW) -> bool:
 
 # ---------------------------------------------------------------------------
 # composite regions
-
-# chain/fixed layout of the family shapes: (letter, relative index) for the
-# two-parameter chain members, (kind, None) for the rigid objects M and M'
-_SHAPE_POS = {
-    "F1": (("Mp", None), ("a", 0), ("a", 1)),
-    "F2": (("a", 0), ("b", 1), ("a", 1)),
-    "F3": (("a", 0), ("a", 1), ("M", None)),
-    "F4": (("M", None), ("b", 0), ("b", 1)),
-    "F5": (("b", 0), ("a", 0), ("b", 1)),
-    "F6": (("b", 0), ("b", 1), ("Mp", None)),
-    "F7": (("b", 0), ("Mp", None), ("a", 0)),
-    "F8": (("a", 0), ("M", None), ("b", 1)),
-}
 
 _UNRESOLVED = object()
 
@@ -277,7 +265,7 @@ def _tail_enclosure(point, window: int, hi: bool) -> Dict[str, Optional[tuple]]:
 def _tail_family_excluded(point, fid: str, encl, window: int) -> bool:
     """True when no cell of the family beyond the scanned block can contain
     the point; False when that cannot be certified."""
-    shape = _SHAPE_POS[fid]
+    shape = FAMILY_SHAPES[fid]
     if any(encl[k] == _DEAD for k, r in shape if r is not None):
         return True
     lowers: Dict[int, list] = {}
@@ -331,8 +319,11 @@ def _tail_family_excluded(point, fid: str, encl, window: int) -> bool:
 
 
 def _tails_excluded(point, fids, window: int) -> bool:
+    tails = point.analysis(window).tails
     for hi in (False, True):
-        encl = _tail_enclosure(point, window, hi)
+        encl = tails.get(hi)
+        if encl is None:
+            encl = tails[hi] = _tail_enclosure(point, window, hi)
         for fid in fids:
             if not _tail_family_excluded(point, fid, encl, window):
                 return False

@@ -11,9 +11,10 @@ the collection are Ext-exceptional.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
-from .catalog import ExcObject, hom_dims, kclass, object_from_kclass, parse_label
+from .catalog import ExcObject, hom_dims, kclass, object_from_kclass
 from .quiver import Vec3, euler_form
 
 
@@ -78,23 +79,28 @@ FAMILY_IDS = ("F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8")
 A_SIDE = ("F1", "F2", "F3")  # the a-chain families
 B_SIDE = ("F4", "F5", "F6")  # the b-chain families
 
-_FAMILY_SHAPES = {
-    "F1": ("M'", "a[{m}]", "a[{m1}]"),
-    "F2": ("a[{m}]", "b[{m1}]", "a[{m1}]"),
-    "F3": ("a[{m}]", "a[{m1}]", "M"),
-    "F4": ("M", "b[{m}]", "b[{m1}]"),
-    "F5": ("b[{m}]", "a[{m}]", "b[{m1}]"),
-    "F6": ("b[{m}]", "b[{m1}]", "M'"),
-    "F7": ("b[{m}]", "M'", "a[{m}]"),
-    "F8": ("a[{m}]", "M", "b[{m1}]"),
+# the slots of each family: (kind, index relative to m) for the chain
+# objects a/b, (kind, None) for the rigid objects M and M'
+FAMILY_SHAPES = {
+    "F1": (("Mp", None), ("a", 0), ("a", 1)),
+    "F2": (("a", 0), ("b", 1), ("a", 1)),
+    "F3": (("a", 0), ("a", 1), ("M", None)),
+    "F4": (("M", None), ("b", 0), ("b", 1)),
+    "F5": (("b", 0), ("a", 0), ("b", 1)),
+    "F6": (("b", 0), ("b", 1), ("Mp", None)),
+    "F7": (("b", 0), ("Mp", None), ("a", 0)),
+    "F8": (("a", 0), ("M", None), ("b", 1)),
 }
 
 
+@lru_cache(maxsize=4096)
 def family_triple(fid: str, m: int) -> ExcTriple:
-    shape = _FAMILY_SHAPES[fid]
-    return ExcTriple(
-        tuple(parse_label(s.format(m=m, m1=m + 1)) for s in shape)
-    )
+    """The standard triple of family ``fid`` at index ``m``, built from
+    ``FAMILY_SHAPES``; memoised, and shared, as triples are immutable."""
+    return ExcTriple(tuple(
+        ExcObject(kind, 0 if rel is None else m + rel, 0)
+        for kind, rel in FAMILY_SHAPES[fid]
+    ))
 
 
 def match_family(t: ExcTriple):

@@ -1,14 +1,16 @@
 """The rule-based semistability engine: anchors, derived verdicts, symmetry
 invariance, and the collinearity scan."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
-from stabq import engine, harness
+from stabq import engine, harness, regions
 from stabq.catalog import ExcObject, parse_label
-from stabq.exact import Gaussian, Phase, int_phase, phase_diff
+from stabq.exact import ExactError, Gaussian, Phase, int_phase, phase_diff
 from stabq.triples import FAMILY_IDS, family_triple
 
 
@@ -240,6 +242,72 @@ def test_conditional_phase_consistency():
                 assert cp is None
             elif v.status == "semistable" and v.phase is not None:
                 assert cp.same_as(v.phase)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ExactError as e:
+        return "ExactError: %s" % e
+
+
+def test_equal_points_compute_identical_results():
+    rng = random.Random(17)
+    for fid in FAMILY_IDS:
+        p1 = harness.sample_sigma((fid, rng.randint(-2, 2)), rng=rng, bound=32)
+        p2 = engine.StabilityPoint.from_json(p1.to_json())
+        assert p1 == p2 and hash(p1) == hash(p2) and p1 is not p2
+        out = regions.classify(p1)
+        assert p1.analyses and not p2.analyses  # results are per object
+        assert regions.classify(p2) == out
+        for o in engine._universe(p1, engine.DEFAULT_WINDOW):
+            assert engine.semistable(p1, o) == engine.semistable(p2, o)
+            assert _outcome(engine.conditional_phase, p1, o) == _outcome(
+                engine.conditional_phase, p2, o
+            )
+
+
+def test_point_frees_its_analysis():
+    pt = harness.sample_sigma(("F8", 0), seed=3)
+    regions.classify(pt)
+    refs = [weakref.ref(pt)] + [weakref.ref(a) for a in pt.analyses.values()]
+    del pt
+    gc.collect()
+    assert all(r() is None for r in refs)
+
+
+def test_unresolved_offset_raises_on_every_call(monkeypatch):
+    """The outcome is stored as a value, computed once, and raised afresh.
+
+    Sampled points never leave two offsets: their hom brackets against
+    the decided objects were narrower than 1 wherever measured, and the
+    candidates are 2 apart.  So the candidate search is stubbed, on an
+    object the rules leave unknown."""
+    rng = random.Random(23)
+    for _ in range(20):
+        pt = harness.sample_sigma(("F2", 0), rng=rng, bound=32)
+        unknown = [
+            o for o in engine._universe(pt, engine.DEFAULT_WINDOW)
+            if engine.semistable(pt, o).status == "unknown"
+        ]
+        if unknown:
+            break
+    else:
+        pytest.fail("no sampled point leaves an object unknown")
+    calls = []
+
+    def two_offsets(point, xb, verdicts):
+        calls.append(xb)
+        return [int_phase(0), int_phase(2)]
+
+    monkeypatch.setattr(engine, "_offset_candidates", two_offsets)
+    errors = []
+    for _ in range(3):
+        with pytest.raises(ExactError, match="offset unresolved") as ei:
+            engine.conditional_phase(pt, unknown[0])
+        errors.append(ei.value)
+    assert calls == [unknown[0]]
+    assert len({id(e) for e in errors}) == 3
 
 
 def test_collinearity_scan_generic_and_degenerate():

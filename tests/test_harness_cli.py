@@ -112,6 +112,55 @@ def test_cli_oracle_refuses_points_outside_standard_heart(tmp_path, capsys):
         assert captured.err.startswith("oracle: ") and captured.err.count("\n") == 1
 
 
+def _assert_bad_input(argv, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(argv[0] + ": ")
+    assert captured.err.count("\n") == 1
+
+
+def test_cli_bad_input_exits_2_without_traceback(tmp_path, capsys):
+    good = json.loads(open(_write_sigma(tmp_path)).read())
+    no_m = json.loads(json.dumps(good))
+    del no_m["anchor"]["m"]
+    bad_charge = json.loads(json.dumps(good))
+    bad_charge["charges"][0] = {"re": "1", "im": "0"}
+    files = {
+        "no_m.json": json.dumps(no_m),
+        "bad_charge.json": json.dumps(bad_charge),
+        "list.json": "[1, 2]",
+        "not_json.json": "{not json",
+    }
+    paths = [str(tmp_path / "missing.json")]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+        paths.append(str(tmp_path / name))
+    for path in paths:
+        _assert_bad_input(["classify", path], capsys)
+        _assert_bad_input(["oracle", path, "b[0]"], capsys)
+        if "bad_charge" not in path:  # a slice spec ignores "charges"
+            _assert_bad_input(
+                ["slice", "--spec", path, "-o", str(tmp_path / "s.svg")], capsys
+            )
+    sigma = _write_sigma(tmp_path)
+    _assert_bad_input(["oracle", sigma, "zz"], capsys)
+    _assert_bad_input(["hom", "zz", "M"], capsys)
+    _assert_bad_input(["hom", "a[0]", "b[x]"], capsys)
+    _assert_bad_input(["mutate", "a[0], M, q", "R0"], capsys)
+    _assert_bad_input(["mutate", "a[0], a[0], a[0]", "R0"], capsys)
+    _assert_bad_input(["verify", "no-such-lemma", "-n", "1"], capsys)
+    spec = tmp_path / "spec.json"
+    for bad in ({"regions": ["Nowhere"]}, {"resolution": 0},
+                {"anchor": {"family": "F9", "m": 0, "shift": [0, 0, -1]}},
+                {"z2": {"re": "1", "im": "-1"}}):
+        spec.write_text(json.dumps(bad))
+        _assert_bad_input(
+            ["slice", "--spec", str(spec), "-o", str(tmp_path / "s.svg")], capsys
+        )
+    assert not (tmp_path / "s.svg").exists()
+
+
 def test_cli_verify(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = cli.main(

@@ -64,6 +64,29 @@ def test_shift_set_structure(fid):
         assert is_ext_collection(t.shifted(p))
 
 
+# the families as label strings: the reference for the shape table
+_FAMILY_LABELS = {
+    "F1": ("M'", "a[{m}]", "a[{m1}]"),
+    "F2": ("a[{m}]", "b[{m1}]", "a[{m1}]"),
+    "F3": ("a[{m}]", "a[{m1}]", "M"),
+    "F4": ("M", "b[{m}]", "b[{m1}]"),
+    "F5": ("b[{m}]", "a[{m}]", "b[{m1}]"),
+    "F6": ("b[{m}]", "b[{m1}]", "M'"),
+    "F7": ("b[{m}]", "M'", "a[{m}]"),
+    "F8": ("a[{m}]", "M", "b[{m1}]"),
+}
+
+
+def test_family_triple_matches_label_reference():
+    assert set(_FAMILY_LABELS) == set(FAMILY_IDS)
+    for fid, labels in _FAMILY_LABELS.items():
+        for m in range(-30, 31):
+            ref = ExcTriple(
+                tuple(parse_label(s.format(m=m, m1=m + 1)) for s in labels)
+            )
+            assert family_triple(fid, m) == ref
+
+
 def test_match_family_roundtrip():
     for fid in FAMILY_IDS:
         for m in (-2, 0, 2):
