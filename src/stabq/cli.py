@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 a verification mismatch (`stab verify`), 2 input
 the command cannot use (a missing or malformed file, a bad label, an
-unknown lemma, a point outside the oracle's domain), reported as one
-`<command>: ...` line on stderr.
+unknown lemma, a sample count below 1, a point outside the oracle's domain,
+an object beyond the oracle's size cap), reported as one `<command>: ...`
+line on stderr.
 """
 
 from __future__ import annotations
@@ -112,6 +113,8 @@ def _cmd_classify(args) -> int:
 def _cmd_verify(args) -> int:
     if args.lemma != "all" and args.lemma not in harness.LEMMA_IDS:
         raise _BadInput("unknown lemma id %r" % (args.lemma,))
+    if args.n < 1:
+        raise _BadInput("-n must be at least 1, got %d" % (args.n,))
     ids = harness.LEMMA_IDS if args.lemma == "all" else (args.lemma,)
     reports = [harness.verify_lemma(lid, args.n, args.seed) for lid in ids]
     payload = [r.to_json() for r in reports]
@@ -146,6 +149,12 @@ def _cmd_oracle(args) -> int:
             "global_shift 0, no extra_offsets) are in its domain"
         )
     obj = _label(args.object)
+    total = sum(dim_vector(obj))
+    if total > ff.MAX_TOTAL_DIM:  # checked before the matrices are built
+        raise _BadInput(
+            "%s has total dimension %d, beyond the brute-force cap of %d"
+            % (obj, total, ff.MAX_TOTAL_DIM)
+        )
     rep = build_matrices(obj, q=2)
     zs = tuple(
         engine.charge_of(pt, v)

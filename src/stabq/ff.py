@@ -151,33 +151,41 @@ def all_subspaces_with_sets(F: GF, dim: int):
 MAX_TOTAL_DIM = 12
 
 
+def _closed_subspaces(F: GF, dims, arrows):
+    """Every tuple of subspaces, one per vertex, closed under the arrows
+    (src, dst, matrix) with src < dst, as a tuple of bases.  Vertices are
+    looped in order, the last innermost, each over the subspaces in the
+    order of ``all_subspaces_with_sets``."""
+    if sum(dims) > MAX_TOTAL_DIM:
+        raise SizeLimit("total dimension %d too large" % sum(dims))
+    subs = [all_subspaces_with_sets(F, d) for d in dims]
+    return _extend(F, subs, arrows, (), [[] for _ in dims])
+
+
+def _extend(F: GF, subs, arrows, chosen, images):
+    # images[v]: where the arrows send the bases chosen so far
+    v = len(chosen)
+    if v == len(subs):
+        yield chosen
+        return
+    for basis, vectors in subs[v]:
+        if any(w not in vectors for w in images[v]):
+            continue
+        nxt = list(images)
+        for src, dst, mat in arrows:
+            if src == v:
+                nxt[dst] = nxt[dst] + [tuple(mat_vec(F, mat, x)) for x in basis]
+        yield from _extend(F, subs, arrows, chosen + (basis,), nxt)
+
+
 def all_subreps(rep: FiniteRep):
     """Every subrepresentation, as a dict keyed by dimension vector; the
     value is one witness (bases of the three subspaces).  Includes the zero
     and the full subrepresentation."""
-    dL, dR, dT = rep.dims
-    if dL + dR + dT > MAX_TOTAL_DIM:
-        raise SizeLimit("total dimension %d too large" % (dL + dR + dT))
-    F = rep.F
-    subL = all_subspaces_with_sets(F, dL)
-    subR = all_subspaces_with_sets(F, dR)
-    subT = all_subspaces_with_sets(F, dT)
+    arrows = ((0, 1, rep.lr), (0, 2, rep.lt), (1, 2, rep.rt))
     out: Dict[Vec3, tuple] = {}
-    for bL, sL in subL:
-        imgR = [tuple(mat_vec(F, rep.lr, v)) for v in bL]
-        imgTL = [tuple(mat_vec(F, rep.lt, v)) for v in bL]
-        for bR, sR in subR:
-            if any(w not in sR for w in imgR):
-                continue
-            imgTR = [tuple(mat_vec(F, rep.rt, v)) for v in bR]
-            for bT, sT in subT:
-                if any(w not in sT for w in imgTL):
-                    continue
-                if any(w not in sT for w in imgTR):
-                    continue
-                key = Vec3(len(bL), len(bR), len(bT))
-                if key not in out:
-                    out[key] = (bL, bR, bT)
+    for bases in _closed_subspaces(rep.F, rep.dims, arrows):
+        out.setdefault(Vec3(*map(len, bases)), bases)
     return out
 
 
@@ -363,20 +371,11 @@ def kronecker_rep(F: GF, d1: int, d2: int) -> KronRep:
 
 
 def kron_subrep_classes(rep: KronRep):
-    if rep.d1 + rep.d2 > MAX_TOTAL_DIM:
-        raise SizeLimit("total dimension too large")
-    F = rep.F
-    out = set()
-    for b1, s1 in all_subspaces_with_sets(F, rep.d1):
-        ia = [tuple(mat_vec(F, rep.a, v)) for v in b1]
-        ib = [tuple(mat_vec(F, rep.b, v)) for v in b1]
-        for b2, s2 in all_subspaces_with_sets(F, rep.d2):
-            if any(w not in s2 for w in ia):
-                continue
-            if any(w not in s2 for w in ib):
-                continue
-            out.add((len(b1), len(b2)))
-    return out
+    arrows = ((0, 1, rep.a), (0, 1, rep.b))
+    return {
+        tuple(map(len, bases))
+        for bases in _closed_subspaces(rep.F, (rep.d1, rep.d2), arrows)
+    }
 
 
 def kron_semistable(rep: KronRep, zu: Gaussian, zv: Gaussian):

@@ -13,6 +13,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import engine, regions
@@ -181,30 +182,6 @@ def _zdiff_ab(pt, p: int) -> Gaussian:
 # the individual suites; each checker may raise _Mismatch or an unknown
 
 
-def _chk_chain_with_x(pt, rng):
-    kind = rng.choice("ab")
-    fid = "F3" if kind == "a" else "F6"
-    m = pt.m
-    j = m - rng.randint(1, 3)
-    lhs = regions.in_theta(pt, family_triple(fid, m)) and regions.in_theta(
-        pt, family_triple(fid, j)
-    )
-    rhs = regions.in_intersection_system(pt, "(_,_,X)0", kind=kind, m=m)
-    _eq(lhs, rhs, "(_,_,X)0 m=%d j=%d" % (m, j))
-
-
-def _chk_x_with_chain(pt, rng):
-    kind = rng.choice("ab")
-    fid = "F1" if kind == "a" else "F4"
-    m = pt.m
-    j = m + rng.randint(1, 3)
-    lhs = regions.in_theta(pt, family_triple(fid, m)) and regions.in_theta(
-        pt, family_triple(fid, j)
-    )
-    rhs = regions.in_intersection_system(pt, "(X,_,_)0", kind=kind, m=m)
-    _eq(lhs, rhs, "(X,_,_)0 m=%d j=%d" % (m, j))
-
-
 def _chk_t12lemma1(pt, rng):
     in_f2 = regions.in_cells_union(pt, ("F2",))
     in_f5 = regions.in_cells_union(pt, ("F5",))
@@ -251,83 +228,50 @@ def _chk_t12lemma3(pt, rng):
         )
 
 
-def _chk_t12zcap(pt, rng):
-    m = pt.m
-    lhs = regions.in_theta(pt, family_triple("F3", m)) and regions.in_composite(
-        pt, "SetZ"
+# The suites backed by a registered system: sys_id -> (family, instance
+# keyword, union terms, equivalence).  Each checks Theta of the family at
+# the sample's index n intersected with the union of the terms against the
+# system at n, as an equivalence (True) or an inclusion (False).  The family
+# is given per letter for the chain systems, whose letter is drawn first.
+# A term is a composite name, or -1/+1 for Theta of the same family at
+# n -/+ randint(1, 3).
+_SYSTEM_SUITES = {
+    "(_,_,X)0": ({"a": "F3", "b": "F6"}, "m", (-1,), True),
+    "(X,_,_)0": ({"a": "F1", "b": "F4"}, "m", (1,), True),
+    "T12Zcap(E_1)": ("F3", "m", ("SetZ",), True),
+    "T43Zcap(E_1)": ("F6", "m", ("SetW",), True),
+    "middle M cap left M'": ("F8", "p", ("Ta",), True),
+    "middle M cap left M": ("F8", "p", ("Tb",), True),
+    "middle M cap left right M": ("F8", "p", ("Ta", -1, "Tb"), True),
+    "middle M' cap left M": ("F7", "p", ("Tb",), False),
+    "middle M' cap left M'": ("F7", "p", ("Ta",), False),
+    "middle M' cap left right middle M": ("F7", "p", ("Ta", "MidM", "Tb"), True),
+}
+
+_OFFSET_NAME = {"m": "j", "p": "q"}  # the second index, in mismatch details
+
+
+def _chk_system(sys_id, pt, rng):
+    family, key, terms, equivalence = _SYSTEM_SUITES[sys_id]
+    kw = {}
+    if isinstance(family, dict):
+        kw["kind"] = rng.choice("ab")
+        family = family[kw["kind"]]
+    n = kw[key] = pt.m
+    detail = "%s %s=%d" % (sys_id, key, n)
+    q = None
+    for term in terms:  # at most one Theta term per row
+        if isinstance(term, int):
+            q = n + term * rng.randint(1, 3)
+            detail += " %s=%d" % (_OFFSET_NAME[key], q)
+    lhs = regions.in_theta(pt, family_triple(family, n)) and any(
+        regions.in_theta(pt, family_triple(family, q))
+        if isinstance(term, int)
+        else regions.in_composite(pt, term)
+        for term in terms
     )
-    rhs = regions.in_intersection_system(pt, "T12Zcap(E_1)", m=m)
-    _eq(lhs, rhs, "T12Zcap(E_1) m=%d" % m)
-
-
-def _chk_t43zcap(pt, rng):
-    m = pt.m
-    lhs = regions.in_theta(pt, family_triple("F6", m)) and regions.in_composite(
-        pt, "SetW"
-    )
-    rhs = regions.in_intersection_system(pt, "T43Zcap(E_1)", m=m)
-    _eq(lhs, rhs, "T43Zcap(E_1) m=%d" % m)
-
-
-def _chk_midm_cap_a(pt, rng):
-    p = pt.m
-    lhs = regions.in_theta(pt, family_triple("F8", p)) and regions.in_composite(
-        pt, "Ta"
-    )
-    rhs = regions.in_intersection_system(pt, "middle M cap left M'", p=p)
-    _eq(lhs, rhs, "middle M cap left M' p=%d" % p)
-
-
-def _chk_midm_cap_b(pt, rng):
-    p = pt.m
-    lhs = regions.in_theta(pt, family_triple("F8", p)) and regions.in_composite(
-        pt, "Tb"
-    )
-    rhs = regions.in_intersection_system(pt, "middle M cap left M", p=p)
-    _eq(lhs, rhs, "middle M cap left M p=%d" % p)
-
-
-def _chk_midm_cap_both(pt, rng):
-    p = pt.m
-    q = p - rng.randint(1, 3)
-    lhs = regions.in_theta(pt, family_triple("F8", p)) and (
-        regions.in_composite(pt, "Ta")
-        or regions.in_theta(pt, family_triple("F8", q))
-        or regions.in_composite(pt, "Tb")
-    )
-    rhs = regions.in_intersection_system(pt, "middle M cap left right M", p=p)
-    _eq(lhs, rhs, "middle M cap left right M p=%d q=%d" % (p, q))
-
-
-def _chk_midmp_cap_b(pt, rng):
-    p = pt.m
-    lhs = regions.in_theta(pt, family_triple("F7", p)) and regions.in_composite(
-        pt, "Tb"
-    )
-    rhs = regions.in_intersection_system(pt, "middle M' cap left M", p=p)
-    _imp(lhs, rhs, "middle M' cap left M p=%d" % p)
-
-
-def _chk_midmp_cap_a(pt, rng):
-    p = pt.m
-    lhs = regions.in_theta(pt, family_triple("F7", p)) and regions.in_composite(
-        pt, "Ta"
-    )
-    rhs = regions.in_intersection_system(pt, "middle M' cap left M'", p=p)
-    _imp(lhs, rhs, "middle M' cap left M' p=%d" % p)
-
-
-def _chk_midmp_cap_all(pt, rng):
-    p = pt.m
-    lhs = regions.in_theta(pt, family_triple("F7", p)) and (
-        regions.in_composite(pt, "Ta")
-        or regions.in_composite(pt, "MidM")
-        or regions.in_composite(pt, "Tb")
-    )
-    rhs = regions.in_intersection_system(
-        pt, "middle M' cap left right middle M", p=p
-    )
-    _eq(lhs, rhs, "middle M' cap left right middle M p=%d" % p)
+    rhs = regions.in_intersection_system(pt, sys_id, **kw)
+    (_eq if equivalence else _imp)(lhs, rhs, detail)
 
 
 def _chk_one_inclusion(pt, rng):
@@ -509,19 +453,21 @@ _A = ("F1", "F2", "F3")
 _B = ("F4", "F5", "F6")
 _ALL = FAMILY_IDS
 
-_SUITES: Dict[str, Tuple[Callable, Tuple[str, ...]]] = {
-    "(_,_,X)0": (_chk_chain_with_x, _A + _B),
-    "(X,_,_)0": (_chk_x_with_chain, _A + _B),
+# suite id -> (checker, anchor pool); a None checker marks a suite backed by
+# the registered system of the same id, checked by _chk_system
+_SUITES: Dict[str, Tuple[Optional[Callable], Tuple[str, ...]]] = {
+    "(_,_,X)0": (None, _A + _B),
+    "(X,_,_)0": (None, _A + _B),
     "T12lemma1": (_chk_t12lemma1, ("F2", "F5", "F3", "F4")),
     "T12lemma3": (_chk_t12lemma3, ("F2", "F5")),
-    "T12Zcap(E_1)": (_chk_t12zcap, ("F1", "F2", "F3")),
-    "T43Zcap(E_1)": (_chk_t43zcap, ("F4", "F5", "F6")),
-    "middle M cap left M'": (_chk_midm_cap_a, ("F8", "F1", "F2", "F3")),
-    "middle M cap left M": (_chk_midm_cap_b, ("F8", "F4", "F5", "F6")),
-    "middle M cap left right M": (_chk_midm_cap_both, ("F8", "F3", "F4")),
-    "middle M' cap left M": (_chk_midmp_cap_b, ("F7", "F4", "F5", "F6")),
-    "middle M' cap left M'": (_chk_midmp_cap_a, ("F7", "F1", "F2", "F3")),
-    "middle M' cap left right middle M": (_chk_midmp_cap_all, ("F7", "F8", "F3", "F4")),
+    "T12Zcap(E_1)": (None, ("F1", "F2", "F3")),
+    "T43Zcap(E_1)": (None, ("F4", "F5", "F6")),
+    "middle M cap left M'": (None, ("F8", "F1", "F2", "F3")),
+    "middle M cap left M": (None, ("F8", "F4", "F5", "F6")),
+    "middle M cap left right M": (None, ("F8", "F3", "F4")),
+    "middle M' cap left M": (None, ("F7", "F4", "F5", "F6")),
+    "middle M' cap left M'": (None, ("F7", "F1", "F2", "F3")),
+    "middle M' cap left right middle M": (None, ("F7", "F8", "F3", "F4")),
     "one inclusion": (_chk_one_inclusion, ("F7",)),
     "semi-stability of a": (_chk_ss_a, ("F8",)),
     "semi-stability of b": (_chk_ss_b, ("F8",)),
@@ -541,6 +487,8 @@ def verify_lemma(lemma_id: str, n_samples: int = DEFAULT_SAMPLES,
     if lemma_id not in _SUITES:
         raise ValueError("unknown lemma id %r" % (lemma_id,))
     checker, pool = _SUITES[lemma_id]
+    if checker is None:
+        checker = partial(_chk_system, lemma_id)
     rng = random.Random((lemma_id, seed).__repr__())
     rep = VerificationReport(lemma_id, seed=seed)
     t0 = time.monotonic()

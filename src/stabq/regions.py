@@ -4,6 +4,13 @@ intersection characterizations, plus region classification.
 All predicates are three-valued in spirit: True/False when every needed
 semistability verdict is decided, and an Undecidable error otherwise --
 an undecided verdict must never silently read as "not in the region".
+
+The intersection lemmas' inequality systems are data: one table row per
+system (three objects and a disjunction of clauses of strict phase
+inequalities, some refined by the sign of one window argument), read by
+one evaluator.  A chain system written for the letter a serves the letter b
+through the swap a <-> b, M <-> M'.  The cells' inequality patterns are a
+table keyed by family in the same notation.
 """
 
 from __future__ import annotations
@@ -75,6 +82,11 @@ def _lt(p: Phase, q: Phase, n: int = 0) -> bool:
     return p.cmp(q.plus(n)) < 0
 
 
+def _holds(ph, ineqs) -> bool:
+    """Every strict inequality (i, j, c), p_i < p_j + c, holds on ph."""
+    return all(_lt(ph[i], ph[j], c) for i, j, c in ineqs)
+
+
 def _min_bound(*vals):
     """None-aware minimum (None = +infinity)."""
     finite = [v for v in vals if v is not None]
@@ -112,19 +124,18 @@ def in_theta(point, t: ExcTriple) -> bool:
     return _certify(ok, cert)
 
 
-# the three inequality patterns of the cell tables, as strict comparisons
+# the inequality pattern of each family's cells, as strict comparisons
 # p_i < p_j + c on the phase triple
-def _pattern_ineqs(fid: str) -> Tuple[Tuple[int, int, int], ...]:
-    if fid in ("F1", "F2", "F4", "F5"):
-        return ((0, 1, 0), (0, 2, -1), (1, 2, 0))
-    if fid in ("F3", "F6"):
-        return ((0, 1, 0), (0, 2, 0), (1, 2, 1))
-    # F7, F8
-    return ((0, 1, 1), (0, 2, 0), (1, 2, 0))
-
-
-def _cell_pattern(fid: str, ph) -> bool:
-    return all(_lt(ph[i], ph[j], c) for i, j, c in _pattern_ineqs(fid))
+_PATTERN_INEQS = {
+    "F1": ((0, 1, 0), (0, 2, -1), (1, 2, 0)),
+    "F2": ((0, 1, 0), (0, 2, -1), (1, 2, 0)),
+    "F3": ((0, 1, 0), (0, 2, 0), (1, 2, 1)),
+    "F4": ((0, 1, 0), (0, 2, -1), (1, 2, 0)),
+    "F5": ((0, 1, 0), (0, 2, -1), (1, 2, 0)),
+    "F6": ((0, 1, 0), (0, 2, 0), (1, 2, 1)),
+    "F7": ((0, 1, 1), (0, 2, 0), (1, 2, 0)),
+    "F8": ((0, 1, 1), (0, 2, 0), (1, 2, 0)),
+}
 
 
 def in_named_cell(point, fid: str, m: int, window: int = WINDOW) -> bool:
@@ -132,7 +143,7 @@ def in_named_cell(point, fid: str, m: int, window: int = WINDOW) -> bool:
     ph, cert = _phases(point, t.objs, window)
     if ph is None:
         return False
-    return _certify(_cell_pattern(fid, ph), cert)
+    return _certify(_holds(ph, _PATTERN_INEQS[fid]), cert)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +282,7 @@ def _tail_family_excluded(point, fid: str, encl, window: int) -> bool:
     lowers: Dict[int, list] = {}
     uppers: Dict[int, list] = {}
     fixed_needed = []
-    for i, j, c in _pattern_ineqs(fid):
+    for i, j, c in _PATTERN_INEQS[fid]:
         (ki, ri), (kj, rj) = shape[i], shape[j]
         if ri is not None and rj is not None:
             # two chain members: the surviving hom and ext between far
@@ -418,233 +429,134 @@ def classify(point, window: int = WINDOW) -> List[Tuple]:
 
 
 # ---------------------------------------------------------------------------
-# intersection characterizations
+# intersection characterizations, as data
+#
+# A system is a disjunction of clauses over the phases p_0, p_1, p_2 of three
+# objects.  A clause is a tuple of strict inequalities (i, j, c), meaning
+# p_i < p_j + c, plus an optional refinement (i, j, lo, k, c, sign): the
+# window argument of Z(o_i) - Z(o_j) in (p_lo - 1, p_lo), compared with
+# p_k + c, has that sign.  A refinement is evaluated only when its clause's
+# inequalities hold, and a charge on the window boundary fails it.
+
+# (a^m, a^{m+1}, M) meets the one-sided composite of the other chain letter
+_CHAIN_CAP_Z = (
+    "m",
+    (("a", 0), ("a", 1), ("M", None)),
+    (
+        (((2, 1, 0), (0, 1, 0), (0, 2, 0), (1, 2, 1)), None),
+        (((0, 1, 0), (1, 0, 1), (0, 2, 0), (2, 0, 1)), (0, 1, 0, 2, -1, 1)),
+    ),
+)
+_MID_M = (("a", 0), ("M", None), ("b", 1))  # (a^p, M, b^{p+1})
+_MID_MP = (("b", 0), ("Mp", None), ("a", 0))  # (b^p, M', a^p)
+_MID_MP_LEFT_M = (
+    (((2, 1, 1), (1, 2, 0), (2, 0, 1), (0, 2, 0)), None),
+    (((2, 1, 1), (1, 2, 0), (0, 1, 0)), None),
+)
+_MID_MP_LEFT_MP = (
+    (((0, 1, 1), (1, 0, 0), (0, 2, 0), (2, 0, 1)), None),
+    (((0, 1, 1), (1, 0, 0), (1, 2, -1)), None),
+)
+
+# sys_id -> (letter, instance keyword, objects, clauses).  The objects are
+# (letter, index offset from the instance index), with offset None for M and
+# M', written for letter a; letter b reads them through the swap a <-> b,
+# M <-> M', and letter None takes it from the ``kind`` keyword.  The two
+# mutation systems are "right" and "left": their clauses depend on the
+# triple and are built by _mutation_clauses.
+_SYSTEMS = {
+    "(_,_,X)0": (None, "m", (("a", 0), ("a", 1), ("M", None)), (
+        (((0, 1, 0), (1, 0, 1), (0, 2, 0), (1, 2, 1)), None),
+    )),
+    "(X,_,_)0": (None, "m", (("Mp", None), ("a", 0), ("a", 1)), (
+        (((0, 1, 0), (0, 2, -1), (1, 2, 0), (2, 1, 1)), None),
+    )),
+    "T12Zcap(E_1)": ("a",) + _CHAIN_CAP_Z,
+    "T43Zcap(E_1)": ("b",) + _CHAIN_CAP_Z,
+    "middle M cap left M'": ("a", "p", _MID_M, (
+        (((0, 1, 0), (2, 1, 1), (1, 2, 0)), None),
+        (((2, 1, 1), (1, 2, 0), (2, 0, 1), (0, 2, 0)), (0, 2, 2, 1, 0, -1)),
+    )),
+    "middle M cap left M": ("a", "p", _MID_M, (
+        (((0, 1, 1), (1, 0, 0), (1, 2, -1)), None),
+        (((0, 1, 1), (1, 0, 0), (0, 2, 0), (2, 0, 1)), (0, 2, 0, 1, 0, 1)),
+    )),
+    "middle M cap left right M": ("a", "p", _MID_M, (
+        (((0, 1, 1), (1, 0, 0), (0, 2, 0), (2, 0, 1)), None),
+        (((0, 1, 1), (1, 0, 0), (1, 2, -1)), None),
+        (((0, 1, 0), (2, 1, 1), (1, 2, 0)), None),
+        (((2, 1, 1), (1, 2, 0), (2, 0, 1), (0, 2, 0)), (0, 2, 2, 1, 0, -1)),
+    )),
+    "middle M' cap left M": ("a", "p", _MID_MP, _MID_MP_LEFT_M),
+    "middle M' cap left M'": ("a", "p", _MID_MP, _MID_MP_LEFT_MP),
+    "middle M' cap left right middle M": (
+        "a", "p", _MID_MP, _MID_MP_LEFT_M + _MID_MP_LEFT_MP
+    ),
+    "Theta_E n=2 3": "right",
+    "Theta_E n=2 6": "left",
+}
+
+SYSTEM_IDS = tuple(_SYSTEMS)
+
+_SWAP = {"a": "b", "b": "a", "M": "Mp", "Mp": "M"}
 
 
-def _warg_vs(point, diff_charge, low: Phase, rhs: Phase) -> Optional[int]:
-    """Sign of (window-argument of diff_charge in (low, low+1)) - rhs, or
-    None when the charge is not strictly inside the window half-plane."""
-    try:
-        wa = window_arg(diff_charge, low)
-    except ExactError:
-        return None
-    return wa.cmp(rhs)
-
-
-def _sys_chain_with_X(point, kind: str, m: int) -> Optional[bool]:
-    """0 < phi(x^{m+1}) - phi(x^m) < 1, phi(x^m) < phi(X),
-    phi(x^{m+1}) < phi(X) + 1, where X = M for a, M' for b."""
-    X = ExcObject("M" if kind == "a" else "Mp", 0, 0)
-    ph, cert = _phases(
-        point, (ExcObject(kind, m, 0), ExcObject(kind, m + 1, 0), X)
-    )
-    if ph is None:
-        return False
-    pm, pm1, pX = ph
-    ok = _lt(pm, pm1) and _lt(pm1, pm, 1) and _lt(pm, pX) and _lt(pm1, pX, 1)
-    return _certify(ok, cert)
-
-
-def _sys_X_with_chain(point, kind: str, m: int) -> Optional[bool]:
-    """phi(X) < phi(x^m), phi(X) + 1 < phi(x^{m+1}),
-    0 < phi(x^{m+1}) - phi(x^m) < 1, where X = M' for a, M for b."""
-    X = ExcObject("Mp" if kind == "a" else "M", 0, 0)
-    ph, cert = _phases(
-        point, (X, ExcObject(kind, m, 0), ExcObject(kind, m + 1, 0))
-    )
-    if ph is None:
-        return False
-    pX, pm, pm1 = ph
-    ok = _lt(pX, pm) and _lt(pX, pm1, -1) and _lt(pm, pm1) and _lt(pm1, pm, 1)
-    return _certify(ok, cert)
-
-
-def _sys_chain_cap_Z(point, kind: str, m: int) -> bool:
-    """Characterization of (x^m, x^{m+1}, X) meeting the one-sided composite
-    built from the other chain letter, for x = a (X = M) and x = b (X = M')."""
-    X = ExcObject("M" if kind == "a" else "Mp", 0, 0)
-    xm, xm1 = ExcObject(kind, m, 0), ExcObject(kind, m + 1, 0)
-    ph, cert = _phases(point, (xm, xm1, X))
-    if ph is None:
-        return False
-    pm, pm1, pX = ph
-    sys2 = (
-        _lt(pX, pm1)
-        and _lt(pm, pm1)
-        and _lt(pm, pX)
-        and _lt(pm1, pX, 1)
-    )
-    sys1 = (
-        _lt(pm, pm1) and _lt(pm1, pm, 1)
-        and _lt(pm, pX) and _lt(pX, pm, 1)
-    )
-    if sys1 and not sys2:
-        zdiff = engine.charge_of(point, xm) - engine.charge_of(point, xm1)
-        cmp = _warg_vs(point, zdiff, pm.plus(-1), pX.plus(-1))
-        sys1 = cmp is not None and cmp > 0
-    return _certify(sys2 or sys1, cert)
-
-
-def _mid_m_phases(point, p: int):
-    return _phases(
-        point,
-        (ExcObject("a", p, 0), ExcObject("M", 0, 0), ExcObject("b", p + 1, 0)),
-    )
-
-
-def _mid_m_zdiff(point, p: int):
-    return engine.charge_of(point, ExcObject("a", p, 0)) - engine.charge_of(
-        point, ExcObject("b", p + 1, 0)
-    )
-
-
-def _sys_mid_m_cap_a_side(point, p: int) -> bool:
-    ph, cert = _mid_m_phases(point, p)
-    if ph is None:
-        return False
-    pa, pM, pb = ph
-    ok = _lt(pa, pM) and _lt(pb, pM, 1) and _lt(pM, pb)
-    if not ok and (
-        _lt(pb, pM, 1) and _lt(pM, pb) and _lt(pb, pa, 1) and _lt(pa, pb)
-    ):
-        cmp = _warg_vs(point, _mid_m_zdiff(point, p), pb.plus(-1), pM)
-        ok = cmp is not None and cmp < 0
-    return _certify(ok, cert)
-
-
-def _sys_mid_m_cap_b_side(point, p: int) -> bool:
-    ph, cert = _mid_m_phases(point, p)
-    if ph is None:
-        return False
-    pa, pM, pb = ph
-    ok = False
-    if _lt(pa, pM, 1) and _lt(pM, pa):
-        if _lt(pM, pb, -1):
-            ok = True
-        elif _lt(pa, pb) and _lt(pb, pa, 1):
-            cmp = _warg_vs(point, _mid_m_zdiff(point, p), pa.plus(-1), pM)
-            ok = cmp is not None and cmp > 0
-    return _certify(ok, cert)
-
-
-def _sys_mid_m_cap_both(point, p: int) -> bool:
-    """Four-system disjunction; independent of the second middle index."""
-    ph, cert = _mid_m_phases(point, p)
-    if ph is None:
-        return False
-    pa, pM, pb = ph
-    s11 = _lt(pa, pM, 1) and _lt(pM, pa) and _lt(pa, pb) and _lt(pb, pa, 1)
-    s12 = _lt(pa, pM, 1) and _lt(pM, pa) and _lt(pM, pb, -1)
-    s21 = _lt(pa, pM) and _lt(pb, pM, 1) and _lt(pM, pb)
-    ok = s11 or s12 or s21
-    if not ok and (
-        _lt(pb, pM, 1) and _lt(pM, pb) and _lt(pb, pa, 1) and _lt(pa, pb)
-    ):
-        cmp = _warg_vs(point, _mid_m_zdiff(point, p), pb.plus(-1), pM)
-        ok = cmp is not None and cmp < 0
-    return _certify(ok, cert)
-
-
-def _mid_mp_phases(point, p: int):
-    return _phases(
-        point,
-        (ExcObject("b", p, 0), ExcObject("Mp", 0, 0), ExcObject("a", p, 0)),
-    )
-
-
-def _sys_mid_mp_cap_b_side(point, p: int) -> bool:
-    ph, cert = _mid_mp_phases(point, p)
-    if ph is None:
-        return False
-    pb, pMp, pa = ph
-    ok = (_lt(pa, pMp, 1) and _lt(pMp, pa)) and (
-        (_lt(pa, pb, 1) and _lt(pb, pa)) or _lt(pb, pMp)
-    )
-    return _certify(ok, cert)
-
-
-def _sys_mid_mp_cap_a_side(point, p: int) -> bool:
-    ph, cert = _mid_mp_phases(point, p)
-    if ph is None:
-        return False
-    pb, pMp, pa = ph
-    ok = (_lt(pb, pMp, 1) and _lt(pMp, pb)) and (
-        (_lt(pb, pa) and _lt(pa, pb, 1)) or _lt(pMp, pa, -1)
-    )
-    return _certify(ok, cert)
-
-
-def _sys_mid_mp_cap_all(point, p: int) -> bool:
-    ph, cert = _mid_mp_phases(point, p)
-    if ph is None:
-        return False
-    pb, pMp, pa = ph
-    s11 = _lt(pa, pMp, 1) and _lt(pMp, pa) and _lt(pa, pb, 1) and _lt(pb, pa)
-    s12 = _lt(pa, pMp, 1) and _lt(pMp, pa) and _lt(pb, pMp)
-    s21 = _lt(pb, pMp, 1) and _lt(pMp, pb) and _lt(pb, pa) and _lt(pa, pb, 1)
-    s22 = _lt(pb, pMp, 1) and _lt(pMp, pb) and _lt(pMp, pa, -1)
-    return _certify(s11 or s12 or s21 or s22, cert)
-
-
-# mutation-pair intersections for a downward-shifted triple
-
-
-def _sys_mutation_r0(point, t: ExcTriple) -> bool:
-    """Membership system for Theta of t meeting Theta of its first right
-    mutation (t must have alpha = gamma = 0)."""
-    ph, cert = _phases(point, t.objs)
-    if ph is None:
-        return False
-    p0, p1, p2 = ph
+def _mutation_clauses(t: ExcTriple, side: str):
+    """The clause of Theta of t (alpha = gamma = 0) meeting Theta of its
+    first right mutation (side "right") or its second left mutation
+    ("left")."""
     _, b, _ = alpha_beta_gamma(t)
-    x = mutate_right(t[0], t[1]).shifted(-1)
-    _, _, gp = alpha_beta_gamma(ExcTriple((t[1], x, t[2])))
-    b_bound = _min_bound(b, 0)
-    g_bound = _min_bound(gp, 1)
-    ok = (
-        _lt(p1, p0)
-        and _lt(p0, p1, 1)
-        and (b_bound is None or _lt(p0, p2, 1 + b_bound))
-        and (g_bound is None or _lt(p1, p2, g_bound))
-    )
-    return _certify(ok, cert)
-
-
-def _sys_mutation_l1(point, t: ExcTriple) -> bool:
-    """Membership system for Theta of t meeting Theta of its second left
-    mutation (t must have alpha = gamma = 0)."""
-    ph, cert = _phases(point, t.objs)
-    if ph is None:
-        return False
-    p0, p1, p2 = ph
-    _, b, _ = alpha_beta_gamma(t)
+    outer = (0, 2, 1 + _min_bound(b, 0))
+    if side == "right":
+        x = mutate_right(t[0], t[1]).shifted(-1)
+        _, _, gp = alpha_beta_gamma(ExcTriple((t[1], x, t[2])))
+        return ((((1, 0, 0), (0, 1, 1), outer, (1, 2, _min_bound(gp, 1))), None),)
     y = mutate_left(t[1], t[2]).shifted(1)
     ap, _, _ = alpha_beta_gamma(ExcTriple((t[0], y, t[1])))
-    b_bound = _min_bound(b, 0)
-    a_bound = _min_bound(ap, 1)
-    ok = (
-        _lt(p2, p1)
-        and _lt(p1, p2, 1)
-        and (b_bound is None or _lt(p0, p2, 1 + b_bound))
-        and (a_bound is None or _lt(p0, p1, a_bound))
+    return ((((2, 1, 0), (1, 2, 1), outer, (0, 1, _min_bound(ap, 1))), None),)
+
+
+def _refined(point, objs, ph, refinement) -> bool:
+    i, j, lo, k, c, sign = refinement
+    diff = engine.charge_of(point, objs[i]) - engine.charge_of(point, objs[j])
+    try:
+        wa = window_arg(diff, ph[lo].plus(-1))
+    except ExactError:
+        return False
+    return wa.cmp(ph[k].plus(c)) == sign
+
+
+def _evaluate(point, objs, clauses) -> bool:
+    ph, cert = _phases(point, objs)
+    if ph is None:
+        return False
+    ok = any(
+        _holds(ph, ineqs) and (ref is None or _refined(point, objs, ph, ref))
+        for ineqs, ref in clauses
     )
     return _certify(ok, cert)
 
 
-SYSTEM_IDS = (
-    "(_,_,X)0",
-    "(X,_,_)0",
-    "T12Zcap(E_1)",
-    "T43Zcap(E_1)",
-    "middle M cap left M'",
-    "middle M cap left M",
-    "middle M cap left right M",
-    "middle M' cap left M",
-    "middle M' cap left M'",
-    "middle M' cap left right middle M",
-    "Theta_E n=2 3",
-    "Theta_E n=2 6",
-)
+def _instance(sys_id: str, kw) -> Tuple[tuple, tuple]:
+    """The objects and the clauses of one instance of a registered system."""
+    if sys_id not in _SYSTEMS:
+        raise ValueError("unknown system id %r" % (sys_id,))
+    row = _SYSTEMS[sys_id]
+    if isinstance(row, str):
+        t = family_triple(kw["fid"], kw["m"])
+        t = t.shifted(extreme_shift(t))
+        return t.objs, _mutation_clauses(t, row)
+    letter, key, shape, clauses = row
+    letter = letter or kw["kind"]
+    if letter not in ("a", "b"):
+        raise ValueError("bad kind %r" % (letter,))
+    n = kw[key]
+    swap = _SWAP if letter == "b" else {}
+    objs = tuple(
+        ExcObject(swap.get(kind, kind), 0 if rel is None else n + rel, 0)
+        for kind, rel in shape
+    )
+    return objs, clauses
 
 
 def in_intersection_system(point, sys_id: str, **kw) -> bool:
@@ -652,31 +564,4 @@ def in_intersection_system(point, sys_id: str, **kw) -> bool:
     select the instance: kind/m for the chain systems, p for the middle
     systems, fid/m (triple at its extreme downward shift) for the mutation
     systems."""
-    if sys_id == "(_,_,X)0":
-        return _sys_chain_with_X(point, kw["kind"], kw["m"])
-    if sys_id == "(X,_,_)0":
-        return _sys_X_with_chain(point, kw["kind"], kw["m"])
-    if sys_id == "T12Zcap(E_1)":
-        return _sys_chain_cap_Z(point, "a", kw["m"])
-    if sys_id == "T43Zcap(E_1)":
-        return _sys_chain_cap_Z(point, "b", kw["m"])
-    if sys_id == "middle M cap left M'":
-        return _sys_mid_m_cap_a_side(point, kw["p"])
-    if sys_id == "middle M cap left M":
-        return _sys_mid_m_cap_b_side(point, kw["p"])
-    if sys_id == "middle M cap left right M":
-        return _sys_mid_m_cap_both(point, kw["p"])
-    if sys_id == "middle M' cap left M":
-        return _sys_mid_mp_cap_b_side(point, kw["p"])
-    if sys_id == "middle M' cap left M'":
-        return _sys_mid_mp_cap_a_side(point, kw["p"])
-    if sys_id == "middle M' cap left right middle M":
-        return _sys_mid_mp_cap_all(point, kw["p"])
-    if sys_id in ("Theta_E n=2 3", "Theta_E n=2 6"):
-        t = family_triple(kw["fid"], kw["m"]).shifted(
-            extreme_shift(family_triple(kw["fid"], kw["m"]))
-        )
-        if sys_id == "Theta_E n=2 3":
-            return _sys_mutation_r0(point, t)
-        return _sys_mutation_l1(point, t)
-    raise ValueError("unknown system id %r" % (sys_id,))
+    return _evaluate(point, *_instance(sys_id, kw))

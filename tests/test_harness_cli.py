@@ -41,6 +41,32 @@ def test_lemma_ids_cover_suites():
         harness.verify_lemma("no-such-lemma", 1)
 
 
+def test_lemma_ids_pinned():
+    # the lemma-suite benchmark cycles through the ids by position, and
+    # verify_lemma seeds its sampler from the name
+    assert harness.LEMMA_IDS == (
+        "(_,_,X)0",
+        "(X,_,_)0",
+        "T12lemma1",
+        "T12lemma3",
+        "T12Zcap(E_1)",
+        "T43Zcap(E_1)",
+        "middle M cap left M'",
+        "middle M cap left M",
+        "middle M cap left right M",
+        "middle M' cap left M",
+        "middle M' cap left M'",
+        "middle M' cap left right middle M",
+        "one inclusion",
+        "semi-stability of a",
+        "semi-stability of b",
+        "semi-stability of a'",
+        "semi-stability of b'",
+        "disjointness-TaTb",
+        "coverage",
+    )
+
+
 def test_verify_lemma_deterministic():
     r1 = harness.verify_lemma("(_,_,X)0", 40, seed=3)
     r2 = harness.verify_lemma("(_,_,X)0", 40, seed=3)
@@ -150,6 +176,9 @@ def test_cli_bad_input_exits_2_without_traceback(tmp_path, capsys):
     _assert_bad_input(["mutate", "a[0], M, q", "R0"], capsys)
     _assert_bad_input(["mutate", "a[0], a[0], a[0]", "R0"], capsys)
     _assert_bad_input(["verify", "no-such-lemma", "-n", "1"], capsys)
+    _assert_bad_input(["verify", "coverage", "-n", "-5"], capsys)
+    _assert_bad_input(["verify", "all", "-n", "0"], capsys)
+    _assert_bad_input(["oracle", sigma, "a[7]"], capsys)  # beyond the size cap
     spec = tmp_path / "spec.json"
     for bad in ({"regions": ["Nowhere"]}, {"resolution": 0},
                 {"anchor": {"family": "F9", "m": 0, "shift": [0, 0, -1]}},

@@ -178,3 +178,112 @@ def test_union_false_certified_when_far_objects_dead():
     )
     assert regions.in_composite(pt, "Ta") is False
     assert regions.in_composite(pt, "Tb") is False
+
+
+def test_system_tables_well_formed():
+    def check_ineqs(ineqs):
+        for i, j, c in ineqs:
+            assert {i, j} <= {0, 1, 2} and i != j and isinstance(c, int)
+
+    for ineqs in regions._PATTERN_INEQS.values():
+        check_ineqs(ineqs)
+    assert set(regions._PATTERN_INEQS) == set(FAMILY_IDS)
+    # every registered id has exactly one row
+    assert regions.SYSTEM_IDS == tuple(regions._SYSTEMS)
+    assert len(set(regions.SYSTEM_IDS)) == 12
+    for sys_id, row in regions._SYSTEMS.items():
+        if isinstance(row, str):
+            kws = [dict(fid=fid, m=0) for fid in FAMILY_IDS]
+        elif row[0] is None:
+            kws = [dict(kind=kind, m=0) for kind in "ab"]
+        else:
+            kws = [{row[1]: 0}]
+        for kw in kws:
+            objs, clauses = regions._instance(sys_id, kw)
+            assert len(objs) == 3
+            for ineqs, ref in clauses:
+                check_ineqs(ineqs)
+                if ref is not None:
+                    i, j, lo, k, c, sign = ref
+                    assert {i, j, lo, k} <= {0, 1, 2} and i != j
+                    assert isinstance(c, int) and sign in (-1, 1)
+    # every system-backed suite names a registered system, by its keyword
+    for sys_id, (_, key, _, _) in harness._SYSTEM_SUITES.items():
+        assert sys_id in regions.SYSTEM_IDS
+        assert regions._SYSTEMS[sys_id][1] == key
+    assert set(harness._SYSTEM_SUITES) == {
+        lid for lid, (checker, _) in harness._SUITES.items() if checker is None
+    }
+
+
+# Points where the refinement clause is the only clause of its system whose
+# inequalities hold, so the window-argument refinement alone decides the
+# verdict.  Found by seeded search over the suites' anchor pools; for
+# "middle M cap left right M" on F8 anchors with phi(a^m) = phi(M), the only
+# place its refinement clause is reached.  There the window argument lies
+# strictly between phi(b^{m+1}) - 1 and phi(a^m) = phi(M), so that
+# refinement never fails.
+_REFINEMENT_CASES = [
+    ("middle M cap left M'", True, {
+        "anchor": {"family": "F8", "m": 2, "shift": [0, 0, -1]},
+        "charges": [{"re": "-5/11", "im": "5"}, {"re": "-5/6", "im": "26"},
+                    {"re": "4", "im": "7/2"}]}),
+    ("middle M cap left M'", False, {
+        "anchor": {"family": "F8", "m": 0, "shift": [0, 0, -1]},
+        "charges": [{"re": "-6/5", "im": "12/23"}, {"re": "1", "im": "23/2"},
+                    {"re": "2/9", "im": "6/5"}]}),
+    ("middle M cap left M", True, {
+        "anchor": {"family": "F8", "m": 0, "shift": [0, 0, -1]},
+        "charges": [{"re": "29/18", "im": "1"}, {"re": "5/2", "im": "3/5"},
+                    {"re": "27/8", "im": "5/17"}]}),
+    ("middle M cap left M", False, {
+        "anchor": {"family": "F8", "m": -2, "shift": [0, 0, -1]},
+        "charges": [{"re": "-2", "im": "1"}, {"re": "-7/4", "im": "21/8"},
+                    {"re": "13/6", "im": "1/6"}]}),
+    ("T43Zcap(E_1)", True, {
+        "anchor": {"family": "F6", "m": -2, "shift": [0, -1, -1]},
+        "charges": [{"re": "-27/7", "im": "4/3"}, {"re": "5/8", "im": "2/3"},
+                    {"re": "0", "im": "2/5"}]}),
+    ("T43Zcap(E_1)", False, {
+        "anchor": {"family": "F6", "m": 1, "shift": [0, -1, -1]},
+        "charges": [{"re": "-19/5", "im": "0"}, {"re": "29/2", "im": "4"},
+                    {"re": "-2", "im": "8/13"}]}),
+    ("T12Zcap(E_1)", True, {
+        "anchor": {"family": "F3", "m": 1, "shift": [0, -1, -1]},
+        "charges": [{"re": "-29/22", "im": "31/16"}, {"re": "5", "im": "1"},
+                    {"re": "7/4", "im": "5/9"}]}),
+    ("T12Zcap(E_1)", False, {
+        "anchor": {"family": "F3", "m": 1, "shift": [0, -1, -1]},
+        "charges": [{"re": "1/11", "im": "8"}, {"re": "1", "im": "8"},
+                    {"re": "9/16", "im": "24"}]}),
+    ("middle M cap left right M", True, {
+        "anchor": {"family": "F8", "m": 1, "shift": [0, 0, -1]},
+        "charges": [{"re": "1/15", "im": "3"}, {"re": "1/9", "im": "5"},
+                    {"re": "1/2", "im": "2"}]}),
+]
+
+
+@pytest.mark.parametrize("sys_id, expected, point", _REFINEMENT_CASES)
+def test_refinement_decides_the_verdict(sys_id, expected, point):
+    pt = engine.StabilityPoint.from_json(dict(point, global_shift=0))
+    family, key, terms, _ = harness._SYSTEM_SUITES[sys_id]
+    n = pt.m
+    objs, clauses = regions._instance(sys_id, {key: n})
+    ph, certified = regions._phases(pt, objs)
+    assert certified
+    assert [regions._holds(ph, ineqs) for ineqs, _ in clauses] == [
+        ref is not None for _, ref in clauses
+    ]
+    assert regions.in_intersection_system(pt, sys_id, **{key: n}) is expected
+    # the definitional side: Theta at n and the union of the terms, with
+    # every second index the suite may draw
+    union = any(
+        any(
+            regions.in_theta(pt, family_triple(family, n + term * k))
+            for k in (1, 2, 3)
+        )
+        if isinstance(term, int)
+        else regions.in_composite(pt, term)
+        for term in terms
+    )
+    assert (regions.in_theta(pt, family_triple(family, n)) and union) is expected
