@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re as _re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .quiver import Vec3, euler_form
 
@@ -106,8 +107,13 @@ def family_dim(family: str, k: int) -> Vec3:
 
 def dim_vector(obj: ExcObject) -> Vec3:
     """Dimension vector of the underlying representation (shift-blind)."""
-    fam, k = underlying_rep_family(obj)
-    return family_dim(fam, k)
+    return _dim_vector(obj.kind, obj.m)
+
+
+@lru_cache(maxsize=None)
+def _dim_vector(kind: str, m: int) -> Vec3:
+    # one entry per labelled object, whatever its shift
+    return family_dim(*underlying_rep_family(ExcObject(kind, m, 0)))
 
 
 def kclass(obj: ExcObject) -> Vec3:

@@ -4,6 +4,8 @@ Exit codes: 0 success, 1 a verification mismatch (`stab verify`), 2 input
 the command cannot use (a missing or malformed file, a bad label, an
 unknown lemma, a sample count below 1, a point outside the oracle's domain,
 an object beyond the oracle's size cap), reported as one `<command>: ...`
+line on stderr, and 3 an internal error (any other exception, such as an
+engine contradiction), reported as one `<command>: internal error: ...`
 line on stderr.
 """
 
@@ -47,7 +49,7 @@ def _load_json(path: str):
             return json.load(f)
     except OSError as e:
         raise _BadInput("cannot read %s: %s" % (path, e.strerror or e))
-    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+    except (ValueError, RecursionError) as e:  # also UnicodeDecodeError
         raise _BadInput("%s is not valid JSON: %s" % (path, e))
 
 
@@ -98,7 +100,8 @@ def _load_point(path: str) -> engine.StabilityPoint:
         return engine.StabilityPoint.from_json(d)
     except KeyError as e:
         raise _BadInput("%s: missing key %s" % (path, e))
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, ArithmeticError) as e:
+        # ArithmeticError: Infinity as an int or a Fraction, or "1/0"
         raise _BadInput("%s: not a stability point: %s" % (path, e))
 
 
@@ -133,7 +136,7 @@ def _cmd_slice(args) -> int:
         harness.slice_params(spec)
     except KeyError as e:
         raise _BadInput("%s: missing key %s" % (args.spec, e))
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, ArithmeticError) as e:
         raise _BadInput("%s: bad slice spec: %s" % (args.spec, e))
     harness.slice_svg(spec, args.out)
     return 0
@@ -219,6 +222,10 @@ def main(argv=None) -> int:
     except _BadInput as e:
         print("%s: %s" % (args.cmd, e), file=sys.stderr)
         return 2
+    except Exception as e:
+        msg = ("%s: %s" % (type(e).__name__, e)).replace("\n", " ")
+        print("%s: internal error: %s" % (args.cmd, msg), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -13,7 +13,9 @@ rational, so the engine computes on each point's primitive integer
 normalisation of its charges (denominators cleared, common factor divided
 out) and never on ``Fraction``: the anchor phases carry the integer charges
 and ``charge_of`` returns integer Gaussians.  The point's rational charges
-are what it stores, serializes, compares and transforms.
+are what it stores, serializes, compares and transforms.  Each point also
+stores, when it is built, the Cramer solver of its shifted anchor's
+K-classes, which ``charge_of`` applies to every K-class it is asked about.
 
 Each point owns its analyses, one per window (``StabilityPoint.analysis``):
 the rule fixpoint's verdicts, the memoised conditional phases, and the tail
@@ -27,9 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, lcm
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .catalog import ExcObject, hom_dims, kclass
 from .exact import (
@@ -41,6 +41,7 @@ from .exact import (
     phase_add,
     phase_diff,
     phase_in_closed_window,
+    primitive_multiple,
     side_of,
     window_arg,
 )
@@ -80,6 +81,11 @@ class StabilityPoint:
     int_charges: Tuple[Gaussian, Gaussian, Gaussian] = field(
         init=False, repr=False, compare=False
     )
+    # Cramer's rule on the anchor's K-classes (see _basis_solver), built
+    # once per point; derived like int_charges
+    anchor_solver: Callable[[Vec3], Tuple[int, int, int]] = field(
+        init=False, repr=False, compare=False
+    )
     # window -> Analysis, filled on first lookup; derived like int_charges
     analyses: Dict[int, "Analysis"] = field(
         init=False, repr=False, compare=False
@@ -100,7 +106,11 @@ class StabilityPoint:
         for z in self.charges:
             if z.is_zero() or not z.in_upper_branch():
                 raise ValueError("charges must be nonzero upper-branch values")
-        object.__setattr__(self, "int_charges", _primitive(self.charges))
+        object.__setattr__(self, "int_charges", primitive_multiple(self.charges))
+        object.__setattr__(
+            self, "anchor_solver",
+            _basis_solver(*base.shifted(self.shift).kclasses()),
+        )
         object.__setattr__(self, "analyses", {})
 
     def analysis(self, window: int = DEFAULT_WINDOW) -> "Analysis":
@@ -148,17 +158,6 @@ class StabilityPoint:
         )
 
 
-def _primitive(charges) -> Tuple[Gaussian, Gaussian, Gaussian]:
-    """The charges times the positive rational that clears every denominator
-    and leaves the six integer components with gcd 1."""
-    parts = [Fraction(c) for z in charges for c in (z.re, z.im)]
-    den = lcm(*(c.denominator for c in parts))
-    ints = [c.numerator * (den // c.denominator) for c in parts]
-    g = gcd(*ints)
-    ints = [c // g for c in ints]
-    return tuple(Gaussian(ints[i], ints[i + 1]) for i in (0, 2, 4))
-
-
 def standard_heart_point(charges, global_shift: int = 0) -> StabilityPoint:
     """The anchor whose extension closure is the category of representations:
     simples (1,0,0), (0,1,0), (0,0,1)."""
@@ -178,7 +177,6 @@ def _det3(u: Vec3, v: Vec3, w: Vec3) -> int:
     )
 
 
-@lru_cache(maxsize=None)
 def _basis_solver(k0: Vec3, k1: Vec3, k2: Vec3):
     """Cramer's rule for c = sum lam_i k_i, scaled by |det|: the solver
     returns the signed integer cofactors sign(det) * d_i = |det| * lam_i."""
@@ -208,7 +206,7 @@ def charge_of(point: StabilityPoint, x) -> Gaussian:
     the true charge of anchor ``i`` carries that sign.
     """
     c = kclass(x) if isinstance(x, ExcObject) else Vec3(*x)
-    lam = _basis_solver(*point.anchor().kclasses())(c)
+    lam = point.anchor_solver(c)
     g = point.global_shift
     re = im = 0
     for li, e, z in zip(lam, point.extra_offsets, point.int_charges):

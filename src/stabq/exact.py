@@ -21,7 +21,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from math import gcd, lcm
+from typing import Tuple, Union
 
 Rat = Union[int, Fraction, str]
 
@@ -120,6 +121,20 @@ class Gaussian:
 
     def __repr__(self):
         return "Gaussian(%s, %s)" % (frac_to_str(self.re), frac_to_str(self.im))
+
+
+def primitive_multiple(zs) -> Tuple[Gaussian, ...]:
+    """The Gaussians zs times the positive rational that clears every
+    denominator and leaves their integer components with gcd 1; all-zero
+    input comes back as integer zeros.  Arguments, and so every phase
+    comparison, are unchanged by a positive scaling."""
+    parts = [c for z in zs for c in (z.re, z.im)]
+    den = lcm(*(c.denominator for c in parts))
+    ints = [c.numerator * (den // c.denominator) for c in parts]
+    g = gcd(*ints) or 1
+    return tuple(
+        Gaussian(ints[i] // g, ints[i + 1] // g) for i in range(0, len(ints), 2)
+    )
 
 
 ZERO = Gaussian.of(0, 0)

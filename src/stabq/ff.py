@@ -7,14 +7,24 @@ whose three simple values lie in the closed upper branch, and a greedy
 maximal-destabilizer loop produces the filtration with strictly decreasing
 factor phases.  A variant does the same inside the module category of the
 two-arrow Kronecker quiver.
+
+The subspace table of F^d, each subspace with a basis and its vector set,
+is a pure function of the field order and d: it is built once per process
+per (q, d), as immutable tuples, and shared by every enumeration.  The
+subrepresentations themselves are enumerated afresh for each
+representation.  Semistability compares arguments on integers: the three
+simple charges are scaled once per call by a positive rational that clears
+their denominators (``exact.primitive_multiple``), which changes no
+argument, and each subrepresentation's charge is computed once.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from typing import Dict, List, Optional, Tuple
 
-from .exact import Gaussian, normarg_cmp
+from .exact import Gaussian, normarg_cmp, primitive_multiple
 from .gf import GF, Matrix, mat_vec, rref, zeros
 from .quiver import Vec3, euler_form
 
@@ -111,41 +121,48 @@ def _shape_ok(m: Matrix, rows: int, cols: int) -> bool:
 # subspace enumeration
 
 
-def _span_set(F: GF, basis: List[Tuple[int, ...]], dim: int) -> frozenset:
-    if not basis:
-        return frozenset({(0,) * dim})
-    out = set()
-    for coeffs in product(F.elements(), repeat=len(basis)):
-        v = [0] * dim
-        for c, b in zip(coeffs, basis):
-            if c == 0:
-                continue
-            for i in range(dim):
-                v[i] = F.add(v[i], F.mul(c, b[i]))
-        out.add(tuple(v))
-    return frozenset(out)
-
-
-def all_subspaces_with_sets(F: GF, dim: int):
-    """[(basis_rows, vector_set)] for every subspace of F^dim."""
+def _subspaces(F: GF, dim: int):
+    """[(basis_rows, vector_set)] for every subspace of F^dim, by dimension,
+    each with the first basis found by extending smaller bases one vector
+    at a time in lexicographic order."""
     zero = (0,) * dim
     vectors = [v for v in product(F.elements(), repeat=dim) if v != zero]
     seen = {frozenset({zero}): []}
-    frontier = [[]]
+    frontier = [([], frozenset({zero}))]
     while frontier:
         nxt = []
-        for basis in frontier:
-            cur = _span_set(F, basis, dim)
+        for basis, cur in frontier:
+            covered = set(cur)  # vectors whose span with cur is already known
             for v in vectors:
-                if v in cur:
+                if v in covered:
                     continue
-                nb = basis + [v]
-                ns = _span_set(F, nb, dim)
+                cvs = [tuple(F.mul(c, x) for x in v) for c in F.elements()]
+                ns = frozenset(
+                    tuple(F.add(a, b) for a, b in zip(w, cv))
+                    for w in cur
+                    for cv in cvs
+                )
+                covered |= ns
                 if ns not in seen:
+                    nb = basis + [v]
                     seen[ns] = nb
-                    nxt.append(nb)
+                    nxt.append((nb, ns))
         frontier = nxt
     return [(b, s) for s, b in seen.items()]
+
+
+@lru_cache(maxsize=None)
+def _subspace_table(q: int, dim: int):
+    return tuple((tuple(b), s) for b, s in _subspaces(GF(q), dim))
+
+
+def all_subspaces_with_sets(F: GF, dim: int):
+    """((basis_rows, vector_set), ...) for every subspace of F^dim.
+
+    A pure function of the field order and the dimension, so each table is
+    built once per process and shared; it is made of tuples and frozensets,
+    so no caller can change it."""
+    return _subspace_table(F.q, dim)
 
 
 MAX_TOTAL_DIM = 12
@@ -185,7 +202,9 @@ def all_subreps(rep: FiniteRep):
     arrows = ((0, 1, rep.lr), (0, 2, rep.lt), (1, 2, rep.rt))
     out: Dict[Vec3, tuple] = {}
     for bases in _closed_subspaces(rep.F, rep.dims, arrows):
-        out.setdefault(Vec3(*map(len, bases)), bases)
+        d = Vec3(*map(len, bases))
+        if d not in out:  # a witness of lists, apart from the shared table
+            out[d] = tuple(list(b) for b in bases)
     return out
 
 
@@ -282,29 +301,36 @@ def quotient(rep: FiniteRep, witness) -> FiniteRep:
 def heart_charge(charges: Tuple[Gaussian, Gaussian, Gaussian], d: Vec3) -> Gaussian:
     """d_L z_L + d_R z_R + d_T z_T; stays in the upper branch for d >= 0."""
     zL, zR, zT = charges
-    return zL.scale(d.L) + zR.scale(d.R) + zT.scale(d.T)
+    L, R, T = d
+    return Gaussian(
+        zL.re * L + zR.re * R + zT.re * T, zL.im * L + zR.im * R + zT.im * T
+    )
 
 
 def semistable_in_heart(rep: FiniteRep, charges, subreps=None):
     """(True, None) or (False, destabilizing dimension vector).
 
     A proper nonzero subrepresentation destabilizes iff its charge has a
-    strictly larger normalized argument.
+    strictly larger normalized argument; the witness is the first one of
+    largest argument.  The charges may be rational: they are scaled once by
+    a positive factor to integers, which no argument comparison sees, and
+    each subrepresentation's charge is computed once.
     """
     if rep.dims.is_zero():
         raise ValueError("zero representation")
     if subreps is None:
         subreps = all_subreps(rep)
-    z = heart_charge(charges, rep.dims)
-    worst = None
+    zs = primitive_multiple(charges)
+    z = heart_charge(zs, rep.dims)
+    worst = worst_z = None
     for d in subreps:
         if d.is_zero() or d == rep.dims:
             continue
-        if normarg_cmp(heart_charge(charges, d), z) > 0:
-            if worst is None or normarg_cmp(
-                heart_charge(charges, d), heart_charge(charges, worst)
-            ) > 0:
-                worst = d
+        zd = heart_charge(zs, d)
+        if normarg_cmp(zd, z) > 0 and (
+            worst is None or normarg_cmp(zd, worst_z) > 0
+        ):
+            worst, worst_z = d, zd
     if worst is None:
         return (True, None)
     return (False, worst)
@@ -316,6 +342,7 @@ def hn_in_heart(rep: FiniteRep, charges) -> List[Vec3]:
     Greedy: peel off a maximal destabilizer (largest argument; ties broken
     by largest total dimension) and recurse on the quotient.
     """
+    zs = primitive_multiple(charges)
     factors: List[Vec3] = []
     cur = rep
     while not cur.dims.is_zero():
@@ -324,12 +351,13 @@ def hn_in_heart(rep: FiniteRep, charges) -> List[Vec3]:
         for d in subs:
             if d.is_zero():
                 continue
+            zd = heart_charge(zs, d)
             if best is None:
-                best = d
+                best, best_z = d, zd
                 continue
-            c = normarg_cmp(heart_charge(charges, d), heart_charge(charges, best))
+            c = normarg_cmp(zd, best_z)
             if c > 0 or (c == 0 and sum(d) > sum(best)):
-                best = d
+                best, best_z = d, zd
         assert best is not None
         factors.append(best)
         cur = quotient(cur, subs[best])

@@ -622,8 +622,9 @@ def _grid_charge(i: int, res: int) -> Gaussian:
 
 def slice_params(spec: dict):
     """The regions, anchor (family, m, shift), resolution and third charge
-    of a slice spec, checked: a malformed spec raises KeyError, TypeError or
-    ValueError here rather than midway through the render.
+    of a slice spec, checked: a malformed spec raises KeyError, TypeError,
+    ValueError or ArithmeticError here rather than midway through the
+    render.
 
     spec keys: regions (list of composite names), anchor {family,m,shift},
     resolution (grid size per axis), z2 {re, im} (optional).

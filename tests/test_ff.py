@@ -3,13 +3,16 @@ brute-force semistability in the standard heart."""
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from stabq import ff, harness
 from stabq.catalog import build_matrices, hom_dims, parse_label
 from stabq.exact import Gaussian
 from stabq.ff import (
     all_subreps,
+    all_subspaces_with_sets,
     heart_charge,
     hn_in_heart,
     kron_semistable,
@@ -19,7 +22,7 @@ from stabq.ff import (
     restrict,
     semistable_in_heart,
 )
-from stabq.gf import GF
+from stabq.gf import GF, mat_vec
 from stabq.quiver import Vec3
 
 _SMALL = [
@@ -87,6 +90,114 @@ def test_restrict_quotient_dims_add_up():
     for d, w in subs.items():
         q = quotient(rep, w)
         assert q.dims == rep.dims - d
+
+
+def _gaussian_binomial(n, k, q):
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize("q", (2, 3, 4))
+def test_subspace_tables_count_and_are_shared(q):
+    for d in range(5):
+        table = all_subspaces_with_sets(GF(q), d)
+        assert len(table) == sum(_gaussian_binomial(d, k, q) for k in range(d + 1))
+        assert len({s for _, s in table}) == len(table)
+        assert all(len(s) == q ** len(b) for b, s in table)
+        # built once: a second call, with a new field object, gets the same
+        # table, made of tuples and frozensets only
+        assert all_subspaces_with_sets(GF(q), d) is table
+        assert isinstance(table, tuple)
+        for entry in table:
+            assert isinstance(entry, tuple) and isinstance(entry[1], frozenset)
+            assert isinstance(entry[0], tuple)
+            assert all(isinstance(v, tuple) for v in entry[0])
+        with pytest.raises(TypeError):
+            table[0] = table[-1]
+    assert len(all_subspaces_with_sets(GF(2), 4)) == 67
+    assert len(all_subspaces_with_sets(GF(3), 3)) == 28
+
+
+def _fresh_subreps(rep):
+    """all_subreps by brute force over fresh subspace tables: every triple
+    of subspaces, the last vertex innermost, kept when the arrows map it
+    into itself; the first witness of each dimension vector wins."""
+    F = rep.F
+    tables = [ff._subspaces(F, d) for d in rep.dims]
+    arrows = ((0, 1, rep.lr), (0, 2, rep.lt), (1, 2, rep.rt))
+    out = {}
+    for triple in product(*tables):
+        if all(
+            tuple(mat_vec(F, mat, v)) in triple[dst][1]
+            for src, dst, mat in arrows
+            for v in triple[src][0]
+        ):
+            d = Vec3(*(len(b) for b, _ in triple))
+            out.setdefault(d, tuple(b for b, _ in triple))
+    return out
+
+
+def test_all_subreps_matches_fresh_enumeration():
+    for obj, rep, subs in harness._heart_test_objects():
+        ref = _fresh_subreps(rep)
+        assert list(subs.items()) == list(ref.items()), obj
+        # the witnesses are the caller's own lists: changing one leaves the
+        # shared subspace tables, and so the next enumeration, intact
+        for w in subs.values():
+            for basis in w:
+                basis.append(None)
+        assert list(all_subreps(rep).items()) == list(ref.items()), obj
+
+
+def _rand_rational_charge(rng):
+    im = Fraction(rng.randint(0, 16), rng.randint(1, 16))
+    if im == 0:
+        re = Fraction(-rng.randint(1, 16), rng.randint(1, 16))
+    else:
+        re = Fraction(rng.randint(-16, 16), rng.randint(1, 16))
+    return Gaussian.of(re, im)
+
+
+def _reference_semistable(rep, charges, subs):
+    """The oracle's verdict on Fraction charges, comparing arguments in
+    (0, pi] by the sign of the cross product."""
+    def z(d):
+        return (
+            sum(Fraction(c.re) * k for c, k in zip(charges, d)),
+            sum(Fraction(c.im) * k for c, k in zip(charges, d)),
+        )
+
+    def above(u, v):  # arg u > arg v
+        return v[0] * u[1] - v[1] * u[0] > 0
+
+    whole = z(rep.dims)
+    worst = None
+    for d in subs:
+        if d.is_zero() or d == rep.dims:
+            continue
+        if above(z(d), whole) and (worst is None or above(z(d), z(worst))):
+            worst = d
+    return (worst is None, worst)
+
+
+def test_semistable_in_heart_matches_fraction_reference():
+    rng = random.Random(2024)
+    objs = harness._heart_test_objects()
+    assert len(objs) == 18
+    unstable = 0
+    for _ in range(200):
+        charges = tuple(_rand_rational_charge(rng) for _ in range(3))
+        lam = Fraction(rng.randint(1, 50), rng.randint(1, 50))
+        scaled = tuple(c.scale(lam) for c in charges)
+        for obj, rep, subs in objs:
+            want = _reference_semistable(rep, charges, subs)
+            assert semistable_in_heart(rep, charges, subreps=subs) == want, obj
+            assert semistable_in_heart(rep, scaled, subreps=subs) == want, obj
+            unstable += not want[0]
+    assert 0 < unstable < 200 * 18
 
 
 def _chg(re0, im0, re1, im1, re2, im2):

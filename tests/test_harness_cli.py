@@ -1,13 +1,18 @@
 """Sampling harness determinism, the verification reports, and the CLI."""
 
+import contextlib
+import io
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabq import cli, harness
-from stabq.engine import StabilityPoint, standard_heart_point
-from stabq.exact import Gaussian
+from stabq.engine import EngineError, StabilityPoint, standard_heart_point
+from stabq.exact import ExactError, Gaussian
+from stabq.triples import FAMILY_IDS
 
 
 def test_sample_sigma_deterministic():
@@ -182,12 +187,122 @@ def test_cli_bad_input_exits_2_without_traceback(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     for bad in ({"regions": ["Nowhere"]}, {"resolution": 0},
                 {"anchor": {"family": "F9", "m": 0, "shift": [0, 0, -1]}},
-                {"z2": {"re": "1", "im": "-1"}}):
+                {"z2": {"re": "1", "im": "-1"}},
+                {"z2": {"re": "1/0", "im": "1"}}):
         spec.write_text(json.dumps(bad))
         _assert_bad_input(
             ["slice", "--spec", str(spec), "-o", str(tmp_path / "s.svg")], capsys
         )
     assert not (tmp_path / "s.svg").exists()
+
+
+def test_cli_internal_error_exits_3_with_one_line(monkeypatch, capsys):
+    for exc in (EngineError("paper-rule inconsistency: x"),
+                ExactError("zero charge\nsecond line"), KeyError("k")):
+        def boom(args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_hom", boom)
+        assert cli.main(["hom", "a[0]", "M"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("hom: internal error: %s: "
+                                       % type(exc).__name__)
+        assert captured.err.count("\n") == 1
+
+
+# arbitrary JSON, and documents shaped like a point with arbitrary parts
+def _json_containers(inner):
+    return st.lists(inner, max_size=4) | st.dictionaries(
+        st.text(max_size=6), inner, max_size=4
+    )
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    _json_containers,
+    max_leaves=10,
+)
+_rational = (
+    st.integers(-20, 20).map(str)
+    | st.tuples(st.integers(-20, 20), st.integers(-2, 20)).map(
+        lambda t: "%d/%d" % t)
+    | st.sampled_from(["1/0", "nan", "inf", "1e400", "", "x"])
+)
+_PARTS = (
+    ("anchor",), ("anchor", "family"), ("anchor", "m"), ("anchor", "shift"),
+    ("anchor", "shift", 1), ("charges",), ("charges", 0), ("charges", 1, "re"),
+    ("charges", 2, "im"), ("global_shift",), ("extra_offsets",),
+)
+_DROP = object()
+
+
+def _child(box, key):
+    if isinstance(box, dict):
+        return box.get(key)
+    if isinstance(box, list) and isinstance(key, int) and key < len(box):
+        return box[key]
+    return None
+
+
+def _edited(doc, edits):
+    """doc with each (path, value) edit applied where the path still leads
+    somewhere; the value _DROP deletes a key."""
+    for path, value in edits:
+        box = doc
+        for key in path[:-1]:
+            box = _child(box, key)
+        key = path[-1]
+        if isinstance(box, dict):
+            if value is _DROP:
+                box.pop(key, None)
+            else:
+                box[key] = value
+        elif _child(box, key) is not None:
+            box[key] = None if value is _DROP else value
+    return doc
+
+
+# a sampled point's JSON with up to two of its parts replaced or dropped
+_point_like = st.builds(
+    _edited,
+    st.integers(0, 2 ** 16).map(
+        lambda s: harness._sample_point(random.Random(s), FAMILY_IDS,
+                                        bound=16).to_json()
+    ),
+    st.lists(st.tuples(st.sampled_from(_PARTS),
+                       _rational | _json | st.just(_DROP)), max_size=2),
+)
+_documents = _json | _point_like
+
+
+@settings(max_examples=120, deadline=None)
+@given(doc=_documents)
+def test_cli_classify_fuzzed_point_file(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "fuzzed_point.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["classify", str(path)])
+    if code == 0:
+        assert err.getvalue() == ""
+        assert isinstance(json.loads(out.getvalue()), list)
+    else:
+        assert code == 2, err.getvalue()
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("classify: ")
+        assert err.getvalue().count("\n") == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_documents)
+def test_point_from_json_fuzzed(doc):
+    doc = json.loads(json.dumps(doc))  # what a file would give
+    try:
+        pt = StabilityPoint.from_json(doc)
+    except (KeyError, TypeError, ValueError, ArithmeticError):
+        return  # the errors the CLI loader reports as bad input
+    assert StabilityPoint.from_json(pt.to_json()) == pt
 
 
 def test_cli_verify(tmp_path, capsys):

@@ -7,8 +7,14 @@ from fractions import Fraction
 import pytest
 
 from stabq import engine, harness, regions
-from stabq.exact import Gaussian
-from stabq.triples import FAMILY_IDS, family_triple, shift_set_members
+from stabq.exact import ExactError, Gaussian
+from stabq.triples import (
+    FAMILY_IDS,
+    extreme_shift,
+    family_triple,
+    mutate_triple,
+    shift_set_members,
+)
 
 
 def _std():
@@ -287,3 +293,29 @@ def test_refinement_decides_the_verdict(sys_id, expected, point):
         for term in terms
     )
     assert (regions.in_theta(pt, family_triple(family, n)) and union) is expected
+
+
+def test_theta_e_right_system_is_theta_of_triple_and_its_right_mutation():
+    """Dual path for "Theta_E n=2 3": the system's one clause against
+    Theta(t) and Theta of the first right mutation of t, for every family's
+    triple at the point's m, at its extreme shift."""
+    rng = random.Random(5)
+    soft = (regions.Undecidable, engine.UndecidedError, ExactError)
+    decided = {True: 0, False: 0}
+    for _ in range(400):
+        pt = harness._sample_point(rng, FAMILY_IDS)
+        for fid in FAMILY_IDS:
+            t = family_triple(fid, pt.m)
+            t = t.shifted(extreme_shift(t))
+            try:
+                got = regions.in_intersection_system(
+                    pt, "Theta_E n=2 3", fid=fid, m=pt.m
+                )
+                want = regions.in_theta(pt, t) and regions.in_theta(
+                    pt, mutate_triple(t, "R0")
+                )
+            except soft:
+                continue
+            assert got == want, (fid, pt.to_json())
+            decided[got] += 1
+    assert sum(decided.values()) >= 3000 and min(decided.values()) > 0
