@@ -40,6 +40,14 @@ class ExcObject:
     def shifted(self, n: int) -> "ExcObject":
         return ExcObject(self.kind, self.m, self.shift + n)
 
+    def translated(self, n: int) -> "ExcObject":
+        """The object n steps along its chain, a^m -> a^{m+n}; M and M'
+        stay.  Hom dimensions between catalog objects do not change under
+        it, and it acts on K-classes linearly with determinant 1."""
+        if n == 0 or self.kind not in ("a", "b"):
+            return self
+        return ExcObject(self.kind, self.m + n, self.shift)
+
     def baked_shift(self) -> int:
         """The shift hidden inside the label itself (1 for a^m/b^m, m>=1)."""
         if self.kind in ("a", "b") and self.m >= 1:

@@ -17,6 +17,17 @@ are what it stores, serializes, compares and transforms.  Each point also
 stores, when it is built, the Cramer solver of its shifted anchor's
 K-classes, which ``charge_of`` applies to every K-class it is asked about.
 
+The rule fixpoint reads a plan, one per window and shared by every point
+(``_Plan``).  Its rows are the sigma-triple instances of the window's
+standard triples, in coordinates relative to the point's m: shift-set
+membership, closure contents already filtered by scope, and the outer step
+(the two-factor middle object or the K-class-checked three-factor
+extension).  The plan is keyed on the window alone because all of this is
+unchanged when every chain index moves by one step; rows are built on first
+use.  Per point the fixpoint computes only charges, window arguments and
+phase comparisons, and spells out objects, rules and witnesses in the
+point's own labels at the end.
+
 Each point owns its analyses, one per window (``StabilityPoint.analysis``):
 the rule fixpoint's verdicts, the memoised conditional phases, and the tail
 enclosures ``regions`` derives from them.  An analysis is built on the first
@@ -29,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .catalog import ExcObject, hom_dims, kclass
@@ -232,20 +244,156 @@ class Verdict:
 UNKNOWN = Verdict("unknown")
 
 
-def _universe(point: StabilityPoint, window: int) -> List[ExcObject]:
+def _universe(m: int, window: int) -> List[ExcObject]:
+    """The objects a fixpoint at index m and ``window`` decides."""
     objs = [ExcObject("M", 0, 0), ExcObject("Mp", 0, 0)]
     for kind in ("a", "b"):
-        for i in range(point.m - window, point.m + window + 2):
+        for i in range(m - window, m + window + 2):
             objs.append(ExcObject(kind, i, 0))
     return objs
 
 
+# ---------------------------------------------------------------------------
+# the rule plan
+
+
+@dataclass(frozen=True)
+class _Row:
+    """The static part of the rules for one sigma-triple instance
+    B = (t[0], t[1][s1], t[2][s2]): for each consecutive pair with a hom in
+    degree one, its closure contents inside the scope, and the outer step,
+    a rule token with the object it pins (the two-factor middle object or
+    the three-factor extension).  Rule tokens are (name, B, suffix)."""
+
+    B: Tuple[ExcObject, ExcObject, ExcObject]
+    closures: Tuple[Tuple[int, Tuple[ExcObject, ...], tuple], ...]
+    outer: Optional[Tuple[ExcObject, tuple]]
+
+
+class _Plan:
+    """The point-independent part of the rule fixpoint at one window, in the
+    coordinates of a point with index ``m``: the universe, the standard
+    triples of the window in scan order, and their rows, built on first use
+    and keyed by (s1, s2), None outside the shift set.
+
+    Hom dimensions, closure contents, the scope and K-class relations are
+    unchanged when every chain index moves by the same step
+    (``ExcObject.translated``), so the engine keeps one plan per window at
+    m = 0 and runs each point's fixpoint in coordinates relative to its m."""
+
+    def __init__(self, window: int, m: int = 0):
+        self.window = window
+        self.universe = _universe(m, window)
+        self.scope = frozenset(self.universe)
+        self.triples = [
+            (family_triple(fid, k), {})
+            for fid in FAMILY_IDS
+            for k in range(m - window, m + window + 1)
+        ]
+
+    def row(self, t: ExcTriple, rows: dict, s1: int, s2: int) -> Optional[_Row]:
+        key = (s1, s2)
+        if key not in rows:
+            rows[key] = self._build(t, s1, s2)
+        return rows[key]
+
+    def _build(self, t: ExcTriple, s1: int, s2: int) -> Optional[_Row]:
+        if not in_shift_set(t, (0, s1, s2)):
+            return None
+        B = (t[0], t[1].shifted(s1), t[2].shifted(s2))
+        closures = []
+        for i in (0, 1):
+            h = hom_dims(B[i], B[i + 1])
+            if h is None or h[0] != 1:
+                continue
+            pair = ext_pair(B[i], B[i + 1])
+            content = None if pair is None else closure_content(pair, self.window)
+            if content:
+                inside = tuple(c for c in content if c.base() in self.scope)
+                closures.append((i, inside, ("closure", B, "[%d]" % i)))
+        outer = None
+        h02 = hom_dims(B[0], B[2])
+        if h02 is not None and h02[0] == 1 and h02[1] == 1:
+            pair = ext_pair(B[0], B[2])
+            content = None if pair is None else closure_content(pair, self.window)
+            if content is not None and content[2].base() in self.scope:
+                outer = (content[2], ("two-factor", B, ""))
+        elif h02 is None or h02[0] != 1:
+            y_obj = self._three_factor_target(B)
+            if y_obj is not None:
+                outer = (y_obj, ("three-factor", B, ""))
+        return _Row(B, tuple(closures), outer)
+
+    def _three_factor_target(self, B) -> Optional[ExcObject]:
+        """The three-factor extension Y: X extends B[1] by B[2] and Y
+        extends B[0] by X.  Y is certified as an iterated extension by
+        requiring both steps to be unique (one-dimensional, in degree one)."""
+        y_obj = B[2]
+        for x in (B[1], B[0]):
+            pair = ext_pair(x, y_obj)
+            if pair is None or pair.dim != 1 or pair.degree != 1:
+                return None
+            content = closure_content(pair, self.window)
+            if content is None:
+                return None
+            y_obj = content[2]
+        if y_obj.base() not in self.scope:
+            return None
+        cls = kclass(B[0]) + kclass(B[1]) + kclass(B[2])
+        if kclass(y_obj) != cls:  # pragma: no cover - pattern sanity check
+            raise EngineError(
+                "paper-rule inconsistency: filtration class mismatch for "
+                "(%s,%s,%s), indices relative to the point's m" % B
+            )
+        return y_obj
+
+
+@lru_cache(maxsize=None)
+def _plan(window: int) -> _Plan:
+    """The plan at ``window`` for m = 0, built on the first fixpoint that
+    needs it and shared by every point; it holds nothing of any point."""
+    return _Plan(window)
+
+
+# ---------------------------------------------------------------------------
+# the fixpoint
+
+
 class _State:
-    def __init__(self):
+    """The verdicts of one fixpoint run, by base object in coordinates
+    relative to the point's m (``dm``).  Rules are tokens, a string or a
+    plan's (name, B, suffix), and a big-gap witness is the chain object
+    below the gap; both are spelled in the point's own labels only in
+    ``verdicts()`` and in error messages."""
+
+    def __init__(self, dm: int = 0):
+        self.dm = dm
         self.v: Dict[ExcObject, Verdict] = {}
         self.changed = False
 
-    def set_ss(self, obj: ExcObject, phase: Phase, rule: str):
+    def at(self, obj: ExcObject) -> ExcObject:
+        return obj.translated(self.dm)
+
+    def label(self, rule) -> str:
+        if isinstance(rule, str):
+            return rule
+        name, B, suffix = rule
+        return "%s(%s,%s,%s)%s" % (name, *map(self.at, B), suffix)
+
+    def _labels(self, rules) -> Tuple[str, ...]:
+        return tuple(map(self.label, rules))
+
+    def verdicts(self) -> Dict[ExcObject, Verdict]:
+        out = {}
+        for o, v in self.v.items():
+            w = v.witness
+            if w is not None:
+                w = self.at(w)
+                w = "phase gap %s..x[%d]" % (w, w.m + 1)
+            out[self.at(o)] = Verdict(v.status, v.phase, w, self._labels(v.rules))
+        return out
+
+    def set_ss(self, obj: ExcObject, phase: Phase, rule):
         base = obj.base()
         if obj.shift:
             phase = phase.plus(-obj.shift)
@@ -257,15 +405,16 @@ class _State:
         if cur.status == "unstable":
             raise EngineError(
                 "paper-rule inconsistency: %s semistable by %s, unstable by %s"
-                % (base, rule, cur.rules)
+                % (self.at(base), self.label(rule), self._labels(cur.rules))
             )
         if not cur.phase.same_as(phase):
             raise EngineError(
                 "paper-rule inconsistency: %s has phases %r (%s) and %r (%s)"
-                % (base, cur.phase, cur.rules, phase, rule)
+                % (self.at(base), cur.phase, self._labels(cur.rules), phase,
+                   self.label(rule))
             )
 
-    def set_unstable(self, obj: ExcObject, witness: str, rule: str):
+    def set_unstable(self, obj: ExcObject, witness: ExcObject, rule):
         base = obj.base()
         cur = self.v.get(base)
         if cur is None:
@@ -274,41 +423,53 @@ class _State:
         elif cur.status == "semistable":
             raise EngineError(
                 "paper-rule inconsistency: %s unstable by %s, semistable by %s"
-                % (base, rule, cur.rules)
+                % (self.at(base), self.label(rule), self._labels(cur.rules))
             )
 
 
-_PHASE_P1 = int_phase(1)
-_PHASE_M1 = int_phase(-1)
+def _unit_shifts(d: Phase) -> Tuple[int, ...]:
+    """The integers k with |d + k| < 1, in increasing order.  d lies in
+    (d.offset, d.offset + 1], at the right end exactly when its charge is
+    real."""
+    if d.charge.im == 0:
+        return (-d.offset - 1,)
+    return (-d.offset - 1, -d.offset)
 
 
-def _unit_window_shifts(p_ref: Phase, p: Phase) -> List[int]:
-    """Integers k with |(p + k) - p_ref| < 1 (at most two of them)."""
-    base = p_ref.offset - p.offset
-    out = []
-    for k in range(base - 2, base + 3):
-        d = phase_diff(p.plus(k), p_ref)
-        if d.cmp(_PHASE_M1) > 0 and d.cmp(_PHASE_P1) < 0:
-            out.append(k)
-    return out
+def _pin_in_window(st: _State, obj: ExcObject, z: Gaussian,
+                   lo: Phase, hi: Phase, rule):
+    """Declare obj, of charge z, semistable with its phase in [lo, hi].
 
-
-def _pin_in_window(point: StabilityPoint, st: "_State", obj: ExcObject,
-                   lo: Phase, hi: Phase, rule: str):
-    z = charge_of(point, obj)
+    An object already decided at a phase in the window with direction z is
+    left as it is: the window is shorter than 1, so that phase is the only
+    one the full path could find.  Every other case takes the full path and
+    raises on a contradiction."""
+    cur = st.v.get(obj.base())
+    if cur is not None and cur.status == "semistable":
+        ph = cur.phase.plus(obj.shift) if obj.shift else cur.phase
+        d = ph.direction()
+        if (
+            lo.cmp(ph) <= 0
+            and ph.cmp(hi) <= 0
+            and d.cross(z) == 0
+            and d.dot(z) > 0
+            and hi.cmp(lo.plus(1)) < 0
+        ):
+            return
     if z.is_zero():
-        raise EngineError("paper-rule inconsistency: zero charge on %s" % obj)
+        raise EngineError(
+            "paper-rule inconsistency: zero charge on %s" % st.at(obj)
+        )
     ph = phase_in_closed_window(z, lo, hi)
     if ph is None:
         raise EngineError(
             "paper-rule inconsistency: phase of %s escapes [%r, %r]"
-            % (obj, lo, hi)
+            % (st.at(obj), lo, hi)
         )
     st.set_ss(obj, ph, rule)
 
 
-def _sigma_triple_rules(point: StabilityPoint, st: "_State", scope,
-                        window: int, B, phis):
+def _sigma_triple_rules(st: _State, row: _Row, phis, charge):
     """All consequences of one sigma-exceptional triple (all three objects
     semistable, pairwise phase gaps strictly below one):
 
@@ -319,174 +480,121 @@ def _sigma_triple_rules(point: StabilityPoint, st: "_State", scope,
       middle object pins the three-factor extension instead.
     """
     p0, p1, p2 = phis
-    name = "(%s,%s,%s)" % B
-
-    # consecutive-pair closures
-    for i in (0, 1):
-        h = hom_dims(B[i], B[i + 1])
-        if h is None or h[0] != 1:
-            continue
+    B = row.B
+    for i, content, rule in row.closures:
         if phis[i].cmp(phis[i + 1]) < 0:
             continue
-        pair = ext_pair(B[i], B[i + 1])
-        if pair is None:  # pragma: no cover - excluded by exceptionality
-            continue
-        content = closure_content(pair, window)
-        if content is None:
-            continue
         for c in content:
-            if c.base() not in scope:
-                continue
-            _pin_in_window(
-                point, st, c, phis[i + 1], phis[i], "closure%s[%d]" % (name, i)
-            )
-
-    # the outer pair
-    h02 = hom_dims(B[0], B[2])
-    if h02 is not None and h02[0] == 1 and h02[1] == 1:
+            _pin_in_window(st, c, charge(c), phis[i + 1], phis[i], rule)
+    if row.outer is None:
+        return
+    target, rule = row.outer
+    if rule[0] == "two-factor":
         s1 = p2.cmp(p0) < 0 and p2.cmp(p1) < 0
         s2 = p1.cmp(p0) < 0 and p2.cmp(p0) < 0
-        if s1 or s2:
-            pair = ext_pair(B[0], B[2])
-            content = None if pair is None else closure_content(pair, window)
-            if content is not None:
-                mid = content[2]
-                if mid.base() in scope:
-                    zy = charge_of(point, B[0]) + charge_of(point, B[2])
-                    try:
-                        py = window_arg(zy, p0.plus(-1))
-                    except ExactError:
-                        raise EngineError(
-                            "paper-rule inconsistency: boundary phase for the "
-                            "extension of %s" % name
-                        )
-                    st.set_ss(mid, py, "two-factor%s" % name)
-    elif h02 is None or h02[0] != 1:
-        # outer hom vanishes in degree one: three-factor filtration.  The
-        # filtration object must be certified as an iterated extension, so we
-        # require both extension steps to be unique (one-dimensional arrows).
-        p12 = ext_pair(B[1], B[2])
-        if p12 is None or p12.dim != 1 or p12.degree != 1:
-            return
-        c12 = closure_content(p12, window)
-        if c12 is None:
-            return
-        x_obj = c12[2]
-        p0x = ext_pair(B[0], x_obj)
-        if p0x is None or p0x.dim != 1 or p0x.degree != 1:
-            return
-        c0x = closure_content(p0x, window)
-        if c0x is None:
-            return
-        y_obj = c0x[2]
-        if y_obj.base() not in scope:
-            return
-        cls = kclass(B[0]) + kclass(B[1]) + kclass(B[2])
-        if kclass(y_obj) != cls:  # pragma: no cover - pattern sanity check
-            raise EngineError(
-                "paper-rule inconsistency: filtration class mismatch for %s"
-                % name
-            )
-        z0, z1, z2 = (charge_of(point, b) for b in B)
-        anchor_low = None
-        if p1.cmp(p0) < 0 and p2.cmp(p0) < 0:
-            try:
-                wa = window_arg(z0 + z1, p0.plus(-1))
-            except ExactError:
-                wa = None
-            if wa is not None and wa.cmp(p2) > 0:
-                anchor_low = p0.plus(-1)
-        if anchor_low is None and p2.cmp(p1) < 0 and p1.cmp(p0) <= 0:
-            anchor_low = p2
-        if anchor_low is None:
+        if not (s1 or s2):
             return
         try:
-            py = window_arg(z0 + z1 + z2, anchor_low)
+            py = window_arg(charge(B[0]) + charge(B[2]), p0.plus(-1))
         except ExactError:
             raise EngineError(
                 "paper-rule inconsistency: boundary phase for the "
-                "three-factor extension of %s" % name
+                "extension of %s" % st.label(("", B, ""))
             )
-        if py.cmp(p0) >= 0:
-            raise EngineError(
-                "paper-rule inconsistency: three-factor extension of %s "
-                "above its bound" % name
-            )
-        st.set_ss(y_obj, py, "three-factor%s" % name)
+        st.set_ss(target, py, rule)
+        return
+    anchor_low = None
+    if p1.cmp(p0) < 0 and p2.cmp(p0) < 0:
+        try:
+            wa = window_arg(charge(B[0]) + charge(B[1]), p0.plus(-1))
+        except ExactError:
+            wa = None
+        if wa is not None and wa.cmp(p2) > 0:
+            anchor_low = p0.plus(-1)
+    if anchor_low is None and p2.cmp(p1) < 0 and p1.cmp(p0) <= 0:
+        anchor_low = p2
+    if anchor_low is None:
+        return
+    try:
+        py = window_arg(charge(B[0]) + charge(B[1]) + charge(B[2]), anchor_low)
+    except ExactError:
+        raise EngineError(
+            "paper-rule inconsistency: boundary phase for the "
+            "three-factor extension of %s" % st.label(("", B, ""))
+        )
+    if py.cmp(p0) >= 0:
+        raise EngineError(
+            "paper-rule inconsistency: three-factor extension of %s "
+            "above its bound" % st.label(("", B, ""))
+        )
+    st.set_ss(target, py, rule)
 
 
 def _decide(point: StabilityPoint, window: int) -> Dict[ExcObject, Verdict]:
-    st = _State()
-    # the phases of one point recur across triples; memoised for this run
-    shifts: Dict[Tuple[Phase, Phase], List[int]] = {}
+    """The rule fixpoint at ``window``, run on the window's plan in
+    coordinates relative to ``point.m``; per point it computes only
+    charges, window arguments and phase comparisons."""
+    plan = _plan(window)
+    st = _State(point.m)
+    zs: Dict[ExcObject, Gaussian] = {}
 
-    def unit_shifts(p_ref: Phase, p: Phase) -> List[int]:
-        out = shifts.get((p_ref, p))
-        if out is None:
-            out = shifts[p_ref, p] = _unit_window_shifts(p_ref, p)
-        return out
+    def charge(o: ExcObject) -> Gaussian:
+        z = zs.get(o)
+        if z is None:
+            z = zs[o] = charge_of(point, st.at(o))
+        return z
 
-    anchor = point.anchor()
-    scope = {o.base() for o in _universe(point, window)}
+    anchor = family_triple(point.family, 0).shifted(point.shift)
     for obj, ph in zip(anchor.objs, point.anchor_phases()):
         st.set_ss(obj, ph, "anchor")
 
-    done = set()
+    # triples not yet scanned; decided phases are immutable, so a triple
+    # whose three objects are semistable is scanned once, exhaustively
+    pending = plan.triples
     # every iteration before the fixpoint makes at least one verdict
     # transition, and each object makes at most two
-    for _ in range(2 * len(scope) + 2):
+    for _ in range(2 * len(plan.universe) + 2):
         st.changed = False
         known = {o: v.phase for o, v in st.v.items() if v.status == "semistable"}
 
         # chain neighbors more than one phase apart kill the rest of the chain
-        for (x, px) in list(known.items()):
+        for x, px in known.items():
             if x.kind not in ("a", "b"):
                 continue
             py = known.get(ExcObject(x.kind, x.m + 1, 0))
-            if py is None:
+            if py is None or py.cmp(px.plus(1)) <= 0:
                 continue
-            if phase_diff(py, px).cmp(_PHASE_P1) > 0:
-                for o in _universe(point, window):
-                    if o.kind == x.kind and o.m not in (x.m, x.m + 1):
-                        st.set_unstable(
-                            o, "phase gap %s..x[%d]" % (x, x.m + 1), "big-gap"
-                        )
+            for o in plan.universe:
+                if o.kind == x.kind and o.m not in (x.m, x.m + 1):
+                    st.set_unstable(o, x, "big-gap")
 
         # sigma-exceptional shifts of the standard triples
-        for fid in FAMILY_IDS:
-            for m in range(point.m - window, point.m + window + 1):
-                if (fid, m) in done:
-                    continue
-                t = family_triple(fid, m)
-                ph = []
-                for o in t.objs:
-                    pb = known.get(o.base())
-                    if pb is None:
-                        break
-                    ph.append(pb.plus(o.shift))
-                if len(ph) != 3:
-                    continue
-                for s1 in unit_shifts(ph[0], ph[1]):
-                    for s2 in unit_shifts(ph[0], ph[2]):
-                        if not in_shift_set(t, (0, s1, s2)):
-                            continue
-                        f1, f2 = ph[1].plus(s1), ph[2].plus(s2)
-                        d12 = phase_diff(f2, f1)
-                        if not (
-                            d12.cmp(_PHASE_M1) > 0 and d12.cmp(_PHASE_P1) < 0
-                        ):
-                            continue
-                        B = (t[0], t[1].shifted(s1), t[2].shifted(s2))
+        waiting = []
+        for entry in pending:
+            t, rows = entry
+            o0, o1, o2 = t.objs
+            p0 = known.get(o0)
+            p1 = None if p0 is None else known.get(o1)
+            p2 = None if p1 is None else known.get(o2)
+            if p2 is None:
+                waiting.append(entry)
+                continue
+            u12 = _unit_shifts(phase_diff(p2, p1))
+            for s1 in _unit_shifts(phase_diff(p1, p0)):
+                for s2 in _unit_shifts(phase_diff(p2, p0)):
+                    if s2 - s1 not in u12:
+                        continue
+                    row = plan.row(t, rows, s1, s2)
+                    if row is not None:
                         _sigma_triple_rules(
-                            point, st, scope, window, B, (ph[0], f1, f2)
+                            st, row, (p0, p1.plus(s1), p2.plus(s2)), charge
                         )
-                # decided phases are immutable, so the scan is exhaustive
-                done.add((fid, m))
+        pending = waiting
         if not st.changed:
             break
     else:  # pragma: no cover
         raise EngineError("rule fixpoint did not converge")
-    return st.v
+    return st.verdicts()
 
 
 class Analysis:

@@ -303,7 +303,7 @@ def phase_in_closed_window(z: Gaussian, low: Phase, high: Phase):
     unique when it exists."""
     if z.is_zero():
         raise ExactError("zero charge")
-    if phase_diff(high, low) >= int_phase(1):
+    if phase_diff(high, low) >= _PHASE_ONE:
         raise ExactError("window too long")
     if z.in_upper_branch():
         zb, parity = z, 0
@@ -321,3 +321,6 @@ def phase_in_closed_window(z: Gaussian, low: Phase, high: Phase):
 def int_phase(n: int) -> Phase:
     """The integer n as a Phase (charge -1, arg pi)."""
     return Phase(n - 1, Gaussian.of(-1, 0))
+
+
+_PHASE_ONE = int_phase(1)

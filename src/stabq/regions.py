@@ -481,11 +481,14 @@ _SYSTEMS = {
         (((0, 1, 1), (1, 0, 0), (1, 2, -1)), None),
         (((0, 1, 1), (1, 0, 0), (0, 2, 0), (2, 0, 1)), (0, 2, 0, 1, 0, 1)),
     )),
+    # the fourth clause is the refined clause of "middle M cap left M'"
+    # without its refinement: it is reached only when the first three fail,
+    # which forces phi(a^p) = phi(M), and there the refinement always holds
     "middle M cap left right M": ("a", "p", _MID_M, (
         (((0, 1, 1), (1, 0, 0), (0, 2, 0), (2, 0, 1)), None),
         (((0, 1, 1), (1, 0, 0), (1, 2, -1)), None),
         (((0, 1, 0), (2, 1, 1), (1, 2, 0)), None),
-        (((2, 1, 1), (1, 2, 0), (2, 0, 1), (0, 2, 0)), (0, 2, 2, 1, 0, -1)),
+        (((2, 1, 1), (1, 2, 0), (2, 0, 1), (0, 2, 0)), None),
     )),
     "middle M' cap left M": ("a", "p", _MID_MP, _MID_MP_LEFT_M),
     "middle M' cap left M'": ("a", "p", _MID_MP, _MID_MP_LEFT_MP),
@@ -504,14 +507,16 @@ _SWAP = {"a": "b", "b": "a", "M": "Mp", "Mp": "M"}
 def _mutation_clauses(t: ExcTriple, side: str):
     """The clause of Theta of t (alpha = gamma = 0) meeting Theta of its
     first right mutation (side "right") or its second left mutation
-    ("left")."""
+    ("left").  Both sides read the bound of the pair that joins the mutated
+    object, shifted down by one, to the object of t the mutation leaves
+    alone."""
     _, b, _ = alpha_beta_gamma(t)
     outer = (0, 2, 1 + _min_bound(b, 0))
     if side == "right":
         x = mutate_right(t[0], t[1]).shifted(-1)
         _, _, gp = alpha_beta_gamma(ExcTriple((t[1], x, t[2])))
         return ((((1, 0, 0), (0, 1, 1), outer, (1, 2, _min_bound(gp, 1))), None),)
-    y = mutate_left(t[1], t[2]).shifted(1)
+    y = mutate_left(t[1], t[2]).shifted(-1)
     ap, _, _ = alpha_beta_gamma(ExcTriple((t[0], y, t[1])))
     return ((((2, 1, 0), (1, 2, 1), outer, (0, 1, _min_bound(ap, 1))), None),)
 

@@ -132,9 +132,11 @@ def _pair_value(x: ExcObject, y: ExcObject) -> Optional[int]:
     return None if h is None else h[0] - 1
 
 
+@lru_cache(maxsize=4096)
 def alpha_beta_gamma(t: ExcTriple):
     """One less than the surviving hom degree for the pairs (0,1), (0,2),
-    (1,2); None encodes +infinity."""
+    (1,2); None encodes +infinity.  Memoised: the shift set of one triple
+    is tested for many shifts, and triples are immutable."""
     return (
         _pair_value(t[0], t[1]),
         _pair_value(t[0], t[2]),
@@ -240,13 +242,6 @@ def ext_pair(x: ExcObject, y: ExcObject) -> Optional[ExtPair]:
     if h is None:
         return None
     return ExtPair(x, y, h[0], h[1])
-
-
-def _shift_of_pair(x: ExcObject, y: ExcObject) -> Optional[int]:
-    """If (x, y) is a common shift s of a base-object pair, return s."""
-    if x.shift == y.shift:
-        return x.shift
-    return None
 
 
 def closure_content(pair: ExtPair, window: int = 8) -> Optional[List[ExcObject]]:

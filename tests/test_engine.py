@@ -8,10 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from stabq import engine, harness, regions
-from stabq.catalog import ExcObject, parse_label
+from stabq import engine, ff, harness, regions
+from stabq.catalog import ExcObject, build_matrices, dim_vector, hom_dims, parse_label
 from stabq.exact import ExactError, Gaussian, Phase, int_phase, phase_diff
-from stabq.triples import FAMILY_IDS, family_triple
+from stabq.triples import FAMILY_IDS, ExcTriple, family_triple
 
 
 def _g(re, im):
@@ -81,7 +81,7 @@ def test_global_shift_moves_all_phases():
 def test_rescale_preserves_everything():
     pt = _std()
     pt2 = engine.rescale(pt, Fraction(7, 3))
-    for o in engine._universe(pt, 4):
+    for o in engine._universe(pt.m, 4):
         v1 = engine.semistable(pt, o)
         v2 = engine.semistable(pt2, o)
         assert v1.status == v2.status
@@ -187,7 +187,7 @@ def test_charge_of_is_positive_multiple_of_true_charge():
         base = harness.sample_sigma((fid, rng.randint(-2, 2)), rng=rng, bound=24)
         for pt in (base, engine.shift(base, 1), engine.rotate_quarter(base, 1)):
             factor = None
-            for o in engine._universe(pt, 3):
+            for o in engine._universe(pt.m, 3):
                 for x in (o, o.shifted(1)):
                     z = engine.charge_of(pt, x)
                     assert type(z.re) is int and type(z.im) is int
@@ -224,7 +224,7 @@ def test_no_rule_contradictions_on_samples():
     for _ in range(60):
         fid = rng.choice(list(FAMILY_IDS))
         pt = harness.sample_sigma((fid, rng.randint(-2, 2)), rng=rng, bound=24)
-        for o in engine._universe(pt, engine.DEFAULT_WINDOW):
+        for o in engine._universe(pt.m, engine.DEFAULT_WINDOW):
             engine.semistable(pt, o)  # EngineError would fail the test
 
 
@@ -232,7 +232,7 @@ def test_conditional_phase_consistency():
     rng = random.Random(5)
     for _ in range(20):
         pt = harness.sample_sigma(("F8", 0), rng=rng, bound=16)
-        for o in engine._universe(pt, 4):
+        for o in engine._universe(pt.m, 4):
             v = engine.semistable(pt, o)
             try:
                 cp = engine.conditional_phase(pt, o.base())
@@ -260,7 +260,7 @@ def test_equal_points_compute_identical_results():
         out = regions.classify(p1)
         assert p1.analyses and not p2.analyses  # results are per object
         assert regions.classify(p2) == out
-        for o in engine._universe(p1, engine.DEFAULT_WINDOW):
+        for o in engine._universe(p1.m, engine.DEFAULT_WINDOW):
             assert engine.semistable(p1, o) == engine.semistable(p2, o)
             assert _outcome(engine.conditional_phase, p1, o) == _outcome(
                 engine.conditional_phase, p2, o
@@ -287,7 +287,7 @@ def test_unresolved_offset_raises_on_every_call(monkeypatch):
     for _ in range(20):
         pt = harness.sample_sigma(("F2", 0), rng=rng, bound=32)
         unknown = [
-            o for o in engine._universe(pt, engine.DEFAULT_WINDOW)
+            o for o in engine._universe(pt.m, engine.DEFAULT_WINDOW)
             if engine.semistable(pt, o).status == "unknown"
         ]
         if unknown:
@@ -308,6 +308,163 @@ def test_unresolved_offset_raises_on_every_call(monkeypatch):
         errors.append(ei.value)
     assert calls == [unknown[0]]
     assert len({id(e) for e in errors}) == 3
+
+
+def _moved(x, n):
+    """x with every catalog object in it moved n steps along its chain."""
+    if isinstance(x, ExcObject):
+        return x.translated(n)
+    if isinstance(x, ExcTriple):
+        return ExcTriple(_moved(x.objs, n))
+    if isinstance(x, engine._Row):
+        return engine._Row(_moved(x.B, n), _moved(x.closures, n), _moved(x.outer, n))
+    if isinstance(x, tuple):
+        return tuple(_moved(y, n) for y in x)
+    return x
+
+
+@pytest.mark.parametrize("window", range(9))
+def test_plan_rows_are_translation_invariant(window):
+    """The engine keeps one plan per window, built at m = 0, and runs every
+    point relative to its m.  That is sound because the plan built at any m
+    is the one at 0 moved m steps: universe, scope, triples and every row
+    (shift-set membership, closure contents inside the scope, outer step)
+    over a grid of shifts wider than the sampled ones (s1 in -4..0, s2 in
+    -7..-1 on 300 points)."""
+    base = engine._Plan(window)
+    for m in range(-6, 7):
+        plan = engine._Plan(window, m)
+        assert plan.universe == [o.translated(m) for o in base.universe]
+        assert plan.scope == frozenset(plan.universe)
+        assert len(plan.triples) == len(base.triples)
+        for (t, rows), (t0, rows0) in zip(plan.triples, base.triples):
+            assert t == _moved(t0, m)
+            for s1 in range(-5, 2):
+                for s2 in range(-8, 2):
+                    assert plan.row(t, rows, s1, s2) == _moved(
+                        base.row(t0, rows0, s1, s2), m
+                    )
+
+
+def test_unit_shifts_closed_form():
+    """k with |d + k| < 1, against the definition on a grid of d."""
+    one = int_phase(1)
+    for off in range(-4, 5):
+        for z in (Gaussian.of(1, 2), Gaussian.of(0, 1), Gaussian.of(-3, 1),
+                  Gaussian.of(-1, 0)):
+            d = Phase(off, z)
+            want = tuple(
+                k for k in range(-off - 3, -off + 3)
+                if d.plus(k).cmp(one.plus(-2)) > 0 and d.plus(k).cmp(one) < 0
+            )
+            assert engine._unit_shifts(d) == want
+
+
+def test_rederivation_that_conflicts_still_raises():
+    """A pin of an object already decided takes a short path only when it
+    agrees with the decided phase; a conflict raises as the full path
+    does, with the same message."""
+    a0 = ExcObject("a", 0, 0)
+    z = Gaussian.of(-1, 1)  # the phase 3/4
+    st = engine._State()
+    st.set_ss(a0, Phase(0, z), "anchor")
+    quarter, half = Phase(0, Gaussian.of(1, 1)), Phase(0, Gaussian.of(0, 1))
+    # a window that excludes the decided phase
+    with pytest.raises(engine.EngineError) as ei:
+        engine._pin_in_window(st, a0, z, quarter, half, "closure(x)[0]")
+    assert str(ei.value) == (
+        "paper-rule inconsistency: phase of a[0] escapes "
+        "[Phase(0, Gaussian(1, 1)), Phase(0, Gaussian(0, 1))]"
+    )
+    # a window holding another phase of the same direction
+    with pytest.raises(engine.EngineError) as ei:
+        engine._pin_in_window(st, a0, z, quarter.plus(2), Phase(2, z), "closure(x)[0]")
+    assert str(ei.value) == (
+        "paper-rule inconsistency: a[0] has phases Phase(0, Gaussian(-1, 1)) "
+        "(('anchor',)) and Phase(2, Gaussian(-1, 1)) (closure(x)[0])"
+    )
+    # a charge of another direction, in a window holding the decided phase
+    with pytest.raises(engine.EngineError) as ei:
+        engine._pin_in_window(st, a0, Gaussian.of(0, 1), quarter, Phase(0, z),
+                              "closure(x)[0]")
+    assert str(ei.value) == (
+        "paper-rule inconsistency: a[0] has phases Phase(0, Gaussian(-1, 1)) "
+        "(('anchor',)) and Phase(0, Gaussian(0, 1)) (closure(x)[0])"
+    )
+    # the agreeing re-derivation changes nothing
+    st.changed = False
+    engine._pin_in_window(st, a0, z.scale(3), quarter, Phase(0, z), "closure(x)[0]")
+    assert not st.changed and st.v[a0].rules == ("anchor",)
+    # errors name the point's own objects: here m = 2
+    st = engine._State(2)
+    st.set_ss(a0.shifted(-1), Phase(-1, z), ("closure", (a0, a0, a0), "[1]"))
+    with pytest.raises(engine.EngineError) as ei:
+        engine._pin_in_window(st, a0, z, quarter, half, "closure(x)[0]")
+    assert str(ei.value).startswith("paper-rule inconsistency: phase of a[2] escapes")
+    assert st.verdicts()[ExcObject("a", 2, 0)].rules == (
+        "closure(a[2],a[2],a[2])[1]",
+    )
+
+
+# Points where a rarely fired rule is the first rule of a verdict, found by
+# seeded search (harness._sample_point, and standard-heart charges drawn as
+# oracle_agreement draws them).  two-factor fires on the standard heart, so
+# the brute-force oracle can judge it; three-factor fired at 120 of 20,000
+# sampled points, never with the standard simples semistable in one unit
+# interval (so never on a point of the standard heart).
+_RARE_RULE_POINTS = [
+    ("two-factor", "M'", {
+        "anchor": {"family": "F8", "m": 0, "shift": [0, 0, -1]},
+        "charges": [{"re": "-1/5", "im": "0"}, {"re": "10/3", "im": "9/11"},
+                    {"re": "8/5", "im": "1/3"}]}),
+    ("two-factor", "M'", {
+        "anchor": {"family": "F8", "m": 0, "shift": [0, 0, -1]},
+        "charges": [{"re": "-8/7", "im": "4/5"}, {"re": "-10", "im": "2/15"},
+                    {"re": "-5/7", "im": "15/7"}]}),
+    ("two-factor", "M", {
+        "anchor": {"family": "F7", "m": -2, "shift": [0, 0, -1]},
+        "charges": [{"re": "-9", "im": "1"}, {"re": "17/10", "im": "6/7"},
+                    {"re": "31/16", "im": "29/13"}]}),
+    ("three-factor", "M'", {
+        "anchor": {"family": "F3", "m": -1, "shift": [0, -1, -1]},
+        "charges": [{"re": "-3", "im": "3/11"}, {"re": "5/13", "im": "2"},
+                    {"re": "14/27", "im": "22/5"}]}),
+    ("three-factor", "M", {
+        "anchor": {"family": "F6", "m": 1, "shift": [0, -1, -1]},
+        "charges": [{"re": "5/4", "im": "21/13"}, {"re": "31/23", "im": "17/25"},
+                    {"re": "25/29", "im": "17/23"}]}),
+]
+
+
+@pytest.mark.parametrize("rule, label, point", _RARE_RULE_POINTS)
+def test_rare_rule_decides_first(rule, label, point):
+    """The rule decides the object first.  Its phase respects every hom
+    bound against the other decided objects (a nonzero hom in degree d from
+    U to V forces phi(U) <= phi(V) + d).  On the standard heart, every
+    verdict on an object under the oracle's size cap matches brute-force
+    subrepresentation search."""
+    pt = engine.StabilityPoint.from_json(dict(point, global_shift=0))
+    x = parse_label(label)
+    v = engine.semistable(pt, x)
+    assert v.status == "semistable" and v.rules[0].startswith(rule + "(")
+    verdicts = pt.analysis().verdicts
+    for o, w in verdicts.items():
+        if w.status != "semistable" or o == x:
+            continue
+        for (u, pu), (y, py) in (((x, v.phase), (o, w.phase)),
+                                 ((o, w.phase), (x, v.phase))):
+            h = hom_dims(u, y)
+            assert h is None or pu.cmp(py.plus(h[0])) <= 0, (u, y)
+    if (pt.family, pt.m, pt.shift) != ("F8", 0, (0, 0, -1)):
+        return
+    checked = 0
+    for o, w in verdicts.items():
+        if w.status == "unknown" or sum(dim_vector(o)) > ff.MAX_TOTAL_DIM:
+            continue
+        ok, _ = ff.semistable_in_heart(build_matrices(o), pt.charges)
+        assert ok == (w.status == "semistable"), o
+        checked += 1
+    assert checked > 3
 
 
 def test_collinearity_scan_generic_and_degenerate():

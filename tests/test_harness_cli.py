@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -332,6 +333,58 @@ def test_cli_slice_deterministic(tmp_path):
     csv = (tmp_path / "s1.csv").read_text().splitlines()
     assert csv[0] == "i,j,Ta,Tb"
     assert len(csv) == 1 + 4 * 4
+
+
+_SPEC_PARTS = (
+    ("regions",), ("regions", 0), ("anchor",), ("anchor", "family"),
+    ("anchor", "m"), ("anchor", "shift"), ("anchor", "shift", 2),
+    ("resolution",), ("z2",), ("z2", "re"), ("z2", "im"),
+)
+
+
+def _slice_spec(seed):
+    """A valid two-by-two slice spec on a sampled point's anchor."""
+    pt = harness._sample_point(random.Random(seed), FAMILY_IDS, bound=16)
+    doc = pt.to_json()
+    return {"regions": ["Ta", "MidM"], "anchor": doc["anchor"],
+            "resolution": 2, "z2": doc["charges"][2]}
+
+
+# a valid spec with up to two of its parts replaced or dropped
+_spec_like = st.builds(
+    _edited,
+    st.integers(0, 2 ** 16).map(_slice_spec),
+    st.lists(st.tuples(st.sampled_from(_SPEC_PARTS),
+                       _rational | _json | st.just(_DROP)), max_size=2),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(doc=_json | _spec_like)
+def test_cli_slice_fuzzed_spec_file(tmp_path_factory, doc):
+    """Bad specs exit 2 with one stderr line.  Specs the loader accepts are
+    rendered at two by two at most, so a fuzzed resolution stays cheap."""
+    base = tmp_path_factory.getbasetemp()
+    path = base / "fuzzed_spec.json"
+    path.write_text(json.dumps(doc))
+    render = harness.slice_svg
+
+    def small(spec, out_path):
+        res = harness.slice_params(spec)[2]
+        render(dict(spec, resolution=min(res, 2)), out_path)
+
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(harness, "slice_svg", small), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["slice", "--spec", str(path),
+                         "-o", str(base / "fuzzed_slice.svg")])
+    assert out.getvalue() == ""
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code == 2, err.getvalue()
+        assert err.getvalue().startswith("slice: ")
+        assert err.getvalue().count("\n") == 1
 
 
 def test_oracle_agreement_smoke():

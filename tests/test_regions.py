@@ -224,11 +224,7 @@ def test_system_tables_well_formed():
 
 # Points where the refinement clause is the only clause of its system whose
 # inequalities hold, so the window-argument refinement alone decides the
-# verdict.  Found by seeded search over the suites' anchor pools; for
-# "middle M cap left right M" on F8 anchors with phi(a^m) = phi(M), the only
-# place its refinement clause is reached.  There the window argument lies
-# strictly between phi(b^{m+1}) - 1 and phi(a^m) = phi(M), so that
-# refinement never fails.
+# verdict.  Found by seeded search over the suites' anchor pools.
 _REFINEMENT_CASES = [
     ("middle M cap left M'", True, {
         "anchor": {"family": "F8", "m": 2, "shift": [0, 0, -1]},
@@ -262,24 +258,53 @@ _REFINEMENT_CASES = [
         "anchor": {"family": "F3", "m": 1, "shift": [0, -1, -1]},
         "charges": [{"re": "1/11", "im": "8"}, {"re": "1", "im": "8"},
                     {"re": "9/16", "im": "24"}]}),
-    ("middle M cap left right M", True, {
-        "anchor": {"family": "F8", "m": 1, "shift": [0, 0, -1]},
-        "charges": [{"re": "1/15", "im": "3"}, {"re": "1/9", "im": "5"},
-                    {"re": "1/2", "im": "2"}]}),
 ]
 
 
 @pytest.mark.parametrize("sys_id, expected, point", _REFINEMENT_CASES)
 def test_refinement_decides_the_verdict(sys_id, expected, point):
     pt = engine.StabilityPoint.from_json(dict(point, global_shift=0))
-    family, key, terms, _ = harness._SYSTEM_SUITES[sys_id]
-    n = pt.m
-    objs, clauses = regions._instance(sys_id, {key: n})
+    key = harness._SYSTEM_SUITES[sys_id][1]
+    objs, clauses = regions._instance(sys_id, {key: pt.m})
     ph, certified = regions._phases(pt, objs)
     assert certified
     assert [regions._holds(ph, ineqs) for ineqs, _ in clauses] == [
         ref is not None for _, ref in clauses
     ]
+    _check_system_and_definition(pt, sys_id, expected)
+
+
+def test_left_right_m_fourth_clause_decides_without_refinement():
+    """"middle M cap left right M" on an F8 anchor with phi(a^m) = phi(M),
+    the only place its fourth clause is reached: the first three clauses
+    fail and the fourth holds alone.  That clause is the refined clause of
+    "middle M cap left M'" with its refinement dropped.  The first three
+    fail only when phi(a^m) = phi(M); there Z(a^m) - Z(b^{m+1}) is a
+    positive combination of charges at phases phi(a^m) and
+    phi(b^{m+1}) - 1, so its window argument lies strictly between
+    phi(b^{m+1}) - 1 and phi(a^m) = phi(M), and the refinement "< phi(M)"
+    could never fail."""
+    sys_id = "middle M cap left right M"
+    pt = engine.StabilityPoint.from_json({
+        "anchor": {"family": "F8", "m": 1, "shift": [0, 0, -1]},
+        "charges": [{"re": "1/15", "im": "3"}, {"re": "1/9", "im": "5"},
+                    {"re": "1/2", "im": "2"}],
+        "global_shift": 0,
+    })
+    objs, clauses = regions._instance(sys_id, {"p": pt.m})
+    ph, certified = regions._phases(pt, objs)
+    assert certified
+    assert [regions._holds(ph, ineqs) for ineqs, _ in clauses] == [
+        False, False, False, True
+    ]
+    assert all(ref is None for _, ref in clauses)
+    assert ph[0].same_as(ph[1])
+    _check_system_and_definition(pt, sys_id, True)
+
+
+def _check_system_and_definition(pt, sys_id, expected):
+    family, key, terms, _ = harness._SYSTEM_SUITES[sys_id]
+    n = pt.m
     assert regions.in_intersection_system(pt, sys_id, **{key: n}) is expected
     # the definitional side: Theta at n and the union of the terms, with
     # every second index the suite may draw
@@ -299,6 +324,16 @@ def test_theta_e_right_system_is_theta_of_triple_and_its_right_mutation():
     """Dual path for "Theta_E n=2 3": the system's one clause against
     Theta(t) and Theta of the first right mutation of t, for every family's
     triple at the point's m, at its extreme shift."""
+    _check_mutation_system("Theta_E n=2 3", "R0")
+
+
+def test_theta_e_left_system_is_theta_of_triple_and_its_left_mutation():
+    """Dual path for "Theta_E n=2 6": the system's one clause against
+    Theta(t) and Theta of the second left mutation of t, as on the right."""
+    _check_mutation_system("Theta_E n=2 6", "L1")
+
+
+def _check_mutation_system(sys_id, op):
     rng = random.Random(5)
     soft = (regions.Undecidable, engine.UndecidedError, ExactError)
     decided = {True: 0, False: 0}
@@ -309,10 +344,10 @@ def test_theta_e_right_system_is_theta_of_triple_and_its_right_mutation():
             t = t.shifted(extreme_shift(t))
             try:
                 got = regions.in_intersection_system(
-                    pt, "Theta_E n=2 3", fid=fid, m=pt.m
+                    pt, sys_id, fid=fid, m=pt.m
                 )
                 want = regions.in_theta(pt, t) and regions.in_theta(
-                    pt, mutate_triple(t, "R0")
+                    pt, mutate_triple(t, op)
                 )
             except soft:
                 continue
