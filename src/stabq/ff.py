@@ -3,26 +3,27 @@
 A representation assigns a vector space to each of the three vertices and a
 matrix to each arrow.  Subobjects are subspace triples closed under the three
 maps; enumerating them decides semistability exactly for any central charge
-whose three simple values lie in the closed upper branch, and a greedy
-maximal-destabilizer loop produces the filtration with strictly decreasing
-factor phases.  A variant does the same inside the module category of the
-two-arrow Kronecker quiver.
+whose three simple values lie in the closed upper branch (King's criterion:
+compare the argument of each subrepresentation's charge with the whole's).
 
 The subspace table of F^d, each subspace with a basis and its vector set,
 is a pure function of the field order and d: it is built once per process
 per (q, d), as immutable tuples, and shared by every enumeration.  The
-subrepresentations themselves are enumerated afresh for each
-representation.  Semistability compares arguments on integers: the three
-simple charges are scaled once per call by a positive rational that clears
-their denominators (``exact.primitive_multiple``), which changes no
-argument, and each subrepresentation's charge is computed once.
+semistability test reads only the dimension vectors of the
+subrepresentations, so a caller that tests one representation often
+enumerates them once and passes them in (``harness._heart_test_objects``
+keeps them for the whole process).  Semistability compares arguments on
+integers: the three simple charges are scaled once per call by a positive
+rational that clears their denominators (``exact.primitive_multiple``),
+which changes no argument, and each subrepresentation's charge is computed
+once.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .exact import Gaussian, normarg_cmp, primitive_multiple
 from .gf import GF, Matrix, mat_vec, rref, zeros
@@ -39,9 +40,10 @@ class FiniteRep:
     def __init__(self, F: GF, dims: Vec3, lr: Matrix, lt: Matrix, rt: Matrix):
         self.F = F
         self.dims = dims
-        self.lr = lr  # L -> R, shape (d_R, d_L)
-        self.lt = lt  # L -> T, shape (d_T, d_L)
-        self.rt = rt  # R -> T, shape (d_T, d_R)
+        # row tuples: a representation can be shared without being changed
+        self.lr = _frozen(lr)  # L -> R, shape (d_R, d_L)
+        self.lt = _frozen(lt)  # L -> T, shape (d_T, d_L)
+        self.rt = _frozen(rt)  # R -> T, shape (d_T, d_R)
         dL, dR, dT = dims
         assert _shape_ok(lr, dR, dL), (dims, _shape(lr))
         assert _shape_ok(lt, dT, dL)
@@ -106,6 +108,10 @@ class FiniteRep:
 
     def is_exceptional(self) -> bool:
         return self.hom_dim(self) == 1 and self.ext1_dim(self) == 0
+
+
+def _frozen(m: Matrix) -> Tuple[Tuple[int, ...], ...]:
+    return tuple(map(tuple, m))
 
 
 def _shape(m: Matrix) -> Tuple[int, int]:
@@ -312,9 +318,11 @@ def semistable_in_heart(rep: FiniteRep, charges, subreps=None):
 
     A proper nonzero subrepresentation destabilizes iff its charge has a
     strictly larger normalized argument; the witness is the first one of
-    largest argument.  The charges may be rational: they are scaled once by
-    a positive factor to integers, which no argument comparison sees, and
-    each subrepresentation's charge is computed once.
+    largest argument.  ``subreps`` is the subrepresentations' dimension
+    vectors in ``all_subreps`` key order (its keys, or a tuple of them),
+    enumerated here when not given.  The charges may be rational: they are
+    scaled once by a positive factor to integers, which no argument
+    comparison sees, and each subrepresentation's charge is computed once.
     """
     if rep.dims.is_zero():
         raise ValueError("zero representation")
@@ -334,90 +342,3 @@ def semistable_in_heart(rep: FiniteRep, charges, subreps=None):
     if worst is None:
         return (True, None)
     return (False, worst)
-
-
-def hn_in_heart(rep: FiniteRep, charges) -> List[Vec3]:
-    """Dimension vectors of the filtration factors, maximal-slope-first.
-
-    Greedy: peel off a maximal destabilizer (largest argument; ties broken
-    by largest total dimension) and recurse on the quotient.
-    """
-    zs = primitive_multiple(charges)
-    factors: List[Vec3] = []
-    cur = rep
-    while not cur.dims.is_zero():
-        subs = all_subreps(cur)
-        best: Optional[Vec3] = None
-        for d in subs:
-            if d.is_zero():
-                continue
-            zd = heart_charge(zs, d)
-            if best is None:
-                best, best_z = d, zd
-                continue
-            c = normarg_cmp(zd, best_z)
-            if c > 0 or (c == 0 and sum(d) > sum(best)):
-                best, best_z = d, zd
-        assert best is not None
-        factors.append(best)
-        cur = quotient(cur, subs[best])
-    return factors
-
-
-# ---------------------------------------------------------------------------
-# the two-arrow Kronecker quiver
-
-
-class KronRep:
-    def __init__(self, F: GF, d1: int, d2: int, a: Matrix, b: Matrix):
-        self.F = F
-        self.d1 = d1
-        self.d2 = d2
-        self.a = a  # shape (d2, d1)
-        self.b = b
-        assert _shape(a) == (d2, d1) and _shape(b) == (d2, d1)
-
-
-def kronecker_rep(F: GF, d1: int, d2: int) -> KronRep:
-    """The indecomposable rigid module with dimension vector (d1, d2); only
-    |d1 - d2| = 1 occurs here."""
-    if d1 == d2 + 1:  # maps drop first / last coordinate
-        a = zeros(d2, d1)
-        b = zeros(d2, d1)
-        for i in range(d2):
-            a[i][i] = 1
-            b[i][i + 1] = 1
-        return KronRep(F, d1, d2, a, b)
-    if d2 == d1 + 1:  # maps append / prepend a zero
-        a = zeros(d2, d1)
-        b = zeros(d2, d1)
-        for i in range(d1):
-            a[i][i] = 1
-            b[i + 1][i] = 1
-        return KronRep(F, d1, d2, a, b)
-    raise ValueError("not a rigid dimension vector: (%d, %d)" % (d1, d2))
-
-
-def kron_subrep_classes(rep: KronRep):
-    arrows = ((0, 1, rep.a), (0, 1, rep.b))
-    return {
-        tuple(map(len, bases))
-        for bases in _closed_subspaces(rep.F, (rep.d1, rep.d2), arrows)
-    }
-
-
-def kron_semistable(rep: KronRep, zu: Gaussian, zv: Gaussian):
-    """Semistability for the charge sending the two simples to zu, zv (both
-    in the upper branch).  Returns (bool, destabilizing (d1,d2) or None)."""
-
-    def charge(d):
-        return zu.scale(d[0]) + zv.scale(d[1])
-
-    whole = (rep.d1, rep.d2)
-    z = charge(whole)
-    for d in kron_subrep_classes(rep):
-        if d == (0, 0) or d == whole:
-            continue
-        if normarg_cmp(charge(d), z) > 0:
-            return (False, d)
-    return (True, None)

@@ -13,7 +13,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import engine, regions
@@ -533,9 +533,16 @@ def verify_all(n_samples: int = DEFAULT_SAMPLES, seed: int = 0) -> List[Verifica
 # differential test: rule engine vs brute-force heart oracle
 
 
-def _heart_test_objects(max_entry: int = 4):
+@lru_cache(maxsize=None)
+def _heart_test_objects(max_entry: int):
     """Exceptional representations of the standard heart with every dimension
-    entry at most max_entry, as (catalog object, FiniteRep, subrep classes)."""
+    entry at most max_entry, as (catalog object, FiniteRep, subrep classes).
+
+    The subrep classes are the dimension vectors of ``ff.all_subreps``, in
+    its key order, which is all King's criterion reads.  The table depends
+    on max_entry alone, so it is built on the first call and shared by
+    every later one; it is made of tuples and holds no witnesses, so no
+    caller can change it."""
     from . import ff
     from .catalog import build_matrices, object_from_kclass
     from .quiver import Vec3
@@ -554,15 +561,17 @@ def _heart_test_objects(max_entry: int = 4):
             continue
         obj = object_from_kclass(d)
         rep = build_matrices(obj)
-        out.append((obj, rep, ff.all_subreps(rep)))
-    return out
+        out.append((obj, rep, tuple(ff.all_subreps(rep))))
+    return tuple(out)
 
 
 def oracle_agreement(n_samples: int = 1000, seed: int = 0,
                      max_entry: int = 4) -> VerificationReport:
     """Compare the rule engine against exhaustive subrepresentation search on
     the standard-heart anchor: every decided engine verdict must match the
-    oracle's.  Engine unknowns are counted, never compared."""
+    oracle's.  Engine unknowns are counted, never compared.  The oracle's
+    table of test objects and their subrep classes is built by the first
+    call in a process and read by every later one."""
     from . import ff
 
     objs = _heart_test_objects(max_entry)
