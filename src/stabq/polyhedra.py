@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from itertools import product
+from math import ceil, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact import (
@@ -78,7 +79,9 @@ def _gap_margin(y: Sequence[Fraction]) -> int:
 def union_square_member(y: RatVec, n: int, krange: Optional[int] = None) -> bool:
     """Membership in the union of S^n(-1,1) + v over nondecreasing integer
     shift vectors v (v_0 = 0).  The union is infinite; shifts are enumerated
-    up to a margin that is sound for the given point."""
+    up to a margin that is sound for the given point.  The search runs on
+    integers: y scaled by its common denominator D, shifts by D, and the
+    unit bounds to +-D."""
     if n not in (1, 2, 3):
         raise ValueError("n must be 1, 2 or 3")
     y = [Fraction(v) for v in y]
@@ -91,21 +94,14 @@ def union_square_member(y: RatVec, n: int, krange: Optional[int] = None) -> bool
         raise ValueError(
             "shift range %d too small for this point (need %d)" % (krange, need)
         )
-    unit = IntervalFamily.uniform(n, -1, 1)
-
-    def shifts(depth):
-        if depth == 0:
-            yield ()
-            return
-        for head in shifts(depth - 1):
-            for k in range(krange + 1):
-                yield head + (k,)
-
-    for inc in shifts(n):
-        v = [0]
-        for k in inc:
-            v.append(v[-1] + k)
-        if s_n_member([yi - vi for yi, vi in zip(y, v)], unit):
+    den = lcm(*(v.denominator for v in y))
+    ys = [v.numerator * (den // v.denominator) for v in y]
+    for inc in product(range(krange + 1), repeat=n):
+        z, v = [ys[0]], 0
+        for yi, k in zip(ys[1:], inc):
+            v += k
+            z.append(yi - den * v)
+        if all(-den < a - b < den for i, a in enumerate(z) for b in z[i + 1:]):
             return True
     return False
 

@@ -11,10 +11,18 @@ inequalities, some refined by the sign of one window argument), read by
 one evaluator.  A chain system written for the letter a serves the letter b
 through the swap a <-> b, M <-> M'.  The cells' inequality patterns are a
 table keyed by family in the same notation.
+
+A composite is a union of cells.  ``classify`` decides each cell at most
+once per call: its direct cell scan and all its composites, widened tail
+rescans included, share one cell table keyed on (family, index, window),
+local to the call and freed with it.  The hom degrees that bound the far
+tails are a pure function of labels, memoised process-wide
+(``_tail_degrees``), and hold nothing of any point.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from . import engine
@@ -23,6 +31,7 @@ from .exact import ExactError, Phase, window_arg
 from .triples import (
     A_SIDE,
     B_SIDE,
+    FAMILY_IDS,
     FAMILY_SHAPES,
     ExcTriple,
     alpha_beta_gamma,
@@ -150,6 +159,7 @@ def in_named_cell(point, fid: str, m: int, window: int = WINDOW) -> bool:
 # composite regions
 
 _UNRESOLVED = object()
+_MISSING = object()
 
 TAIL_EXT = 24  # extra cell indices scanned when a tail cannot be excluded
 
@@ -179,37 +189,44 @@ def _reference_objects(point, window: int):
     return refs
 
 
+@lru_cache(maxsize=4096)
+def _tail_degrees(kind: str, j_edge: int, direction: int, ref: ExcObject):
+    """The hom degrees (to ref, from ref) shared by every chain object of
+    the letter from j_edge on in the given direction, or None where the
+    probes do not all agree on one nonzero hom.  The degrees are eventually
+    constant in the chain index, so probes at the edge, near it and far out
+    stand for the whole tail.  A pure function of labels, memoised
+    process-wide; it holds nothing of any point."""
+    probes = [ExcObject(kind, j_edge + direction * k, 0) for k in (0, 1, 2, 7, 999)]
+
+    def stable(homs):
+        degs = {h[0] if h is not None else None for h in homs}
+        return degs.pop() if len(degs) == 1 else None
+
+    return (
+        stable(hom_dims(x, ref) for x in probes),
+        stable(hom_dims(ref, x) for x in probes),
+    )
+
+
 def _far_bracket(point, kind: str, j_edge: int, direction: int, window: int):
     """A closed bracket [lo, up] every unscanned chain object's phase must
     satisfy were it semistable, from the hom degrees against the decided
     reference objects (a nonzero hom in degree d from U to V forces
-    phi(U) <= phi(V) + d).  The degrees are eventually constant in the
-    chain index; only references whose degree has stabilized over the whole
-    tail are used.  Ends may be None (unbounded); returns _DEAD when the
-    bracket is empty."""
-    probes = [j_edge + direction * k for k in (0, 1, 2, 7, 999)]
+    phi(U) <= phi(V) + d).  Only references whose degree has stabilized
+    over the whole tail are used (``_tail_degrees``).  Ends may be None
+    (unbounded); returns _DEAD when the bracket is empty."""
     lo = up = None
     for ref, ph in _reference_objects(point, window):
-        fwd = {
-            (h[0] if h is not None else None)
-            for h in (hom_dims(ExcObject(kind, j, 0), ref) for j in probes)
-        }
-        if len(fwd) == 1:
-            d = fwd.pop()
-            if d is not None:
-                bound = ph.plus(d)
-                if up is None or bound.cmp(up) < 0:
-                    up = bound
-        bwd = {
-            (h[0] if h is not None else None)
-            for h in (hom_dims(ref, ExcObject(kind, j, 0)) for j in probes)
-        }
-        if len(bwd) == 1:
-            d = bwd.pop()
-            if d is not None:
-                bound = ph.plus(-d)
-                if lo is None or bound.cmp(lo) > 0:
-                    lo = bound
+        fwd, bwd = _tail_degrees(kind, j_edge, direction, ref)
+        if fwd is not None:
+            bound = ph.plus(fwd)
+            if up is None or bound.cmp(up) < 0:
+                up = bound
+        if bwd is not None:
+            bound = ph.plus(-bwd)
+            if lo is None or bound.cmp(lo) > 0:
+                lo = bound
     if lo is not None and up is not None and lo.cmp(up) > 0:
         return _DEAD
     return lo, up
@@ -341,39 +358,55 @@ def _tails_excluded(point, fids, window: int) -> bool:
     return True
 
 
-def scan_cells(point, fids, window: int = WINDOW) -> Tuple[bool, bool]:
-    """Scan the finite block of cell indices around the anchor.  Returns
-    (hit, undecided); a hit is sound for the full infinite union, while
-    hit == False says nothing about the cells beyond the block."""
+def _cell(point, fid: str, m: int, window: int, cells: dict):
+    """in_named_cell as True, False or None (undecidable), entered in the
+    cell table ``cells`` under (fid, m, window) on first use."""
+    key = (fid, m, window)
+    v = cells.get(key, _MISSING)
+    if v is _MISSING:
+        try:
+            v = in_named_cell(point, fid, m, window)
+        except Undecidable:
+            v = None
+        cells[key] = v
+    return v
+
+
+def _block(point, window: int) -> range:
+    """The cell indices scanned around the anchor."""
+    return range(point.m - window, point.m + window + 1)
+
+
+def _scan(point, fids, ms, window: int, cells: dict) -> Tuple[bool, bool]:
+    """(hit, undecided) over the cells of the families at the indices ms,
+    stopping at the first hit."""
     undecided = False
     for fid in fids:
-        for m in range(point.m - window, point.m + window + 1):
-            try:
-                if in_named_cell(point, fid, m, window):
-                    return True, undecided
-            except Undecidable:
-                undecided = True
+        for m in ms:
+            v = _cell(point, fid, m, window, cells)
+            if v:
+                return True, undecided
+            undecided = undecided or v is None
     return False, undecided
 
 
-def in_cells_union(point, fids, window: int = WINDOW) -> bool:
-    hit, undecided = scan_cells(point, fids, window)
+def _cells_union(point, fids, window: int, cells: dict) -> bool:
+    """in_cells_union, reading and filling the cell table ``cells``."""
+    hit, undecided = _scan(point, fids, _block(point, window), window, cells)
     if hit:
         return True
     if not _tails_excluded(point, fids, window):
         # a far cell might contain the point: rescan a widened block, then
         # require the remaining tails to be excluded
         wide = window + TAIL_EXT
-        for fid in fids:
-            for m in (
-                *range(point.m - wide, point.m - window),
-                *range(point.m + window + 1, point.m + wide + 1),
-            ):
-                try:
-                    if in_named_cell(point, fid, m, wide):
-                        return True
-                except Undecidable:
-                    undecided = True
+        outer = (
+            *range(point.m - wide, point.m - window),
+            *range(point.m + window + 1, point.m + wide + 1),
+        )
+        hit, far_undecided = _scan(point, fids, outer, wide, cells)
+        if hit:
+            return True
+        undecided = undecided or far_undecided
         if not _tails_excluded(point, fids, wide):
             raise Undecidable("union not certified false (far cells)")
     if undecided:
@@ -381,12 +414,15 @@ def in_cells_union(point, fids, window: int = WINDOW) -> bool:
     return False
 
 
-def in_Ta(point, window: int = WINDOW) -> bool:
-    return in_cells_union(point, A_SIDE, window)
+def scan_cells(point, fids, window: int = WINDOW) -> Tuple[bool, bool]:
+    """Scan the finite block of cell indices around the anchor.  Returns
+    (hit, undecided); a hit is sound for the full infinite union, while
+    hit == False says nothing about the cells beyond the block."""
+    return _scan(point, fids, _block(point, window), window, {})
 
 
-def in_Tb(point, window: int = WINDOW) -> bool:
-    return in_cells_union(point, B_SIDE, window)
+def in_cells_union(point, fids, window: int = WINDOW) -> bool:
+    return _cells_union(point, fids, window, {})
 
 
 COMPOSITES = {
@@ -410,18 +446,18 @@ def in_composite(point, name: str, window: int = WINDOW) -> bool:
 
 def classify(point, window: int = WINDOW) -> List[Tuple]:
     """Every region decidedly containing the point; undecidable regions are
-    skipped (classification never errors)."""
-    out: List[Tuple] = []
-    for fid in ("F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8"):
-        for m in range(point.m - window, point.m + window + 1):
-            try:
-                if in_named_cell(point, fid, m):
-                    out.append(("cell", fid, m))
-            except Undecidable:
-                pass
-    for name in COMPOSITES:
+    skipped (classification never errors).  The cells and the composites
+    share one cell table, so each cell is decided once per call."""
+    cells: dict = {}
+    out: List[Tuple] = [
+        ("cell", fid, m)
+        for fid in FAMILY_IDS
+        for m in _block(point, window)
+        if _cell(point, fid, m, window, cells)
+    ]
+    for name, fids in COMPOSITES.items():
         try:
-            if in_composite(point, name, window):
+            if _cells_union(point, fids, window, cells):
                 out.append(("region", name))
         except Undecidable:
             pass

@@ -2,11 +2,13 @@
 and the registered inequality systems."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from stabq import engine, harness, regions
+from stabq.catalog import ExcObject, hom_dims
 from stabq.exact import ExactError, Gaussian
 from stabq.triples import (
     FAMILY_IDS,
@@ -39,7 +41,7 @@ def test_classify_consistent_with_membership():
         got = regions.classify(pt, window=4)
         for tag in got:
             if tag[0] == "cell":
-                assert regions.in_named_cell(pt, tag[1], tag[2])
+                assert regions.in_named_cell(pt, tag[1], tag[2], 4)
             else:
                 assert regions.in_composite(pt, tag[1], window=4)
 
@@ -66,8 +68,8 @@ def test_Ta_Tb_disjoint():
             (rng.choice(list(FAMILY_IDS)), rng.randint(-1, 1)), rng=rng, bound=16
         )
         try:
-            ta = regions.in_Ta(pt, window=4)
-            tb = regions.in_Tb(pt, window=4)
+            ta = regions.in_composite(pt, "Ta", window=4)
+            tb = regions.in_composite(pt, "Tb", window=4)
         except regions.Undecidable:
             continue
         assert not (ta and tb)
@@ -145,12 +147,10 @@ def test_undecidable_is_soft_error():
         regions.classify(pt, window=4)
 
 
-def test_union_membership_beyond_the_scan_block():
-    # a point whose only (b^j, b^{j+1}, M') cells sit around j = -20: the
-    # finite block scan misses them, the tail certificate triggers the
-    # widened rescan, and the union still decides True
+def _widened_tail_point():
+    # the only (b^j, b^{j+1}, M') cells of this point sit around j = -20
     F = Fraction
-    pt = engine.StabilityPoint(
+    return engine.StabilityPoint(
         "F8",
         2,
         (0, 0, -1),
@@ -160,11 +160,123 @@ def test_union_membership_beyond_the_scan_block():
             Gaussian.of(F(-12, 25), F(28, 25)),
         ),
     )
+
+
+def test_union_membership_beyond_the_scan_block():
+    # the finite block scan misses the point's RightMp cells, the tail
+    # certificate triggers the widened rescan, and the union still decides
+    # True
+    pt = _widened_tail_point()
     hit, _ = regions.scan_cells(pt, regions.COMPOSITES["RightMp"])
     assert not hit
     assert regions.in_composite(pt, "RightMp") is True
     # while the a-side tails are certified empty
     assert regions.in_composite(pt, "Ta") is False
+
+
+def _fresh(pt):
+    """An equal point with no analysis yet."""
+    return engine.StabilityPoint.from_json(pt.to_json())
+
+
+def _one_at_a_time(pt, window):
+    """classify's output rebuilt from the public predicates, each called on
+    its own."""
+    out = []
+    for fid in FAMILY_IDS:
+        for m in range(pt.m - window, pt.m + window + 1):
+            try:
+                if regions.in_named_cell(pt, fid, m, window):
+                    out.append(("cell", fid, m))
+            except regions.Undecidable:
+                pass
+    for name in regions.COMPOSITES:
+        try:
+            if regions.in_composite(pt, name, window):
+                out.append(("region", name))
+        except regions.Undecidable:
+            pass
+    return out
+
+
+def test_classify_matches_public_predicates():
+    """classify's shared cell table changes no verdict: its output is what
+    a fresh equal point answers to the cell and composite predicates called
+    one at a time, and the memoised tail hom degrees are the probe
+    computation they replace."""
+    rng = random.Random(41)
+    pts = [
+        harness.sample_sigma(
+            (rng.choice(list(FAMILY_IDS)), rng.randint(-2, 2)), rng=rng, bound=32
+        )
+        for _ in range(40)
+    ] + [_widened_tail_point()]
+    refs = set()
+    for pt in pts:
+        for window in (4, 8):
+            assert regions.classify(pt, window) == _one_at_a_time(
+                _fresh(pt), window
+            ), (window, pt.to_json())
+            refs.update(ref for ref, _ in regions._reference_objects(pt, window))
+    assert ("region", "RightMp") in regions.classify(_widened_tail_point())
+
+    def stable(homs):
+        degs = {h[0] if h is not None else None for h in homs}
+        return degs.pop() if len(degs) == 1 else None
+
+    for ref in refs:
+        for kind in "ab":
+            for j_edge in range(-12, 13):
+                for direction in (1, -1):
+                    probes = [
+                        ExcObject(kind, j_edge + direction * k, 0)
+                        for k in (0, 1, 2, 7, 999)
+                    ]
+                    want = (
+                        stable(hom_dims(x, ref) for x in probes),
+                        stable(hom_dims(ref, x) for x in probes),
+                    )
+                    got = regions._tail_degrees(kind, j_edge, direction, ref)
+                    assert got == want, (kind, j_edge, direction, ref)
+
+
+def test_classify_decides_each_cell_once(monkeypatch):
+    calls = Counter()
+    phases = regions._phases
+
+    def counted(point, objs, window=regions.WINDOW):
+        calls[tuple(objs), window] += 1
+        return phases(point, objs, window)
+
+    monkeypatch.setattr(regions, "_phases", counted)
+    for pt in (_std(), _widened_tail_point()):
+        calls.clear()
+        regions.classify(pt)
+        assert calls and max(calls.values()) == 1, calls.most_common(3)
+    # the widened rescan ran, and its cells too were decided once
+    assert any(w == regions.WINDOW + regions.TAIL_EXT for _, w in calls)
+
+
+def test_undecided_cell_keeps_the_union_undecided(monkeypatch):
+    """With no hit and certified tails, one undecidable cell leaves every
+    union containing its family Undecidable, never False."""
+    pt = _std()
+
+    def cell(point, fid, m, window=regions.WINDOW):
+        if (fid, m) == ("F1", pt.m):
+            raise regions.Undecidable("stub")
+        return False
+
+    monkeypatch.setattr(regions, "in_named_cell", cell)
+    monkeypatch.setattr(regions, "_tails_excluded", lambda *a: True)
+    assert regions.scan_cells(pt, ("F1",)) == (False, True)
+    for name, fids in regions.COMPOSITES.items():
+        if "F1" in fids:
+            with pytest.raises(regions.Undecidable):
+                regions.in_composite(pt, name)
+        else:
+            assert regions.in_composite(pt, name) is False
+    assert regions.classify(pt) == []
 
 
 def test_union_false_certified_when_far_objects_dead():
