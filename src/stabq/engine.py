@@ -28,6 +28,12 @@ use.  Per point the fixpoint computes only charges, window arguments and
 phase comparisons, and spells out objects, rules and witnesses in the
 point's own labels at the end.
 
+An object the rules leave undecided still has a conditional phase, the
+one it would have were it semistable: the only phase of its charge
+direction inside its hom bracket against the decided-semistable objects
+(``hom_bracket``).  The anchor alone bounds that bracket to less than one
+unit, so the phase is unique or absent and never left unresolved.
+
 Each point owns its analyses, one per window (``StabilityPoint.analysis``):
 the rule fixpoint's verdicts, the memoised conditional phases, and the tail
 enclosures ``regions`` derives from them.  An analysis is built on the first
@@ -48,16 +54,14 @@ from .exact import (
     ExactError,
     Gaussian,
     Phase,
-    Side,
     int_phase,
     phase_add,
     phase_diff,
     phase_in_closed_window,
     primitive_multiple,
-    side_of,
     window_arg,
 )
-from .quiver import DELTA, Vec3
+from .quiver import Vec3
 from .triples import (
     ExcTriple,
     FAMILY_IDS,
@@ -119,6 +123,14 @@ class StabilityPoint:
             if z.is_zero() or not z.in_upper_branch():
                 raise ValueError("charges must be nonzero upper-branch values")
         object.__setattr__(self, "int_charges", primitive_multiple(self.charges))
+        # a sigma-exceptional anchor: its phases lie in one unit interval,
+        # which bounds every conditional phase (see conditional_phase)
+        phases = self.anchor_phases()
+        if max(phases) >= min(phases).plus(1):
+            raise ValueError(
+                "anchor phases %r spread by 1 or more (extra_offsets %r)"
+                % (phases, self.extra_offsets)
+            )
         object.__setattr__(
             self, "anchor_solver",
             _basis_solver(*base.shifted(self.shift).kclasses()),
@@ -601,15 +613,14 @@ class Analysis:
     """What the engine derives for one point at one window.
 
     ``verdicts`` is the rule fixpoint, by base object.  ``phases`` memoises
-    ``conditional_phase`` by base object: a phase, None, or, for an offset
-    left unresolved, the number of candidates (an int), so that no
-    exception object and its traceback are kept.  ``tails`` holds the tail
-    enclosures of ``regions``, by side (True for the high tail).  An
-    analysis keeps no reference to its point."""
+    ``conditional_phase`` by base object: a phase, or None for an object
+    that cannot be semistable.  ``tails`` holds the tail enclosures of
+    ``regions``, by side (True for the high tail).  An analysis keeps no
+    reference to its point."""
 
     def __init__(self, point: StabilityPoint, window: int):
         self.verdicts: Dict[ExcObject, Verdict] = _decide(point, window)
-        self.phases: Dict[ExcObject, object] = {}
+        self.phases: Dict[ExcObject, Optional[Phase]] = {}
         self.tails: Dict[bool, dict] = {}
 
 
@@ -630,80 +641,67 @@ def phase_of(point: StabilityPoint, x: ExcObject, window: int = DEFAULT_WINDOW) 
     return v.phase
 
 
-def _offset_candidates(point: StabilityPoint, xb: ExcObject,
-                       verdicts: Dict[ExcObject, Verdict]) -> List[Phase]:
-    """Phases the base object could have if semistable: the hom constraints
-    against every decided-semistable object with a pinned phase (a nonzero
-    hom in degree d from U to V forces phi(U) <= phi(V) + d) usually leave a
-    single integer offset for the argument of its charge."""
-    z = charge_of(point, xb)
-    if z.is_zero():
-        raise ExactError("zero charge on %s" % (xb,))
-    if z.in_upper_branch():
-        zb, parity = z, 0
-    else:
-        zb, parity = -z, 1
-    g = point.global_shift
-    known = [
-        (o, v.phase)
-        for o, v in verdicts.items()
-        if v.status == "semistable" and o != xb
-    ]
-    hits = []
-    for o in range(g - 3, g + 5):
-        if (o - parity) % 2:
-            continue
-        cand = Phase(o, zb)
-        ok = True
-        for (ob, pb) in known:
-            h = hom_dims(xb, ob)
-            if h is not None and cand.cmp(pb.plus(h[0])) > 0:
-                ok = False
-                break
-            h = hom_dims(ob, xb)
-            if h is not None and pb.cmp(cand.plus(h[0])) > 0:
-                ok = False
-                break
-        if ok:
-            hits.append(cand)
-    return hits
+def hom_bracket(bounds) -> Optional[Tuple[Optional[Phase], Optional[Phase]]]:
+    """The closed bracket [lo, up] the phase of an object x must lie in were
+    x semistable, folded from triples (phase of a semistable V, degree of
+    the hom from x to V, degree of the hom from V to x), a degree None where
+    the hom vanishes: a nonzero hom in degree d from U to V forces
+    phi(U) <= phi(V) + d.  An end is None while nothing bounds it.  Returns
+    None, without reading further triples, once the bracket is empty."""
+    lo = up = None
+    for ph, fwd, bwd in bounds:
+        if fwd is not None:
+            b = ph.plus(fwd)
+            if up is None or b.cmp(up) < 0:
+                up = b
+        if bwd is not None:
+            b = ph.plus(-bwd)
+            if lo is None or b.cmp(lo) > 0:
+                lo = b
+        if lo is not None and up is not None and lo.cmp(up) > 0:
+            return None
+    return lo, up
 
 
-_MISSING = object()
+def _degree(h) -> Optional[int]:
+    return None if h is None else h[0]
 
 
 def conditional_phase(point: StabilityPoint, xb: ExcObject,
                       window: int = DEFAULT_WINDOW) -> Optional[Phase]:
     """The phase the base object has -- or would have, were it semistable.
 
-    Returns the decided phase for a semistable object, None when the object
-    cannot be semistable (decided unstable, or no offset is consistent with
-    the hom constraints), and raises ExactError, on every call, when several
-    offsets remain.  Memoised in the point's analysis at ``window``."""
+    Returns the decided phase for a semistable object, and None when the
+    object cannot be semistable: decided unstable, zero charge (Z(E) != 0
+    for a semistable E), or no phase of its charge direction in the hom
+    bracket against the decided-semistable objects (``hom_bracket``).
+
+    It never raises.  The anchor is a full Ext-exceptional collection, so
+    its extension closure is a finite-length heart with simples A0, A1, A2
+    (Macri, arXiv:0705.3794, Lemma 3.14).  Let x have its cohomology in
+    that heart in degrees p..q.  A simple quotient A_i of the top one and
+    a simple subobject A_j of the bottom one give nonzero homs from x to
+    A_i in degree -q and from A_j to x in degree p, so the bracket lies in
+    [phi(A_j) - p, phi(A_i) - q].  The anchor phases spread by less than 1
+    (``StabilityPoint``), so the bracket is bounded and shorter than
+    1 - (q - p) <= 1, and of the phases of one charge direction, 2 apart,
+    at most one fits.  Memoised in the point's analysis at ``window``."""
     an = point.analysis(window)
-    ph = an.phases.get(xb, _MISSING)
-    if ph is _MISSING:
-        ph = an.phases[xb] = _conditional_phase(point, xb, an.verdicts)
-    if isinstance(ph, int):
-        raise ExactError("offset unresolved for %s (%d candidates)" % (xb, ph))
+    if xb in an.phases:
+        return an.phases[xb]
+    v = an.verdicts.get(xb, UNKNOWN)
+    ph = v.phase
+    if v.status == "unknown":
+        z = charge_of(point, xb)
+        bracket = None if z.is_zero() else hom_bracket(
+            (w.phase, _degree(hom_dims(xb, o)), _degree(hom_dims(o, xb)))
+            for o, w in an.verdicts.items()
+            if w.status == "semistable"
+        )
+        if bracket is not None:
+            ph = phase_in_closed_window(z, *bracket)
+    an.phases[xb] = ph
     return ph
-
-
-def _conditional_phase(point: StabilityPoint, xb: ExcObject,
-                       verdicts: Dict[ExcObject, Verdict]):
-    """conditional_phase's outcome, with the candidate count standing for
-    an unresolved offset."""
-    v = verdicts.get(xb, UNKNOWN)
-    if v.status == "unstable":
-        return None
-    if v.status == "semistable":
-        return v.phase
-    hits = _offset_candidates(point, xb, verdicts)
-    if not hits:
-        return None
-    if len(hits) > 1:
-        return len(hits)
-    return hits[0]
 
 
 # ---------------------------------------------------------------------------
@@ -757,36 +755,3 @@ def rotate_quarter(point: StabilityPoint, k: int) -> StabilityPoint:
         point.global_shift,
         tuple(extras),
     )
-
-
-# ---------------------------------------------------------------------------
-# collinearity scan
-
-
-def collinearity_scan(point: StabilityPoint, kind: str, half: int = 5) -> dict:
-    """Check the charge chain Z(x^{-N}) .. Z(x^N) together with Z(delta) for
-    collinear pairs, and when there are none verify the monotone window-
-    argument chain on the plus side of Z(delta)."""
-    if kind not in ("a", "b"):
-        raise ValueError("kind must be 'a' or 'b'")
-    zd = charge_of(point, DELTA)
-    if zd.is_zero():
-        return {"degenerate": True, "collinear_pairs": "all (Z(delta) = 0)"}
-    js = list(range(point.m - half, point.m + half + 1))
-    zs = {j: charge_of(point, ExcObject(kind, j, 0)) for j in js}
-    coll = []
-    items = [("delta", zd)] + [(j, zs[j]) for j in js]
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            if items[i][1].cross(items[j][1]) == 0:
-                coll.append((items[i][0], items[j][0]))
-    report = {"degenerate": False, "collinear_pairs": coll}
-    if coll:
-        return report
-    plus = all(side_of(zs[j], zd) is Side.PLUS for j in js)
-    report["all_plus_side"] = plus
-    if plus:
-        t = Phase(0, zd) if zd.in_upper_branch() else Phase(1, -zd)
-        args = [window_arg(zs[j], t) for j in js]
-        report["monotone"] = all(a.cmp(b) < 0 for a, b in zip(args, args[1:]))
-    return report

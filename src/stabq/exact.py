@@ -83,17 +83,6 @@ class Gaussian:
     def conj(self) -> "Gaussian":
         return Gaussian(self.re, -self.im)
 
-    def mul_i_pow(self, k: int) -> "Gaussian":
-        """Multiply by i^k (quarter turns)."""
-        k %= 4
-        if k == 0:
-            return self
-        if k == 1:
-            return Gaussian(-self.im, self.re)
-        if k == 2:
-            return -self
-        return Gaussian(self.im, -self.re)
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
@@ -135,11 +124,6 @@ def primitive_multiple(zs) -> Tuple[Gaussian, ...]:
     return tuple(
         Gaussian(ints[i] // g, ints[i + 1] // g) for i in range(0, len(ints), 2)
     )
-
-
-ZERO = Gaussian.of(0, 0)
-ONE = Gaussian.of(1, 0)
-I = Gaussian.of(0, 1)
 
 
 class ExactError(ValueError):
@@ -199,17 +183,6 @@ class Phase:
             raise ExactError("zero charge")
         if not self.charge.in_upper_branch():
             raise ExactError("phase charge must lie in the upper branch")
-
-    @staticmethod
-    def make(offset: int, charge: Gaussian) -> "Phase":
-        """Build the phase ``offset + arg(charge)/pi`` for an arbitrary
-        nonzero charge, flipping into the upper branch if needed."""
-        if charge.is_zero():
-            raise ExactError("zero charge")
-        if charge.in_upper_branch():
-            return Phase(offset, charge)
-        # arg(charge) in (-pi, 0]; value = offset + arg/pi = (offset-1) + arg(-charge)/pi
-        return Phase(offset - 1, -charge)
 
     def cmp(self, other: "Phase") -> int:
         if self.offset != other.offset:

@@ -254,52 +254,6 @@ def restrict(rep: FiniteRep, witness) -> FiniteRep:
     )
 
 
-def quotient(rep: FiniteRep, witness) -> FiniteRep:
-    """The quotient representation by a witness subrepresentation."""
-    F = rep.F
-    bL, bR, bT = witness
-    dL, dR, dT = rep.dims
-
-    def setup(basis, dim):
-        """rref rows + the non-pivot coordinates giving quotient coords."""
-        rows = rref(F, [list(v) for v in basis]) if basis else []
-        rows = [r for r in rows if any(r)]
-        pivots = []
-        for r in rows:
-            pivots.append(next(j for j, x in enumerate(r) if x != 0))
-        free = [j for j in range(dim) if j not in pivots]
-        return rows, pivots, free
-
-    def project(v, rows, pivots, free):
-        v = list(v)
-        for r, p in zip(rows, pivots):
-            if v[p] != 0:
-                f = v[p]
-                v = [F.add(x, F.neg(F.mul(f, y))) for x, y in zip(v, r)]
-        return [v[j] for j in free]
-
-    sL, sR, sT = setup(bL, dL), setup(bR, dR), setup(bT, dT)
-
-    def arrow(mat, src_setup, src_dim, dst_setup):
-        _, _, src_free = src_setup
-        out = zeros(len(dst_setup[2]), len(src_free))
-        for j, col in enumerate(src_free):
-            e = [0] * src_dim
-            e[col] = 1
-            w = mat_vec(F, mat, e)
-            for i, c in enumerate(project(w, *dst_setup)):
-                out[i][j] = c
-        return out
-
-    return FiniteRep(
-        F,
-        Vec3(len(sL[2]), len(sR[2]), len(sT[2])),
-        arrow(rep.lr, sL, dL, sR),
-        arrow(rep.lt, sL, dL, sT),
-        arrow(rep.rt, sR, dR, sT),
-    )
-
-
 # ---------------------------------------------------------------------------
 # semistability inside the standard heart
 

@@ -236,10 +236,6 @@ def _grid(n: int) -> List[Fraction]:
     return [Fraction(j, n) for j in range(n + 1)]
 
 
-class _TrackFailure(Exception):
-    pass
-
-
 def _extremes(samples: Sequence[AngularPoint], set_id: str):
     """Target radii scales and common angular gaps for the first stage."""
     g1 = [phase_diff(s[1], s[0]) for s in samples]

@@ -66,10 +66,7 @@ def _phases(
             return None, True
         if v.status != "semistable":
             certified = False
-        try:
-            ph = engine.conditional_phase(point, o.base(), window)
-        except (engine.UndecidedError, ExactError) as e:
-            raise Undecidable(str(e))
+        ph = engine.conditional_phase(point, o.base(), window)
         if ph is None:
             return None, True
         out.append(ph.plus(o.shift))
@@ -158,19 +155,9 @@ def in_named_cell(point, fid: str, m: int, window: int = WINDOW) -> bool:
 # ---------------------------------------------------------------------------
 # composite regions
 
-_UNRESOLVED = object()
 _MISSING = object()
 
 TAIL_EXT = 24  # extra cell indices scanned when a tail cannot be excluded
-
-
-def _cond3(point, obj: ExcObject, window: int):
-    """Conditional phase, None (cannot be semistable), or _UNRESOLVED."""
-    try:
-        return engine.conditional_phase(point, obj, window)
-    except (engine.UndecidedError, ExactError):
-        return _UNRESOLVED
-
 
 _DEAD = "dead"  # no far chain object of the letter can be semistable
 
@@ -181,11 +168,9 @@ def _reference_objects(point, window: int):
     refs = list(zip(point.anchor().objs, point.anchor_phases()))
     for name in ("M", "Mp"):
         x = ExcObject(name, 0, 0)
-        if engine.semistable(point, x, window).status == "semistable":
-            try:
-                refs.append((x, engine.phase_of(point, x, window)))
-            except (engine.UndecidedError, ExactError):
-                pass
+        v = engine.semistable(point, x, window)
+        if v.status == "semistable":
+            refs.append((x, v.phase))
     return refs
 
 
@@ -210,26 +195,15 @@ def _tail_degrees(kind: str, j_edge: int, direction: int, ref: ExcObject):
 
 
 def _far_bracket(point, kind: str, j_edge: int, direction: int, window: int):
-    """A closed bracket [lo, up] every unscanned chain object's phase must
-    satisfy were it semistable, from the hom degrees against the decided
-    reference objects (a nonzero hom in degree d from U to V forces
-    phi(U) <= phi(V) + d).  Only references whose degree has stabilized
-    over the whole tail are used (``_tail_degrees``).  Ends may be None
-    (unbounded); returns _DEAD when the bracket is empty."""
-    lo = up = None
-    for ref, ph in _reference_objects(point, window):
-        fwd, bwd = _tail_degrees(kind, j_edge, direction, ref)
-        if fwd is not None:
-            bound = ph.plus(fwd)
-            if up is None or bound.cmp(up) < 0:
-                up = bound
-        if bwd is not None:
-            bound = ph.plus(-bwd)
-            if lo is None or bound.cmp(lo) > 0:
-                lo = bound
-    if lo is not None and up is not None and lo.cmp(up) > 0:
-        return _DEAD
-    return lo, up
+    """``engine.hom_bracket`` of every unscanned chain object of the letter
+    against the decided reference objects, over the references whose hom
+    degrees have stabilized over the whole tail (``_tail_degrees``): the
+    closed bracket [lo, up] its phase must satisfy were it semistable, ends
+    None when unbounded, or None when the bracket is empty."""
+    return engine.hom_bracket(
+        (ph, *_tail_degrees(kind, j_edge, direction, ref))
+        for ref, ph in _reference_objects(point, window)
+    )
 
 
 def _tail_enclosure(point, window: int, hi: bool) -> Dict[str, Optional[tuple]]:
@@ -252,7 +226,7 @@ def _tail_enclosure(point, window: int, hi: bool) -> Dict[str, Optional[tuple]]:
     out: Dict[str, Optional[tuple]] = {}
     for kind in ("a", "b"):
         bracket = _far_bracket(point, kind, j_edge, direction, window)
-        if bracket == _DEAD:
+        if bracket is None:
             out[kind] = _DEAD
             continue
         fallback = None
@@ -261,11 +235,11 @@ def _tail_enclosure(point, window: int, hi: bool) -> Dict[str, Optional[tuple]]:
         out[kind] = fallback
         if (hi and j_edge < 1) or (not hi and j_edge > 0):
             continue  # block edge outside the linear zone of the K-classes
-        ph_edge = _cond3(point, ExcObject(kind, j_edge, 0), window)
+        ph_edge = engine.conditional_phase(
+            point, ExcObject(kind, j_edge, 0), window
+        )
         if ph_edge is None:
             continue  # edge object dead; keep the bracket fallback
-        if not isinstance(ph_edge, Phase):
-            continue
         edge = engine.charge_of(point, ExcObject(kind, j_edge, 0))
         step = (
             engine.charge_of(point, ExcObject(kind, j_edge + direction, 0))
@@ -320,11 +294,9 @@ def _tail_family_excluded(point, fid: str, encl, window: int) -> bool:
             fixed_needed.append(ki)
     fixed_ph: Dict[str, Phase] = {}
     for kind in set(fixed_needed):
-        ph = _cond3(point, ExcObject(kind, 0, 0), window)
+        ph = engine.conditional_phase(point, ExcObject(kind, 0, 0), window)
         if ph is None:  # the rigid object cannot be semistable at all
             return True
-        if not isinstance(ph, Phase):
-            return False
         fixed_ph[kind] = ph
     for pos, (kind, rel) in enumerate(shape):
         if rel is None or encl[kind] is None:

@@ -34,9 +34,6 @@ class ExcTriple:
     def shifted(self, p: Tuple[int, int, int]) -> "ExcTriple":
         return ExcTriple(tuple(o.shifted(n) for o, n in zip(self.objs, p)))
 
-    def shift_all(self, n: int) -> "ExcTriple":
-        return self.shifted((n, n, n))
-
     def kclasses(self) -> Tuple[Vec3, Vec3, Vec3]:
         return tuple(kclass(o) for o in self.objs)
 
@@ -101,26 +98,6 @@ def family_triple(fid: str, m: int) -> ExcTriple:
         ExcObject(kind, 0 if rel is None else m + rel, 0)
         for kind, rel in FAMILY_SHAPES[fid]
     ))
-
-
-def match_family(t: ExcTriple):
-    """(fid, m, n) with t == family_triple(fid, m) shifted uniformly by n,
-    or None.  The uniform shift n is read off the first object."""
-    base = ExcTriple(tuple(o.base() for o in t.objs))
-    n = t[0].shift
-    if any(o.shift != n for o in t.objs):
-        return None
-    for fid in FAMILY_IDS:
-        for o in base.objs:
-            if o.kind in ("a", "b"):
-                m_candidates = (o.m, o.m - 1)
-                break
-        else:  # pragma: no cover - every family contains an a or b
-            return None
-        for m in m_candidates:
-            if family_triple(fid, m) == base:
-                return (fid, m, n)
-    return None
 
 
 # ---------------------------------------------------------------------------

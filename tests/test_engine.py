@@ -1,5 +1,5 @@
 """The rule-based semistability engine: anchors, derived verdicts, symmetry
-invariance, and the collinearity scan."""
+invariance, and conditional phases."""
 
 import gc
 import random
@@ -10,8 +10,8 @@ import pytest
 
 from stabq import engine, ff, harness, regions
 from stabq.catalog import ExcObject, build_matrices, dim_vector, hom_dims, parse_label
-from stabq.exact import ExactError, Gaussian, Phase, int_phase, phase_diff
-from stabq.triples import FAMILY_IDS, ExcTriple, family_triple
+from stabq.exact import Gaussian, Phase, int_phase, phase_diff
+from stabq.triples import FAMILY_IDS, ExcTriple, family_triple, shift_set_members
 
 
 def _g(re, im):
@@ -107,6 +107,32 @@ def test_rotate_full_turn_is_shift_by_two():
         p = engine.phase_of(pt, parse_label(label))
         q = engine.phase_of(pt4, parse_label(label))
         assert phase_diff(q, p).same_as(int_phase(2))
+    # a full turn stores extra offsets (2, 2, 2); the conditional phases of
+    # far chain objects, and the cells they decide, must not depend on it
+    pt = engine.StabilityPoint.from_json({
+        "anchor": {"family": "F1", "m": -2, "shift": [0, -2, -3]},
+        "charges": [{"re": "19/22", "im": "21/23"}, {"re": "0", "im": "11/10"},
+                    {"re": "17/32", "im": "14/17"}],
+    })
+    turned, shifted = engine.rotate_quarter(pt, 4), engine.shift(pt, 2)
+    assert turned.extra_offsets == (2, 2, 2)
+    for kind in ("a", "b"):
+        for j in range(-12, 12):
+            o = ExcObject(kind, j, 0)
+            assert engine.conditional_phase(turned, o) == (
+                engine.conditional_phase(shifted, o)
+            ), o
+
+    def cell(p, fid, m):
+        try:
+            return regions.in_named_cell(p, fid, m)
+        except regions.Undecidable:
+            return "undecidable"
+
+    for fid in FAMILY_IDS:
+        for m in range(-12, 11):
+            assert cell(turned, fid, m) == cell(shifted, fid, m), (fid, m)
+    assert regions.classify(turned) == regions.classify(shifted)
 
 
 # rotate_quarter(pt, k).to_json() for k = 0..4, as written before the engine
@@ -234,21 +260,11 @@ def test_conditional_phase_consistency():
         pt = harness.sample_sigma(("F8", 0), rng=rng, bound=16)
         for o in engine._universe(pt.m, 4):
             v = engine.semistable(pt, o)
-            try:
-                cp = engine.conditional_phase(pt, o.base())
-            except Exception:
-                continue
+            cp = engine.conditional_phase(pt, o.base())
             if v.status == "unstable":
                 assert cp is None
             elif v.status == "semistable" and v.phase is not None:
                 assert cp.same_as(v.phase)
-
-
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except ExactError as e:
-        return "ExactError: %s" % e
 
 
 def test_equal_points_compute_identical_results():
@@ -262,8 +278,8 @@ def test_equal_points_compute_identical_results():
         assert regions.classify(p2) == out
         for o in engine._universe(p1.m, engine.DEFAULT_WINDOW):
             assert engine.semistable(p1, o) == engine.semistable(p2, o)
-            assert _outcome(engine.conditional_phase, p1, o) == _outcome(
-                engine.conditional_phase, p2, o
+            assert engine.conditional_phase(p1, o) == (
+                engine.conditional_phase(p2, o)
             )
 
 
@@ -276,38 +292,38 @@ def test_point_frees_its_analysis():
     assert all(r() is None for r in refs)
 
 
-def test_unresolved_offset_raises_on_every_call(monkeypatch):
-    """The outcome is stored as a value, computed once, and raised afresh.
+def test_anchor_brackets_every_object():
+    """The hom bracket of conditional_phase is bounded and shorter than 1.
 
-    Sampled points never leave two offsets: their hom brackets against
-    the decided objects were narrower than 1 wherever measured, and the
-    candidates are 2 apart.  So the candidate search is stubbed, on an
-    object the rules leave unknown."""
-    rng = random.Random(23)
-    for _ in range(20):
-        pt = harness.sample_sigma(("F2", 0), rng=rng, bound=32)
-        unknown = [
-            o for o in engine._universe(pt.m, engine.DEFAULT_WINDOW)
-            if engine.semistable(pt, o).status == "unknown"
-        ]
-        if unknown:
-            break
-    else:
-        pytest.fail("no sampled point leaves an object unknown")
-    calls = []
+    Some anchor object A_i has a nonzero hom from x in degree d and some
+    A_j one to x in degree e with d + e <= 0 (the top and bottom cohomology
+    of x in the anchor's heart); with the anchor phases less than 1 apart
+    this leaves phi(A_j) - e <= phi(x) <= phi(A_i) + d, a window shorter
+    than 1."""
+    for fid in FAMILY_IDS:
+        for m in range(-3, 4):
+            t = family_triple(fid, m)
+            xs = [ExcObject(k, j, 0) for k in ("a", "b")
+                  for j in range(m - 30, m + 32)]
+            xs += [ExcObject("M", 0, 0), ExcObject("Mp", 0, 0)]
+            for s in shift_set_members(t, 4):
+                anchor = t.shifted(s).objs
+                for x in xs:
+                    d = [h[0] for h in (hom_dims(x, a) for a in anchor) if h]
+                    e = [h[0] for h in (hom_dims(a, x) for a in anchor) if h]
+                    assert d and e and min(d) + min(e) <= 0, (fid, m, s, x)
 
-    def two_offsets(point, xb, verdicts):
-        calls.append(xb)
-        return [int_phase(0), int_phase(2)]
 
-    monkeypatch.setattr(engine, "_offset_candidates", two_offsets)
-    errors = []
-    for _ in range(3):
-        with pytest.raises(ExactError, match="offset unresolved") as ei:
-            engine.conditional_phase(pt, unknown[0])
-        errors.append(ei.value)
-    assert calls == [unknown[0]]
-    assert len({id(e) for e in errors}) == 3
+def test_zero_charge_has_no_conditional_phase():
+    # [M] = [A0] + [A1] - [A2] in this anchor's K-classes, and
+    # z0 + z1 = z2, so M has zero charge and cannot be semistable
+    pt = engine.StabilityPoint(
+        "F1", 0, (0, -3, -5), (_g("3/4", "1/4"), _g("-3/4", "1/4"), _g(0, "1/2"))
+    )
+    M = parse_label("M")
+    assert engine.charge_of(pt, M).is_zero()
+    assert engine.semistable(pt, M).status == "unknown"
+    assert engine.conditional_phase(pt, M) is None
 
 
 def _moved(x, n):
@@ -467,10 +483,7 @@ def test_rare_rule_decides_first(rule, label, point):
     assert checked > 3
 
 
-def test_collinearity_scan_generic_and_degenerate():
-    pt = _std()
-    rep = engine.collinearity_scan(pt, "a", half=3)
-    assert not rep["degenerate"]
+def test_collinear_constraint_makes_charges_parallel():
     # constructed collinear point: phi(M) = phi(M') makes Z(M) || Z(M')
     cpt = harness.sample_sigma(("F8", 0), constraints="phi(M)=phi(M')", seed=3)
     zm = engine.charge_of(cpt, parse_label("M"))
@@ -503,6 +516,9 @@ def test_invalid_points_rejected():
         ("F8", 0, (0, 0, -1), (z,) * 3, 0, ()),
         ("F8", 0, (0, 0, -1), (z,) * 3, 0, (0, 0)),
         ("F8", 0, (0, 0, -1), (z,) * 3, 0, (0, 0, 0, 0)),
+        # anchor phases (1/2, 7/2, 1/2), 3 apart, and (1, 2, 1), 1 apart
+        ("F8", 0, (0, 0, -1), (z,) * 3, 0, (0, 3, 0)),
+        ("F8", 0, (0, 0, -1), (_g(-1, 0),) * 3, 0, (0, 1, 0)),
     ):
         with pytest.raises(ValueError):
             engine.StabilityPoint(*args)

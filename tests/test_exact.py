@@ -54,9 +54,10 @@ def test_cross_bilinear(z, w, u):
 
 @given(_charges())
 def test_quarter_turns(z):
-    assert z.mul_i_pow(4) == z
-    assert z.mul_i_pow(2) == -z
-    assert z.mul_i_pow(1).mul_i_pow(3) == z
+    i = Gaussian.of(0, 1)
+    assert z * i * i * i * i == z
+    assert z * i * i == -z
+    assert z * i == Gaussian(-z.im, z.re)
 
 
 @given(_charges(), _charges())
@@ -133,12 +134,6 @@ def test_phase_eq_is_representation_equality():
 def test_direction_parity(p):
     d = p.direction()
     assert d == (p.charge if p.offset % 2 == 0 else -p.charge)
-
-
-def test_make_flips_lower_half():
-    z = Gaussian.of(1, -1)  # arg = -pi/4
-    p = Phase.make(0, z)
-    assert p.offset == -1 and p.charge == -z
 
 
 # ---------------------------------------------------------------------------

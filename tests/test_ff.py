@@ -13,7 +13,6 @@ from stabq.exact import Gaussian
 from stabq.ff import (
     all_subreps,
     all_subspaces_with_sets,
-    quotient,
     restrict,
     semistable_in_heart,
 )
@@ -77,14 +76,6 @@ def test_all_subreps_closed_under_arrows():
     for d, w in subs.items():
         sub = restrict(rep, w)
         assert sub.dims == d
-
-
-def test_restrict_quotient_dims_add_up():
-    rep = build_matrices(parse_label("b[2]"))
-    subs = all_subreps(rep)
-    for d, w in subs.items():
-        q = quotient(rep, w)
-        assert q.dims == rep.dims - d
 
 
 def _gaussian_binomial(n, k, q):

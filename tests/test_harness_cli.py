@@ -158,9 +158,12 @@ def test_cli_bad_input_exits_2_without_traceback(tmp_path, capsys):
     del no_m["anchor"]["m"]
     bad_charge = json.loads(json.dumps(good))
     bad_charge["charges"][0] = {"re": "1", "im": "0"}
+    # anchor phases more than 1 apart: not a sigma-exceptional anchor
+    spread = dict(good, extra_offsets=[0, 3, 0])
     files = {
         "no_m.json": json.dumps(no_m),
         "bad_charge.json": json.dumps(bad_charge),
+        "spread.json": json.dumps(spread),
         "list.json": "[1, 2]",
         "not_json.json": "{not json",
     }
@@ -171,7 +174,8 @@ def test_cli_bad_input_exits_2_without_traceback(tmp_path, capsys):
     for path in paths:
         _assert_bad_input(["classify", path], capsys)
         _assert_bad_input(["oracle", path, "b[0]"], capsys)
-        if "bad_charge" not in path:  # a slice spec ignores "charges"
+        # a slice spec ignores "charges" and "extra_offsets"
+        if "bad_charge" not in path and "spread" not in path:
             _assert_bad_input(
                 ["slice", "--spec", path, "-o", str(tmp_path / "s.svg")], capsys
             )
@@ -264,15 +268,20 @@ def _edited(doc, edits):
     return doc
 
 
-# a sampled point's JSON with up to two of its parts replaced or dropped
+# a sampled point's JSON with up to two of its parts replaced or dropped,
+# or its extra offsets set to three integers
 _point_like = st.builds(
     _edited,
     st.integers(0, 2 ** 16).map(
         lambda s: harness._sample_point(random.Random(s), FAMILY_IDS,
                                         bound=16).to_json()
     ),
-    st.lists(st.tuples(st.sampled_from(_PARTS),
-                       _rational | _json | st.just(_DROP)), max_size=2),
+    st.lists(
+        st.tuples(st.sampled_from(_PARTS), _rational | _json | st.just(_DROP))
+        | st.tuples(st.just(("extra_offsets",)),
+                    st.lists(st.integers(-3, 3), min_size=3, max_size=3)),
+        max_size=2,
+    ),
 )
 _documents = _json | _point_like
 

@@ -16,7 +16,6 @@ from stabq.triples import (
     in_shift_set,
     is_exceptional_collection,
     is_ext_collection,
-    match_family,
     mutate_left,
     mutate_right,
     mutate_triple,
@@ -85,14 +84,6 @@ def test_family_triple_matches_label_reference():
                 tuple(parse_label(s.format(m=m, m1=m + 1)) for s in labels)
             )
             assert family_triple(fid, m) == ref
-
-
-def test_match_family_roundtrip():
-    for fid in FAMILY_IDS:
-        for m in (-2, 0, 2):
-            t = family_triple(fid, m)
-            assert match_family(t) == (fid, m, 0)
-            assert match_family(t.shift_all(3)) == (fid, m, 3)
 
 
 def _base_in_families(t: ExcTriple):
