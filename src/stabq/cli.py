@@ -2,11 +2,11 @@
 
 Exit codes: 0 success, 1 a verification mismatch (`stab verify`), 2 input
 the command cannot use (a missing or malformed file, a bad label, an
-unknown lemma, a sample count below 1, a point outside the oracle's domain,
-an object beyond the oracle's size cap), reported as one `<command>: ...`
-line on stderr, and 3 an internal error (any other exception, such as an
-engine contradiction), reported as one `<command>: internal error: ...`
-line on stderr.
+unknown lemma, a sample count below 1, a window outside 0..MAX_WINDOW, a
+point outside the oracle's domain, an object beyond the oracle's size
+cap), reported as one `<command>: ...` line on stderr, and 3 an internal
+error (any other exception, such as an engine contradiction), reported as
+one `<command>: internal error: ...` line on stderr.
 """
 
 from __future__ import annotations
@@ -30,6 +30,10 @@ from .triples import (
     is_exceptional_collection,
     mutate_triple,
 )
+
+
+# the widest window `stab explain` accepts; the plan grows with its square
+MAX_WINDOW = 64
 
 
 class _BadInput(Exception):
@@ -108,6 +112,44 @@ def _load_point(path: str) -> engine.StabilityPoint:
 def _cmd_classify(args) -> int:
     pt = _load_point(args.sigma)
     out = [list(entry) for entry in regions.classify(pt)]
+    json.dump(out, sys.stdout, indent=2)
+    print()
+    return 0
+
+
+def _phase_json(ph, shift: int = 0):
+    if ph is None:
+        return None
+    ph = ph.plus(shift)
+    return {"offset": ph.offset, "charge": ph.charge.to_json()}
+
+
+def _cmd_explain(args) -> int:
+    pt = _load_point(args.sigma)
+    x = _label(args.label)
+    if not 0 <= args.window <= MAX_WINDOW:
+        raise _BadInput(
+            "--window must be in 0..%d, got %d" % (MAX_WINDOW, args.window)
+        )
+    v = engine.semistable(pt, x, args.window)
+    out = {
+        "label": str(x),
+        "window": args.window,
+        "status": v.status,
+        "phase": _phase_json(v.phase),
+        "rules": list(v.rules),
+        "witness": v.witness,
+    }
+    if v.status == "unknown":
+        # phases of the base object, moved by the label's shift
+        xb = x.base()
+        out["conditional_phase"] = _phase_json(
+            engine.conditional_phase(pt, xb, args.window), x.shift
+        )
+        bracket = engine.phase_bracket(pt, xb, args.window)
+        out["bracket"] = None if bracket is None else [
+            _phase_json(end, x.shift) for end in bracket
+        ]
     json.dump(out, sys.stdout, indent=2)
     print()
     return 0
@@ -198,6 +240,12 @@ def main(argv=None) -> int:
     p = sub.add_parser("classify", help="regions containing a stability point")
     p.add_argument("sigma", help="path to a sigma JSON file")
     p.set_defaults(fn=_cmd_classify)
+
+    p = sub.add_parser("explain", help="why the engine decided an object")
+    p.add_argument("sigma", help="path to a sigma JSON file")
+    p.add_argument("label", help='an object label, e.g. "b[0]"')
+    p.add_argument("--window", type=int, default=engine.DEFAULT_WINDOW)
+    p.set_defaults(fn=_cmd_explain)
 
     p = sub.add_parser("verify", help="run a lemma verification suite")
     p.add_argument("lemma", help='lemma id or "all"')

@@ -18,15 +18,15 @@ stores, when it is built, the Cramer solver of its shifted anchor's
 K-classes, which ``charge_of`` applies to every K-class it is asked about.
 
 The rule fixpoint reads a plan, one per window and shared by every point
-(``_Plan``).  Its rows are the sigma-triple instances of the window's
-standard triples, in coordinates relative to the point's m: shift-set
-membership, closure contents already filtered by scope, and the outer step
-(the two-factor middle object or the K-class-checked three-factor
-extension).  The plan is keyed on the window alone because all of this is
-unchanged when every chain index moves by one step; rows are built on first
-use.  Per point the fixpoint computes only charges, window arguments and
-phase comparisons, and spells out objects, rules and witnesses in the
-point's own labels at the end.
+(``_Plan``).  The plan numbers its objects (slots), and its rows are the
+sigma-triple instances of the window's standard triples as (slot, shift)
+pairs relative to the point's m: shift-set membership, closure contents
+inside the scope, and the outer step (the two-factor middle object or the
+K-class-checked three-factor extension).  The plan is keyed on the window
+alone, as all of this is unchanged when every chain index moves by one
+step; rows are built on first use.  Per point the fixpoint computes only
+charges, window arguments and phase comparisons on lists indexed by slot,
+and spells out objects, rules and witnesses in the point's own labels.
 
 An object the rules leave undecided still has a conditional phase, the
 one it would have were it semistable: the only phase of its charge
@@ -275,18 +275,22 @@ class _Row:
     B = (t[0], t[1][s1], t[2][s2]): for each consecutive pair with a hom in
     degree one, its closure contents inside the scope, and the outer step,
     a rule token with the object it pins (the two-factor middle object or
-    the three-factor extension).  Rule tokens are (name, B, suffix)."""
+    the three-factor extension).  Objects are (slot, shift) pairs, and rule
+    tokens (name, B, suffix) with B as objects."""
 
-    B: Tuple[ExcObject, ExcObject, ExcObject]
-    closures: Tuple[Tuple[int, Tuple[ExcObject, ...], tuple], ...]
-    outer: Optional[Tuple[ExcObject, tuple]]
+    B: Tuple[Tuple[int, int], ...]
+    closures: Tuple[Tuple[int, Tuple[Tuple[int, int], ...], tuple], ...]
+    outer: Optional[Tuple[Tuple[int, int], tuple]]
 
 
 class _Plan:
     """The point-independent part of the rule fixpoint at one window, in the
-    coordinates of a point with index ``m``: the universe, the standard
-    triples of the window in scan order, and their rows, built on first use
-    and keyed by (s1, s2), None outside the shift set.
+    coordinates of a point with index ``m``.  A slot is an index into the
+    universe, and an object is a (slot, shift) pair.  ``triples`` holds the
+    window's standard triples in scan order with their slots and rows, the
+    rows built on first use and keyed by (s1, s2), None outside the shift
+    set.  ``gaps`` holds, per a/b slot, None or its chain successor and the
+    slots a phase gap above it kills, in universe order.
 
     Hom dimensions, closure contents, the scope and K-class relations are
     unchanged when every chain index moves by the same step
@@ -295,13 +299,20 @@ class _Plan:
 
     def __init__(self, window: int, m: int = 0):
         self.window = window
-        self.universe = _universe(m, window)
-        self.scope = frozenset(self.universe)
-        self.triples = [
-            (family_triple(fid, k), {})
-            for fid in FAMILY_IDS
-            for k in range(m - window, m + window + 1)
-        ]
+        self.universe = u = _universe(m, window)
+        self.slot = {o: i for i, o in enumerate(u)}
+        ks = range(m - window, m + window + 1)
+        ts = [family_triple(f, k) for f in FAMILY_IDS for k in ks]
+        self.triples = [(t, tuple(self.slot[o] for o in t.objs), {}) for t in ts]
+        self.gaps = [None] * len(u)
+        for s, o in enumerate(u):
+            if o.kind in ("a", "b") and o.translated(1) in self.slot:
+                self.gaps[s] = (self.slot[o.translated(1)], tuple(
+                    i for i, y in enumerate(u)
+                    if y.kind == o.kind and y.m not in (o.m, o.m + 1)))
+
+    def ref(self, obj: ExcObject) -> Tuple[int, int]:
+        return self.slot[obj.base()], obj.shift
 
     def row(self, t: ExcTriple, rows: dict, s1: int, s2: int) -> Optional[_Row]:
         key = (s1, s2)
@@ -321,20 +332,20 @@ class _Plan:
             pair = ext_pair(B[i], B[i + 1])
             content = None if pair is None else closure_content(pair, self.window)
             if content:
-                inside = tuple(c for c in content if c.base() in self.scope)
+                inside = tuple(self.ref(c) for c in content if c.base() in self.slot)
                 closures.append((i, inside, ("closure", B, "[%d]" % i)))
         outer = None
         h02 = hom_dims(B[0], B[2])
         if h02 is not None and h02[0] == 1 and h02[1] == 1:
             pair = ext_pair(B[0], B[2])
             content = None if pair is None else closure_content(pair, self.window)
-            if content is not None and content[2].base() in self.scope:
-                outer = (content[2], ("two-factor", B, ""))
+            if content is not None and content[2].base() in self.slot:
+                outer = (self.ref(content[2]), ("two-factor", B, ""))
         elif h02 is None or h02[0] != 1:
             y_obj = self._three_factor_target(B)
             if y_obj is not None:
-                outer = (y_obj, ("three-factor", B, ""))
-        return _Row(B, tuple(closures), outer)
+                outer = (self.ref(y_obj), ("three-factor", B, ""))
+        return _Row(tuple(map(self.ref, B)), tuple(closures), outer)
 
     def _three_factor_target(self, B) -> Optional[ExcObject]:
         """The three-factor extension Y: X extends B[1] by B[2] and Y
@@ -349,7 +360,7 @@ class _Plan:
             if content is None:
                 return None
             y_obj = content[2]
-        if y_obj.base() not in self.scope:
+        if y_obj.base() not in self.slot:
             return None
         cls = kclass(B[0]) + kclass(B[1]) + kclass(B[2])
         if kclass(y_obj) != cls:  # pragma: no cover - pattern sanity check
@@ -372,19 +383,27 @@ def _plan(window: int) -> _Plan:
 
 
 class _State:
-    """The verdicts of one fixpoint run, by base object in coordinates
-    relative to the point's m (``dm``).  Rules are tokens, a string or a
-    plan's (name, B, suffix), and a big-gap witness is the chain object
-    below the gap; both are spelled in the point's own labels only in
-    ``verdicts()`` and in error messages."""
+    """One fixpoint run on a plan, relative to the point's m (``dm``): the
+    verdicts, semistable phases and charges of the base objects by slot,
+    and the decided slots in first-verdict order.  Rules are tokens, a
+    string or a plan's (name, B, suffix), and a big-gap witness is the
+    chain object below the gap; both are spelled in the point's own labels
+    only in ``verdicts()`` and in error messages."""
 
-    def __init__(self, dm: int = 0):
+    def __init__(self, plan: _Plan, dm: int = 0):
+        self.plan = plan
         self.dm = dm
-        self.v: Dict[ExcObject, Verdict] = {}
+        n = len(plan.universe)
+        self.v, self.phase, self.z = [None] * n, [None] * n, [None] * n
+        self.order: List[int] = []
         self.changed = False
 
     def at(self, obj: ExcObject) -> ExcObject:
         return obj.translated(self.dm)
+
+    def name(self, s: int, shift: int = 0) -> ExcObject:
+        """The object (s, shift) in the point's own labels."""
+        return self.at(self.plan.universe[s].shifted(shift))
 
     def label(self, rule) -> str:
         if isinstance(rule, str):
@@ -397,45 +416,48 @@ class _State:
 
     def verdicts(self) -> Dict[ExcObject, Verdict]:
         out = {}
-        for o, v in self.v.items():
+        for s in self.order:
+            v = self.v[s]
             w = v.witness
             if w is not None:
                 w = self.at(w)
                 w = "phase gap %s..x[%d]" % (w, w.m + 1)
-            out[self.at(o)] = Verdict(v.status, v.phase, w, self._labels(v.rules))
+            out[self.name(s)] = Verdict(v.status, v.phase, w, self._labels(v.rules))
         return out
 
-    def set_ss(self, obj: ExcObject, phase: Phase, rule):
-        base = obj.base()
-        if obj.shift:
-            phase = phase.plus(-obj.shift)
-        cur = self.v.get(base)
+    def set_ss(self, ref: Tuple[int, int], phase: Phase, rule):
+        s, shift = ref
+        if shift:
+            phase = phase.plus(-shift)
+        cur = self.v[s]
         if cur is None:
-            self.v[base] = Verdict("semistable", phase, None, (rule,))
+            self.v[s] = Verdict("semistable", phase, None, (rule,))
+            self.phase[s] = phase
+            self.order.append(s)
             self.changed = True
             return
         if cur.status == "unstable":
             raise EngineError(
                 "paper-rule inconsistency: %s semistable by %s, unstable by %s"
-                % (self.at(base), self.label(rule), self._labels(cur.rules))
+                % (self.name(s), self.label(rule), self._labels(cur.rules))
             )
         if not cur.phase.same_as(phase):
             raise EngineError(
                 "paper-rule inconsistency: %s has phases %r (%s) and %r (%s)"
-                % (self.at(base), cur.phase, self._labels(cur.rules), phase,
+                % (self.name(s), cur.phase, self._labels(cur.rules), phase,
                    self.label(rule))
             )
 
-    def set_unstable(self, obj: ExcObject, witness: ExcObject, rule):
-        base = obj.base()
-        cur = self.v.get(base)
+    def set_unstable(self, s: int, witness: ExcObject, rule):
+        cur = self.v[s]
         if cur is None:
-            self.v[base] = Verdict("unstable", None, witness, (rule,))
+            self.v[s] = Verdict("unstable", None, witness, (rule,))
+            self.order.append(s)
             self.changed = True
         elif cur.status == "semistable":
             raise EngineError(
                 "paper-rule inconsistency: %s unstable by %s, semistable by %s"
-                % (self.at(base), self.label(rule), self._labels(cur.rules))
+                % (self.name(s), self.label(rule), self._labels(cur.rules))
             )
 
 
@@ -448,37 +470,33 @@ def _unit_shifts(d: Phase) -> Tuple[int, ...]:
     return (-d.offset - 1, -d.offset)
 
 
-def _pin_in_window(st: _State, obj: ExcObject, z: Gaussian,
-                   lo: Phase, hi: Phase, rule):
-    """Declare obj, of charge z, semistable with its phase in [lo, hi].
+def _pin_in_window(st: _State, ref: Tuple[int, int], z: Gaussian,
+                   lo: Phase, hi: Phase, short: bool, rule):
+    """Declare the object ref, of charge z, semistable with its phase in
+    [lo, hi]; ``short`` says whether hi < lo + 1.
 
     An object already decided at a phase in the window with direction z is
     left as it is: the window is shorter than 1, so that phase is the only
     one the full path could find.  Every other case takes the full path and
     raises on a contradiction."""
-    cur = st.v.get(obj.base())
-    if cur is not None and cur.status == "semistable":
-        ph = cur.phase.plus(obj.shift) if obj.shift else cur.phase
+    ph = st.phase[ref[0]]
+    if ph is not None and short:
+        ph = ph.plus(ref[1]) if ref[1] else ph
         d = ph.direction()
-        if (
-            lo.cmp(ph) <= 0
-            and ph.cmp(hi) <= 0
-            and d.cross(z) == 0
-            and d.dot(z) > 0
-            and hi.cmp(lo.plus(1)) < 0
-        ):
+        if (lo.cmp(ph) <= 0 and ph.cmp(hi) <= 0
+                and d.cross(z) == 0 and d.dot(z) > 0):
             return
     if z.is_zero():
         raise EngineError(
-            "paper-rule inconsistency: zero charge on %s" % st.at(obj)
+            "paper-rule inconsistency: zero charge on %s" % st.name(*ref)
         )
     ph = phase_in_closed_window(z, lo, hi)
     if ph is None:
         raise EngineError(
             "paper-rule inconsistency: phase of %s escapes [%r, %r]"
-            % (st.at(obj), lo, hi)
+            % (st.name(*ref), lo, hi)
         )
-    st.set_ss(obj, ph, rule)
+    st.set_ss(ref, ph, rule)
 
 
 def _sigma_triple_rules(st: _State, row: _Row, phis, charge):
@@ -494,10 +512,12 @@ def _sigma_triple_rules(st: _State, row: _Row, phis, charge):
     p0, p1, p2 = phis
     B = row.B
     for i, content, rule in row.closures:
-        if phis[i].cmp(phis[i + 1]) < 0:
+        hi, lo = phis[i], phis[i + 1]
+        if hi.cmp(lo) < 0:
             continue
+        short = hi.cmp(lo.plus(1)) < 0
         for c in content:
-            _pin_in_window(st, c, charge(c), phis[i + 1], phis[i], rule)
+            _pin_in_window(st, c, charge(c), lo, hi, short, rule)
     if row.outer is None:
         return
     target, rule = row.outer
@@ -511,7 +531,7 @@ def _sigma_triple_rules(st: _State, row: _Row, phis, charge):
         except ExactError:
             raise EngineError(
                 "paper-rule inconsistency: boundary phase for the "
-                "extension of %s" % st.label(("", B, ""))
+                "extension of %s" % st.label(("", rule[1], ""))
             )
         st.set_ss(target, py, rule)
         return
@@ -532,12 +552,12 @@ def _sigma_triple_rules(st: _State, row: _Row, phis, charge):
     except ExactError:
         raise EngineError(
             "paper-rule inconsistency: boundary phase for the "
-            "three-factor extension of %s" % st.label(("", B, ""))
+            "three-factor extension of %s" % st.label(("", rule[1], ""))
         )
     if py.cmp(p0) >= 0:
         raise EngineError(
             "paper-rule inconsistency: three-factor extension of %s "
-            "above its bound" % st.label(("", B, ""))
+            "above its bound" % st.label(("", rule[1], ""))
         )
     st.set_ss(target, py, rule)
 
@@ -545,20 +565,20 @@ def _sigma_triple_rules(st: _State, row: _Row, phis, charge):
 def _decide(point: StabilityPoint, window: int) -> Dict[ExcObject, Verdict]:
     """The rule fixpoint at ``window``, run on the window's plan in
     coordinates relative to ``point.m``; per point it computes only
-    charges, window arguments and phase comparisons."""
+    charges, window arguments and phase comparisons, by slot."""
     plan = _plan(window)
-    st = _State(point.m)
-    zs: Dict[ExcObject, Gaussian] = {}
+    st = _State(plan, point.m)
 
-    def charge(o: ExcObject) -> Gaussian:
-        z = zs.get(o)
+    def charge(ref: Tuple[int, int]) -> Gaussian:
+        # [x[k]] = (-1)^k [x], and charge_of is linear with integer values
+        z = st.z[ref[0]]
         if z is None:
-            z = zs[o] = charge_of(point, st.at(o))
-        return z
+            z = st.z[ref[0]] = charge_of(point, st.name(ref[0]))
+        return -z if ref[1] % 2 else z
 
     anchor = family_triple(point.family, 0).shifted(point.shift)
     for obj, ph in zip(anchor.objs, point.anchor_phases()):
-        st.set_ss(obj, ph, "anchor")
+        st.set_ss(plan.ref(obj), ph, "anchor")
 
     # triples not yet scanned; decided phases are immutable, so a triple
     # whose three objects are semistable is scanned once, exhaustively
@@ -567,28 +587,26 @@ def _decide(point: StabilityPoint, window: int) -> Dict[ExcObject, Verdict]:
     # transition, and each object makes at most two
     for _ in range(2 * len(plan.universe) + 2):
         st.changed = False
-        known = {o: v.phase for o, v in st.v.items() if v.status == "semistable"}
+        # every rule of a round reads the phases decided before the round
+        known = st.phase[:]
 
         # chain neighbors more than one phase apart kill the rest of the chain
-        for x, px in known.items():
-            if x.kind not in ("a", "b"):
+        for s in st.order[:]:
+            px, gap = known[s], plan.gaps[s]
+            if px is None or gap is None:
                 continue
-            py = known.get(ExcObject(x.kind, x.m + 1, 0))
+            py = known[gap[0]]
             if py is None or py.cmp(px.plus(1)) <= 0:
                 continue
-            for o in plan.universe:
-                if o.kind == x.kind and o.m not in (x.m, x.m + 1):
-                    st.set_unstable(o, x, "big-gap")
+            for o in gap[1]:
+                st.set_unstable(o, plan.universe[s], "big-gap")
 
         # sigma-exceptional shifts of the standard triples
         waiting = []
         for entry in pending:
-            t, rows = entry
-            o0, o1, o2 = t.objs
-            p0 = known.get(o0)
-            p1 = None if p0 is None else known.get(o1)
-            p2 = None if p1 is None else known.get(o2)
-            if p2 is None:
+            t, (i0, i1, i2), rows = entry
+            p0, p1, p2 = known[i0], known[i1], known[i2]
+            if p0 is None or p1 is None or p2 is None:
                 waiting.append(entry)
                 continue
             u12 = _unit_shifts(phase_diff(p2, p1))
@@ -663,8 +681,24 @@ def hom_bracket(bounds) -> Optional[Tuple[Optional[Phase], Optional[Phase]]]:
     return lo, up
 
 
-def _degree(h) -> Optional[int]:
-    return None if h is None else h[0]
+@lru_cache(maxsize=8192)
+def _hom_degrees(x: ExcObject, y: ExcObject) -> Tuple[Optional[int], ...]:
+    """The degrees of the homs x -> y and y -> x, None where one vanishes.
+    They do not change when both objects move along their chains, so callers
+    pass labels relative to the point's m; memoised process-wide on labels."""
+    return tuple(None if h is None else h[0] for h in (hom_dims(x, y), hom_dims(y, x)))
+
+
+def phase_bracket(point: StabilityPoint, xb: ExcObject, window: int = DEFAULT_WINDOW):
+    """``hom_bracket`` of the base object xb against the decided-semistable
+    objects of the point's analysis at ``window``, in verdict order."""
+    dm = -point.m
+    x = xb.translated(dm)
+    return hom_bracket(
+        (w.phase, *_hom_degrees(x, o.translated(dm)))
+        for o, w in point.analysis(window).verdicts.items()
+        if w.status == "semistable"
+    )
 
 
 def conditional_phase(point: StabilityPoint, xb: ExcObject,
@@ -674,7 +708,7 @@ def conditional_phase(point: StabilityPoint, xb: ExcObject,
     Returns the decided phase for a semistable object, and None when the
     object cannot be semistable: decided unstable, zero charge (Z(E) != 0
     for a semistable E), or no phase of its charge direction in the hom
-    bracket against the decided-semistable objects (``hom_bracket``).
+    bracket against the decided-semistable objects (``phase_bracket``).
 
     It never raises.  The anchor is a full Ext-exceptional collection, so
     its extension closure is a finite-length heart with simples A0, A1, A2
@@ -693,11 +727,7 @@ def conditional_phase(point: StabilityPoint, xb: ExcObject,
     ph = v.phase
     if v.status == "unknown":
         z = charge_of(point, xb)
-        bracket = None if z.is_zero() else hom_bracket(
-            (w.phase, _degree(hom_dims(xb, o)), _degree(hom_dims(o, xb)))
-            for o, w in an.verdicts.items()
-            if w.status == "semistable"
-        )
+        bracket = None if z.is_zero() else phase_bracket(point, xb, window)
         if bracket is not None:
             ph = phase_in_closed_window(z, *bracket)
     an.phases[xb] = ph

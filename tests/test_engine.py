@@ -2,6 +2,7 @@
 invariance, and conditional phases."""
 
 import gc
+import hashlib
 import random
 import weakref
 from fractions import Fraction
@@ -332,34 +333,66 @@ def _moved(x, n):
         return x.translated(n)
     if isinstance(x, ExcTriple):
         return ExcTriple(_moved(x.objs, n))
-    if isinstance(x, engine._Row):
-        return engine._Row(_moved(x.B, n), _moved(x.closures, n), _moved(x.outer, n))
     if isinstance(x, tuple):
         return tuple(_moved(y, n) for y in x)
     return x
+
+
+def _spelled(plan, row):
+    """The row with its (slot, shift) pairs spelled as the plan's objects."""
+    if row is None:
+        return None
+
+    def obj(ref):
+        return plan.universe[ref[0]].shifted(ref[1])
+
+    return (
+        tuple(map(obj, row.B)),
+        tuple((i, tuple(map(obj, c)), rule) for i, c, rule in row.closures),
+        None if row.outer is None else (obj(row.outer[0]), row.outer[1]),
+    )
 
 
 @pytest.mark.parametrize("window", range(9))
 def test_plan_rows_are_translation_invariant(window):
     """The engine keeps one plan per window, built at m = 0, and runs every
     point relative to its m.  That is sound because the plan built at any m
-    is the one at 0 moved m steps: universe, scope, triples and every row
-    (shift-set membership, closure contents inside the scope, outer step)
-    over a grid of shifts wider than the sampled ones (s1 in -4..0, s2 in
-    -7..-1 on 300 points)."""
+    is the one at 0 moved m steps: slot i at m is slot i at 0 translated,
+    and triples, big-gap tables and every row (shift-set membership,
+    closure contents inside the scope, outer step), spelled as objects,
+    move with it, over a grid of shifts wider than the sampled ones (s1 in
+    -4..0, s2 in -7..-1 on 300 points)."""
     base = engine._Plan(window)
     for m in range(-6, 7):
         plan = engine._Plan(window, m)
         assert plan.universe == [o.translated(m) for o in base.universe]
-        assert plan.scope == frozenset(plan.universe)
+        assert plan.slot == {o: i for i, o in enumerate(plan.universe)}
+        assert plan.gaps == base.gaps
         assert len(plan.triples) == len(base.triples)
-        for (t, rows), (t0, rows0) in zip(plan.triples, base.triples):
+        for (t, slots, rows), (t0, slots0, rows0) in zip(plan.triples, base.triples):
             assert t == _moved(t0, m)
+            assert slots == slots0
+            assert [plan.universe[i] for i in slots] == list(t.objs)
             for s1 in range(-5, 2):
                 for s2 in range(-8, 2):
-                    assert plan.row(t, rows, s1, s2) == _moved(
-                        base.row(t0, rows0, s1, s2), m
+                    assert _spelled(plan, plan.row(t, rows, s1, s2)) == _moved(
+                        _spelled(base, base.row(t0, rows0, s1, s2)), m
                     )
+
+
+def test_plan_gaps_kill_the_rest_of_the_chain():
+    plan = engine._Plan(3)
+    u = plan.universe
+    for s, o in enumerate(u):
+        nxt = o.translated(1)
+        if o.kind not in ("a", "b") or nxt not in u:
+            assert plan.gaps[s] is None
+            continue
+        succ, kills = plan.gaps[s]
+        assert u[succ] == nxt
+        assert [u[i] for i in kills] == [
+            y for y in u if y.kind == o.kind and y.m not in (o.m, o.m + 1)
+        ]
 
 
 def test_unit_shifts_closed_form():
@@ -380,21 +413,23 @@ def test_rederivation_that_conflicts_still_raises():
     """A pin of an object already decided takes a short path only when it
     agrees with the decided phase; a conflict raises as the full path
     does, with the same message."""
-    a0 = ExcObject("a", 0, 0)
+    plan = engine._plan(0)
+    a0 = plan.ref(ExcObject("a", 0, 0))
     z = Gaussian.of(-1, 1)  # the phase 3/4
-    st = engine._State()
+    st = engine._State(plan)
     st.set_ss(a0, Phase(0, z), "anchor")
     quarter, half = Phase(0, Gaussian.of(1, 1)), Phase(0, Gaussian.of(0, 1))
     # a window that excludes the decided phase
     with pytest.raises(engine.EngineError) as ei:
-        engine._pin_in_window(st, a0, z, quarter, half, "closure(x)[0]")
+        engine._pin_in_window(st, a0, z, quarter, half, True, "closure(x)[0]")
     assert str(ei.value) == (
         "paper-rule inconsistency: phase of a[0] escapes "
         "[Phase(0, Gaussian(1, 1)), Phase(0, Gaussian(0, 1))]"
     )
     # a window holding another phase of the same direction
     with pytest.raises(engine.EngineError) as ei:
-        engine._pin_in_window(st, a0, z, quarter.plus(2), Phase(2, z), "closure(x)[0]")
+        engine._pin_in_window(st, a0, z, quarter.plus(2), Phase(2, z), True,
+                              "closure(x)[0]")
     assert str(ei.value) == (
         "paper-rule inconsistency: a[0] has phases Phase(0, Gaussian(-1, 1)) "
         "(('anchor',)) and Phase(2, Gaussian(-1, 1)) (closure(x)[0])"
@@ -402,23 +437,74 @@ def test_rederivation_that_conflicts_still_raises():
     # a charge of another direction, in a window holding the decided phase
     with pytest.raises(engine.EngineError) as ei:
         engine._pin_in_window(st, a0, Gaussian.of(0, 1), quarter, Phase(0, z),
-                              "closure(x)[0]")
+                              True, "closure(x)[0]")
     assert str(ei.value) == (
         "paper-rule inconsistency: a[0] has phases Phase(0, Gaussian(-1, 1)) "
         "(('anchor',)) and Phase(0, Gaussian(0, 1)) (closure(x)[0])"
     )
     # the agreeing re-derivation changes nothing
     st.changed = False
-    engine._pin_in_window(st, a0, z.scale(3), quarter, Phase(0, z), "closure(x)[0]")
-    assert not st.changed and st.v[a0].rules == ("anchor",)
+    engine._pin_in_window(st, a0, z.scale(3), quarter, Phase(0, z), True,
+                          "closure(x)[0]")
+    assert not st.changed and st.v[a0[0]].rules == ("anchor",)
+    assert st.order == [a0[0]]
     # errors name the point's own objects: here m = 2
-    st = engine._State(2)
-    st.set_ss(a0.shifted(-1), Phase(-1, z), ("closure", (a0, a0, a0), "[1]"))
+    st = engine._State(plan, 2)
+    st.set_ss((a0[0], -1), Phase(-1, z), ("closure", (ExcObject("a", 0, 0),) * 3, "[1]"))
     with pytest.raises(engine.EngineError) as ei:
-        engine._pin_in_window(st, a0, z, quarter, half, "closure(x)[0]")
+        engine._pin_in_window(st, a0, z, quarter, half, True, "closure(x)[0]")
     assert str(ei.value).startswith("paper-rule inconsistency: phase of a[2] escapes")
     assert st.verdicts()[ExcObject("a", 2, 0)].rules == (
         "closure(a[2],a[2],a[2])[1]",
+    )
+
+
+def test_each_round_reads_the_phases_decided_before_it():
+    """Every rule of a fixpoint round reads the phases decided before the
+    round.  Reading phases decided earlier in the same round would, on
+    this point, decide b[6] before b[-3], and so change the verdicts'
+    order."""
+    pt = engine.StabilityPoint.from_json({
+        "anchor": {"family": "F6", "m": 1, "shift": [0, -1, -3]},
+        "charges": [{"re": "-7/16", "im": "0"}, {"re": "14/23", "im": "21/22"},
+                    {"re": "-4/15", "im": "10"}],
+    })
+    verdicts = engine._decide(pt, 4)
+    assert [str(o) for o in verdicts] == [
+        "b[1]", "b[2]", "M'", "b[0]", "b[-1]", "b[-2]", "b[3]", "b[4]", "b[5]",
+        "b[-3]", "b[6]",
+    ]
+    assert verdicts[parse_label("b[-3]")].rules[0] == "closure(b[-2],b[-1][-1],M'[-4])[0]"
+    assert verdicts[parse_label("b[6]")].rules[0] == "closure(b[2],b[3][-1],M'[-3])[0]"
+
+
+def _digest_points():
+    rng = random.Random("fixpoint-digest")
+    pts = [harness._sample_point(rng, FAMILY_IDS, -3, 3, 24) for _ in range(100)]
+    while len(pts) < 200:
+        charges = tuple(harness._rand_charge(rng, 16) for _ in range(3))
+        try:
+            pts.append(engine.standard_heart_point(charges))
+        except ValueError:
+            pass
+    return pts
+
+
+def test_fixpoint_golden_digest():
+    """The rule fixpoint's verdicts, phase representations, witnesses, rules
+    and dict order on 100 sampled points of every family and 100
+    standard-heart points, at windows 4 and 8, hashed.  The constant was
+    computed before the fixpoint moved from object-keyed dicts to the
+    plan's slots; any change to what the fixpoint derives, or in which
+    order, changes it."""
+    pts = _digest_points()
+    assert {p.family for p in pts} == set(FAMILY_IDS)
+    h = hashlib.sha256()
+    for p in pts:
+        for w in (4, 8):
+            h.update(repr(list(engine._decide(p, w).items())).encode())
+    assert h.hexdigest() == (
+        "b614fb67d634954ac825c09627a77a807724cf03d2e2050d7beedb4bbdccb6cf"
     )
 
 

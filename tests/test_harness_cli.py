@@ -144,6 +144,51 @@ def test_cli_oracle_refuses_points_outside_standard_heart(tmp_path, capsys):
         assert captured.err.startswith("oracle: ") and captured.err.count("\n") == 1
 
 
+def _explain(path, label, capsys, *extra):
+    assert cli.main(["explain", path, label, *extra]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_cli_explain(tmp_path, capsys):
+    """On a standard-heart point where a phase gap above a[0] kills the
+    rest of the a-chain: a closure verdict, a big-gap verdict and an
+    unknown object whose hom bracket is empty; on a second one, an unknown
+    object with a bounded bracket and a conditional phase."""
+    path = tmp_path / "gap.json"
+    path.write_text(json.dumps(standard_heart_point(
+        (Gaussian.of("1/3", 4), Gaussian.of("-6/5", "5/3"), Gaussian.of(0, 1))
+    ).to_json()))
+    path = str(path)
+    assert _explain(path, "a[1]", capsys) == {
+        "label": "a[1]", "window": 8, "status": "semistable",
+        "phase": {"offset": 1, "charge": {"re": "-18", "im": "40"}},
+        "rules": ["closure(a[0],M[-1],b[1][-2])[1]"], "witness": None,
+    }
+    assert _explain(path, "a[-3]", capsys, "--window", "4") == {
+        "label": "a[-3]", "window": 4, "status": "unstable", "phase": None,
+        "rules": ["big-gap"], "witness": "phase gap a[0]..x[1]",
+    }
+    assert _explain(path, "M'", capsys) == {
+        "label": "M'", "window": 8, "status": "unknown", "phase": None,
+        "rules": [], "witness": None, "conditional_phase": None,
+        "bracket": None,
+    }
+    path = tmp_path / "bracket.json"
+    path.write_text(json.dumps(standard_heart_point(
+        (Gaussian.of("-1/2", "5/2"), Gaussian.of(0, 1), Gaussian.of("1/4", 4))
+    ).to_json()))
+    out = _explain(str(path), "b[3][1]", capsys)
+    assert out["status"] == "unknown" and out["rules"] == []
+    # the base object's phase and bracket, moved by the label's shift
+    assert out["conditional_phase"] == {
+        "offset": 2, "charge": {"re": "-1", "im": "76"}
+    }
+    assert out["bracket"] == [
+        {"offset": 2, "charge": {"re": "0", "im": "46"}},
+        {"offset": 2, "charge": {"re": "-1", "im": "26"}},
+    ]
+
+
 def _assert_bad_input(argv, capsys):
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
@@ -174,6 +219,7 @@ def test_cli_bad_input_exits_2_without_traceback(tmp_path, capsys):
     for path in paths:
         _assert_bad_input(["classify", path], capsys)
         _assert_bad_input(["oracle", path, "b[0]"], capsys)
+        _assert_bad_input(["explain", path, "b[0]"], capsys)
         # a slice spec ignores "charges" and "extra_offsets"
         if "bad_charge" not in path and "spread" not in path:
             _assert_bad_input(
@@ -181,6 +227,9 @@ def test_cli_bad_input_exits_2_without_traceback(tmp_path, capsys):
             )
     sigma = _write_sigma(tmp_path)
     _assert_bad_input(["oracle", sigma, "zz"], capsys)
+    _assert_bad_input(["explain", sigma, "zz"], capsys)
+    _assert_bad_input(["explain", sigma, "b[0]", "--window", "-1"], capsys)
+    _assert_bad_input(["explain", sigma, "b[0]", "--window", "65"], capsys)
     _assert_bad_input(["hom", "zz", "M"], capsys)
     _assert_bad_input(["hom", "a[0]", "b[x]"], capsys)
     _assert_bad_input(["mutate", "a[0], M, q", "R0"], capsys)
