@@ -4,9 +4,10 @@ Exit codes: 0 success, 1 a verification mismatch (`stab verify`), 2 input
 the command cannot use (a missing or malformed file, a bad label, an
 unknown lemma, a sample count below 1, a window outside 0..MAX_WINDOW, a
 point outside the oracle's domain, an object beyond the oracle's size
-cap), reported as one `<command>: ...` line on stderr, and 3 an internal
-error (any other exception, such as an engine contradiction), reported as
-one `<command>: internal error: ...` line on stderr.
+cap, an output path that cannot be written), reported as one
+`<command>: ...` line on stderr, and 3 an internal error (any other
+exception, such as an engine contradiction), reported as one
+`<command>: internal error: ...` line on stderr.
 """
 
 from __future__ import annotations
@@ -164,8 +165,11 @@ def _cmd_verify(args) -> int:
     reports = [harness.verify_lemma(lid, args.n, args.seed) for lid in ids]
     payload = [r.to_json() for r in reports]
     if args.out:
-        with open(args.out, "w") as f:
-            json.dump(payload, f, indent=2)
+        try:
+            with open(args.out, "w") as f:
+                json.dump(payload, f, indent=2)
+        except OSError as e:
+            raise _BadInput("cannot write %s: %s" % (args.out, e.strerror or e))
     else:
         json.dump(payload, sys.stdout, indent=2)
         print()
@@ -180,7 +184,10 @@ def _cmd_slice(args) -> int:
         raise _BadInput("%s: missing key %s" % (args.spec, e))
     except (TypeError, ValueError, ArithmeticError) as e:
         raise _BadInput("%s: bad slice spec: %s" % (args.spec, e))
-    harness.slice_svg(spec, args.out)
+    try:
+        harness.slice_svg(spec, args.out)
+    except OSError as e:  # the .svg, or the .csv written beside it
+        raise _BadInput("cannot write %s: %s" % (args.out, e.strerror or e))
     return 0
 
 

@@ -35,11 +35,11 @@ direction inside its hom bracket against the decided-semistable objects
 unit, so the phase is unique or absent and never left unresolved.
 
 Each point owns its analyses, one per window (``StabilityPoint.analysis``):
-the rule fixpoint's verdicts, the memoised conditional phases, and the tail
-enclosures ``regions`` derives from them.  An analysis is built on the first
-lookup at its window and lives exactly as long as its point; nothing is
-cached process-wide on points, so equal but distinct point objects each
-compute their own (identical) results.
+the rule fixpoint's verdicts, the (status, conditional phase) table of
+``lookup``, and the tail enclosures ``regions`` derives from them.  An
+analysis is built on the first lookup at its window and lives exactly as
+long as its point; nothing is cached process-wide on points, so equal but
+distinct point objects each compute their own (identical) results.
 """
 
 from __future__ import annotations
@@ -630,15 +630,15 @@ def _decide(point: StabilityPoint, window: int) -> Dict[ExcObject, Verdict]:
 class Analysis:
     """What the engine derives for one point at one window.
 
-    ``verdicts`` is the rule fixpoint, by base object.  ``phases`` memoises
-    ``conditional_phase`` by base object: a phase, or None for an object
-    that cannot be semistable.  ``tails`` holds the tail enclosures of
-    ``regions``, by side (True for the high tail).  An analysis keeps no
-    reference to its point."""
+    ``verdicts`` is the rule fixpoint, by base object.  ``table`` is the
+    memo of ``lookup`` by base object: the verdict's status with the
+    conditional phase, None for an object that cannot be semistable.
+    ``tails`` holds the tail enclosures of ``regions``, by side (True for
+    the high tail).  An analysis keeps no reference to its point."""
 
     def __init__(self, point: StabilityPoint, window: int):
         self.verdicts: Dict[ExcObject, Verdict] = _decide(point, window)
-        self.phases: Dict[ExcObject, Optional[Phase]] = {}
+        self.table: Dict[ExcObject, Tuple[str, Optional[Phase]]] = {}
         self.tails: Dict[bool, dict] = {}
 
 
@@ -719,19 +719,30 @@ def conditional_phase(point: StabilityPoint, xb: ExcObject,
     [phi(A_j) - p, phi(A_i) - q].  The anchor phases spread by less than 1
     (``StabilityPoint``), so the bracket is bounded and shorter than
     1 - (q - p) <= 1, and of the phases of one charge direction, 2 apart,
-    at most one fits.  Memoised in the point's analysis at ``window``."""
+    at most one fits.  The second field of ``lookup``."""
+    return lookup(point, xb, window)[1]
+
+
+# status -> the entry, shared by every table, of an object with no phase
+_DEAD = {"unstable": ("unstable", None), "unknown": ("unknown", None)}
+
+
+def lookup(point: StabilityPoint, xb: ExcObject,
+           window: int = DEFAULT_WINDOW) -> Tuple[str, Optional[Phase]]:
+    """(status of the verdict, ``conditional_phase``) of the base object xb,
+    from the point's table at ``window``; computed on the first read."""
     an = point.analysis(window)
-    if xb in an.phases:
-        return an.phases[xb]
-    v = an.verdicts.get(xb, UNKNOWN)
-    ph = v.phase
-    if v.status == "unknown":
-        z = charge_of(point, xb)
-        bracket = None if z.is_zero() else phase_bracket(point, xb, window)
-        if bracket is not None:
-            ph = phase_in_closed_window(z, *bracket)
-    an.phases[xb] = ph
-    return ph
+    e = an.table.get(xb)
+    if e is None:
+        v = an.verdicts.get(xb, UNKNOWN)
+        ph = v.phase
+        if v.status == "unknown":
+            z = charge_of(point, xb)
+            bracket = None if z.is_zero() else phase_bracket(point, xb, window)
+            if bracket is not None:
+                ph = phase_in_closed_window(z, *bracket)
+        e = an.table[xb] = _DEAD[v.status] if ph is None else (v.status, ph)
+    return e
 
 
 # ---------------------------------------------------------------------------

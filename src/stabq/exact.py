@@ -207,7 +207,10 @@ class Phase:
         return self.cmp(other) == 0
 
     def plus(self, n: int) -> "Phase":
-        return Phase(self.offset + n, self.charge)
+        p = object.__new__(Phase)  # the charge is unchanged: skip validation
+        object.__setattr__(p, "offset", self.offset + n)
+        object.__setattr__(p, "charge", self.charge)
+        return p
 
     def direction(self) -> Gaussian:
         """The actual direction of exp(i*pi*value): the stored charge for an

@@ -15,8 +15,9 @@ table keyed by family in the same notation.
 A composite is a union of cells.  ``classify`` decides each cell at most
 once per call: its direct cell scan and all its composites, widened tail
 rescans included, share one cell table keyed on (family, index, window),
-local to the call and freed with it.  The hom degrees that bound the far
-tails are a pure function of labels, memoised process-wide
+local to the call and freed with it, which also holds each family's block
+scan (hit, undecided) under (family, window).  The hom degrees that bound
+the far tails are a pure function of labels, memoised process-wide
 (``_tail_degrees``), and hold nothing of any point.
 """
 
@@ -61,15 +62,12 @@ def _phases(
     phases certify non-membership even without full verdicts."""
     out, certified = [], True
     for o in objs:
-        v = engine.semistable(point, o, window)
-        if v.status == "unstable":
+        status, ph = engine.lookup(point, o.base(), window)
+        if ph is None:  # unstable, or cannot be semistable
             return None, True
-        if v.status != "semistable":
+        if status != "semistable":
             certified = False
-        ph = engine.conditional_phase(point, o.base(), window)
-        if ph is None:
-            return None, True
-        out.append(ph.plus(o.shift))
+        out.append(ph.plus(o.shift) if o.shift else ph)
     return out, certified
 
 
@@ -85,7 +83,7 @@ def _certify(ok: bool, certified: bool) -> bool:
 
 def _lt(p: Phase, q: Phase, n: int = 0) -> bool:
     """p < q + n."""
-    return p.cmp(q.plus(n)) < 0
+    return p.cmp(q.plus(n) if n else q) < 0
 
 
 def _holds(ph, ineqs) -> bool:
@@ -364,9 +362,14 @@ def _scan(point, fids, ms, window: int, cells: dict) -> Tuple[bool, bool]:
 
 def _cells_union(point, fids, window: int, cells: dict) -> bool:
     """in_cells_union, reading and filling the cell table ``cells``."""
-    hit, undecided = _scan(point, fids, _block(point, window), window, cells)
-    if hit:
-        return True
+    block, undecided = _block(point, window), False
+    for fid in fids:
+        if (fid, window) not in cells:
+            cells[fid, window] = _scan(point, (fid,), block, window, cells)
+        hit, u = cells[fid, window]
+        if hit:
+            return True
+        undecided = undecided or u
     if not _tails_excluded(point, fids, window):
         # a far cell might contain the point: rescan a widened block, then
         # require the remaining tails to be excluded
@@ -421,12 +424,13 @@ def classify(point, window: int = WINDOW) -> List[Tuple]:
     skipped (classification never errors).  The cells and the composites
     share one cell table, so each cell is decided once per call."""
     cells: dict = {}
-    out: List[Tuple] = [
-        ("cell", fid, m)
-        for fid in FAMILY_IDS
-        for m in _block(point, window)
-        if _cell(point, fid, m, window, cells)
-    ]
+    out: List[Tuple] = []
+    block = _block(point, window)
+    for fid in FAMILY_IDS:
+        vs = [_cell(point, fid, m, window, cells) for m in block]
+        out += [("cell", fid, m) for m, v in zip(block, vs) if v]
+        k = vs.index(True) if True in vs else len(vs)
+        cells[fid, window] = (k < len(vs), None in vs[:k])  # _scan's result
     for name, fids in COMPOSITES.items():
         try:
             if _cells_union(point, fids, window, cells):

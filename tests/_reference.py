@@ -181,3 +181,41 @@ def sample_angular_members(set_id, count, seed=0, budget=20000):
     if len(out) < count:
         raise RuntimeError("sampling budget exhausted for %s" % set_id)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the two-call lookup path of the region predicates
+
+
+def conditional_phase_uncached(point, xb, window):
+    """engine.conditional_phase computed afresh from the point's verdicts:
+    the decided phase; None for an unstable object or a zero charge; else
+    the phase of the charge direction in the hom bracket, or None."""
+    from stabq import engine
+    from stabq.exact import phase_in_closed_window
+
+    v = point.analysis(window).verdicts.get(xb, engine.UNKNOWN)
+    if v.status != "unknown":
+        return v.phase
+    z = engine.charge_of(point, xb)
+    bracket = None if z.is_zero() else engine.phase_bracket(point, xb, window)
+    return None if bracket is None else phase_in_closed_window(z, *bracket)
+
+
+def two_call_phases(point, objs, window):
+    """regions._phases as two engine calls per object, semistable and then
+    the conditional phase of the base object, moved by the label's shift."""
+    from stabq import engine
+
+    out, certified = [], True
+    for o in objs:
+        v = engine.semistable(point, o, window)
+        if v.status == "unstable":
+            return None, True
+        if v.status != "semistable":
+            certified = False
+        ph = conditional_phase_uncached(point, o.base(), window)
+        if ph is None:
+            return None, True
+        out.append(ph.plus(o.shift))
+    return out, certified

@@ -107,6 +107,16 @@ def test_plus_shifts_by_integers(p, n):
     assert phase_diff(p.plus(n), p).same_as(int_phase(n))
 
 
+@given(_phases(), st.integers())
+def test_plus_equals_the_validated_constructor(p, n):
+    """plus builds its result without re-validating the unchanged charge;
+    the result is the phase the validating constructor builds."""
+    q, twin = p.plus(n), Phase(p.offset + n, p.charge)
+    assert q == twin and hash(q) == hash(twin) and repr(q) == repr(twin)
+    assert q.cmp(twin) == 0 and twin.cmp(q) == 0
+    assert p.plus(0).same_as(p) and p.plus(0) == p
+
+
 def test_int_phase_values():
     assert int_phase(0) < int_phase(1)
     assert phase_diff(int_phase(5), int_phase(2)).same_as(int_phase(3))

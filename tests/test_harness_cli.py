@@ -238,6 +238,17 @@ def test_cli_bad_input_exits_2_without_traceback(tmp_path, capsys):
     _assert_bad_input(["verify", "coverage", "-n", "-5"], capsys)
     _assert_bad_input(["verify", "all", "-n", "0"], capsys)
     _assert_bad_input(["oracle", sigma, "a[7]"], capsys)  # beyond the size cap
+    # an output path in a missing directory
+    nowhere = tmp_path / "missing"
+    _assert_bad_input(
+        ["verify", "coverage", "-n", "1", "--out", str(nowhere / "x.json")], capsys
+    )
+    (tmp_path / "tiny.json").write_text(json.dumps({"resolution": 1}))
+    _assert_bad_input(
+        ["slice", "--spec", str(tmp_path / "tiny.json"), "-o",
+         str(nowhere / "s.svg")], capsys
+    )
+    assert not nowhere.exists()
     spec = tmp_path / "spec.json"
     for bad in ({"regions": ["Nowhere"]}, {"resolution": 0},
                 {"anchor": {"family": "F9", "m": 0, "shift": [0, 0, -1]}},

@@ -1,12 +1,14 @@
 """Region membership predicates: cells, composites, the two Theta variants,
 and the registered inequality systems."""
 
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import _reference
 from stabq import engine, harness, regions
 from stabq.catalog import ExcObject, hom_dims
 from stabq.exact import ExactError, Gaussian
@@ -240,21 +242,109 @@ def test_classify_matches_public_predicates():
                     assert got == want, (kind, j_edge, direction, ref)
 
 
+def test_classify_golden_digest():
+    """classify's output on 100 sampled points of every family and the
+    widened-tail point, at windows 4 and 8, hashed.  The constant was
+    computed before the lookup path read each object's status and phase
+    from one table and each family's block from one scan; any change to
+    what classify answers, or in which order, changes it."""
+    rng = random.Random("classify-digest")
+    pts = [
+        harness.sample_sigma(
+            (FAMILY_IDS[i % 8], rng.randint(-2, 2)), rng=rng, bound=32
+        )
+        for i in range(100)
+    ] + [_widened_tail_point()]
+    h = hashlib.sha256()
+    for pt in pts:
+        for window in (4, 8):
+            h.update(repr(regions.classify(pt, window)).encode())
+    assert h.hexdigest() == (
+        "2ffd54a14b733313fcbdc09ba8056fa9450375a5966527d956f5df2d5afc247d"
+    )
+
+
 def test_classify_decides_each_cell_once(monkeypatch):
     calls = Counter()
-    phases = regions._phases
+    reads = Counter()
+    phases, cell = regions._phases, regions._cell
 
     def counted(point, objs, window=regions.WINDOW):
         calls[tuple(objs), window] += 1
         return phases(point, objs, window)
 
+    def read(point, fid, m, window, cells):
+        reads[fid, m, window] += 1
+        return cell(point, fid, m, window, cells)
+
     monkeypatch.setattr(regions, "_phases", counted)
+    monkeypatch.setattr(regions, "_cell", read)
     for pt in (_std(), _widened_tail_point()):
         calls.clear()
+        reads.clear()
         regions.classify(pt)
         assert calls and max(calls.values()) == 1, calls.most_common(3)
+        # each family's block is scanned once: every cell of it is read
+        # once, by the direct cell scan, and never again by a composite
+        block = Counter(k for k in reads.elements() if k[2] == regions.WINDOW)
+        assert len(block) == len(FAMILY_IDS) * (2 * regions.WINDOW + 1)
+        assert max(block.values()) == 1, block.most_common(3)
     # the widened rescan ran, and its cells too were decided once
     assert any(w == regions.WINDOW + regions.TAIL_EXT for _, w in calls)
+
+
+def _lookup_points():
+    """Sampled points of every family, every fifth turned a quarter and
+    every seventh shifted globally, and standard-heart points."""
+    rng = random.Random("lookup-reference")
+    pts = []
+    for i in range(175):
+        pt = harness._sample_point(rng, FAMILY_IDS, -3, 3, 32)
+        if i % 5 == 0:
+            pt = engine.rotate_quarter(pt, 1)
+        if i % 7 == 0:
+            pt = engine.shift(pt, rng.choice((-2, -1, 1, 2)))
+        pts.append(pt)
+    while len(pts) < 210:
+        charges = tuple(harness._rand_charge(rng, 16) for _ in range(3))
+        try:
+            pts.append(engine.standard_heart_point(charges))
+        except ValueError:
+            pass
+    return pts
+
+
+def test_lookup_matches_the_two_call_path():
+    """_phases reads each object's status and phase from one table entry;
+    it answers exactly what the two engine calls per object answered, with
+    the same phase representations and the same certified flag, on
+    shifted and unshifted labels at windows 0, 4 and 8.  The table's two
+    fields are semistable's status and conditional_phase, recomputed."""
+    pts = _lookup_points()
+    assert {p.family for p in pts} == set(FAMILY_IDS)
+    statuses = Counter()
+    for pt in pts:
+        for window in (0, 4, 8):
+            universe = engine._universe(pt.m, window)
+            for xb in universe:
+                status, ph = engine.lookup(pt, xb, window)
+                statuses[status, ph is None] += 1
+                assert status == engine.semistable(pt, xb, window).status
+                assert ph == engine.conditional_phase(pt, xb, window)
+                assert ph == _reference.conditional_phase_uncached(pt, xb, window)
+            labels = [o.shifted(s) for o in universe for s in (0, 1, -2)]
+            groups = [[x] for x in labels] + [
+                labels[i:i + 3] for i in range(0, len(labels) - 2, 2)
+            ]
+            for objs in groups:
+                got = regions._phases(pt, objs, window)
+                want = _reference.two_call_phases(pt, objs, window)
+                assert got == want and repr(got) == repr(want), (objs, window)
+    # every kind of table entry was met
+    assert set(statuses) == {
+        ("semistable", False), ("unstable", True),
+        ("unknown", False), ("unknown", True),
+    }, statuses
 
 
 def test_undecided_cell_keeps_the_union_undecided(monkeypatch):
@@ -277,6 +367,41 @@ def test_undecided_cell_keeps_the_union_undecided(monkeypatch):
         else:
             assert regions.in_composite(pt, name) is False
     assert regions.classify(pt) == []
+
+
+def test_classify_block_summaries_are_block_scans(monkeypatch):
+    """The block summaries classify enters during its direct cell scan are
+    the _scan of each family's block on a fresh table: (hit, undecided)
+    stopping at the first hit, so an undecidable cell after a hit does not
+    count."""
+    pt = _std()
+    stub = {("F1", pt.m): None, ("F2", pt.m - 1): True, ("F2", pt.m): None}
+
+    def cell(point, fid, m, window=regions.WINDOW):
+        v = stub.get((fid, m), False)
+        if v is None:
+            raise regions.Undecidable("stub")
+        return v
+
+    tables = []
+    union = regions._cells_union
+
+    def spy(point, fids, window, cells):
+        tables.append(cells)
+        return union(point, fids, window, cells)
+
+    monkeypatch.setattr(regions, "in_named_cell", cell)
+    monkeypatch.setattr(regions, "_tails_excluded", lambda *a: True)
+    monkeypatch.setattr(regions, "_cells_union", spy)
+    w = regions.WINDOW
+    assert regions.classify(pt) == _one_at_a_time(pt, w)
+    assert ("cell", "F2", pt.m - 1) in regions.classify(pt)
+    summaries = {fid: tables[0][fid, w] for fid in FAMILY_IDS}
+    assert summaries["F1"] == (False, True)
+    assert summaries["F2"] == (True, False)
+    for fid in FAMILY_IDS:
+        block = regions._block(pt, w)
+        assert summaries[fid] == regions._scan(pt, (fid,), block, w, {})
 
 
 def test_union_false_certified_when_far_objects_dead():
