@@ -35,9 +35,10 @@ direction inside its hom bracket against the decided-semistable objects
 unit, so the phase is unique or absent and never left unresolved.
 
 Each point owns its analyses, one per window (``StabilityPoint.analysis``):
-the rule fixpoint's verdicts, the (status, conditional phase) table of
-``lookup``, and the tail enclosures ``regions`` derives from them.  An
-analysis is built on the first lookup at its window and lives exactly as
+the rule fixpoint's slot state (its one store of verdicts, which
+``semistable`` spells out one at a time), the (status, conditional phase)
+table of ``lookup``, and the tail enclosures ``regions`` derives from them.
+An analysis is built on the first lookup at its window and lives exactly as
 long as its point; nothing is cached process-wide on points, so equal but
 distinct point objects each compute their own (identical) results.
 """
@@ -388,7 +389,7 @@ class _State:
     and the decided slots in first-verdict order.  Rules are tokens, a
     string or a plan's (name, B, suffix), and a big-gap witness is the
     chain object below the gap; both are spelled in the point's own labels
-    only in ``verdicts()`` and in error messages."""
+    only by ``spell`` and in error messages."""
 
     def __init__(self, plan: _Plan, dm: int = 0):
         self.plan = plan
@@ -414,16 +415,22 @@ class _State:
     def _labels(self, rules) -> Tuple[str, ...]:
         return tuple(map(self.label, rules))
 
+    def get(self, xb: ExcObject) -> Optional[Verdict]:
+        """The verdict on the base object xb, in the point's own labels;
+        None when undecided or outside the universe."""
+        s = self.plan.slot.get(xb.translated(-self.dm))
+        return None if s is None else self.v[s]
+
+    def spell(self, v: Verdict) -> Verdict:
+        """A verdict with its witness and rules in the point's own labels."""
+        w = v.witness
+        if w is not None:
+            w = self.at(w)
+            w = "phase gap %s..x[%d]" % (w, w.m + 1)
+        return Verdict(v.status, v.phase, w, self._labels(v.rules))
+
     def verdicts(self) -> Dict[ExcObject, Verdict]:
-        out = {}
-        for s in self.order:
-            v = self.v[s]
-            w = v.witness
-            if w is not None:
-                w = self.at(w)
-                w = "phase gap %s..x[%d]" % (w, w.m + 1)
-            out[self.name(s)] = Verdict(v.status, v.phase, w, self._labels(v.rules))
-        return out
+        return {self.name(s): self.spell(self.v[s]) for s in self.order}
 
     def set_ss(self, ref: Tuple[int, int], phase: Phase, rule):
         s, shift = ref
@@ -562,7 +569,7 @@ def _sigma_triple_rules(st: _State, row: _Row, phis, charge):
     st.set_ss(target, py, rule)
 
 
-def _decide(point: StabilityPoint, window: int) -> Dict[ExcObject, Verdict]:
+def _decide(point: StabilityPoint, window: int) -> _State:
     """The rule fixpoint at ``window``, run on the window's plan in
     coordinates relative to ``point.m``; per point it computes only
     charges, window arguments and phase comparisons, by slot."""
@@ -624,39 +631,41 @@ def _decide(point: StabilityPoint, window: int) -> Dict[ExcObject, Verdict]:
             break
     else:  # pragma: no cover
         raise EngineError("rule fixpoint did not converge")
-    return st.verdicts()
+    return st
 
 
 class Analysis:
     """What the engine derives for one point at one window.
 
-    ``verdicts`` is the rule fixpoint, by base object.  ``table`` is the
-    memo of ``lookup`` by base object: the verdict's status with the
-    conditional phase, None for an object that cannot be semistable.
-    ``tails`` holds the tail enclosures of ``regions``, by side (True for
-    the high tail).  An analysis keeps no reference to its point."""
+    ``state`` is the rule fixpoint's slot state (``_State``), the one store
+    of its verdicts.  ``table`` is the memo of ``lookup`` by base object:
+    the verdict's status with the conditional phase, None for an object
+    that cannot be semistable.  ``tails`` holds the tail enclosures of
+    ``regions``, by side (True for the high tail).  An analysis keeps no
+    reference to its point."""
 
     def __init__(self, point: StabilityPoint, window: int):
-        self.verdicts: Dict[ExcObject, Verdict] = _decide(point, window)
+        self.state = _decide(point, window)
         self.table: Dict[ExcObject, Tuple[str, Optional[Phase]]] = {}
         self.tails: Dict[bool, dict] = {}
 
 
 def semistable(point: StabilityPoint, x: ExcObject, window: int = DEFAULT_WINDOW) -> Verdict:
-    """The verdict on x from the point's analysis at ``window``.  Results
-    belong to the point object: equal but distinct points compute their
-    own."""
-    v = point.analysis(window).verdicts.get(x.base(), UNKNOWN)
+    """The verdict on x from the point's analysis at ``window``, spelled
+    out on each call.  Results belong to the point object: equal but
+    distinct points compute their own."""
+    st = point.analysis(window).state
+    v = st.spell(st.get(x.base()) or UNKNOWN)
     if v.status == "semistable" and x.shift:
-        return Verdict(v.status, v.phase.plus(x.shift), v.witness, v.rules)
+        v.phase = v.phase.plus(x.shift)
     return v
 
 
 def phase_of(point: StabilityPoint, x: ExcObject, window: int = DEFAULT_WINDOW) -> Phase:
-    v = semistable(point, x, window)
-    if v.status != "semistable":
+    status, ph = lookup(point, x.base(), window)
+    if status != "semistable":
         raise UndecidedError("%s is not decided semistable" % (x,))
-    return v.phase
+    return ph.plus(x.shift) if x.shift else ph
 
 
 def hom_bracket(bounds) -> Optional[Tuple[Optional[Phase], Optional[Phase]]]:
@@ -691,13 +700,14 @@ def _hom_degrees(x: ExcObject, y: ExcObject) -> Tuple[Optional[int], ...]:
 
 def phase_bracket(point: StabilityPoint, xb: ExcObject, window: int = DEFAULT_WINDOW):
     """``hom_bracket`` of the base object xb against the decided-semistable
-    objects of the point's analysis at ``window``, in verdict order."""
-    dm = -point.m
-    x = xb.translated(dm)
+    objects of the point's analysis at ``window``, in verdict order.  The
+    hom degrees are read on the plan's labels, relative to m = 0."""
+    st = point.analysis(window).state
+    x, u = xb.translated(-st.dm), st.plan.universe
     return hom_bracket(
-        (w.phase, *_hom_degrees(x, o.translated(dm)))
-        for o, w in point.analysis(window).verdicts.items()
-        if w.status == "semistable"
+        (st.phase[s], *_hom_degrees(x, u[s]))
+        for s in st.order
+        if st.phase[s] is not None
     )
 
 
@@ -734,7 +744,7 @@ def lookup(point: StabilityPoint, xb: ExcObject,
     an = point.analysis(window)
     e = an.table.get(xb)
     if e is None:
-        v = an.verdicts.get(xb, UNKNOWN)
+        v = an.state.get(xb) or UNKNOWN
         ph = v.phase
         if v.status == "unknown":
             z = charge_of(point, xb)

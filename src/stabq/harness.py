@@ -9,6 +9,7 @@ characterization.  Samples where a needed verdict is out of reach count as
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -419,14 +420,12 @@ def _tri_composite(pt, name):
 
 
 def _chk_disjoint(pt, rng):
-    # a hit in the finite block is sound for the full union and cheap, so
-    # only fall back to the tail-certified predicate where it is needed
-    a_hit = regions.scan_cells(pt, regions.COMPOSITES["Ta"])[0]
-    b_hit = regions.scan_cells(pt, regions.COMPOSITES["Tb"])[0]
-    a = True if a_hit else _tri_composite(pt, "Ta")
+    # in_composite scans the finite block first, so a block hit costs no
+    # tail work; Tb is not read when Ta is decided False
+    a = _tri_composite(pt, "Ta")
     if a is False:
         return
-    b = True if b_hit else _tri_composite(pt, "Tb")
+    b = _tri_composite(pt, "Tb")
     if a and b:
         raise _Mismatch("Ta and Tb both contain the sample")
     if b is not False:
@@ -664,40 +663,48 @@ def slice_svg(spec: dict, out_path: str) -> None:
     first/second anchor charge directions; the third charge is fixed.
     ``spec`` is described at ``slice_params``."""
     names, anchor, res, z2 = slice_params(spec)
-    cell = 12
-    rows: List[str] = ["i,j," + ",".join(names)]
-    rects: List[str] = []
-    for i in range(res):
-        for j in range(res):
-            pt = engine.StabilityPoint(
-                *anchor, (_grid_charge(i, res), _grid_charge(j, res), z2)
-            )
-            hits = []
-            for name in names:
-                try:
-                    hits.append(regions.in_composite(pt, name))
-                except regions.Undecidable:
-                    hits.append(None)
-            rows.append(
-                "%d,%d,%s"
-                % (i, j, ",".join("" if h is None else str(int(h)) for h in hits))
-            )
-            color = "#eeeeee"
-            for name, h in zip(names, hits):
-                if h:
-                    color = _SLICE_COLORS.get(name, "#888888")
-                    break
-            rects.append(
-                '<rect x="%d" y="%d" width="%d" height="%d" fill="%s"/>'
-                % (i * cell, (res - 1 - j) * cell, cell, cell, color)
-            )
-    svg = (
-        '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d">\n'
-        % (res * cell, res * cell)
-        + "\n".join(rects)
-        + "\n</svg>\n"
-    )
-    with open(out_path, "w") as f:
-        f.write(svg)
-    with open(out_path.rsplit(".", 1)[0] + ".csv", "w") as f:
-        f.write("\n".join(rows) + "\n")
+    # both outputs are opened before the render, so an unwritable path fails
+    # at once, and a .csv that cannot be written leaves no .svg behind
+    svg_file = open(out_path, "w")
+    try:
+        csv_file = open(out_path.rsplit(".", 1)[0] + ".csv", "w")
+    except OSError:
+        svg_file.close()
+        os.remove(out_path)
+        raise
+    with svg_file, csv_file:
+        cell = 12
+        rows: List[str] = ["i,j," + ",".join(names)]
+        rects: List[str] = []
+        for i in range(res):
+            for j in range(res):
+                pt = engine.StabilityPoint(
+                    *anchor, (_grid_charge(i, res), _grid_charge(j, res), z2)
+                )
+                hits = []
+                for name in names:
+                    try:
+                        hits.append(regions.in_composite(pt, name))
+                    except regions.Undecidable:
+                        hits.append(None)
+                rows.append(
+                    "%d,%d,%s"
+                    % (i, j, ",".join("" if h is None else str(int(h)) for h in hits))
+                )
+                color = "#eeeeee"
+                for name, h in zip(names, hits):
+                    if h:
+                        color = _SLICE_COLORS.get(name, "#888888")
+                        break
+                rects.append(
+                    '<rect x="%d" y="%d" width="%d" height="%d" fill="%s"/>'
+                    % (i * cell, (res - 1 - j) * cell, cell, cell, color)
+                )
+        svg = (
+            '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d">\n'
+            % (res * cell, res * cell)
+            + "\n".join(rects)
+            + "\n</svg>\n"
+        )
+        svg_file.write(svg)
+        csv_file.write("\n".join(rows) + "\n")

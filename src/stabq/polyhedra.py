@@ -25,7 +25,7 @@ from .exact import (
     phase_in_closed_window,
     window_arg,
 )
-from .triples import ExcTriple, alpha_beta_gamma
+from .triples import ExcTriple, alpha_beta_gamma, theta_bounds
 
 Rat = Fraction
 RatVec = Sequence[Fraction]
@@ -116,16 +116,12 @@ def a0_union_member(phi: RatVec, t: ExcTriple) -> bool:
     y = [Fraction(v) for v in phi]
     if len(y) != 3:
         raise ValueError("need a triple")
+    closed = all(
+        bound is None or y[i] - y[j] < 1 + bound
+        for (i, j), bound in zip(((0, 1), (0, 2), (1, 2)), theta_bounds(t))
+    )
+
     a, b, g = alpha_beta_gamma(t)
-
-    def lt(x, bound) -> bool:
-        return True if bound is None else x < 1 + bound
-
-    ag = None if (a is None or g is None) else a + g
-    top = None
-    if b is not None or ag is not None:
-        top = min(v for v in (b, ag) if v is not None)
-    closed = lt(y[0] - y[1], a) and lt(y[0] - y[2], top) and lt(y[1] - y[2], g)
 
     M = _gap_margin(y) + max(abs(v) for v in (a or 0, b or 0, g or 0)) + 2
     hi1 = a if a is not None else M

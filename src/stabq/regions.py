@@ -5,12 +5,14 @@ All predicates are three-valued in spirit: True/False when every needed
 semistability verdict is decided, and an Undecidable error otherwise --
 an undecided verdict must never silently read as "not in the region".
 
-The intersection lemmas' inequality systems are data: one table row per
-system (three objects and a disjunction of clauses of strict phase
-inequalities, some refined by the sign of one window argument), read by
-one evaluator.  A chain system written for the letter a serves the letter b
-through the swap a <-> b, M <-> M'.  The cells' inequality patterns are a
-table keyed by family in the same notation.
+Every phase-inequality predicate is a row of clauses read by one
+evaluator, ``_evaluate``: three objects and a disjunction of clauses of
+strict phase inequalities, some refined by the sign of one window
+argument.  A cell is its family's pattern as one clause, Theta of a triple
+is the clause of the bounds ``triples.theta_bounds``, Theta' is the
+constant clause "every pairwise gap below 1", and the intersection lemmas'
+systems are one table row each.  A chain system written for the letter a
+serves the letter b through the swap a <-> b, M <-> M'.
 
 A composite is a union of cells.  ``classify`` decides each cell at most
 once per call: its direct cell scan and all its composites, widened tail
@@ -40,6 +42,7 @@ from .triples import (
     family_triple,
     mutate_left,
     mutate_right,
+    theta_bounds,
 )
 
 WINDOW = engine.DEFAULT_WINDOW
@@ -71,24 +74,9 @@ def _phases(
     return out, certified
 
 
-def _certify(ok: bool, certified: bool) -> bool:
-    """Sound three-valued conjunction of an inequality check with the
-    semistability requirement."""
-    if not ok:
-        return False
-    if not certified:
-        raise Undecidable("inequalities hold but semistability undecided")
-    return True
-
-
-def _lt(p: Phase, q: Phase, n: int = 0) -> bool:
-    """p < q + n."""
-    return p.cmp(q.plus(n) if n else q) < 0
-
-
 def _holds(ph, ineqs) -> bool:
     """Every strict inequality (i, j, c), p_i < p_j + c, holds on ph."""
-    return all(_lt(ph[i], ph[j], c) for i, j, c in ineqs)
+    return all(ph[i].cmp(ph[j].plus(c) if c else ph[j]) < 0 for i, j, c in ineqs)
 
 
 def _min_bound(*vals):
@@ -97,35 +85,61 @@ def _min_bound(*vals):
     return min(finite) if finite else None
 
 
+# A row is a disjunction of clauses over the phases p_0, p_1, p_2 of three
+# objects.  A clause is a tuple of strict inequalities (i, j, c), meaning
+# p_i < p_j + c, plus an optional refinement (i, j, lo, k, c, sign): the
+# window argument of Z(o_i) - Z(o_j) in (p_lo - 1, p_lo), compared with
+# p_k + c, has that sign.  A refinement is evaluated only when its clause's
+# inequalities hold, and a charge on the window boundary fails it.
+
+
+def _refined(point, objs, ph, refinement) -> bool:
+    i, j, lo, k, c, sign = refinement
+    diff = engine.charge_of(point, objs[i]) - engine.charge_of(point, objs[j])
+    try:
+        wa = window_arg(diff, ph[lo].plus(-1))
+    except ExactError:
+        return False
+    return wa.cmp(ph[k].plus(c)) == sign
+
+
+def _evaluate(point, objs, clauses, window: int = WINDOW) -> bool:
+    """Membership in the region where every object is semistable and some
+    clause of the row holds on their phases: False as soon as either
+    fails, Undecidable when the clause holds on undecided objects."""
+    ph, cert = _phases(point, objs, window)
+    if ph is None or not any(
+        _holds(ph, ineqs) and (ref is None or _refined(point, objs, ph, ref))
+        for ineqs, ref in clauses
+    ):
+        return False
+    if not cert:
+        raise Undecidable("inequalities hold but semistability undecided")
+    return True
+
+
 # ---------------------------------------------------------------------------
 # the basic regions
 
+# Theta': every pairwise phase gap strictly below 1
+_THETA_PRIME = (
+    (((0, 1, 1), (1, 0, 1), (0, 2, 1), (2, 0, 1), (1, 2, 1), (2, 1, 1)), None),
+)
+
 
 def in_theta_prime(point, t: ExcTriple) -> bool:
-    ph, cert = _phases(point, t.objs)
-    if ph is None:
-        return False
-    ok = all(
-        _lt(ph[i], ph[j], 1) and _lt(ph[j], ph[i], 1)
-        for i in range(3)
-        for j in range(i + 1, 3)
-    )
-    return _certify(ok, cert)
+    return _evaluate(point, t.objs, _THETA_PRIME)
 
 
 def in_theta(point, t: ExcTriple) -> bool:
     """Closed-form membership: semistability plus the three strict gap
-    bounds derived from the surviving hom degrees."""
-    ph, cert = _phases(point, t.objs)
-    if ph is None:
-        return False
-    a, b, g = alpha_beta_gamma(t)
-    ag = None if (a is None or g is None) else a + g
-    bounds = ((0, 1, a), (0, 2, _min_bound(b, ag)), (1, 2, g))
-    ok = all(
-        bound is None or _lt(ph[i], ph[j], 1 + bound) for i, j, bound in bounds
+    bounds p_i < p_j + 1 + bound of ``theta_bounds``."""
+    ineqs = tuple(
+        (i, j, 1 + bound)
+        for (i, j), bound in zip(((0, 1), (0, 2), (1, 2)), theta_bounds(t))
+        if bound is not None
     )
-    return _certify(ok, cert)
+    return _evaluate(point, t.objs, ((ineqs, None),))
 
 
 # the inequality pattern of each family's cells, as strict comparisons
@@ -140,14 +154,11 @@ _PATTERN_INEQS = {
     "F7": ((0, 1, 1), (0, 2, 0), (1, 2, 0)),
     "F8": ((0, 1, 1), (0, 2, 0), (1, 2, 0)),
 }
+_CELL_ROWS = {fid: ((ineqs, None),) for fid, ineqs in _PATTERN_INEQS.items()}
 
 
 def in_named_cell(point, fid: str, m: int, window: int = WINDOW) -> bool:
-    t = family_triple(fid, m)
-    ph, cert = _phases(point, t.objs, window)
-    if ph is None:
-        return False
-    return _certify(_holds(ph, _PATTERN_INEQS[fid]), cert)
+    return _evaluate(point, family_triple(fid, m).objs, _CELL_ROWS[fid], window)
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +177,9 @@ def _reference_objects(point, window: int):
     refs = list(zip(point.anchor().objs, point.anchor_phases()))
     for name in ("M", "Mp"):
         x = ExcObject(name, 0, 0)
-        v = engine.semistable(point, x, window)
-        if v.status == "semistable":
-            refs.append((x, v.phase))
+        status, ph = engine.lookup(point, x, window)
+        if status == "semistable":
+            refs.append((x, ph))
     return refs
 
 
@@ -442,13 +453,6 @@ def classify(point, window: int = WINDOW) -> List[Tuple]:
 
 # ---------------------------------------------------------------------------
 # intersection characterizations, as data
-#
-# A system is a disjunction of clauses over the phases p_0, p_1, p_2 of three
-# objects.  A clause is a tuple of strict inequalities (i, j, c), meaning
-# p_i < p_j + c, plus an optional refinement (i, j, lo, k, c, sign): the
-# window argument of Z(o_i) - Z(o_j) in (p_lo - 1, p_lo), compared with
-# p_k + c, has that sign.  A refinement is evaluated only when its clause's
-# inequalities hold, and a charge on the window boundary fails it.
 
 # (a^m, a^{m+1}, M) meets the one-sided composite of the other chain letter
 _CHAIN_CAP_Z = (
@@ -522,8 +526,7 @@ def _mutation_clauses(t: ExcTriple, side: str):
     ("left").  Both sides read the bound of the pair that joins the mutated
     object, shifted down by one, to the object of t the mutation leaves
     alone."""
-    _, b, _ = alpha_beta_gamma(t)
-    outer = (0, 2, 1 + _min_bound(b, 0))
+    outer = (0, 2, 1 + theta_bounds(t)[1])
     if side == "right":
         x = mutate_right(t[0], t[1]).shifted(-1)
         _, _, gp = alpha_beta_gamma(ExcTriple((t[1], x, t[2])))
@@ -531,27 +534,6 @@ def _mutation_clauses(t: ExcTriple, side: str):
     y = mutate_left(t[1], t[2]).shifted(-1)
     ap, _, _ = alpha_beta_gamma(ExcTriple((t[0], y, t[1])))
     return ((((2, 1, 0), (1, 2, 1), outer, (0, 1, _min_bound(ap, 1))), None),)
-
-
-def _refined(point, objs, ph, refinement) -> bool:
-    i, j, lo, k, c, sign = refinement
-    diff = engine.charge_of(point, objs[i]) - engine.charge_of(point, objs[j])
-    try:
-        wa = window_arg(diff, ph[lo].plus(-1))
-    except ExactError:
-        return False
-    return wa.cmp(ph[k].plus(c)) == sign
-
-
-def _evaluate(point, objs, clauses) -> bool:
-    ph, cert = _phases(point, objs)
-    if ph is None:
-        return False
-    ok = any(
-        _holds(ph, ineqs) and (ref is None or _refined(point, objs, ph, ref))
-        for ineqs, ref in clauses
-    )
-    return _certify(ok, cert)
 
 
 def _instance(sys_id: str, kw) -> Tuple[tuple, tuple]:

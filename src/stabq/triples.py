@@ -150,17 +150,21 @@ def shift_set_members(t: ExcTriple, depth: int = 4) -> List[Tuple[int, int, int]
     return out
 
 
+@lru_cache(maxsize=4096)
+def theta_bounds(t: ExcTriple) -> Tuple[Optional[int], Optional[int], Optional[int]]:
+    """(alpha, min(beta, alpha + gamma), gamma), None encoding +infinity:
+    the largest p1, p2 and p2 - p1 over the shift set, which bound the
+    phase gaps of Theta(t).  Memoised like ``alpha_beta_gamma``."""
+    a, b, g = alpha_beta_gamma(t)
+    ag = None if a is None or g is None else a + g
+    return a, min((v for v in (b, ag) if v is not None), default=None), g
+
+
 def extreme_shift(t: ExcTriple) -> Tuple[int, int, int]:
     """The componentwise-largest member of the shift set."""
-    a, b, g = alpha_beta_gamma(t)
-    if a is None or (b is None and g is None):
+    a, top, _ = theta_bounds(t)
+    if a is None or top is None:
         raise ValueError("shift set unbounded for %s" % (t,))
-    if b is None:
-        top = a + g
-    elif g is None:
-        top = b
-    else:
-        top = min(b, a + g)
     return (0, a, top)
 
 

@@ -6,6 +6,8 @@ indecomposables of the quiver) and serve as a frozen cross-check of
 ``catalog.hom_dims`` and ``catalog.kclass``.
 """
 
+from functools import lru_cache
+
 from stabq.catalog import ExcObject, family_dim, hom_dims
 from stabq.quiver import DELTA, Vec3
 
@@ -187,14 +189,23 @@ def sample_angular_members(set_id, count, seed=0, budget=20000):
 # the two-call lookup path of the region predicates
 
 
+@lru_cache(maxsize=8)
+def spelled_verdicts(point, window):
+    """Every verdict of a fresh rule fixpoint on the point, spelled out by
+    base object; memoised on equal points, which have equal verdicts."""
+    from stabq import engine
+
+    return engine._decide(point, window).verdicts()
+
+
 def conditional_phase_uncached(point, xb, window):
-    """engine.conditional_phase computed afresh from the point's verdicts:
+    """engine.conditional_phase computed afresh from the spelled verdicts:
     the decided phase; None for an unstable object or a zero charge; else
     the phase of the charge direction in the hom bracket, or None."""
     from stabq import engine
     from stabq.exact import phase_in_closed_window
 
-    v = point.analysis(window).verdicts.get(xb, engine.UNKNOWN)
+    v = spelled_verdicts(point, window).get(xb, engine.UNKNOWN)
     if v.status != "unknown":
         return v.phase
     z = engine.charge_of(point, xb)
@@ -219,3 +230,96 @@ def two_call_phases(point, objs, window):
             return None, True
         out.append(ph.plus(o.shift))
     return out, certified
+
+
+# ---------------------------------------------------------------------------
+# the hand-written region predicates and Theta bound that the clause rows
+# of regions._evaluate and triples.theta_bounds replace
+
+
+def _lt(p, q, n=0):
+    """p < q + n."""
+    return p.cmp(q.plus(n) if n else q) < 0
+
+
+def _certify(ok, certified):
+    from stabq import regions
+
+    if not ok:
+        return False
+    if not certified:
+        raise regions.Undecidable("inequalities hold but semistability undecided")
+    return True
+
+
+def _min_bound(*vals):
+    finite = [v for v in vals if v is not None]
+    return min(finite) if finite else None
+
+
+def in_theta_prime(point, t):
+    from stabq import regions
+
+    ph, cert = regions._phases(point, t.objs)
+    if ph is None:
+        return False
+    ok = all(
+        _lt(ph[i], ph[j], 1) and _lt(ph[j], ph[i], 1)
+        for i in range(3)
+        for j in range(i + 1, 3)
+    )
+    return _certify(ok, cert)
+
+
+def in_theta(point, t):
+    from stabq import regions
+    from stabq.triples import alpha_beta_gamma
+
+    ph, cert = regions._phases(point, t.objs)
+    if ph is None:
+        return False
+    a, b, g = alpha_beta_gamma(t)
+    ag = None if (a is None or g is None) else a + g
+    bounds = ((0, 1, a), (0, 2, _min_bound(b, ag)), (1, 2, g))
+    ok = all(
+        bound is None or _lt(ph[i], ph[j], 1 + bound) for i, j, bound in bounds
+    )
+    return _certify(ok, cert)
+
+
+PATTERN_INEQS = {
+    "F1": ((0, 1, 0), (0, 2, -1), (1, 2, 0)),
+    "F2": ((0, 1, 0), (0, 2, -1), (1, 2, 0)),
+    "F3": ((0, 1, 0), (0, 2, 0), (1, 2, 1)),
+    "F4": ((0, 1, 0), (0, 2, -1), (1, 2, 0)),
+    "F5": ((0, 1, 0), (0, 2, -1), (1, 2, 0)),
+    "F6": ((0, 1, 0), (0, 2, 0), (1, 2, 1)),
+    "F7": ((0, 1, 1), (0, 2, 0), (1, 2, 0)),
+    "F8": ((0, 1, 1), (0, 2, 0), (1, 2, 0)),
+}
+
+
+def in_named_cell(point, fid, m, window):
+    from stabq import regions
+    from stabq.triples import family_triple
+
+    ph, cert = regions._phases(point, family_triple(fid, m).objs, window)
+    if ph is None:
+        return False
+    ok = all(_lt(ph[i], ph[j], c) for i, j, c in PATTERN_INEQS[fid])
+    return _certify(ok, cert)
+
+
+def extreme_shift(t):
+    from stabq.triples import alpha_beta_gamma
+
+    a, b, g = alpha_beta_gamma(t)
+    if a is None or (b is None and g is None):
+        raise ValueError("shift set unbounded for %s" % (t,))
+    if b is None:
+        top = a + g
+    elif g is None:
+        top = b
+    else:
+        top = min(b, a + g)
+    return (0, a, top)

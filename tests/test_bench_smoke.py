@@ -68,6 +68,35 @@ def test_traced_names_exist():
         assert inspect.isfunction(value) and value.__module__ == mod.__name__, (layer, fn)
 
 
+@pytest.mark.parametrize("name, lemma", [
+    ("heart-oracle", None),
+    ("lemma-suite", "semi-stability of a"),
+])
+def test_traced_call_records_semistable_spans(name, lemma):
+    """engine.unknown_share reads the outcomes of engine.semistable spans,
+    so both workloads that read statuses must still make such calls:
+    oracle_agreement and harness._status.  One call of each workload is
+    traced as the bench traces it (a lemma-suite call runs one lemma; the
+    first semi-stability suite reads statuses at seed 7), and the module
+    attributes the tracer replaces are restored afterwards."""
+    import stabq
+
+    saved = {lay: dict(vars(getattr(stabq, lay))) for lay in measure.SPAN_LAYERS}
+    wl = workloads.WORKLOADS[name](7, _STABQ)
+    i = 0 if lemma is None else harness.LEMMA_IDS.index(lemma)
+    tr = measure.Tracer(undecidable=regions.Undecidable)
+    try:
+        for lay in measure.SPAN_LAYERS:
+            tr.instrument(lay, getattr(stabq, lay))
+        wl.prepare(i)
+        wl.call(i)
+    finally:
+        for lay, attrs in saved.items():
+            vars(getattr(stabq, lay)).update(attrs)
+    spans = [tr.names[k] for k in tr.name]
+    assert "engine.semistable" in spans, sorted(set(spans))
+
+
 def test_bench_selftest_passes():
     proc = subprocess.run(
         [sys.executable, "-B", os.path.join(BENCH, "selftest.py")],

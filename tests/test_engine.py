@@ -469,7 +469,7 @@ def test_each_round_reads_the_phases_decided_before_it():
         "charges": [{"re": "-7/16", "im": "0"}, {"re": "14/23", "im": "21/22"},
                     {"re": "-4/15", "im": "10"}],
     })
-    verdicts = engine._decide(pt, 4)
+    verdicts = engine._decide(pt, 4).verdicts()
     assert [str(o) for o in verdicts] == [
         "b[1]", "b[2]", "M'", "b[0]", "b[-1]", "b[-2]", "b[3]", "b[4]", "b[5]",
         "b[-3]", "b[6]",
@@ -502,7 +502,7 @@ def test_fixpoint_golden_digest():
     h = hashlib.sha256()
     for p in pts:
         for w in (4, 8):
-            h.update(repr(list(engine._decide(p, w).items())).encode())
+            h.update(repr(list(engine._decide(p, w).verdicts().items())).encode())
     assert h.hexdigest() == (
         "b614fb67d634954ac825c09627a77a807724cf03d2e2050d7beedb4bbdccb6cf"
     )
@@ -549,7 +549,7 @@ def test_rare_rule_decides_first(rule, label, point):
     x = parse_label(label)
     v = engine.semistable(pt, x)
     assert v.status == "semistable" and v.rules[0].startswith(rule + "(")
-    verdicts = pt.analysis().verdicts
+    verdicts = engine._decide(pt, engine.DEFAULT_WINDOW).verdicts()
     for o, w in verdicts.items():
         if w.status != "semistable" or o == x:
             continue

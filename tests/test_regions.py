@@ -319,19 +319,45 @@ def test_lookup_matches_the_two_call_path():
     it answers exactly what the two engine calls per object answered, with
     the same phase representations and the same certified flag, on
     shifted and unshifted labels at windows 0, 4 and 8.  The table's two
-    fields are semistable's status and conditional_phase, recomputed."""
+    fields are semistable's status and conditional_phase, recomputed.
+
+    Every reader of the analysis's slot state (semistable, lookup,
+    phase_of, conditional_phase) agrees with the verdicts of a fresh
+    fixpoint spelled out, ``_decide(p, w).verdicts()``, on every universe
+    object, on chain objects beyond the window and on shifted labels: the
+    same status, rules, witness and phase representation."""
     pts = _lookup_points()
     assert {p.family for p in pts} == set(FAMILY_IDS)
     statuses = Counter()
+    witnesses = 0
     for pt in pts:
         for window in (0, 4, 8):
             universe = engine._universe(pt.m, window)
-            for xb in universe:
+            spelled = _reference.spelled_verdicts(pt, window)
+            far = [ExcObject(k, pt.m + d, 0) for k in ("a", "b")
+                   for d in (-window - 1, -window - 6, window + 2, window + 7)]
+            for xb in universe + far:
                 status, ph = engine.lookup(pt, xb, window)
                 statuses[status, ph is None] += 1
-                assert status == engine.semistable(pt, xb, window).status
+                v = spelled.get(xb, engine.UNKNOWN)
+                witnesses += v.witness is not None
+                assert status == v.status
                 assert ph == engine.conditional_phase(pt, xb, window)
-                assert ph == _reference.conditional_phase_uncached(pt, xb, window)
+                want_ph = _reference.conditional_phase_uncached(pt, xb, window)
+                assert repr(ph) == repr(want_ph)
+                for x in (xb, xb.shifted(1), xb.shifted(-2)):
+                    want = v
+                    if v.status == "semistable" and x.shift:
+                        want = engine.Verdict(
+                            v.status, v.phase.plus(x.shift), v.witness, v.rules
+                        )
+                    got = engine.semistable(pt, x, window)
+                    assert got == want and repr(got) == repr(want), (x, window)
+                    if v.status == "semistable":
+                        assert repr(engine.phase_of(pt, x, window)) == repr(want.phase)
+                    else:
+                        with pytest.raises(engine.UndecidedError):
+                            engine.phase_of(pt, x, window)
             labels = [o.shifted(s) for o in universe for s in (0, 1, -2)]
             groups = [[x] for x in labels] + [
                 labels[i:i + 3] for i in range(0, len(labels) - 2, 2)
@@ -345,6 +371,55 @@ def test_lookup_matches_the_two_call_path():
         ("semistable", False), ("unstable", True),
         ("unknown", False), ("unknown", True),
     }, statuses
+    assert witnesses  # a big-gap witness was spelled
+
+
+def _outcome(predicate, *args):
+    try:
+        return predicate(*args)
+    except regions.Undecidable:
+        return "undecidable"
+
+
+def test_clause_rows_match_the_hand_written_predicates():
+    """in_named_cell, in_theta and in_theta_prime read clause rows through
+    _evaluate, and answer True, False or Undecidable exactly as the
+    hand-written predicates they replace (_reference).  The points are
+    sampled on every family with m in -3..3.  The cells cover the whole
+    block at windows 4 and 8 and three indices beyond it on either side,
+    and Theta and Theta' the standard triples near the point's index and
+    beyond the window, with their shift-set members.  Only objects beyond
+    the window make a predicate undecidable on these points."""
+    rng = random.Random("clause-rows")
+    outcomes = Counter()
+    for i in range(304):
+        pt = harness.sample_sigma(
+            (FAMILY_IDS[i % 8], rng.randint(-3, 3)), rng=rng, bound=32
+        )
+        for window in (4, 8):
+            for fid in FAMILY_IDS:
+                for m in range(pt.m - window - 3, pt.m + window + 4):
+                    got = _outcome(regions.in_named_cell, pt, fid, m, window)
+                    assert got == _outcome(
+                        _reference.in_named_cell, pt, fid, m, window
+                    ), (fid, m, window, pt.to_json())
+                    outcomes["cell", got] += 1
+        for fid in FAMILY_IDS:
+            for dm in (-10, -9, -2, -1, 0, 1, 2, 9, 10):
+                t = family_triple(fid, pt.m + dm)
+                got = _outcome(regions.in_theta, pt, t)
+                assert got == _outcome(_reference.in_theta, pt, t), (fid, dm)
+                outcomes["theta", got] += 1
+                for p in shift_set_members(t, 1):
+                    ts = t.shifted(p)
+                    got = _outcome(regions.in_theta_prime, pt, ts)
+                    assert got == _outcome(_reference.in_theta_prime, pt, ts)
+                    outcomes["theta'", got] += 1
+    # every predicate met every outcome
+    assert set(outcomes) == {
+        (name, v) for name in ("cell", "theta", "theta'")
+        for v in (True, False, "undecidable")
+    }, outcomes
 
 
 def test_undecided_cell_keeps_the_union_undecided(monkeypatch):

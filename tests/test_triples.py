@@ -1,9 +1,12 @@
 """Exceptional triples: families, shift sets, mutations, extension closures."""
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
+import _reference
 from stabq.catalog import ExcObject, hom_dims, kclass, parse_label
 from stabq.triples import (
     FAMILY_IDS,
@@ -20,6 +23,7 @@ from stabq.triples import (
     mutate_right,
     mutate_triple,
     shift_set_members,
+    theta_bounds,
 )
 
 _ABG = {
@@ -182,3 +186,29 @@ def test_closure_content_respects_explicit_shifts():
     content = closure_content(p)
     x0, y1, mid = content
     assert kclass(mid) == kclass(x0) + kclass(y1)
+
+
+def test_theta_bounds_match_the_hand_written_bound():
+    """theta_bounds is (alpha, min(beta, alpha + gamma), gamma), and
+    extreme_shift reads it: both agree with the hand-written bound they
+    replace, raising alike, on every ordered triple of a set of labels with
+    shifts, exceptional or not, so that every pattern of +infinity occurs."""
+    objs = [ExcObject("M", 0, 0), ExcObject("Mp", 0, 0)] + [
+        ExcObject(k, i, s) for k in "ab" for i in range(-2, 3) for s in (0, 1)
+    ]
+    patterns = Counter()
+    for t in map(ExcTriple, itertools.product(objs, repeat=3)):
+        a, b, g = alpha_beta_gamma(t)
+        ag = None if a is None or g is None else a + g
+        assert theta_bounds(t) == (a, _reference._min_bound(b, ag), g)
+        try:
+            want = _reference.extreme_shift(t)
+        except ValueError:
+            with pytest.raises(ValueError):
+                extreme_shift(t)
+            want = None
+        else:
+            assert extreme_shift(t) == want
+        patterns[tuple(v is None for v in (a, b, g)), want is None] += 1
+    assert {p for p, _ in patterns} == set(itertools.product((False, True), repeat=3))
+    assert {raised for _, raised in patterns} == {False, True}
