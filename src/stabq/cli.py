@@ -1,10 +1,11 @@
 """Command-line interface: `stab <subcommand>`.
 
 Exit codes: 0 success, 1 a verification mismatch (`stab verify`), 2 input
-the command cannot use (a missing or malformed file, a bad label, an
-unknown lemma, a sample count below 1, a window outside 0..MAX_WINDOW, a
-point outside the oracle's domain, an object beyond the oracle's size
-cap, an output path that cannot be written), reported as one
+the command cannot use (a missing or malformed file, a bool or a
+fraction where a file needs an integer, a bad label, an unknown lemma, a
+sample count below 1, a window outside 0..MAX_WINDOW, a point outside the
+oracle's domain, an object beyond the oracle's size cap, an output path
+that cannot be written, a slice -o ending in .csv), reported as one
 `<command>: ...` line on stderr, and 3 an internal error (any other
 exception, such as an engine contradiction), reported as one
 `<command>: internal error: ...` line on stderr.
@@ -184,6 +185,10 @@ def _cmd_slice(args) -> int:
         raise _BadInput("%s: missing key %s" % (args.spec, e))
     except (TypeError, ValueError, ArithmeticError) as e:
         raise _BadInput("%s: bad slice spec: %s" % (args.spec, e))
+    try:
+        harness.slice_csv_path(args.out)
+    except ValueError as e:
+        raise _BadInput("bad -o: %s" % (e,))
     try:
         harness.slice_svg(spec, args.out)
     except OSError as e:  # the .svg, or the .csv written beside it

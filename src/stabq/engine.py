@@ -37,10 +37,18 @@ unit, so the phase is unique or absent and never left unresolved.
 Each point owns its analyses, one per window (``StabilityPoint.analysis``):
 the rule fixpoint's slot state (its one store of verdicts, which
 ``semistable`` spells out one at a time), the (status, conditional phase)
-table of ``lookup``, and the tail enclosures ``regions`` derives from them.
-An analysis is built on the first lookup at its window and lives exactly as
-long as its point; nothing is cached process-wide on points, so equal but
-distinct point objects each compute their own (identical) results.
+entries of ``lookup`` in one row indexed by the same slots (a memo by
+object only for the objects beyond the plan's universe), and the tail
+enclosures ``regions`` derives from them.  A lookup finds an object's slot
+by arithmetic on its label and builds no object.  An analysis is built on
+the first lookup at its window and lives exactly as long as its point;
+nothing is cached process-wide on points, so equal but distinct point
+objects each compute their own (identical) results.
+
+The phase comparisons on the hot paths (the fixpoint's unit shifts, the
+hom bracket, the region clause test) read a phase shifted by an integer as
+an (offset, charge) pair and decide with one cross product
+(``exact.cmp_shifted``), building no Phase per comparison.
 """
 
 from __future__ import annotations
@@ -55,9 +63,10 @@ from .exact import (
     ExactError,
     Gaussian,
     Phase,
+    cmp_shifted,
+    exact_int,
     int_phase,
     phase_add,
-    phase_diff,
     phase_in_closed_window,
     primitive_multiple,
     window_arg,
@@ -175,11 +184,11 @@ class StabilityPoint:
         a = d["anchor"]
         return StabilityPoint(
             a["family"],
-            int(a["m"]),
-            tuple(int(x) for x in a["shift"]),
+            exact_int(a["m"]),
+            tuple(exact_int(x) for x in a["shift"]),
             tuple(Gaussian.from_json(z) for z in d["charges"]),
-            int(d.get("global_shift", 0)),
-            tuple(int(x) for x in d.get("extra_offsets", (0, 0, 0))),
+            exact_int(d.get("global_shift", 0)),
+            tuple(exact_int(x) for x in d.get("extra_offsets", (0, 0, 0))),
         )
 
 
@@ -302,6 +311,8 @@ class _Plan:
         self.window = window
         self.universe = u = _universe(m, window)
         self.slot = {o: i for i, o in enumerate(u)}
+        # the lowest chain index and the length of each chain in the universe
+        self.low, self.span = m - window, 2 * window + 2
         ks = range(m - window, m + window + 1)
         ts = [family_triple(f, k) for f in FAMILY_IDS for k in ks]
         self.triples = [(t, tuple(self.slot[o] for o in t.objs), {}) for t in ts]
@@ -314,6 +325,20 @@ class _Plan:
 
     def ref(self, obj: ExcObject) -> Tuple[int, int]:
         return self.slot[obj.base()], obj.shift
+
+    def index(self, xb: ExcObject, dm: int = 0) -> Optional[int]:
+        """The slot of the base object xb, in the labels of a point with
+        index ``dm``; None beyond the universe.  The same as
+        ``slot.get(xb.translated(-dm))``, by arithmetic on the universe's
+        order (M, M', the a chain, the b chain), building no object."""
+        if xb.kind == "M":
+            return 0
+        if xb.kind == "Mp":
+            return 1
+        j = xb.m - dm - self.low
+        if not 0 <= j < self.span:
+            return None
+        return 2 + j if xb.kind == "a" else 2 + self.span + j
 
     def row(self, t: ExcTriple, rows: dict, s1: int, s2: int) -> Optional[_Row]:
         key = (s1, s2)
@@ -418,7 +443,7 @@ class _State:
     def get(self, xb: ExcObject) -> Optional[Verdict]:
         """The verdict on the base object xb, in the point's own labels;
         None when undecided or outside the universe."""
-        s = self.plan.slot.get(xb.translated(-self.dm))
+        s = self.plan.index(xb, self.dm)
         return None if s is None else self.v[s]
 
     def spell(self, v: Verdict) -> Verdict:
@@ -468,13 +493,20 @@ class _State:
             )
 
 
-def _unit_shifts(d: Phase) -> Tuple[int, ...]:
-    """The integers k with |d + k| < 1, in increasing order.  d lies in
-    (d.offset, d.offset + 1], at the right end exactly when its charge is
-    real."""
-    if d.charge.im == 0:
-        return (-d.offset - 1,)
-    return (-d.offset - 1, -d.offset)
+def _unit_shifts(p1: Phase, p0: Phase) -> Tuple[int, ...]:
+    """The integers k with |p1 - p0 + k| < 1, in increasing order, building
+    no Phase.  With k0 the offset difference, p1 - p0 lies in (k0 - 1,
+    k0 + 1), and the sign of the cross product of the charges says where:
+    in (k0, k0 + 1) when positive, in (k0 - 1, k0) when negative, and at
+    k0 when zero (two upper-branch charges with cross product zero point
+    the same way)."""
+    k = p1.offset - p0.offset
+    c = p0.charge.cross(p1.charge)
+    if c > 0:
+        return (-k - 1, -k)
+    if c < 0:
+        return (-k, 1 - k)
+    return (-k,)
 
 
 def _pin_in_window(st: _State, ref: Tuple[int, int], z: Gaussian,
@@ -616,9 +648,9 @@ def _decide(point: StabilityPoint, window: int) -> _State:
             if p0 is None or p1 is None or p2 is None:
                 waiting.append(entry)
                 continue
-            u12 = _unit_shifts(phase_diff(p2, p1))
-            for s1 in _unit_shifts(phase_diff(p1, p0)):
-                for s2 in _unit_shifts(phase_diff(p2, p0)):
+            u12 = _unit_shifts(p2, p1)
+            for s1 in _unit_shifts(p1, p0):
+                for s2 in _unit_shifts(p2, p0):
                     if s2 - s1 not in u12:
                         continue
                     row = plan.row(t, rows, s1, s2)
@@ -638,16 +670,38 @@ class Analysis:
     """What the engine derives for one point at one window.
 
     ``state`` is the rule fixpoint's slot state (``_State``), the one store
-    of its verdicts.  ``table`` is the memo of ``lookup`` by base object:
-    the verdict's status with the conditional phase, None for an object
-    that cannot be semistable.  ``tails`` holds the tail enclosures of
-    ``regions``, by side (True for the high tail).  An analysis keeps no
-    reference to its point."""
+    of its verdicts.  ``row`` is the memo of ``lookup`` for the plan's
+    universe, a list indexed by slot: the verdict's status with the
+    conditional phase, None for an object that cannot be semistable.
+    ``table`` is the same memo, by base object, for the objects beyond the
+    universe, which are all undecided.  ``tails`` holds the tail
+    enclosures of ``regions``, by side (True for the high tail).  An
+    analysis keeps no reference to its point."""
 
     def __init__(self, point: StabilityPoint, window: int):
         self.state = _decide(point, window)
+        u = self.state.plan.universe
+        self.row: List[Optional[Tuple[str, Optional[Phase]]]] = [None] * len(u)
         self.table: Dict[ExcObject, Tuple[str, Optional[Phase]]] = {}
         self.tails: Dict[bool, dict] = {}
+
+    def entry(self, point: StabilityPoint, s: int) -> Tuple[str, Optional[Phase]]:
+        """The ``lookup`` entry of the universe slot s, computed on the
+        first read; an undecided object's charge is the fixpoint's when it
+        computed one."""
+        e = self.row[s]
+        if e is None:
+            st = self.state
+            v = st.v[s]
+            if v is None:
+                z = st.z[s]
+                if z is None:
+                    z = charge_of(point, st.name(s))
+                e = _undecided(st, z, st.plan.universe[s])
+            else:
+                e = _DEAD[v.status] if v.phase is None else (v.status, v.phase)
+            self.row[s] = e
+        return e
 
 
 def semistable(point: StabilityPoint, x: ExcObject, window: int = DEFAULT_WINDOW) -> Verdict:
@@ -673,21 +727,24 @@ def hom_bracket(bounds) -> Optional[Tuple[Optional[Phase], Optional[Phase]]]:
     x semistable, folded from triples (phase of a semistable V, degree of
     the hom from x to V, degree of the hom from V to x), a degree None where
     the hom vanishes: a nonzero hom in degree d from U to V forces
-    phi(U) <= phi(V) + d.  An end is None while nothing bounds it.  Returns
-    None, without reading further triples, once the bracket is empty."""
+    phi(U) <= phi(V) + d.  An end is None while nothing bounds it, and of
+    equal bounds the first read is kept.  Returns None, without reading
+    further triples, once the bracket is empty.
+
+    Each end is kept as a (phase, integer shift) pair and compared with
+    ``cmp_shifted``; a Phase is built only for the ends returned."""
     lo = up = None
     for ph, fwd, bwd in bounds:
-        if fwd is not None:
-            b = ph.plus(fwd)
-            if up is None or b.cmp(up) < 0:
-                up = b
-        if bwd is not None:
-            b = ph.plus(-bwd)
-            if lo is None or b.cmp(lo) > 0:
-                lo = b
-        if lo is not None and up is not None and lo.cmp(up) > 0:
+        if fwd is not None and (up is None or cmp_shifted(ph, fwd, *up) < 0):
+            up = ph, fwd
+        if bwd is not None and (lo is None or cmp_shifted(ph, -bwd, *lo) > 0):
+            lo = ph, -bwd
+        if lo is not None and up is not None and cmp_shifted(*lo, *up) > 0:
             return None
-    return lo, up
+    return (
+        None if lo is None else lo[0].plus(lo[1]),
+        None if up is None else up[0].plus(up[1]),
+    )
 
 
 @lru_cache(maxsize=8192)
@@ -703,7 +760,12 @@ def phase_bracket(point: StabilityPoint, xb: ExcObject, window: int = DEFAULT_WI
     objects of the point's analysis at ``window``, in verdict order.  The
     hom degrees are read on the plan's labels, relative to m = 0."""
     st = point.analysis(window).state
-    x, u = xb.translated(-st.dm), st.plan.universe
+    return _bracket(st, xb.translated(-st.dm))
+
+
+def _bracket(st: _State, x: ExcObject):
+    """``phase_bracket`` of x, labelled relative to m = 0."""
+    u = st.plan.universe
     return hom_bracket(
         (st.phase[s], *_hom_degrees(x, u[s]))
         for s in st.order
@@ -733,26 +795,35 @@ def conditional_phase(point: StabilityPoint, xb: ExcObject,
     return lookup(point, xb, window)[1]
 
 
-# status -> the entry, shared by every table, of an object with no phase
+# status -> the entry, shared by every row and table, of an object with no phase
 _DEAD = {"unstable": ("unstable", None), "unknown": ("unknown", None)}
 
 
 def lookup(point: StabilityPoint, xb: ExcObject,
            window: int = DEFAULT_WINDOW) -> Tuple[str, Optional[Phase]]:
     """(status of the verdict, ``conditional_phase``) of the base object xb,
-    from the point's table at ``window``; computed on the first read."""
+    computed on the first read: from the analysis's slot row for an object
+    of the plan's universe, from its table by base object beyond it."""
     an = point.analysis(window)
+    st = an.state
+    s = st.plan.index(xb, st.dm)
+    if s is not None:
+        return an.entry(point, s)
     e = an.table.get(xb)
     if e is None:
-        v = an.state.get(xb) or UNKNOWN
-        ph = v.phase
-        if v.status == "unknown":
-            z = charge_of(point, xb)
-            bracket = None if z.is_zero() else phase_bracket(point, xb, window)
-            if bracket is not None:
-                ph = phase_in_closed_window(z, *bracket)
-        e = an.table[xb] = _DEAD[v.status] if ph is None else (v.status, ph)
+        e = an.table[xb] = _undecided(
+            st, charge_of(point, xb), xb.translated(-st.dm)
+        )
     return e
+
+
+def _undecided(st: _State, z: Gaussian, x: ExcObject) -> Tuple[str, Optional[Phase]]:
+    """The ``lookup`` entry of an object the rules left undecided, of
+    charge z and labelled x relative to m = 0: the phase of its charge
+    direction in its hom bracket, or None."""
+    bracket = None if z.is_zero() else _bracket(st, x)
+    ph = None if bracket is None else phase_in_closed_window(z, *bracket)
+    return _DEAD["unknown"] if ph is None else ("unknown", ph)
 
 
 # ---------------------------------------------------------------------------

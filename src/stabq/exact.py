@@ -221,6 +221,24 @@ class Phase:
         return "Phase(%d, %r)" % (self.offset, self.charge)
 
 
+def cmp_shifted(p: Phase, a: int, q: Phase, b: int) -> int:
+    """``p.plus(a).cmp(q.plus(b))`` without building either Phase: the
+    offsets first, then the sign of one cross product."""
+    d = p.offset + a - q.offset - b
+    if d:
+        return -1 if d < 0 else 1
+    return -sign(p.charge.cross(q.charge))
+
+
+def exact_int(x) -> int:
+    """x as an int when it is one exactly: a bool, or a number with a
+    fractional part, raises ValueError instead of being truncated the way
+    ``int`` would (``int(1.5) == 1``, ``int(True) == 1``)."""
+    if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
+        raise ValueError("%r is not an integer" % (x,))
+    return int(x)
+
+
 def phase_diff(p1: Phase, p0: Phase) -> Phase:
     """The exact value p1 - p0 (always in (-1, 1) up to the offset part),
     returned as a Phase."""

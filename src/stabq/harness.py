@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import engine, regions
 from .catalog import ExcObject, parse_label
-from .exact import ExactError, Gaussian, Phase, window_arg
+from .exact import ExactError, Gaussian, Phase, exact_int, window_arg
 from .triples import FAMILY_IDS, family_triple, shift_set_members
 
 DEFAULT_BOUND = 64
@@ -644,8 +644,10 @@ def slice_params(spec: dict):
     if unknown:
         raise ValueError("unknown regions %s" % (unknown,))
     a = spec.get("anchor", {"family": "F8", "m": 0, "shift": [0, 0, -1]})
-    anchor = (a["family"], int(a["m"]), tuple(int(x) for x in a["shift"]))
-    res = int(spec.get("resolution", 16))
+    anchor = (
+        a["family"], exact_int(a["m"]), tuple(exact_int(x) for x in a["shift"])
+    )
+    res = exact_int(spec.get("resolution", 16))
     if res < 1:
         raise ValueError("resolution must be positive")
     z2 = (
@@ -658,16 +660,29 @@ def slice_params(spec: dict):
     return names, anchor, res, z2
 
 
+def slice_csv_path(out_path: str) -> str:
+    """The path of the .csv written beside the .svg ``out_path``: its
+    extension, if any, replaced by .csv.  Raises ValueError when that is
+    ``out_path`` itself, which would leave only one of the two files."""
+    csv_path = os.path.splitext(out_path)[0] + ".csv"
+    if csv_path == out_path:
+        raise ValueError("%s ends in .csv, the extension of the grid written "
+                         "beside the .svg" % (out_path,))
+    return csv_path
+
+
 def slice_svg(spec: dict, out_path: str) -> None:
     """Render membership of the named regions over a 2D rational grid of
     first/second anchor charge directions; the third charge is fixed.
-    ``spec`` is described at ``slice_params``."""
+    ``spec`` is described at ``slice_params``; the grid also goes to
+    ``slice_csv_path(out_path)``."""
     names, anchor, res, z2 = slice_params(spec)
+    csv_path = slice_csv_path(out_path)
     # both outputs are opened before the render, so an unwritable path fails
     # at once, and a .csv that cannot be written leaves no .svg behind
     svg_file = open(out_path, "w")
     try:
-        csv_file = open(out_path.rsplit(".", 1)[0] + ".csv", "w")
+        csv_file = open(csv_path, "w")
     except OSError:
         svg_file.close()
         os.remove(out_path)

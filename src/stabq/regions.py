@@ -18,9 +18,14 @@ A composite is a union of cells.  ``classify`` decides each cell at most
 once per call: its direct cell scan and all its composites, widened tail
 rescans included, share one cell table keyed on (family, index, window),
 local to the call and freed with it, which also holds each family's block
-scan (hit, undecided) under (family, window).  The hom degrees that bound
-the far tails are a pure function of labels, memoised process-wide
-(``_tail_degrees``), and hold nothing of any point.
+scan (hit, undecided) under (family, window).  Those cells are decided
+from the analysis's slot row (``_row_cell``): a table per window, built
+once from the window's rule plan and independent of any point, says in
+which plan slots each family's cell at each index of the block sits,
+relative to the point's m, and the row's entries are filled on first
+read.  The hom degrees that bound the far tails are a pure function of
+labels, memoised process-wide (``_tail_degrees``), and hold nothing of any
+point.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import engine
 from .catalog import ExcObject, hom_dims
-from .exact import ExactError, Phase, window_arg
+from .exact import ExactError, Phase, cmp_shifted, window_arg
 from .triples import (
     A_SIDE,
     B_SIDE,
@@ -75,8 +80,10 @@ def _phases(
 
 
 def _holds(ph, ineqs) -> bool:
-    """Every strict inequality (i, j, c), p_i < p_j + c, holds on ph."""
-    return all(ph[i].cmp(ph[j].plus(c) if c else ph[j]) < 0 for i, j, c in ineqs)
+    """Every strict inequality (i, j, c), p_i < p_j + c, holds on ph: the
+    clause test of every row and of the cells, comparing offsets and then
+    the sign of one cross product, building no Phase."""
+    return all(cmp_shifted(ph[i], 0, ph[j], c) < 0 for i, j, c in ineqs)
 
 
 def _min_bound(*vals):
@@ -159,6 +166,46 @@ _CELL_ROWS = {fid: ((ineqs, None),) for fid, ineqs in _PATTERN_INEQS.items()}
 
 def in_named_cell(point, fid: str, m: int, window: int = WINDOW) -> bool:
     return _evaluate(point, family_triple(fid, m).objs, _CELL_ROWS[fid], window)
+
+
+@lru_cache(maxsize=None)
+def _cell_slots(window: int) -> Dict[str, Tuple[Tuple[int, int], ...]]:
+    """Per family, where the three objects of its cell at index k sit in
+    ``engine._plan(window)``, for k in -window..window (the block of a
+    point with m = 0, and of every point relative to its m, as the plan's
+    slots are): (slot at k = 0, step), the slot at k being slot + step * k.
+    A chain object moves one slot per index step (``_Plan.index``), M and
+    M' stay.  Point-independent, built once per window."""
+    plan = engine._plan(window)
+    return {
+        fid: tuple(
+            (plan.slot[o], 1 if o.kind in ("a", "b") else 0)
+            for o in family_triple(fid, 0).objs
+        )
+        for fid in FAMILY_IDS
+    }
+
+
+def _row_cell(point, fid: str, m: int, window: int):
+    """``in_named_cell`` at an index m of the point's block at ``window``,
+    as True, False or None (undecidable), decided from the analysis's slot
+    row: the entries ``_phases`` would read, in its order and with its
+    stop at the first object that cannot be semistable, and the same
+    clause test."""
+    k = m - point.m
+    if not -window <= k <= window:
+        raise ValueError("cell index %d outside the block at window %d" % (m, window))
+    an = point.analysis(window)
+    ph, certified = [], True
+    for s, step in _cell_slots(window)[fid]:
+        status, p = an.entry(point, s + step * k)
+        if p is None:
+            return False
+        certified = certified and status == "semistable"
+        ph.append(p)
+    if not _holds(ph, _PATTERN_INEQS[fid]):
+        return False
+    return True if certified else None
 
 
 # ---------------------------------------------------------------------------
@@ -340,16 +387,12 @@ def _tails_excluded(point, fids, window: int) -> bool:
 
 
 def _cell(point, fid: str, m: int, window: int, cells: dict):
-    """in_named_cell as True, False or None (undecidable), entered in the
-    cell table ``cells`` under (fid, m, window) on first use."""
+    """``_row_cell``, entered in the cell table ``cells`` under
+    (fid, m, window) on first use."""
     key = (fid, m, window)
     v = cells.get(key, _MISSING)
     if v is _MISSING:
-        try:
-            v = in_named_cell(point, fid, m, window)
-        except Undecidable:
-            v = None
-        cells[key] = v
+        v = cells[key] = _row_cell(point, fid, m, window)
     return v
 
 

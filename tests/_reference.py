@@ -233,6 +233,37 @@ def two_call_phases(point, objs, window):
 
 
 # ---------------------------------------------------------------------------
+# the allocating phase comparisons that engine.hom_bracket and
+# engine._unit_shifts replace
+
+
+def hom_bracket(bounds):
+    """engine.hom_bracket as it was: every bound built as a Phase with
+    Phase.plus, then compared."""
+    lo = up = None
+    for ph, fwd, bwd in bounds:
+        if fwd is not None:
+            b = ph.plus(fwd)
+            if up is None or b.cmp(up) < 0:
+                up = b
+        if bwd is not None:
+            b = ph.plus(-bwd)
+            if lo is None or b.cmp(lo) > 0:
+                lo = b
+        if lo is not None and up is not None and lo.cmp(up) > 0:
+            return None
+    return lo, up
+
+
+def unit_shifts(d):
+    """The integers k with |d + k| < 1 for a Phase d; the rule fixpoint
+    read them as unit_shifts(phase_diff(p1, p0))."""
+    if d.charge.im == 0:
+        return (-d.offset - 1,)
+    return (-d.offset - 1, -d.offset)
+
+
+# ---------------------------------------------------------------------------
 # the hand-written region predicates and Theta bound that the clause rows
 # of regions._evaluate and triples.theta_bounds replace
 
@@ -300,6 +331,8 @@ PATTERN_INEQS = {
 
 
 def in_named_cell(point, fid, m, window):
+    """A cell read object by object: regions._phases (engine.lookup on each
+    label), then each inequality with Phase.plus and Phase.cmp."""
     from stabq import regions
     from stabq.triples import family_triple
 

@@ -8,10 +8,13 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import _reference
 from stabq import engine, ff, harness, regions
 from stabq.catalog import ExcObject, build_matrices, dim_vector, hom_dims, parse_label
-from stabq.exact import Gaussian, Phase, int_phase, phase_diff
+from stabq.exact import Gaussian, Phase, int_phase, phase_add, phase_diff
 from stabq.triples import FAMILY_IDS, ExcTriple, family_triple, shift_set_members
 
 
@@ -396,8 +399,10 @@ def test_plan_gaps_kill_the_rest_of_the_chain():
 
 
 def test_unit_shifts_closed_form():
-    """k with |d + k| < 1, against the definition on a grid of d."""
+    """k with |d + k| < 1 for d = p1 - p0, against the definition on a grid
+    of d, each d reached from several p0."""
     one = int_phase(1)
+    starts = (int_phase(0), Phase(0, Gaussian.of(1, 1)), Phase(-1, Gaussian.of(-2, 3)))
     for off in range(-4, 5):
         for z in (Gaussian.of(1, 2), Gaussian.of(0, 1), Gaussian.of(-3, 1),
                   Gaussian.of(-1, 0)):
@@ -406,7 +411,52 @@ def test_unit_shifts_closed_form():
                 k for k in range(-off - 3, -off + 3)
                 if d.plus(k).cmp(one.plus(-2)) > 0 and d.plus(k).cmp(one) < 0
             )
-            assert engine._unit_shifts(d) == want
+            for p0 in starts:
+                assert engine._unit_shifts(phase_add(p0, d), p0) == want
+
+
+# phases on few directions, each at several scales, so that equal offsets
+# with a cross product of zero are common; (-1, 0) gives the real charges
+_DIRECTIONS = ((-1, 0), (1, 1), (0, 1), (-2, 1), (3, 1), (-1, 3))
+_phases = st.builds(
+    lambda off, d, k: Phase(off, Gaussian(d[0] * k, d[1] * k)),
+    st.integers(-2, 2), st.sampled_from(_DIRECTIONS), st.integers(1, 3),
+)
+_degrees = st.none() | st.integers(-2, 2)
+_HALF, _HALF2 = Phase(0, Gaussian(0, 1)), Phase(0, Gaussian(0, 2))
+_ONE, _TWO = Phase(0, Gaussian(-1, 0)), Phase(1, Gaussian(-2, 0))
+
+
+@settings(max_examples=500, deadline=None)
+@given(bounds=st.lists(st.tuples(_phases, _degrees, _degrees), max_size=6))
+@example(bounds=[])
+@example(bounds=[(_HALF, 0, None), (_HALF2, 0, None)])  # a tie on up
+@example(bounds=[(_HALF, None, 0), (_HALF2, None, 0)])  # a tie on lo
+@example(bounds=[(_HALF, 0, 0), (_ONE, None, 1), (_TWO, 0, None)])  # real
+@example(bounds=[(_HALF, 0, None), (_HALF, None, -1), (_ONE, 0, 0)])  # empty
+@example(bounds=[(_ONE, 1, None), (_TWO, None, 0)])  # one point, real ends
+@example(bounds=[(_ONE, 1, None), (_TWO, None, -1)])  # empty, real ends
+def test_hom_bracket_matches_the_allocating_fold(bounds):
+    """hom_bracket compares (phase, shift) pairs and builds a Phase only
+    for the ends it returns; it answers what the fold that built every
+    bound answers: the same ends in the same representation (of equal
+    bounds the first), the same unbounded ends, and None for an empty
+    bracket."""
+    got = engine.hom_bracket(iter(bounds))
+    want = _reference.hom_bracket(iter(bounds))
+    assert got == want and repr(got) == repr(want)
+
+
+@settings(max_examples=500, deadline=None)
+@given(p0=_phases, p1=_phases)
+@example(p0=_HALF, p1=_HALF2)  # equal offsets, cross product 0
+@example(p0=_ONE, p1=_TWO)  # real charges
+@example(p0=_HALF, p1=_ONE)  # equal offsets, one real charge
+@example(p0=_TWO, p1=_HALF)
+def test_unit_shifts_match_the_phase_difference(p0, p1):
+    """_unit_shifts(p1, p0) reads one cross product where the fixpoint
+    used to build phase_diff(p1, p0) and read its unit shifts."""
+    assert engine._unit_shifts(p1, p0) == _reference.unit_shifts(phase_diff(p1, p0))
 
 
 def test_rederivation_that_conflicts_still_raises():

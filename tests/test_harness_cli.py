@@ -213,6 +213,15 @@ def test_cli_bad_input_exits_2_without_traceback(tmp_path, capsys):
         "list.json": "[1, 2]",
         "not_json.json": "{not json",
     }
+    # integer fields that int() would truncate to a valid point
+    for key, value in (("m", False), ("m", 0.5), ("shift", [0, 0, -1.5]),
+                       ("shift", [False, 0, -1])):
+        doc = json.loads(json.dumps(good))
+        doc["anchor"][key] = value
+        files["anchor_%s_%r.json" % (key, value)] = json.dumps(doc)
+    for key, value in (("global_shift", 1.5), ("global_shift", True),
+                       ("extra_offsets", [0, 0, 0.25])):
+        files["%s_%r.json" % (key, value)] = json.dumps(dict(good, **{key: value}))
     paths = [str(tmp_path / "missing.json")]
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -221,8 +230,9 @@ def test_cli_bad_input_exits_2_without_traceback(tmp_path, capsys):
         _assert_bad_input(["classify", path], capsys)
         _assert_bad_input(["oracle", path, "b[0]"], capsys)
         _assert_bad_input(["explain", path, "b[0]"], capsys)
-        # a slice spec ignores "charges" and "extra_offsets"
-        if "bad_charge" not in path and "spread" not in path:
+        # a slice spec ignores "charges", "global_shift" and "extra_offsets"
+        if not any(k in path for k in ("bad_charge", "spread", "global_shift",
+                                       "extra_offsets")):
             _assert_bad_input(
                 ["slice", "--spec", path, "-o", str(tmp_path / "s.svg")], capsys
             )
@@ -254,12 +264,22 @@ def test_cli_bad_input_exits_2_without_traceback(tmp_path, capsys):
     for bad in ({"regions": ["Nowhere"]}, {"resolution": 0},
                 {"anchor": {"family": "F9", "m": 0, "shift": [0, 0, -1]}},
                 {"z2": {"re": "1", "im": "-1"}},
-                {"z2": {"re": "1/0", "im": "1"}}):
+                {"z2": {"re": "1/0", "im": "1"}},
+                {"resolution": 1.5}, {"resolution": True},
+                {"anchor": {"family": "F8", "m": 0.5, "shift": [0, 0, -1]}},
+                {"anchor": {"family": "F8", "m": False, "shift": [0, 0, -1]}},
+                {"anchor": {"family": "F8", "m": 0, "shift": [0, 0, -1.5]}}):
         spec.write_text(json.dumps(bad))
         _assert_bad_input(
             ["slice", "--spec", str(spec), "-o", str(tmp_path / "s.svg")], capsys
         )
     assert not (tmp_path / "s.svg").exists()
+    # the .csv beside -o x.csv would be -o itself
+    spec.write_text(json.dumps({"resolution": 1}))
+    _assert_bad_input(
+        ["slice", "--spec", str(spec), "-o", str(tmp_path / "x.csv")], capsys
+    )
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_cli_internal_error_exits_3_with_one_line(monkeypatch, capsys):
@@ -455,6 +475,21 @@ def test_cli_slice_fuzzed_spec_file(tmp_path_factory, doc):
         assert code == 2, err.getvalue()
         assert err.getvalue().startswith("slice: ")
         assert err.getvalue().count("\n") == 1
+
+
+def test_cli_slice_writes_the_csv_beside_the_svg(tmp_path):
+    """The .csv takes -o's path with its extension replaced: a dot in a
+    directory name is not an extension, and a path with none gains .csv."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"resolution": 1}))
+    (tmp_path / "my.dir").mkdir()
+    for out, csv in (("my.dir/slice", "my.dir/slice.csv"),
+                     ("my.dir/s.svg", "my.dir/s.csv")):
+        assert cli.main(["slice", "--spec", str(spec), "-o",
+                         str(tmp_path / out)]) == 0
+        assert (tmp_path / out).read_text().startswith("<svg")
+        assert (tmp_path / csv).read_text().startswith("i,j,")
+    assert not (tmp_path / "my.csv").exists()
 
 
 def test_cli_slice_checks_its_outputs_before_rendering(tmp_path, monkeypatch, capsys):

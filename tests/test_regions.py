@@ -265,47 +265,54 @@ def test_classify_golden_digest():
 
 
 def test_classify_decides_each_cell_once(monkeypatch):
-    calls = Counter()
+    """Every cell classify reads is decided once per call, from the slot
+    row (``_row_cell``), and no cell goes through the per-object path
+    (``_phases``)."""
+    decided = Counter()
     reads = Counter()
-    phases, cell = regions._phases, regions._cell
+    row_cell, cell = regions._row_cell, regions._cell
 
-    def counted(point, objs, window=regions.WINDOW):
-        calls[tuple(objs), window] += 1
-        return phases(point, objs, window)
+    def counted(point, fid, m, window):
+        decided[fid, m, window] += 1
+        return row_cell(point, fid, m, window)
 
     def read(point, fid, m, window, cells):
         reads[fid, m, window] += 1
         return cell(point, fid, m, window, cells)
 
-    monkeypatch.setattr(regions, "_phases", counted)
+    def per_object(*args):
+        raise AssertionError("a cell read its objects one by one")
+
+    monkeypatch.setattr(regions, "_row_cell", counted)
     monkeypatch.setattr(regions, "_cell", read)
+    monkeypatch.setattr(regions, "_phases", per_object)
     for pt in (_std(), _widened_tail_point()):
-        calls.clear()
+        decided.clear()
         reads.clear()
         regions.classify(pt)
-        assert calls and max(calls.values()) == 1, calls.most_common(3)
+        assert decided and max(decided.values()) == 1, decided.most_common(3)
         # each family's block is scanned once: every cell of it is read
         # once, by the direct cell scan, and never again by a composite
         block = Counter(k for k in reads.elements() if k[2] == regions.WINDOW)
         assert len(block) == len(FAMILY_IDS) * (2 * regions.WINDOW + 1)
         assert max(block.values()) == 1, block.most_common(3)
     # the widened rescan ran, and its cells too were decided once
-    assert any(w == regions.WINDOW + regions.TAIL_EXT for _, w in calls)
+    assert any(w == regions.WINDOW + regions.TAIL_EXT for _, _, w in decided)
 
 
-def _lookup_points():
+def _lookup_points(sampled=175, total=210):
     """Sampled points of every family, every fifth turned a quarter and
     every seventh shifted globally, and standard-heart points."""
     rng = random.Random("lookup-reference")
     pts = []
-    for i in range(175):
+    for i in range(sampled):
         pt = harness._sample_point(rng, FAMILY_IDS, -3, 3, 32)
         if i % 5 == 0:
             pt = engine.rotate_quarter(pt, 1)
         if i % 7 == 0:
             pt = engine.shift(pt, rng.choice((-2, -1, 1, 2)))
         pts.append(pt)
-    while len(pts) < 210:
+    while len(pts) < total:
         charges = tuple(harness._rand_charge(rng, 16) for _ in range(3))
         try:
             pts.append(engine.standard_heart_point(charges))
@@ -374,6 +381,51 @@ def test_lookup_matches_the_two_call_path():
     assert witnesses  # a big-gap witness was spelled
 
 
+def test_row_cells_match_the_per_object_path():
+    """classify decides its cells from the analysis's slot row
+    (``_row_cell``): every cell of the block at windows 0, 4, 8 and 32
+    answers True, False or None (undecidable) as the same cell read object
+    by object on a fresh equal point (_reference.in_named_cell: one
+    engine.lookup per label, then Phase.plus and Phase.cmp per inequality).
+
+    After classify, no analysis of the point holds a table entry for an
+    object of the plan's universe: those live in the slot row, whose
+    index arithmetic is the plan's slot map, as is the arithmetic of the
+    cell slots over the block."""
+    pts = _lookup_points(265, 300) + [_widened_tail_point()]
+    assert {p.family for p in pts} == set(FAMILY_IDS)
+    outcomes = Counter()
+    for pt in pts:
+        regions.classify(pt)
+        for window, an in pt.analyses.items():
+            plan = an.state.plan
+            assert all(plan.index(xb, pt.m) is None for xb in an.table), window
+        ref = _fresh(pt)
+        for window in (0, 4, 8, 32):
+            for fid in FAMILY_IDS:
+                for m in regions._block(pt, window):
+                    got = regions._row_cell(pt, fid, m, window)
+                    want = _outcome(_reference.in_named_cell, ref, fid, m, window)
+                    assert got == (None if want == "undecidable" else want), (
+                        fid, m, window, pt.to_json())
+                    outcomes[got] += 1
+    assert set(outcomes) == {True, False, None}, outcomes
+    for window in (0, 4, 8, 32):
+        plan = engine._plan(window)
+        slots = regions._cell_slots(window)
+        for fid in FAMILY_IDS:
+            for k in range(-window, window + 1):
+                assert [s + step * k for s, step in slots[fid]] == [
+                    plan.slot[o] for o in family_triple(fid, k).objs
+                ], (fid, k, window)
+        for dm in (-3, 0, 5):
+            for xb in [ExcObject("M", 0, 0), ExcObject("Mp", 0, 0)] + [
+                ExcObject(k, i, 0) for k in "ab"
+                for i in range(dm - window - 3, dm + window + 5)
+            ]:
+                assert plan.index(xb, dm) == plan.slot.get(xb.translated(-dm))
+
+
 def _outcome(predicate, *args):
     try:
         return predicate(*args)
@@ -427,12 +479,10 @@ def test_undecided_cell_keeps_the_union_undecided(monkeypatch):
     union containing its family Undecidable, never False."""
     pt = _std()
 
-    def cell(point, fid, m, window=regions.WINDOW):
-        if (fid, m) == ("F1", pt.m):
-            raise regions.Undecidable("stub")
-        return False
+    def cell(point, fid, m, window):
+        return None if (fid, m) == ("F1", pt.m) else False
 
-    monkeypatch.setattr(regions, "in_named_cell", cell)
+    monkeypatch.setattr(regions, "_row_cell", cell)
     monkeypatch.setattr(regions, "_tails_excluded", lambda *a: True)
     assert regions.scan_cells(pt, ("F1",)) == (False, True)
     for name, fids in regions.COMPOSITES.items():
@@ -452,8 +502,12 @@ def test_classify_block_summaries_are_block_scans(monkeypatch):
     pt = _std()
     stub = {("F1", pt.m): None, ("F2", pt.m - 1): True, ("F2", pt.m): None}
 
-    def cell(point, fid, m, window=regions.WINDOW):
-        v = stub.get((fid, m), False)
+    def cell(point, fid, m, window):
+        return stub.get((fid, m), False)
+
+    def named_cell(point, fid, m, window=regions.WINDOW):
+        # the public predicate that _one_at_a_time reads, on the same stub
+        v = cell(point, fid, m, window)
         if v is None:
             raise regions.Undecidable("stub")
         return v
@@ -465,7 +519,8 @@ def test_classify_block_summaries_are_block_scans(monkeypatch):
         tables.append(cells)
         return union(point, fids, window, cells)
 
-    monkeypatch.setattr(regions, "in_named_cell", cell)
+    monkeypatch.setattr(regions, "_row_cell", cell)
+    monkeypatch.setattr(regions, "in_named_cell", named_cell)
     monkeypatch.setattr(regions, "_tails_excluded", lambda *a: True)
     monkeypatch.setattr(regions, "_cells_union", spy)
     w = regions.WINDOW
