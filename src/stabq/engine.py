@@ -27,6 +27,10 @@ alone, as all of this is unchanged when every chain index moves by one
 step; rows are built on first use.  Per point the fixpoint computes only
 charges, window arguments and phase comparisons on lists indexed by slot,
 and spells out objects, rules and witnesses in the point's own labels.
+The plan also indexes, per slot, the standard triples holding it (the
+readiness index), so a point's fixpoint scans each triple once, in the
+round after its last slot is decided semistable, and never rescans the
+triples still waiting.
 
 An object the rules leave undecided still has a conditional phase, the
 one it would have were it semistable: the only phase of its charge
@@ -45,10 +49,14 @@ the first lookup at its window and lives exactly as long as its point;
 nothing is cached process-wide on points, so equal but distinct point
 objects each compute their own (identical) results.
 
-The phase comparisons on the hot paths (the fixpoint's unit shifts, the
-hom bracket, the region clause test) read a phase shifted by an integer as
-an (offset, charge) pair and decide with one cross product
-(``exact.cmp_shifted``), building no Phase per comparison.
+The phase comparisons on the hot paths (the fixpoint's unit shifts and
+rule comparisons, the hom bracket, the region clause test) read a phase
+shifted by an integer as an (offset, charge) pair and decide with one
+cross product (``exact.cmp_shifted``), building no Phase per comparison.
+Most closure pins re-derive an object already decided; whether its
+decided phase has the direction of its charge does not depend on the
+shift, so that is tested once per slot, and such a re-pin costs two
+comparisons.
 """
 
 from __future__ import annotations
@@ -299,7 +307,10 @@ class _Plan:
     universe, and an object is a (slot, shift) pair.  ``triples`` holds the
     window's standard triples in scan order with their slots and rows, the
     rows built on first use and keyed by (s1, s2), None outside the shift
-    set.  ``gaps`` holds, per a/b slot, None or its chain successor and the
+    set.  ``holders`` holds per slot the indices of the triples that
+    contain it, and ``sizes`` per triple its number of distinct slots: a
+    triple is ready once that many of its slots are decided semistable.
+    ``gaps`` holds, per a/b slot, None or its chain successor and the
     slots a phase gap above it kills, in universe order.
 
     Hom dimensions, closure contents, the scope and K-class relations are
@@ -316,6 +327,15 @@ class _Plan:
         ks = range(m - window, m + window + 1)
         ts = [family_triple(f, k) for f in FAMILY_IDS for k in ks]
         self.triples = [(t, tuple(self.slot[o] for o in t.objs), {}) for t in ts]
+        # the readiness index: per slot the triples holding it, in plan
+        # order, and per triple its number of distinct slots
+        self.holders = [[] for _ in u]
+        self.sizes = []
+        for j, (_, slots, _) in enumerate(self.triples):
+            distinct = set(slots)
+            for s in distinct:
+                self.holders[s].append(j)
+            self.sizes.append(len(distinct))
         self.gaps = [None] * len(u)
         for s, o in enumerate(u):
             if o.kind in ("a", "b") and o.translated(1) in self.slot:
@@ -411,16 +431,20 @@ def _plan(window: int) -> _Plan:
 class _State:
     """One fixpoint run on a plan, relative to the point's m (``dm``): the
     verdicts, semistable phases and charges of the base objects by slot,
-    and the decided slots in first-verdict order.  Rules are tokens, a
-    string or a plan's (name, B, suffix), and a big-gap witness is the
-    chain object below the gap; both are spelled in the point's own labels
-    only by ``spell`` and in error messages."""
+    whether each decided phase agrees with its charge, and the decided
+    slots in first-verdict order.  Rules are tokens, a string or a plan's
+    (name, B, suffix), and a big-gap witness is the chain object below the
+    gap; both are spelled in the point's own labels only by ``spell`` and
+    in error messages."""
 
     def __init__(self, plan: _Plan, dm: int = 0):
         self.plan = plan
         self.dm = dm
         n = len(plan.universe)
         self.v, self.phase, self.z = [None] * n, [None] * n, [None] * n
+        # per slot, whether its decided phase has the direction of its
+        # charge; tested on the first re-pin (see _pin_in_window)
+        self.agrees: List[Optional[bool]] = [None] * n
         self.order: List[int] = []
         self.changed = False
 
@@ -509,26 +533,37 @@ def _unit_shifts(p1: Phase, p0: Phase) -> Tuple[int, ...]:
     return (-k,)
 
 
-def _pin_in_window(st: _State, ref: Tuple[int, int], z: Gaussian,
-                   lo: Phase, hi: Phase, short: bool, rule):
-    """Declare the object ref, of charge z, semistable with its phase in
-    [lo, hi]; ``short`` says whether hi < lo + 1.
+def _pin_in_window(st: _State, ref: Tuple[int, int], lo: Phase, a: int,
+                   hi: Phase, b: int, charge, rule):
+    """Declare the object ref semistable with its phase in the closed
+    window [lo + a, hi + b]: the phases lo and hi moved by the integers a
+    and b.  ``charge`` maps an object to its charge.
 
-    An object already decided at a phase in the window with direction z is
-    left as it is: the window is shorter than 1, so that phase is the only
-    one the full path could find.  Every other case takes the full path and
-    raises on a contradiction."""
-    ph = st.phase[ref[0]]
-    if ph is not None and short:
-        ph = ph.plus(ref[1]) if ref[1] else ph
-        d = ph.direction()
-        if (lo.cmp(ph) <= 0 and ph.cmp(hi) <= 0
-                and d.cross(z) == 0 and d.dot(z) > 0):
+    The window is shorter than 1: it runs between two phases of a scanned
+    triple, and ``_unit_shifts`` keeps every pairwise gap of those below 1.
+    So an object already decided at a phase in the window, with the
+    direction of its charge, is left as it is: that phase is the only one
+    the full path could find.  Moving an object by k shifts negates both
+    its charge and the direction of its phase k times, so the direction
+    test is made once per slot (``_State.agrees``).  Every other case
+    takes the full path, which builds the window's ends and raises on a
+    contradiction."""
+    s, k = ref
+    ph = st.phase[s]
+    if (ph is not None and cmp_shifted(lo, a, ph, k) <= 0
+            and cmp_shifted(ph, k, hi, b) <= 0):
+        ok = st.agrees[s]
+        if ok is None:
+            d, z = ph.direction(), charge((s, 0))
+            ok = st.agrees[s] = d.cross(z) == 0 and d.dot(z) > 0
+        if ok:
             return
+    z = charge(ref)
     if z.is_zero():
         raise EngineError(
             "paper-rule inconsistency: zero charge on %s" % st.name(*ref)
         )
+    lo, hi = lo.plus(a), hi.plus(b)
     ph = phase_in_closed_window(z, lo, hi)
     if ph is None:
         raise EngineError(
@@ -538,7 +573,7 @@ def _pin_in_window(st: _State, ref: Tuple[int, int], z: Gaussian,
     st.set_ss(ref, ph, rule)
 
 
-def _sigma_triple_rules(st: _State, row: _Row, phis, charge):
+def _sigma_triple_rules(st: _State, row: _Row, phis, shifts, charge):
     """All consequences of one sigma-exceptional triple (all three objects
     semistable, pairwise phase gaps strictly below one):
 
@@ -547,23 +582,28 @@ def _sigma_triple_rules(st: _State, row: _Row, phis, charge):
     * the extension of the outer pair pins the unique middle object;
     * when the outer hom vanishes in degree one, the filtration through the
       middle object pins the three-factor extension instead.
+
+    The triple's phases are the base phases ``phis`` moved by the integers
+    ``shifts`` = (0, s1, s2), compared with ``cmp_shifted``; a Phase is
+    built only as a ``window_arg`` anchor or on a pin's full path.
     """
-    p0, p1, p2 = phis
-    B = row.B
     for i, content, rule in row.closures:
-        hi, lo = phis[i], phis[i + 1]
-        if hi.cmp(lo) < 0:
+        hi, a, lo, b = phis[i], shifts[i], phis[i + 1], shifts[i + 1]
+        if cmp_shifted(hi, a, lo, b) < 0:
             continue
-        short = hi.cmp(lo.plus(1)) < 0
         for c in content:
-            _pin_in_window(st, c, charge(c), lo, hi, short, rule)
+            _pin_in_window(st, c, lo, b, hi, a, charge, rule)
     if row.outer is None:
         return
+    p0, p1, p2 = phis
+    _, s1, s2 = shifts
+    B = row.B
+    c10 = cmp_shifted(p1, s1, p0, 0)
+    c20 = cmp_shifted(p2, s2, p0, 0)
+    c21 = cmp_shifted(p2, s2, p1, s1)
     target, rule = row.outer
     if rule[0] == "two-factor":
-        s1 = p2.cmp(p0) < 0 and p2.cmp(p1) < 0
-        s2 = p1.cmp(p0) < 0 and p2.cmp(p0) < 0
-        if not (s1 or s2):
+        if not ((c20 < 0 and c21 < 0) or (c10 < 0 and c20 < 0)):
             return
         try:
             py = window_arg(charge(B[0]) + charge(B[2]), p0.plus(-1))
@@ -575,15 +615,15 @@ def _sigma_triple_rules(st: _State, row: _Row, phis, charge):
         st.set_ss(target, py, rule)
         return
     anchor_low = None
-    if p1.cmp(p0) < 0 and p2.cmp(p0) < 0:
+    if c10 < 0 and c20 < 0:
         try:
             wa = window_arg(charge(B[0]) + charge(B[1]), p0.plus(-1))
         except ExactError:
             wa = None
-        if wa is not None and wa.cmp(p2) > 0:
+        if wa is not None and cmp_shifted(wa, 0, p2, s2) > 0:
             anchor_low = p0.plus(-1)
-    if anchor_low is None and p2.cmp(p1) < 0 and p1.cmp(p0) <= 0:
-        anchor_low = p2
+    if anchor_low is None and c21 < 0 and c10 <= 0:
+        anchor_low = p2.plus(s2)
     if anchor_low is None:
         return
     try:
@@ -604,7 +644,14 @@ def _sigma_triple_rules(st: _State, row: _Row, phis, charge):
 def _decide(point: StabilityPoint, window: int) -> _State:
     """The rule fixpoint at ``window``, run on the window's plan in
     coordinates relative to ``point.m``; per point it computes only
-    charges, window arguments and phase comparisons, by slot."""
+    charges, window arguments and phase comparisons, by slot.
+
+    Every rule of a round reads the phases decided before the round.  A
+    standard triple is scanned once, exhaustively, in the round after its
+    last slot is decided semistable (decided phases are immutable): at
+    the start of each round the slots decided semistable in the round
+    before count down their triples' ``_Plan.sizes``, and the triples that
+    reach 0 are scanned in plan order."""
     plan = _plan(window)
     st = _State(plan, point.m)
 
@@ -619,35 +666,38 @@ def _decide(point: StabilityPoint, window: int) -> _State:
     for obj, ph in zip(anchor.objs, point.anchor_phases()):
         st.set_ss(plan.ref(obj), ph, "anchor")
 
-    # triples not yet scanned; decided phases are immutable, so a triple
-    # whose three objects are semistable is scanned once, exhaustively
-    pending = plan.triples
+    phase, holders, missing = st.phase, plan.holders, plan.sizes[:]
+    counted = 0  # the verdicts whose slots have counted down their triples
     # every iteration before the fixpoint makes at least one verdict
     # transition, and each object makes at most two
     for _ in range(2 * len(plan.universe) + 2):
         st.changed = False
-        # every rule of a round reads the phases decided before the round
-        known = st.phase[:]
+        ready = []
+        for s in st.order[counted:]:
+            if phase[s] is not None:
+                for j in holders[s]:
+                    missing[j] -= 1
+                    if not missing[j]:
+                        ready.append(j)
+        counted = len(st.order)
 
-        # chain neighbors more than one phase apart kill the rest of the chain
+        # chain neighbors more than one phase apart kill the rest of the
+        # chain; this sets no phase, so the round's phases are still those
+        # decided before it
         for s in st.order[:]:
-            px, gap = known[s], plan.gaps[s]
+            px, gap = phase[s], plan.gaps[s]
             if px is None or gap is None:
                 continue
-            py = known[gap[0]]
+            py = phase[gap[0]]
             if py is None or py.cmp(px.plus(1)) <= 0:
                 continue
             for o in gap[1]:
                 st.set_unstable(o, plan.universe[s], "big-gap")
 
         # sigma-exceptional shifts of the standard triples
-        waiting = []
-        for entry in pending:
-            t, (i0, i1, i2), rows = entry
-            p0, p1, p2 = known[i0], known[i1], known[i2]
-            if p0 is None or p1 is None or p2 is None:
-                waiting.append(entry)
-                continue
+        for j in sorted(ready):
+            t, (i0, i1, i2), rows = plan.triples[j]
+            phis = p0, p1, p2 = phase[i0], phase[i1], phase[i2]
             u12 = _unit_shifts(p2, p1)
             for s1 in _unit_shifts(p1, p0):
                 for s2 in _unit_shifts(p2, p0):
@@ -655,10 +705,7 @@ def _decide(point: StabilityPoint, window: int) -> _State:
                         continue
                     row = plan.row(t, rows, s1, s2)
                     if row is not None:
-                        _sigma_triple_rules(
-                            st, row, (p0, p1.plus(s1), p2.plus(s2)), charge
-                        )
-        pending = waiting
+                        _sigma_triple_rules(st, row, phis, (0, s1, s2), charge)
         if not st.changed:
             break
     else:  # pragma: no cover

@@ -130,20 +130,17 @@ class ExactError(ValueError):
     pass
 
 
-def normarg_cmp(z1: Gaussian, z2: Gaussian) -> int:
-    """Compare arguments normalized into (0, pi].
-
-    Both inputs must be nonzero and lie in the closed upper branch.  Returns
-    -1 / 0 / +1.  Since both arguments are in (0, pi], the sign of the cross
-    product decides, and a vanishing cross product means equality (opposite
-    directions cannot both be in the branch).
-    """
-    for z in (z1, z2):
-        if z.is_zero():
-            raise ExactError("zero charge")
-        if not z.in_upper_branch():
-            raise ExactError("charge outside the upper branch: %r" % (z,))
-    return -sign(z1.cross(z2))
+def branch_checked(z: Gaussian) -> Gaussian:
+    """z itself, once it is checked to be nonzero and in the closed upper
+    branch; ``ExactError`` otherwise.  Two checked charges compare by
+    argument with one cross product: arg z1 < arg z2 iff z1.cross(z2) > 0,
+    and a vanishing cross product means equality (opposite directions
+    cannot both be in the branch)."""
+    if z.is_zero():
+        raise ExactError("zero charge")
+    if not z.in_upper_branch():
+        raise ExactError("charge outside the upper branch: %r" % (z,))
+    return z
 
 
 class Side(enum.Enum):
@@ -187,8 +184,8 @@ class Phase:
     def cmp(self, other: "Phase") -> int:
         if self.offset != other.offset:
             return -1 if self.offset < other.offset else 1
-        # both charges are checked upper-branch at construction, so this is
-        # normarg_cmp without the re-validation
+        # both charges are checked upper-branch at construction, so the
+        # cross product decides (see branch_checked)
         return -sign(self.charge.cross(other.charge))
 
     def __lt__(self, other):

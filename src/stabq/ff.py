@@ -13,10 +13,12 @@ semistability test reads only the dimension vectors of the
 subrepresentations, so a caller that tests one representation often
 enumerates them once and passes them in (``harness._heart_test_objects``
 keeps them for the whole process).  Semistability compares arguments on
-integers: the three simple charges are scaled once per call by a positive
+integers: rational simple charges are scaled once per call by a positive
 rational that clears their denominators (``exact.primitive_multiple``),
-which changes no argument, and each subrepresentation's charge is computed
-once.
+which changes no argument, and integer ones, such as a point's
+``int_charges``, are read as they are.  King's compare checks the whole's
+charge and each subrepresentation's charge once, and then decides each
+subrepresentation by the sign of one cross product.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Dict, List, Tuple
 
-from .exact import Gaussian, normarg_cmp, primitive_multiple
+from .exact import Gaussian, branch_checked, primitive_multiple
 from .gf import GF, Matrix, mat_vec, rref, zeros
 from .quiver import Vec3, euler_form
 
@@ -258,15 +260,6 @@ def restrict(rep: FiniteRep, witness) -> FiniteRep:
 # semistability inside the standard heart
 
 
-def heart_charge(charges: Tuple[Gaussian, Gaussian, Gaussian], d: Vec3) -> Gaussian:
-    """d_L z_L + d_R z_R + d_T z_T; stays in the upper branch for d >= 0."""
-    zL, zR, zT = charges
-    L, R, T = d
-    return Gaussian(
-        zL.re * L + zR.re * R + zT.re * T, zL.im * L + zR.im * R + zT.im * T
-    )
-
-
 def semistable_in_heart(rep: FiniteRep, charges, subreps=None):
     """(True, None) or (False, destabilizing dimension vector).
 
@@ -274,25 +267,42 @@ def semistable_in_heart(rep: FiniteRep, charges, subreps=None):
     strictly larger normalized argument; the witness is the first one of
     largest argument.  ``subreps`` is the subrepresentations' dimension
     vectors in ``all_subreps`` key order (its keys, or a tuple of them),
-    enumerated here when not given.  The charges may be rational: they are
-    scaled once by a positive factor to integers, which no argument
-    comparison sees, and each subrepresentation's charge is computed once.
+    enumerated here when not given.
+
+    Integer charges (a point's ``int_charges``) are read as they are;
+    rational ones are first scaled by a positive factor to integers, which
+    no argument comparison sees.  The whole's charge and each
+    subrepresentation's charge are computed once, as integer pairs, and
+    checked once (nonzero, in the closed upper branch, else ``ExactError``;
+    the whole's is checked after the first subrepresentation's).  Then one
+    cross product against the largest argument so far, the whole's until a
+    subrepresentation beats it, decides each subrepresentation.
     """
     if rep.dims.is_zero():
         raise ValueError("zero representation")
     if subreps is None:
         subreps = all_subreps(rep)
-    zs = primitive_multiple(charges)
-    z = heart_charge(zs, rep.dims)
-    worst = worst_z = None
+    if not all(type(z.re) is int and type(z.im) is int for z in charges):
+        charges = primitive_multiple(charges)
+    (lx, ly), (rx, ry), (tx, ty) = [(z.re, z.im) for z in charges]
+    whole = rep.dims
+    L, R, T = whole
+    # (x, y): the charge of largest argument so far
+    x, y = lx * L + rx * R + tx * T, ly * L + ry * R + ty * T
+    worst = None
+    checked = False
     for d in subreps:
-        if d.is_zero() or d == rep.dims:
+        if d.is_zero() or d == whole:
             continue
-        zd = heart_charge(zs, d)
-        if normarg_cmp(zd, z) > 0 and (
-            worst is None or normarg_cmp(zd, worst_z) > 0
-        ):
-            worst, worst_z = d, zd
+        L, R, T = d
+        u, v = lx * L + rx * R + tx * T, ly * L + ry * R + ty * T
+        if not (v > 0 or (v == 0 and u < 0)):
+            branch_checked(Gaussian(u, v))  # zero or outside: raises
+        if not checked:
+            branch_checked(Gaussian(x, y))
+            checked = True
+        if x * v - y * u > 0:
+            worst, x, y = d, u, v
     if worst is None:
         return (True, None)
     return (False, worst)

@@ -570,7 +570,8 @@ def oracle_agreement(n_samples: int = 1000, seed: int = 0,
     the standard-heart anchor: every decided engine verdict must match the
     oracle's.  Engine unknowns are counted, never compared.  The oracle's
     table of test objects and their subrep classes is built by the first
-    call in a process and read by every later one."""
+    call in a process and read by every later one, and it reads each
+    point's charges as the point normalised them once, ``int_charges``."""
     from . import ff
 
     objs = _heart_test_objects(max_entry)
@@ -591,7 +592,7 @@ def oracle_agreement(n_samples: int = 1000, seed: int = 0,
             if st == "unknown":
                 continue
             decided_any = True
-            ok, destab = ff.semistable_in_heart(frep, charges, subreps=subs)
+            ok, destab = ff.semistable_in_heart(frep, pt.int_charges, subreps=subs)
             if ok != (st == "semistable"):
                 rep_out.mismatches.append(
                     {

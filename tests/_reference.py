@@ -264,6 +264,209 @@ def unit_shifts(d):
 
 
 # ---------------------------------------------------------------------------
+# the rule fixpoint as it was before the readiness index: every round
+# rescans every pending standard triple, and every rule comparison builds
+# its shifted phases
+
+
+def _pin_in_window_short(st, ref, z, lo, hi, short, rule):
+    """engine._pin_in_window with the window's length passed in: ``short``
+    says whether hi < lo + 1, and the decided phase is built and its
+    direction tested on every re-pin."""
+    from stabq import engine
+    from stabq.exact import phase_in_closed_window
+
+    ph = st.phase[ref[0]]
+    if ph is not None and short:
+        ph = ph.plus(ref[1]) if ref[1] else ph
+        d = ph.direction()
+        if (lo.cmp(ph) <= 0 and ph.cmp(hi) <= 0
+                and d.cross(z) == 0 and d.dot(z) > 0):
+            return
+    if z.is_zero():
+        raise engine.EngineError(
+            "paper-rule inconsistency: zero charge on %s" % st.name(*ref)
+        )
+    ph = phase_in_closed_window(z, lo, hi)
+    if ph is None:
+        raise engine.EngineError(
+            "paper-rule inconsistency: phase of %s escapes [%r, %r]"
+            % (st.name(*ref), lo, hi)
+        )
+    st.set_ss(ref, ph, rule)
+
+
+def _sigma_triple_rules_allocating(st, row, phis, charge):
+    """engine._sigma_triple_rules on shifted phases built as Phase objects,
+    with every pinned object's charge computed before the pin."""
+    from stabq import engine
+    from stabq.exact import ExactError, window_arg
+
+    p0, p1, p2 = phis
+    B = row.B
+    for i, content, rule in row.closures:
+        hi, lo = phis[i], phis[i + 1]
+        if hi.cmp(lo) < 0:
+            continue
+        short = hi.cmp(lo.plus(1)) < 0
+        for c in content:
+            _pin_in_window_short(st, c, charge(c), lo, hi, short, rule)
+    if row.outer is None:
+        return
+    target, rule = row.outer
+    if rule[0] == "two-factor":
+        s1 = p2.cmp(p0) < 0 and p2.cmp(p1) < 0
+        s2 = p1.cmp(p0) < 0 and p2.cmp(p0) < 0
+        if not (s1 or s2):
+            return
+        try:
+            py = window_arg(charge(B[0]) + charge(B[2]), p0.plus(-1))
+        except ExactError:
+            raise engine.EngineError(
+                "paper-rule inconsistency: boundary phase for the "
+                "extension of %s" % st.label(("", rule[1], ""))
+            )
+        st.set_ss(target, py, rule)
+        return
+    anchor_low = None
+    if p1.cmp(p0) < 0 and p2.cmp(p0) < 0:
+        try:
+            wa = window_arg(charge(B[0]) + charge(B[1]), p0.plus(-1))
+        except ExactError:
+            wa = None
+        if wa is not None and wa.cmp(p2) > 0:
+            anchor_low = p0.plus(-1)
+    if anchor_low is None and p2.cmp(p1) < 0 and p1.cmp(p0) <= 0:
+        anchor_low = p2
+    if anchor_low is None:
+        return
+    try:
+        py = window_arg(charge(B[0]) + charge(B[1]) + charge(B[2]), anchor_low)
+    except ExactError:
+        raise engine.EngineError(
+            "paper-rule inconsistency: boundary phase for the "
+            "three-factor extension of %s" % st.label(("", rule[1], ""))
+        )
+    if py.cmp(p0) >= 0:
+        raise engine.EngineError(
+            "paper-rule inconsistency: three-factor extension of %s "
+            "above its bound" % st.label(("", rule[1], ""))
+        )
+    st.set_ss(target, py, rule)
+
+
+def decide_by_rescan(point, window):
+    """engine._decide as a rescan: each round snapshots the decided phases
+    and scans every pending standard triple, in plan order, keeping those
+    with a phase still missing for the next round."""
+    from stabq import engine
+    from stabq.triples import family_triple
+
+    plan = engine._plan(window)
+    st = engine._State(plan, point.m)
+
+    def charge(ref):
+        z = st.z[ref[0]]
+        if z is None:
+            z = st.z[ref[0]] = engine.charge_of(point, st.name(ref[0]))
+        return -z if ref[1] % 2 else z
+
+    anchor = family_triple(point.family, 0).shifted(point.shift)
+    for obj, ph in zip(anchor.objs, point.anchor_phases()):
+        st.set_ss(plan.ref(obj), ph, "anchor")
+
+    pending = plan.triples
+    for _ in range(2 * len(plan.universe) + 2):
+        st.changed = False
+        known = st.phase[:]
+        for s in st.order[:]:
+            px, gap = known[s], plan.gaps[s]
+            if px is None or gap is None:
+                continue
+            py = known[gap[0]]
+            if py is None or py.cmp(px.plus(1)) <= 0:
+                continue
+            for o in gap[1]:
+                st.set_unstable(o, plan.universe[s], "big-gap")
+        waiting = []
+        for entry in pending:
+            t, (i0, i1, i2), rows = entry
+            p0, p1, p2 = known[i0], known[i1], known[i2]
+            if p0 is None or p1 is None or p2 is None:
+                waiting.append(entry)
+                continue
+            u12 = engine._unit_shifts(p2, p1)
+            for s1 in engine._unit_shifts(p1, p0):
+                for s2 in engine._unit_shifts(p2, p0):
+                    if s2 - s1 not in u12:
+                        continue
+                    row = plan.row(t, rows, s1, s2)
+                    if row is not None:
+                        _sigma_triple_rules_allocating(
+                            st, row, (p0, p1.plus(s1), p2.plus(s2)), charge
+                        )
+        pending = waiting
+        if not st.changed:
+            break
+    else:
+        raise engine.EngineError("rule fixpoint did not converge")
+    return st
+
+
+# ---------------------------------------------------------------------------
+# King's criterion compared with normarg_cmp, which validates both charges
+# on every comparison
+
+
+def normarg_cmp(z1, z2):
+    """Compare arguments normalized into (0, pi]: -1 / 0 / +1.  Both inputs
+    must be nonzero and lie in the closed upper branch; the sign of the
+    cross product decides."""
+    from stabq.exact import ExactError, sign
+
+    for z in (z1, z2):
+        if z.is_zero():
+            raise ExactError("zero charge")
+        if not z.in_upper_branch():
+            raise ExactError("charge outside the upper branch: %r" % (z,))
+    return -sign(z1.cross(z2))
+
+
+def heart_charge(charges, d):
+    """d_L z_L + d_R z_R + d_T z_T; stays in the upper branch for d >= 0."""
+    from stabq.exact import Gaussian
+
+    zL, zR, zT = charges
+    L, R, T = d
+    return Gaussian(
+        zL.re * L + zR.re * R + zT.re * T, zL.im * L + zR.im * R + zT.im * T
+    )
+
+
+def semistable_in_heart(rep, charges, subreps):
+    """ff.semistable_in_heart with two normarg_cmp calls per
+    subrepresentation, on Gaussian charges: (True, None), or (False, the
+    first subrepresentation of largest argument among those above the
+    whole)."""
+    from stabq.exact import primitive_multiple
+
+    zs = primitive_multiple(charges)
+    z = heart_charge(zs, rep.dims)
+    worst = worst_z = None
+    for d in subreps:
+        if d.is_zero() or d == rep.dims:
+            continue
+        zd = heart_charge(zs, d)
+        if normarg_cmp(zd, z) > 0 and (
+            worst is None or normarg_cmp(zd, worst_z) > 0
+        ):
+            worst, worst_z = d, zd
+    if worst is None:
+        return (True, None)
+    return (False, worst)
+
+
+# ---------------------------------------------------------------------------
 # the hand-written region predicates and Theta bound that the clause rows
 # of regions._evaluate and triples.theta_bounds replace
 

@@ -97,6 +97,29 @@ def test_traced_call_records_semistable_spans(name, lemma):
     assert "engine.semistable" in spans, sorted(set(spans))
 
 
+def test_oracle_compares_every_decided_object_once(monkeypatch):
+    """ff.compare_us reads the spans of ff.semistable_in_heart, so one
+    oracle_agreement call must compare each decided (point, object) pair
+    once: as many oracle calls as engine.semistable calls that decided."""
+    decided, compared = [], []
+    semistable, in_heart = engine.semistable, ff.semistable_in_heart
+
+    def status(pt, x, *args, **kw):
+        v = semistable(pt, x, *args, **kw)
+        decided.append(v.status != "unknown")
+        return v
+
+    def compare(*args, **kw):
+        compared.append(args[0])
+        return in_heart(*args, **kw)
+
+    monkeypatch.setattr(engine, "semistable", status)
+    monkeypatch.setattr(ff, "semistable_in_heart", compare)
+    rep = harness.oracle_agreement(workloads.HeartOracle.CHUNK, seed=7)
+    assert rep.decided > 0 and not rep.mismatches
+    assert len(compared) == sum(decided) > 0
+
+
 def test_bench_selftest_passes():
     proc = subprocess.run(
         [sys.executable, "-B", os.path.join(BENCH, "selftest.py")],

@@ -462,47 +462,58 @@ def test_unit_shifts_match_the_phase_difference(p0, p1):
 def test_rederivation_that_conflicts_still_raises():
     """A pin of an object already decided takes a short path only when it
     agrees with the decided phase; a conflict raises as the full path
-    does, with the same message."""
+    does, with the same message.  Each case pins a[0], decided at the
+    phase 3/4 on a fresh state, into a window [lo + a, hi + b] given as
+    phases and integer shifts, with a constant charge."""
     plan = engine._plan(0)
     a0 = plan.ref(ExcObject("a", 0, 0))
     z = Gaussian.of(-1, 1)  # the phase 3/4
-    st = engine._State(plan)
-    st.set_ss(a0, Phase(0, z), "anchor")
     quarter, half = Phase(0, Gaussian.of(1, 1)), Phase(0, Gaussian.of(0, 1))
+
+    def decided(m=0):
+        st = engine._State(plan, m)
+        st.set_ss(a0, Phase(0, z), "anchor")
+        return st
+
+    def pin(st, window, w, ref=a0):
+        engine._pin_in_window(st, ref, *window, lambda r: w, "closure(x)[0]")
+
     # a window that excludes the decided phase
     with pytest.raises(engine.EngineError) as ei:
-        engine._pin_in_window(st, a0, z, quarter, half, True, "closure(x)[0]")
+        pin(decided(), (quarter, 0, half, 0), z)
     assert str(ei.value) == (
         "paper-rule inconsistency: phase of a[0] escapes "
         "[Phase(0, Gaussian(1, 1)), Phase(0, Gaussian(0, 1))]"
     )
     # a window holding another phase of the same direction
     with pytest.raises(engine.EngineError) as ei:
-        engine._pin_in_window(st, a0, z, quarter.plus(2), Phase(2, z), True,
-                              "closure(x)[0]")
+        pin(decided(), (quarter, 2, Phase(0, z), 2), z)
     assert str(ei.value) == (
         "paper-rule inconsistency: a[0] has phases Phase(0, Gaussian(-1, 1)) "
         "(('anchor',)) and Phase(2, Gaussian(-1, 1)) (closure(x)[0])"
     )
     # a charge of another direction, in a window holding the decided phase
+    st = decided()
     with pytest.raises(engine.EngineError) as ei:
-        engine._pin_in_window(st, a0, Gaussian.of(0, 1), quarter, Phase(0, z),
-                              True, "closure(x)[0]")
+        pin(st, (quarter, 0, Phase(0, z), 0), Gaussian.of(0, 1))
     assert str(ei.value) == (
         "paper-rule inconsistency: a[0] has phases Phase(0, Gaussian(-1, 1)) "
         "(('anchor',)) and Phase(0, Gaussian(0, 1)) (closure(x)[0])"
     )
-    # the agreeing re-derivation changes nothing
+    assert st.agrees[a0[0]] is False
+    # the agreeing re-derivation changes nothing, also one shift up, where
+    # both the charge and the window move
+    st = decided()
     st.changed = False
-    engine._pin_in_window(st, a0, z.scale(3), quarter, Phase(0, z), True,
-                          "closure(x)[0]")
+    pin(st, (quarter, 0, Phase(0, z), 0), z.scale(3))
+    pin(st, (quarter, 1, Phase(0, z), 1), -z, ref=(a0[0], 1))
     assert not st.changed and st.v[a0[0]].rules == ("anchor",)
-    assert st.order == [a0[0]]
+    assert st.order == [a0[0]] and st.agrees[a0[0]] is True
     # errors name the point's own objects: here m = 2
     st = engine._State(plan, 2)
     st.set_ss((a0[0], -1), Phase(-1, z), ("closure", (ExcObject("a", 0, 0),) * 3, "[1]"))
     with pytest.raises(engine.EngineError) as ei:
-        engine._pin_in_window(st, a0, z, quarter, half, True, "closure(x)[0]")
+        pin(st, (quarter, 0, half, 0), z)
     assert str(ei.value).startswith("paper-rule inconsistency: phase of a[2] escapes")
     assert st.verdicts()[ExcObject("a", 2, 0)].rules == (
         "closure(a[2],a[2],a[2])[1]",
@@ -526,6 +537,59 @@ def test_each_round_reads_the_phases_decided_before_it():
     ]
     assert verdicts[parse_label("b[-3]")].rules[0] == "closure(b[-2],b[-1][-1],M'[-4])[0]"
     assert verdicts[parse_label("b[6]")].rules[0] == "closure(b[2],b[3][-1],M'[-3])[0]"
+
+
+def _rescan_points():
+    """300 points: 150 sampled from every family, 50 on the standard
+    heart, and 50 each quarter-rotated and globally shifted from those."""
+    rng = random.Random("rescan-reference")
+    pts = [harness._sample_point(rng, FAMILY_IDS, -3, 3, 24) for _ in range(150)]
+    while len(pts) < 200:
+        charges = tuple(harness._rand_charge(rng, 16) for _ in range(3))
+        try:
+            pts.append(engine.standard_heart_point(charges))
+        except ValueError:
+            pass
+    pts += [engine.rotate_quarter(p, rng.randint(1, 3)) for p in pts[::4]]
+    pts += [engine.shift(p, rng.randint(-3, 3)) for p in pts[1:200:4]]
+    return pts
+
+
+class _Reads(list):
+    """A list that records the indices read from it."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = []
+
+    def __getitem__(self, j):
+        self.reads.append(j)
+        return super().__getitem__(j)
+
+
+@pytest.mark.parametrize("window", (0, 4, 8))
+def test_fixpoint_matches_the_rescan(window, monkeypatch):
+    """The readiness index scans the triples the rescan of every pending
+    triple scanned, in the same rounds and order: the verdicts, their
+    spelling and the verdict order are equal on every point.  Each
+    standard triple is scanned exactly once when its three slots end up
+    semistable, and never otherwise."""
+    pts = _rescan_points()
+    assert {p.family for p in pts} == set(FAMILY_IDS)
+    assert any(any(p.extra_offsets) for p in pts)
+    assert any(p.global_shift for p in pts)
+    plan = engine._plan(window)
+    triples = _Reads(plan.triples)
+    monkeypatch.setattr(plan, "triples", triples)
+    for p in pts:
+        want = _reference.decide_by_rescan(p, window)
+        del triples.reads[:]
+        got = engine._decide(p, window)
+        assert list(got.verdicts().items()) == list(want.verdicts().items()), p
+        assert got.order == want.order
+        full = [j for j, (_, slots, _) in enumerate(triples)
+                if all(got.phase[s] is not None for s in slots)]
+        assert sorted(triples.reads) == full, p
 
 
 def _digest_points():

@@ -6,10 +6,13 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import _reference
 from stabq import ff, harness
 from stabq.catalog import build_matrices, hom_dims, parse_label
-from stabq.exact import Gaussian
+from stabq.exact import ExactError, Gaussian, primitive_multiple
 from stabq.ff import (
     all_subreps,
     all_subspaces_with_sets,
@@ -216,6 +219,53 @@ def test_semistable_in_heart_matches_fraction_reference():
             assert semistable_in_heart(rep, scaled, subreps=subs) == want, obj
             unstable += not want[0]
     assert 0 < unstable < 200 * 18
+
+
+_RAT = st.fractions(min_value=-16, max_value=16, max_denominator=16)
+_POS = st.fractions(min_value=Fraction(1, 16), max_value=16, max_denominator=16)
+# an upper-branch charge: on the negative real axis, or above the real axis
+_UPPER = st.one_of(
+    st.builds(lambda r: Gaussian.of(-r, 0), _POS),
+    st.builds(Gaussian.of, _RAT, _POS),
+)
+
+
+# two or more subrepresentations tie for the largest argument above the
+# whole (e.g. (0,0,1) and (0,1,1) of a[-1] at the first), so the first one
+# in key order must be the witness
+@example(charges=(Gaussian.of(1, 1), Gaussian.of(0, 1), Gaussian.of(0, 1)),
+         lam=Fraction(1))
+@example(charges=(Gaussian.of(1, 1), Gaussian.of(-1, 1), Gaussian.of(1, 1)),
+         lam=Fraction(3, 7))
+@example(charges=(Gaussian.of(1, 2), Gaussian.of(1, 2), Gaussian.of(-1, 1)),
+         lam=Fraction(5))
+@settings(max_examples=150, deadline=None)
+@given(charges=st.tuples(_UPPER, _UPPER, _UPPER), lam=_POS)
+def test_king_compare_matches_the_normarg_reference(charges, lam):
+    """The oracle's (ok, destabilizer) equals the version that compares
+    with two normarg_cmp calls per subrepresentation, on rational charges,
+    on a positively scaled copy, and on their integer normalisation."""
+    scaled = tuple(c.scale(lam) for c in charges)
+    ints = primitive_multiple(charges)
+    for obj, rep, subs in harness._heart_test_objects(4):
+        want = _reference.semistable_in_heart(rep, charges, subs)
+        for zs in (charges, scaled, ints):
+            assert semistable_in_heart(rep, zs, subreps=subs) == want, obj
+
+
+def test_king_compare_rejects_charges_outside_the_branch():
+    """A simple charge below the real axis makes some subrepresentation's
+    charge leave the upper branch: both versions raise the same
+    ExactError."""
+    charges = (Gaussian.of(3, -1), Gaussian.of(0, 1), Gaussian.of(0, 1))
+    obj, rep, subs = next(o for o in harness._heart_test_objects(4)
+                          if o[1].dims.L > 0 and len(o[2]) > 2)
+    with pytest.raises(ExactError) as want:
+        _reference.semistable_in_heart(rep, charges, subs)
+    with pytest.raises(ExactError) as got:
+        semistable_in_heart(rep, charges, subreps=subs)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("charge outside the upper branch")
 
 
 def _chg(re0, im0, re1, im1, re2, im2):
