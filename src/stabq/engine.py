@@ -71,6 +71,7 @@ from .exact import (
     ExactError,
     Gaussian,
     Phase,
+    branch_checked,
     cmp_shifted,
     exact_int,
     int_phase,
@@ -79,7 +80,7 @@ from .exact import (
     primitive_multiple,
     window_arg,
 )
-from .quiver import Vec3
+from .quiver import Vec3, det3
 from .triples import (
     ExcTriple,
     FAMILY_IDS,
@@ -138,8 +139,7 @@ class StabilityPoint:
                 "shift %r leaves %s outside Ext position" % (self.shift, base)
             )
         for z in self.charges:
-            if z.is_zero() or not z.in_upper_branch():
-                raise ValueError("charges must be nonzero upper-branch values")
+            branch_checked(z)
         object.__setattr__(self, "int_charges", primitive_multiple(self.charges))
         # a sigma-exceptional anchor: its phases lie in one unit interval,
         # which bounds every conditional phase (see conditional_phase)
@@ -210,25 +210,16 @@ def standard_heart_point(charges, global_shift: int = 0) -> StabilityPoint:
 # central charge on all of K
 
 
-def _det3(u: Vec3, v: Vec3, w: Vec3) -> int:
-    """The determinant with columns u, v, w."""
-    return (
-        u.L * (v.R * w.T - v.T * w.R)
-        - v.L * (u.R * w.T - u.T * w.R)
-        + w.L * (u.R * v.T - u.T * v.R)
-    )
-
-
 def _basis_solver(k0: Vec3, k1: Vec3, k2: Vec3):
     """Cramer's rule for c = sum lam_i k_i, scaled by |det|: the solver
     returns the signed integer cofactors sign(det) * d_i = |det| * lam_i."""
-    det = _det3(k0, k1, k2)
+    det = det3(k0, k1, k2)
     if det == 0:  # pragma: no cover - excluded by the anchor invariant
         raise EngineError("anchor K-classes degenerate")
     s = 1 if det > 0 else -1
 
     def solve(c: Vec3):
-        return (s * _det3(c, k1, k2), s * _det3(k0, c, k2), s * _det3(k0, k1, c))
+        return (s * det3(c, k1, k2), s * det3(k0, c, k2), s * det3(k0, k1, c))
 
     return solve
 

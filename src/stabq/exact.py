@@ -12,13 +12,16 @@ in the closed upper branch
     Hbar = {im > 0} u {im = 0, re < 0},
 
 and represents the real number ``offset + arg(charge)/pi`` with the argument
-normalized into (0, 1].  No transcendental function is ever evaluated: every
-comparison reduces to sign tests on cross and dot products.
+normalized into (0, 1].  No transcendental function is ever evaluated.  The
+kernel is one primitive: two checked charges (``branch_checked``) compare
+by argument with the sign of one cross product.  Every phase comparison
+(``cmp_shifted``, which ``Phase.cmp`` calls) and every representative
+search (``window_arg``, ``phase_in_closed_window``) reads offsets and that
+sign, and builds only the ``Phase`` it returns.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -106,10 +109,19 @@ class Gaussian:
 
     @staticmethod
     def from_json(d) -> "Gaussian":
-        return Gaussian(Fraction(d["re"]), Fraction(d["im"]))
+        """The inverse of ``to_json``: each component a string "p" or "p/q",
+        or an ``int``.  A float or a bool raises ValueError, where
+        ``Fraction`` would read 0.1 as its binary value and true as 1."""
+        return Gaussian(_json_rat(d["re"]), _json_rat(d["im"]))
 
     def __repr__(self):
         return "Gaussian(%s, %s)" % (frac_to_str(self.re), frac_to_str(self.im))
+
+
+def _json_rat(x) -> Fraction:
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise ValueError("%r is not a rational string or an integer" % (x,))
+    return Fraction(x)
 
 
 def primitive_multiple(zs) -> Tuple[Gaussian, ...]:
@@ -143,24 +155,6 @@ def branch_checked(z: Gaussian) -> Gaussian:
     return z
 
 
-class Side(enum.Enum):
-    PLUS = 1
-    ON_LINE = 0
-    MINUS = -1
-
-
-def side_of(z: Gaussian, v: Gaussian) -> Side:
-    """Side of z relative to the line R*v: PLUS iff z in v*(R + i*R_{>0})."""
-    if v.is_zero():
-        raise ExactError("zero direction")
-    s = sign(v.cross(z))
-    if s > 0:
-        return Side.PLUS
-    if s < 0:
-        return Side.MINUS
-    return Side.ON_LINE
-
-
 @dataclass(frozen=True)
 class Phase:
     """offset + arg(charge)/pi with arg(charge) in (0, pi].
@@ -176,17 +170,10 @@ class Phase:
     charge: Gaussian
 
     def __post_init__(self):
-        if self.charge.is_zero():
-            raise ExactError("zero charge")
-        if not self.charge.in_upper_branch():
-            raise ExactError("phase charge must lie in the upper branch")
+        branch_checked(self.charge)
 
     def cmp(self, other: "Phase") -> int:
-        if self.offset != other.offset:
-            return -1 if self.offset < other.offset else 1
-        # both charges are checked upper-branch at construction, so the
-        # cross product decides (see branch_checked)
-        return -sign(self.charge.cross(other.charge))
+        return cmp_shifted(self, 0, other, 0)
 
     def __lt__(self, other):
         return self.cmp(other) < 0
@@ -219,8 +206,9 @@ class Phase:
 
 
 def cmp_shifted(p: Phase, a: int, q: Phase, b: int) -> int:
-    """``p.plus(a).cmp(q.plus(b))`` without building either Phase: the
-    offsets first, then the sign of one cross product."""
+    """The sign of (p + a) - (q + b), building no Phase: the offsets
+    first, then the sign of one cross product (both charges are checked
+    at construction, see ``branch_checked``)."""
     d = p.offset + a - q.offset - b
     if d:
         return -1 if d < 0 else 1
@@ -260,58 +248,43 @@ def window_arg(z: Gaussian, anchor: Phase) -> Phase:
     direction is z.
 
     Requires z to lie strictly inside the open half-plane of window
-    directions; a z on the boundary line raises "boundary argument".
+    directions; a z on the boundary line raises "boundary argument".  The
+    representative at the anchor's offset lies below anchor + 1, and lies
+    above the anchor iff its charge is counterclockwise from the anchor's;
+    otherwise the one an offset higher is in the window.
     """
     if z.is_zero():
         raise ExactError("zero charge")
-    d = anchor.direction()
-    s = side_of(z, d)
-    if s is not Side.PLUS:
-        if s is Side.ON_LINE:
+    s = anchor.direction().cross(z)
+    if s <= 0:
+        if s == 0:
             raise ExactError("boundary argument")
         raise ExactError("charge outside the window half-plane")
-    if z.in_upper_branch():
-        zb, parity = z, 0
-    else:
-        zb, parity = -z, 1
-    hi = anchor.plus(1)
-    found = None
-    for o in range(anchor.offset - 2, anchor.offset + 4):
-        if o % 2 != parity % 2:
-            continue
-        cand = Phase(o, zb)
-        if anchor < cand < hi:
-            found = cand
-            break
-    if found is None:  # pragma: no cover - precondition guarantees existence
+    # the charge in the upper branch, and the parity of z's offsets
+    zb, parity = (z, 0) if z.in_upper_branch() else (-z, 1)
+    o = anchor.offset if anchor.charge.cross(zb) > 0 else anchor.offset + 1
+    if (o - parity) % 2:  # pragma: no cover - the half-plane test excludes it
         raise ExactError("no window representative")
-    return found
+    return Phase(o, zb)
 
 
 def phase_in_closed_window(z: Gaussian, low: Phase, high: Phase):
     """The phase with direction z inside the closed window [low, high], or
     None.  The window must be shorter than 1, which makes the representative
-    unique when it exists."""
+    unique when it exists: it is the least phase of charge z or -z at or
+    above low, when its offset has z's parity and it is not above high."""
     if z.is_zero():
         raise ExactError("zero charge")
-    if phase_diff(high, low) >= _PHASE_ONE:
+    if cmp_shifted(high, 0, low, 1) >= 0:
         raise ExactError("window too long")
-    if z.in_upper_branch():
-        zb, parity = z, 0
-    else:
-        zb, parity = -z, 1
-    for o in range(low.offset - 2, low.offset + 4):
-        if o % 2 != parity % 2:
-            continue
-        cand = Phase(o, zb)
-        if low <= cand <= high:
-            return cand
-    return None
+    zb, parity = (z, 0) if z.in_upper_branch() else (-z, 1)
+    o = low.offset if low.charge.cross(zb) >= 0 else low.offset + 1
+    if (o - parity) % 2:
+        return None
+    cand = Phase(o, zb)
+    return None if cand.cmp(high) > 0 else cand
 
 
 def int_phase(n: int) -> Phase:
     """The integer n as a Phase (charge -1, arg pi)."""
     return Phase(n - 1, Gaussian.of(-1, 0))
-
-
-_PHASE_ONE = int_phase(1)

@@ -58,8 +58,12 @@ def sample_sigma(
     ``anchor`` is (family, m) or (family, m, shift); with no shift a random
     member of the shift set is chosen.  ``constraints`` may be a predicate on
     the point, or the string "phi(M)=phi(M')" which is realized
-    constructively on the standard middle-M family.
+    constructively on the standard middle-M family; anything else raises
+    ValueError.
     """
+    if not (constraints is None or callable(constraints)
+            or constraints == "phi(M)=phi(M')"):
+        raise ValueError("unknown constraint %r" % (constraints,))
     if rng is None:
         rng = random.Random(seed)
     fid, m = anchor[0], anchor[1]

@@ -36,6 +36,15 @@ class Vec3(NamedTuple):
 DELTA = Vec3(1, 1, 1)
 
 
+def det3(u: Vec3, v: Vec3, w: Vec3) -> int:
+    """The determinant with columns u, v, w."""
+    return (
+        u.L * (v.R * w.T - v.T * w.R)
+        - v.L * (u.R * w.T - u.T * w.R)
+        + w.L * (u.R * v.T - u.T * v.R)
+    )
+
+
 def euler_form(x: Vec3, y: Vec3) -> int:
     """Euler form of the quiver: sum over vertices minus one term per arrow."""
     return (

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from .catalog import ExcObject, hom_dims, kclass, object_from_kclass
-from .quiver import Vec3, euler_form
+from .quiver import Vec3, det3, euler_form
 
 
 @dataclass(frozen=True)
@@ -48,13 +48,7 @@ def is_exceptional_collection(t: ExcTriple) -> bool:
         for i in range(j):
             if hom_dims(t[j], t[i]) is not None:
                 return False
-    a, b, c = t.kclasses()
-    det = (
-        a.L * (b.R * c.T - b.T * c.R)
-        - a.R * (b.L * c.T - b.T * c.L)
-        + a.T * (b.L * c.R - b.R * c.L)
-    )
-    return det != 0
+    return det3(*t.kclasses()) != 0
 
 
 def is_ext_collection(t: ExcTriple) -> bool:

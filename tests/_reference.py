@@ -6,6 +6,7 @@ indecomposables of the quiver) and serve as a frozen cross-check of
 ``catalog.hom_dims`` and ``catalog.kclass``.
 """
 
+import enum
 from functools import lru_cache
 
 from stabq.catalog import ExcObject, family_dim, hom_dims
@@ -559,3 +560,76 @@ def extreme_shift(t):
     else:
         top = min(b, a + g)
     return (0, a, top)
+
+
+# ---------------------------------------------------------------------------
+# window representatives by the offset loops: each of six candidate offsets
+# is tried as a validated Phase, and the half-plane test reads side_of
+
+
+class Side(enum.Enum):
+    PLUS = 1
+    ON_LINE = 0
+    MINUS = -1
+
+
+def side_of(z, v):
+    """Side of z relative to the line R*v: PLUS iff z in v*(R + i*R_{>0})."""
+    from stabq.exact import ExactError, sign
+
+    if v.is_zero():
+        raise ExactError("zero direction")
+    s = sign(v.cross(z))
+    if s > 0:
+        return Side.PLUS
+    if s < 0:
+        return Side.MINUS
+    return Side.ON_LINE
+
+
+def window_arg(z, anchor):
+    """exact.window_arg by a loop over the offsets around the anchor's."""
+    from stabq.exact import ExactError, Phase
+
+    if z.is_zero():
+        raise ExactError("zero charge")
+    d = anchor.direction()
+    s = side_of(z, d)
+    if s is not Side.PLUS:
+        if s is Side.ON_LINE:
+            raise ExactError("boundary argument")
+        raise ExactError("charge outside the window half-plane")
+    if z.in_upper_branch():
+        zb, parity = z, 0
+    else:
+        zb, parity = -z, 1
+    hi = anchor.plus(1)
+    for o in range(anchor.offset - 2, anchor.offset + 4):
+        if o % 2 != parity % 2:
+            continue
+        cand = Phase(o, zb)
+        if anchor < cand < hi:
+            return cand
+    raise ExactError("no window representative")
+
+
+def phase_in_closed_window(z, low, high):
+    """exact.phase_in_closed_window by a loop over the offsets around
+    low's, with the window's length read from phase_diff."""
+    from stabq.exact import ExactError, Phase, int_phase, phase_diff
+
+    if z.is_zero():
+        raise ExactError("zero charge")
+    if phase_diff(high, low) >= int_phase(1):
+        raise ExactError("window too long")
+    if z.in_upper_branch():
+        zb, parity = z, 0
+    else:
+        zb, parity = -z, 1
+    for o in range(low.offset - 2, low.offset + 4):
+        if o % 2 != parity % 2:
+            continue
+        cand = Phase(o, zb)
+        if low <= cand <= high:
+            return cand
+    return None

@@ -622,6 +622,31 @@ def test_fixpoint_golden_digest():
     )
 
 
+def test_lookup_golden_digest():
+    """``engine.lookup``'s entry, status and conditional-phase
+    representation, of every universe slot and of the six chain objects
+    beyond each end of the universe, on the fixpoint digest's points at
+    windows 4 and 8, hashed.  An undecided universe object has no
+    conditional phase on these points, so the objects beyond the universe
+    are the ones whose phases ``phase_in_closed_window`` finds (1,021 of
+    them).  The constant was computed before window representatives were
+    found by one cross product instead of an offset loop; any change to a
+    conditional phase, or to how it is represented, changes it."""
+    h = hashlib.sha256()
+    for p in _digest_points():
+        for w in (4, 8):
+            st = p.analysis(w).state
+            beyond = [ExcObject(kind, p.m + j, 0) for kind in "ab"
+                      for j in (*range(-w - 6, -w), *range(w + 2, w + 8))]
+            for s in range(len(st.plan.universe)):
+                h.update(repr(engine.lookup(p, st.name(s), w)).encode())
+            for xb in beyond:
+                h.update(repr(engine.lookup(p, xb, w)).encode())
+    assert h.hexdigest() == (
+        "25ea7c18a557092cd01f2344bad2b1e638058da195688a55788158724514eff9"
+    )
+
+
 # Points where a rarely fired rule is the first rule of a verdict, found by
 # seeded search (harness._sample_point, and standard-heart charges drawn as
 # oracle_agreement draws them).  two-factor fires on the standard heart, so
@@ -703,8 +728,12 @@ def test_invalid_points_rejected():
         engine.StabilityPoint("F9", 0, (0, 0, -1), (_g(0, 1),) * 3)
     with pytest.raises(ValueError):
         engine.StabilityPoint("F8", 0, (0, 5, 0), (_g(0, 1),) * 3)
-    with pytest.raises(ValueError):
+    # charges are checked by exact.branch_checked, with its messages
+    with pytest.raises(ValueError, match=r"^charge outside the upper branch: "
+                       r"Gaussian\(1, -1\)$"):
         engine.StabilityPoint("F8", 0, (0, 0, -1), (_g(0, 1), _g(1, -1), _g(0, 1)))
+    with pytest.raises(ValueError, match="^zero charge$"):
+        engine.StabilityPoint("F8", 0, (0, 0, -1), (_g(0, 1), _g(0, 0), _g(0, 1)))
     z = _g(0, 1)
     for args in (
         ("F8", 0, (0, 0, -1), ()),

@@ -3,20 +3,19 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import _reference
 from stabq.exact import (
     ExactError,
     Gaussian,
     Phase,
-    Side,
     frac_to_str,
     int_phase,
     phase_add,
     phase_diff,
     phase_in_closed_window,
-    side_of,
     window_arg,
 )
 
@@ -62,7 +61,8 @@ def test_quarter_turns(z):
 
 @given(_charges(), _charges())
 def test_side_of_antisymmetric(z, v):
-    s1, s2 = side_of(z, v), side_of(v, z)
+    Side = _reference.Side
+    s1, s2 = _reference.side_of(z, v), _reference.side_of(v, z)
     if s1 is Side.ON_LINE:
         assert s2 is Side.ON_LINE
     else:
@@ -72,6 +72,15 @@ def test_side_of_antisymmetric(z, v):
 @given(_charges())
 def test_json_roundtrip(z):
     assert Gaussian.from_json(z.to_json()) == z
+
+
+def test_json_reads_rational_strings_and_ints_only():
+    assert Gaussian.from_json({"re": "-7/2", "im": 3}) == Gaussian.of("-7/2", 3)
+    for bad in (0.1, True, False, 1.0, None, [1]):
+        with pytest.raises(ValueError, match="not a rational string"):
+            Gaussian.from_json({"re": "1", "im": bad})
+        with pytest.raises(ValueError, match="not a rational string"):
+            Gaussian.from_json({"re": bad, "im": "1"})
 
 
 def test_frac_to_str():
@@ -132,6 +141,14 @@ def test_integer_components_stay_int():
     # equal values compare and hash equal whichever type holds them
     q = Gaussian.of(Fraction(3), Fraction(-2))
     assert z == q and hash(z) == hash(q) and z.to_json() == q.to_json()
+
+
+def test_phase_rejects_charges_as_branch_checked_does():
+    with pytest.raises(ExactError, match="^zero charge$"):
+        Phase(0, Gaussian.of(0, 0))
+    with pytest.raises(ExactError,
+                       match=r"^charge outside the upper branch: Gaussian\(1, 0\)$"):
+        Phase(0, Gaussian.of(1, 0))
 
 
 def test_phase_eq_is_representation_equality():
@@ -203,6 +220,64 @@ def test_closed_window_includes_endpoints():
     high = low.plus(0)
     assert phase_in_closed_window(Gaussian.of(2, 2), low, high).same_as(low)
     assert phase_in_closed_window(Gaussian.of(1, -1), low, high) is None
+
+
+# small integer charges make ties, boundary directions and empty windows
+# common; zero is allowed
+_small = st.builds(Gaussian, st.integers(-3, 3), st.integers(-3, 3))
+_small_upper = _small.filter(lambda z: z.in_upper_branch())
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ExactError as e:
+        return "ExactError: %s" % (e,)
+
+
+@settings(max_examples=200)
+@given(st.one_of(_small, _charges()),
+       st.builds(Phase, st.integers(-3, 3), st.one_of(_small_upper, _upper())))
+@example(Gaussian.of(0, 0), int_phase(0))  # zero charge
+@example(Gaussian.of(2, 0), int_phase(0))  # boundary argument
+@example(Gaussian.of(-1, 0), Phase(1, Gaussian.of(-1, 0)))  # boundary
+@example(Gaussian.of(1, -1), int_phase(0))  # outside the half-plane
+@example(Gaussian.of(-1, -1), Phase(-3, Gaussian.of(1, 1)))  # the anchor's own
+@example(Gaussian.of(1, -2), Phase(-3, Gaussian.of(1, 1)))  # at the anchor's offset
+@example(Gaussian.of(-2, -1), Phase(2, Gaussian.of(1, 1)))  # one offset higher
+def test_window_arg_matches_the_offset_loop(z, anchor):
+    """The same Phase representation, or the same ExactError message."""
+    got = _outcome(window_arg, z, anchor)
+    assert got == _outcome(_reference.window_arg, z, anchor)
+    assert isinstance(got, Phase) or got.startswith("ExactError: ")
+
+
+@settings(max_examples=200)
+@given(st.one_of(_small, _charges()),
+       st.builds(Phase, st.integers(-3, 3), st.one_of(_small_upper, _upper())),
+       st.integers(-1, 1),
+       st.one_of(_small_upper, _upper()))
+@example(Gaussian.of(0, 0), int_phase(0), 0, Gaussian.of(1, 1))  # zero
+@example(Gaussian.of(1, 1), int_phase(0), 1, Gaussian.of(-1, 0))  # length 1
+@example(Gaussian.of(1, 1), Phase(0, Gaussian.of(1, 1)), 1,
+         Gaussian.of(1, 2))  # too long
+@example(Gaussian.of(2, 2), Phase(0, Gaussian.of(1, 1)), 0,
+         Gaussian.of(1, 1))  # one-point window
+@example(Gaussian.of(1, 0), Phase(0, Gaussian.of(1, 1)), 1,
+         Gaussian.of(2, 1))  # only the opposite direction in the window
+@example(Gaussian.of(1, 3), Phase(0, Gaussian.of(1, 1)), 0,
+         Gaussian.of(1, 2))  # above high
+@example(Gaussian.of(1, 1), Phase(0, Gaussian.of(1, 2)), 0,
+         Gaussian.of(1, 3))  # below low
+@example(Gaussian.of(1, 1), Phase(0, Gaussian.of(1, 2)), -1,
+         Gaussian.of(1, 3))  # high below low
+def test_closed_window_matches_the_offset_loop(z, low, dk, high_charge):
+    """The same Phase representation or None, or the same ExactError
+    message, with high at offsets low - 1 .. low + 1."""
+    high = Phase(low.offset + dk, high_charge)
+    got = _outcome(phase_in_closed_window, z, low, high)
+    assert got == _outcome(_reference.phase_in_closed_window, z, low, high)
+    assert got is None or isinstance(got, Phase) or got.startswith("ExactError: ")
 
 
 @settings(max_examples=50)

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import random
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -34,6 +35,12 @@ def test_sample_sigma_callable_constraint():
     pred = lambda p: p.charges[0].re > 0
     pt = harness.sample_sigma(("F1", 0), constraints=pred, seed=9)
     assert pt.charges[0].re > 0
+
+
+def test_sample_sigma_rejects_an_unknown_constraint():
+    for bad in ("phi(M)=phi(Mp)", "", 3):
+        with pytest.raises(ValueError, match="unknown constraint"):
+            harness.sample_sigma(("F8", 0), constraints=bad, seed=3)
 
 
 def test_sample_sigma_collinear_constraint_needs_f8():
@@ -199,7 +206,7 @@ def _assert_bad_input(argv, capsys):
 
 
 def test_cli_bad_input_exits_2_without_traceback(tmp_path, capsys):
-    good = json.loads(open(_write_sigma(tmp_path)).read())
+    good = json.loads(Path(_write_sigma(tmp_path)).read_text())
     no_m = json.loads(json.dumps(good))
     del no_m["anchor"]["m"]
     bad_charge = json.loads(json.dumps(good))
@@ -209,6 +216,13 @@ def test_cli_bad_input_exits_2_without_traceback(tmp_path, capsys):
     files = {
         "no_m.json": json.dumps(no_m),
         "bad_charge.json": json.dumps(bad_charge),
+        # JSON numbers that Fraction would misread as a valid charge
+        "float_charge.json": json.dumps(
+            dict(good, charges=[{"re": 0.1, "im": "1"}] + good["charges"][1:])
+        ),
+        "bool_charge.json": json.dumps(
+            dict(good, charges=[{"re": "0", "im": True}] + good["charges"][1:])
+        ),
         "spread.json": json.dumps(spread),
         "list.json": "[1, 2]",
         "not_json.json": "{not json",
@@ -231,7 +245,7 @@ def test_cli_bad_input_exits_2_without_traceback(tmp_path, capsys):
         _assert_bad_input(["oracle", path, "b[0]"], capsys)
         _assert_bad_input(["explain", path, "b[0]"], capsys)
         # a slice spec ignores "charges", "global_shift" and "extra_offsets"
-        if not any(k in path for k in ("bad_charge", "spread", "global_shift",
+        if not any(k in path for k in ("_charge", "spread", "global_shift",
                                        "extra_offsets")):
             _assert_bad_input(
                 ["slice", "--spec", path, "-o", str(tmp_path / "s.svg")], capsys
@@ -265,6 +279,7 @@ def test_cli_bad_input_exits_2_without_traceback(tmp_path, capsys):
                 {"anchor": {"family": "F9", "m": 0, "shift": [0, 0, -1]}},
                 {"z2": {"re": "1", "im": "-1"}},
                 {"z2": {"re": "1/0", "im": "1"}},
+                {"z2": {"re": "1", "im": 0.5}},
                 {"resolution": 1.5}, {"resolution": True},
                 {"anchor": {"family": "F8", "m": 0.5, "shift": [0, 0, -1]}},
                 {"anchor": {"family": "F8", "m": False, "shift": [0, 0, -1]}},
