@@ -13,9 +13,11 @@ rational, so the engine computes on each point's primitive integer
 normalisation of its charges (denominators cleared, common factor divided
 out) and never on ``Fraction``: the anchor phases carry the integer charges
 and ``charge_of`` returns integer Gaussians.  The point's rational charges
-are what it stores, serializes, compares and transforms.  Each point also
-stores, when it is built, the Cramer solver of its shifted anchor's
-K-classes, which ``charge_of`` applies to every K-class it is asked about.
+are what it stores, serializes, compares and transforms.  A central
+charge is a homomorphism on K, so each point also stores, when it is
+built, the charges of the three simple classes (``StabilityPoint.simple``,
+solved once by Cramer's rule in its shifted anchor's K-classes), and
+``charge_of`` is three multiply-adds on a K-class.
 
 The rule fixpoint reads a plan, one per window and shared by every point
 (``_Plan``).  The plan numbers its objects (slots), and its rows are the
@@ -24,9 +26,14 @@ pairs relative to the point's m: shift-set membership, closure contents
 inside the scope, and the outer step (the two-factor middle object or the
 K-class-checked three-factor extension).  The plan is keyed on the window
 alone, as all of this is unchanged when every chain index moves by one
-step; rows are built on first use.  Per point the fixpoint computes only
-charges, window arguments and phase comparisons on lists indexed by slot,
-and spells out objects, rules and witnesses in the point's own labels.
+step; rows are built on first use.  The plan also keeps each slot's
+K-class, and, built on first use, per slot the row of hom degrees to
+every slot.  Moving n steps along the chains acts on K as
+T^n(c) = c + n (c_T - c_L) delta, so a fixpoint reads its slots' K-classes
+against the point's simple charges moved once by its m.  Per point the
+fixpoint computes only charges, window arguments and phase comparisons on
+lists indexed by slot, and spells out objects, rules and witnesses in the
+point's own labels.
 The plan also indexes, per slot, the standard triples holding it (the
 readiness index), so a point's fixpoint scans each triple once, in the
 round after its last slot is decided semistable, and never rescans the
@@ -43,11 +50,12 @@ the rule fixpoint's slot state (its one store of verdicts, which
 ``semistable`` spells out one at a time), the (status, conditional phase)
 entries of ``lookup`` in one row indexed by the same slots (a memo by
 object only for the objects beyond the plan's universe), and the tail
-enclosures ``regions`` derives from them.  A lookup finds an object's slot
-by arithmetic on its label and builds no object.  An analysis is built on
-the first lookup at its window and lives exactly as long as its point;
-nothing is cached process-wide on points, so equal but distinct point
-objects each compute their own (identical) results.
+enclosures ``regions`` derives from them.  A lookup takes a base object,
+finds its slot by arithmetic on its label and builds no object; an
+undecided slot's bracket reads the plan's hom-degree row.  An analysis is
+built on the first lookup at its window and lives exactly as long as its
+point; nothing is cached process-wide on points, so equal but distinct
+point objects each compute their own (identical) results.
 
 The phase comparisons on the hot paths (the fixpoint's unit shifts and
 rule comparisons, the hom bracket, the region clause test) read a phase
@@ -64,7 +72,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .catalog import ExcObject, hom_dims, kclass
 from .exact import (
@@ -116,9 +124,9 @@ class StabilityPoint:
     int_charges: Tuple[Gaussian, Gaussian, Gaussian] = field(
         init=False, repr=False, compare=False
     )
-    # Cramer's rule on the anchor's K-classes (see _basis_solver), built
-    # once per point; derived like int_charges
-    anchor_solver: Callable[[Vec3], Tuple[int, int, int]] = field(
+    # the integer charges of the simple classes (1,0,0), (0,1,0), (0,0,1),
+    # so that charge_of is linear on K-classes; derived like int_charges
+    simple: Tuple[Gaussian, Gaussian, Gaussian] = field(
         init=False, repr=False, compare=False
     )
     # window -> Analysis, filled on first lookup; derived like int_charges
@@ -149,10 +157,10 @@ class StabilityPoint:
                 "anchor phases %r spread by 1 or more (extra_offsets %r)"
                 % (phases, self.extra_offsets)
             )
-        object.__setattr__(
-            self, "anchor_solver",
-            _basis_solver(*base.shifted(self.shift).kclasses()),
-        )
+        object.__setattr__(self, "simple", _simple_charges(
+            base.shifted(self.shift).kclasses(), self.global_shift,
+            self.extra_offsets, self.int_charges,
+        ))
         object.__setattr__(self, "analyses", {})
 
     def analysis(self, window: int = DEFAULT_WINDOW) -> "Analysis":
@@ -224,6 +232,41 @@ def _basis_solver(k0: Vec3, k1: Vec3, k2: Vec3):
     return solve
 
 
+def _simple_charges(kclasses, g: int, extra_offsets, int_charges):
+    """The charges of the simple classes, in the scale of ``charge_of``:
+    each simple class solved in the anchor's K-classes (``_basis_solver``),
+    and the solution applied to the anchor's true integer charges.
+
+    The stored charges are upper-branch representatives; the direction of
+    the anchor phase ``Phase(g + e_i, z_i)`` is ``(-1) ** (g + e_i) * z_i``,
+    so the true charge of anchor ``i`` carries that sign."""
+    solve = _basis_solver(*kclasses)
+    signed = [-z if (g + e) % 2 else z for e, z in zip(extra_offsets, int_charges)]
+    return tuple(_charge(signed, solve(e)) for e in _SIMPLE_CLASSES)
+
+
+_SIMPLE_CLASSES = (Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1))
+
+
+def _charge(simple, c) -> Gaussian:
+    """The charge of the K-class c = (c_L, c_R, c_T), given the charges of
+    the three simple classes: three multiply-adds."""
+    (l, r, t), (zl, zr, zt) = c, simple
+    return Gaussian(l * zl.re + r * zr.re + t * zt.re,
+                    l * zl.im + r * zr.im + t * zt.im)
+
+
+def _translated_simple(simple, n: int):
+    """The simple charges of ``_charge`` read through n steps along the
+    chains (``ExcObject.translated``).  The step acts on K-classes as
+    T^n(c) = c + n * (c_T - c_L) * delta, so Z(T^n c) is c read against
+    (W_L - n Z(delta), W_R, W_T + n Z(delta))."""
+    zl, zr, zt = simple
+    dre, dim = n * (zl.re + zr.re + zt.re), n * (zl.im + zr.im + zt.im)
+    return (Gaussian(zl.re - dre, zl.im - dim), zr,
+            Gaussian(zt.re + dre, zt.im + dim))
+
+
 def charge_of(point: StabilityPoint, x) -> Gaussian:
     """Z extended linearly, times a positive factor fixed per point: x may be
     an ExcObject or a K-class triple.
@@ -232,22 +275,9 @@ def charge_of(point: StabilityPoint, x) -> Gaussian:
     K-classes and by the point's integer normalisation of its charges.  It
     has the direction of Z(x), and sums and differences of charges of one
     point have the directions of the true sums and differences, which is
-    all that phases use.
-
-    The stored charges are upper-branch representatives; the direction of the
-    anchor phase ``Phase(g + e_i, z_i)`` is ``(-1) ** (g + e_i) * z_i``, so
-    the true charge of anchor ``i`` carries that sign.
+    all that phases use.  It is ``point.simple`` applied to the K-class.
     """
-    c = kclass(x) if isinstance(x, ExcObject) else Vec3(*x)
-    lam = point.anchor_solver(c)
-    g = point.global_shift
-    re = im = 0
-    for li, e, z in zip(lam, point.extra_offsets, point.int_charges):
-        if (g + e) % 2:
-            li = -li
-        re += li * z.re
-        im += li * z.im
-    return Gaussian(re, im)
+    return _charge(point.simple, kclass(x) if isinstance(x, ExcObject) else x)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +332,9 @@ class _Plan:
     contain it, and ``sizes`` per triple its number of distinct slots: a
     triple is ready once that many of its slots are decided semistable.
     ``gaps`` holds, per a/b slot, None or its chain successor and the
-    slots a phase gap above it kills, in universe order.
+    slots a phase gap above it kills, in universe order.  ``kclasses``
+    holds the K-class of each slot, and ``degrees_of`` the hom degrees
+    from a slot to every slot.
 
     Hom dimensions, closure contents, the scope and K-class relations are
     unchanged when every chain index moves by the same step
@@ -327,12 +359,31 @@ class _Plan:
             for s in distinct:
                 self.holders[s].append(j)
             self.sizes.append(len(distinct))
+        self.kclasses = [kclass(o) for o in u]
+        # per slot its row of hom degrees, and the distinct (fwd, bwd)
+        # pairs the rows share
+        self.degrees: List[Optional[tuple]] = [None] * len(u)
+        self.pairs: Dict[tuple, tuple] = {}
         self.gaps = [None] * len(u)
         for s, o in enumerate(u):
             if o.kind in ("a", "b") and o.translated(1) in self.slot:
                 self.gaps[s] = (self.slot[o.translated(1)], tuple(
                     i for i, y in enumerate(u)
                     if y.kind == o.kind and y.m not in (o.m, o.m + 1)))
+
+    def degrees_of(self, s: int) -> tuple:
+        """Per slot t, the degrees (fwd, bwd) of the homs from slot s to t
+        and from t to s, None where one vanishes: ``_hom_degrees`` of the
+        two objects, built from ``hom_dims`` on the first call for s.  The
+        few distinct pairs are shared between rows."""
+        row = self.degrees[s]
+        if row is None:
+            x, shared = self.universe[s], self.pairs
+            row = self.degrees[s] = tuple(
+                shared.setdefault(d, d)
+                for d in (_degree_pair(x, y) for y in self.universe)
+            )
+        return row
 
     def ref(self, obj: ExcObject) -> Tuple[int, int]:
         return self.slot[obj.base()], obj.shift
@@ -421,6 +472,8 @@ def _plan(window: int) -> _Plan:
 
 class _State:
     """One fixpoint run on a plan, relative to the point's m (``dm``): the
+    point's simple charges read through dm steps (``_translated_simple``),
+    so that a slot's charge is its plan K-class against them, and the
     verdicts, semistable phases and charges of the base objects by slot,
     whether each decided phase agrees with its charge, and the decided
     slots in first-verdict order.  Rules are tokens, a string or a plan's
@@ -428,9 +481,10 @@ class _State:
     gap; both are spelled in the point's own labels only by ``spell`` and
     in error messages."""
 
-    def __init__(self, plan: _Plan, dm: int = 0):
+    def __init__(self, plan: _Plan, dm: int = 0, simple=None):
         self.plan = plan
         self.dm = dm
+        self.simple = simple
         n = len(plan.universe)
         self.v, self.phase, self.z = [None] * n, [None] * n, [None] * n
         # per slot, whether its decided phase has the direction of its
@@ -438,6 +492,13 @@ class _State:
         self.agrees: List[Optional[bool]] = [None] * n
         self.order: List[int] = []
         self.changed = False
+
+    def charge(self, s: int) -> Gaussian:
+        """The charge of the base object of slot s, computed on first use."""
+        z = self.z[s]
+        if z is None:
+            z = self.z[s] = _charge(self.simple, self.plan.kclasses[s])
+        return z
 
     def at(self, obj: ExcObject) -> ExcObject:
         return obj.translated(self.dm)
@@ -644,13 +705,12 @@ def _decide(point: StabilityPoint, window: int) -> _State:
     before count down their triples' ``_Plan.sizes``, and the triples that
     reach 0 are scanned in plan order."""
     plan = _plan(window)
-    st = _State(plan, point.m)
+    st = _State(plan, point.m, _translated_simple(point.simple, point.m))
+    zs, slot_charge = st.z, st.charge
 
     def charge(ref: Tuple[int, int]) -> Gaussian:
-        # [x[k]] = (-1)^k [x], and charge_of is linear with integer values
-        z = st.z[ref[0]]
-        if z is None:
-            z = st.z[ref[0]] = charge_of(point, st.name(ref[0]))
+        # [x[k]] = (-1)^k [x], and charges are linear with integer values
+        z = zs[ref[0]] or slot_charge(ref[0])
         return -z if ref[1] % 2 else z
 
     anchor = family_triple(point.family, 0).shifted(point.shift)
@@ -723,7 +783,7 @@ class Analysis:
         self.table: Dict[ExcObject, Tuple[str, Optional[Phase]]] = {}
         self.tails: Dict[bool, dict] = {}
 
-    def entry(self, point: StabilityPoint, s: int) -> Tuple[str, Optional[Phase]]:
+    def entry(self, s: int) -> Tuple[str, Optional[Phase]]:
         """The ``lookup`` entry of the universe slot s, computed on the
         first read; an undecided object's charge is the fixpoint's when it
         computed one."""
@@ -732,10 +792,8 @@ class Analysis:
             st = self.state
             v = st.v[s]
             if v is None:
-                z = st.z[s]
-                if z is None:
-                    z = charge_of(point, st.name(s))
-                e = _undecided(st, z, st.plan.universe[s])
+                row = st.plan.degrees_of(s)
+                e = _undecided(st, st.charge(s), row.__getitem__)
             else:
                 e = _DEAD[v.status] if v.phase is None else (v.status, v.phase)
             self.row[s] = e
@@ -785,12 +843,15 @@ def hom_bracket(bounds) -> Optional[Tuple[Optional[Phase], Optional[Phase]]]:
     )
 
 
-@lru_cache(maxsize=8192)
-def _hom_degrees(x: ExcObject, y: ExcObject) -> Tuple[Optional[int], ...]:
+def _degree_pair(x: ExcObject, y: ExcObject) -> Tuple[Optional[int], ...]:
     """The degrees of the homs x -> y and y -> x, None where one vanishes.
-    They do not change when both objects move along their chains, so callers
-    pass labels relative to the point's m; memoised process-wide on labels."""
+    They do not change when both objects move along their chains."""
     return tuple(None if h is None else h[0] for h in (hom_dims(x, y), hom_dims(y, x)))
+
+
+# ``_degree_pair`` for the objects beyond a plan's universe; callers pass
+# labels relative to the point's m, so this is memoised process-wide on labels
+_hom_degrees = lru_cache(maxsize=8192)(_degree_pair)
 
 
 def phase_bracket(point: StabilityPoint, xb: ExcObject, window: int = DEFAULT_WINDOW):
@@ -798,16 +859,26 @@ def phase_bracket(point: StabilityPoint, xb: ExcObject, window: int = DEFAULT_WI
     objects of the point's analysis at ``window``, in verdict order.  The
     hom degrees are read on the plan's labels, relative to m = 0."""
     st = point.analysis(window).state
-    return _bracket(st, xb.translated(-st.dm))
+    return _bracket(st, _degrees(st, xb))
 
 
-def _bracket(st: _State, x: ExcObject):
-    """``phase_bracket`` of x, labelled relative to m = 0."""
-    u = st.plan.universe
+def _degrees(st: _State, xb: ExcObject):
+    """The map from a slot to the hom degrees of the base object xb to it:
+    the plan's row for an object of its universe, ``_hom_degrees`` on the
+    plan's labels beyond it."""
+    s = st.plan.index(xb, st.dm)
+    if s is not None:
+        return st.plan.degrees_of(s).__getitem__
+    x, u = xb.translated(-st.dm), st.plan.universe
+    return lambda t: _hom_degrees(x, u[t])
+
+
+def _bracket(st: _State, degrees):
+    """``hom_bracket`` against the decided-semistable slots, in verdict
+    order, with the hom degrees to slot s read as ``degrees(s)``."""
+    phase = st.phase
     return hom_bracket(
-        (st.phase[s], *_hom_degrees(x, u[s]))
-        for s in st.order
-        if st.phase[s] is not None
+        (phase[s], *degrees(s)) for s in st.order if phase[s] is not None
     )
 
 
@@ -841,25 +912,27 @@ def lookup(point: StabilityPoint, xb: ExcObject,
            window: int = DEFAULT_WINDOW) -> Tuple[str, Optional[Phase]]:
     """(status of the verdict, ``conditional_phase``) of the base object xb,
     computed on the first read: from the analysis's slot row for an object
-    of the plan's universe, from its table by base object beyond it."""
+    of the plan's universe, from its table by base object beyond it.  A
+    shifted label is a ValueError: its entry is its base object's, moved
+    by the shift."""
+    if xb.shift:
+        raise ValueError("%s is not a base object" % (xb,))
     an = point.analysis(window)
     st = an.state
     s = st.plan.index(xb, st.dm)
     if s is not None:
-        return an.entry(point, s)
+        return an.entry(s)
     e = an.table.get(xb)
     if e is None:
-        e = an.table[xb] = _undecided(
-            st, charge_of(point, xb), xb.translated(-st.dm)
-        )
+        e = an.table[xb] = _undecided(st, charge_of(point, xb), _degrees(st, xb))
     return e
 
 
-def _undecided(st: _State, z: Gaussian, x: ExcObject) -> Tuple[str, Optional[Phase]]:
+def _undecided(st: _State, z: Gaussian, degrees) -> Tuple[str, Optional[Phase]]:
     """The ``lookup`` entry of an object the rules left undecided, of
-    charge z and labelled x relative to m = 0: the phase of its charge
-    direction in its hom bracket, or None."""
-    bracket = None if z.is_zero() else _bracket(st, x)
+    charge z and with the hom degrees ``degrees`` to each slot: the phase
+    of its charge direction in its hom bracket, or None."""
+    bracket = None if z.is_zero() else _bracket(st, degrees)
     ph = None if bracket is None else phase_in_closed_window(z, *bracket)
     return _DEAD["unknown"] if ph is None else ("unknown", ph)
 

@@ -15,17 +15,18 @@ systems are one table row each.  A chain system written for the letter a
 serves the letter b through the swap a <-> b, M <-> M'.
 
 A composite is a union of cells.  ``classify`` decides each cell at most
-once per call: its direct cell scan and all its composites, widened tail
-rescans included, share one cell table keyed on (family, index, window),
-local to the call and freed with it, which also holds each family's block
-scan (hit, undecided) under (family, window).  Those cells are decided
-from the analysis's slot row (``_row_cell``): a table per window, built
-once from the window's rule plan and independent of any point, says in
-which plan slots each family's cell at each index of the block sits,
-relative to the point's m, and the row's entries are filled on first
-read.  The hom degrees that bound the far tails are a pure function of
-labels, memoised process-wide (``_tail_degrees``), and hold nothing of any
-point.
+once per call.  One decider, ``_run_cells``, walks a run of a family's
+cell indices in increasing order and decides each cell from the
+analysis's slot row: a table per window, built once from the window's
+rule plan and independent of any point, says in which plan slots each
+family's cell at each index of the block sits, relative to the point's
+m, and the row's entries are filled on first read.  The direct cell scan
+reads each family's block in full; a composite's scan stops at its first
+hit.  Each family's (hit, undecided) over its block, and over the widened
+ring of a tail rescan, is kept in a table local to the call and freed
+with it, so the composites never decide a cell twice.  The hom degrees
+that bound the far tails are a pure function of labels, memoised
+process-wide (``_tail_degrees``), and hold nothing of any point.
 """
 
 from __future__ import annotations
@@ -186,32 +187,39 @@ def _cell_slots(window: int) -> Dict[str, Tuple[Tuple[int, int], ...]]:
     }
 
 
-def _row_cell(point, fid: str, m: int, window: int):
-    """``in_named_cell`` at an index m of the point's block at ``window``,
-    as True, False or None (undecidable), decided from the analysis's slot
-    row: the entries ``_phases`` would read, in its order and with its
-    stop at the first object that cannot be semistable, and the same
-    clause test."""
-    k = m - point.m
-    if not -window <= k <= window:
-        raise ValueError("cell index %d outside the block at window %d" % (m, window))
+def _run_cells(point, fid: str, ms: range, window: int):
+    """``in_named_cell`` at the indices ms, a run of the point's block at
+    ``window`` in increasing order, yielded as (m, True, False or None for
+    undecidable).  The cells are decided from the analysis's slot row: the
+    entries ``_phases`` would read, in its order and with its stop at the
+    first object that cannot be semistable, and the same clause test."""
+    if ms and not (-window <= ms[0] - point.m and ms[-1] - point.m <= window):
+        raise ValueError(
+            "cell indices %d..%d outside the block at window %d"
+            % (ms[0], ms[-1], window)
+        )
     an = point.analysis(window)
-    ph, certified = [], True
-    for s, step in _cell_slots(window)[fid]:
-        status, p = an.entry(point, s + step * k)
-        if p is None:
-            return False
-        certified = certified and status == "semistable"
-        ph.append(p)
-    if not _holds(ph, _PATTERN_INEQS[fid]):
-        return False
-    return True if certified else None
+    row, entry = an.row, an.entry
+    slots = _cell_slots(window)[fid]
+    ineqs = _PATTERN_INEQS[fid]
+    for m in ms:
+        k = m - point.m
+        ph, certified = [], True
+        for s, step in slots:
+            status, p = row[s + step * k] or entry(s + step * k)
+            if p is None:
+                break
+            certified = certified and status == "semistable"
+            ph.append(p)
+        else:
+            if _holds(ph, ineqs):
+                yield m, True if certified else None
+                continue
+        yield m, False
 
 
 # ---------------------------------------------------------------------------
 # composite regions
-
-_MISSING = object()
 
 TAIL_EXT = 24  # extra cell indices scanned when a tail cannot be excluded
 
@@ -250,15 +258,15 @@ def _tail_degrees(kind: str, j_edge: int, direction: int, ref: ExcObject):
     )
 
 
-def _far_bracket(point, kind: str, j_edge: int, direction: int, window: int):
+def _far_bracket(refs, kind: str, j_edge: int, direction: int):
     """``engine.hom_bracket`` of every unscanned chain object of the letter
-    against the decided reference objects, over the references whose hom
-    degrees have stabilized over the whole tail (``_tail_degrees``): the
-    closed bracket [lo, up] its phase must satisfy were it semistable, ends
-    None when unbounded, or None when the bracket is empty."""
+    against the decided reference objects ``refs`` (``_reference_objects``),
+    over the references whose hom degrees have stabilized over the whole
+    tail (``_tail_degrees``): the closed bracket [lo, up] its phase must
+    satisfy were it semistable, ends None when unbounded, or None when the
+    bracket is empty."""
     return engine.hom_bracket(
-        (ph, *_tail_degrees(kind, j_edge, direction, ref))
-        for ref, ph in _reference_objects(point, window)
+        (ph, *_tail_degrees(kind, j_edge, direction, ref)) for ref, ph in refs
     )
 
 
@@ -280,8 +288,9 @@ def _tail_enclosure(point, window: int, hi: bool) -> Dict[str, Optional[tuple]]:
     direction = 1 if hi else -1
     j_edge = point.m + window + 1 if hi else point.m - window
     out: Dict[str, Optional[tuple]] = {}
+    refs = _reference_objects(point, window)
     for kind in ("a", "b"):
-        bracket = _far_bracket(point, kind, j_edge, direction, window)
+        bracket = _far_bracket(refs, kind, j_edge, direction)
         if bracket is None:
             out[kind] = _DEAD
             continue
@@ -386,51 +395,53 @@ def _tails_excluded(point, fids, window: int) -> bool:
     return True
 
 
-def _cell(point, fid: str, m: int, window: int, cells: dict):
-    """``_row_cell``, entered in the cell table ``cells`` under
-    (fid, m, window) on first use."""
-    key = (fid, m, window)
-    v = cells.get(key, _MISSING)
-    if v is _MISSING:
-        v = cells[key] = _row_cell(point, fid, m, window)
-    return v
-
-
 def _block(point, window: int) -> range:
     """The cell indices scanned around the anchor."""
     return range(point.m - window, point.m + window + 1)
 
 
-def _scan(point, fids, ms, window: int, cells: dict) -> Tuple[bool, bool]:
-    """(hit, undecided) over the cells of the families at the indices ms,
-    stopping at the first hit."""
+def _summary(cells) -> Tuple[bool, bool]:
+    """(hit, undecided) of a walk of (m, verdict) cells, stopping at the
+    first hit; undecided counts only the cells before it."""
+    undecided = False
+    for _, v in cells:
+        if v:
+            return True, undecided
+        undecided = undecided or v is None
+    return False, undecided
+
+
+def _scan(point, fids, runs, window: int, cells: dict) -> Tuple[bool, bool]:
+    """(hit, undecided) over the cells of the families at the index runs
+    ``runs`` of the block at ``window``, stopping at the first hit.  Each
+    family's summary over the runs is entered in the table ``cells`` under
+    (fid, window, runs) on first use, so its cells are decided once."""
     undecided = False
     for fid in fids:
-        for m in ms:
-            v = _cell(point, fid, m, window, cells)
-            if v:
-                return True, undecided
-            undecided = undecided or v is None
+        key = (fid, window, runs)
+        v = cells.get(key)
+        if v is None:
+            v = cells[key] = _summary(
+                c for ms in runs for c in _run_cells(point, fid, ms, window)
+            )
+        if v[0]:
+            return True, undecided
+        undecided = undecided or v[1]
     return False, undecided
 
 
 def _cells_union(point, fids, window: int, cells: dict) -> bool:
     """in_cells_union, reading and filling the cell table ``cells``."""
-    block, undecided = _block(point, window), False
-    for fid in fids:
-        if (fid, window) not in cells:
-            cells[fid, window] = _scan(point, (fid,), block, window, cells)
-        hit, u = cells[fid, window]
-        if hit:
-            return True
-        undecided = undecided or u
+    hit, undecided = _scan(point, fids, (_block(point, window),), window, cells)
+    if hit:
+        return True
     if not _tails_excluded(point, fids, window):
         # a far cell might contain the point: rescan a widened block, then
         # require the remaining tails to be excluded
         wide = window + TAIL_EXT
         outer = (
-            *range(point.m - wide, point.m - window),
-            *range(point.m + window + 1, point.m + wide + 1),
+            range(point.m - wide, point.m - window),
+            range(point.m + window + 1, point.m + wide + 1),
         )
         hit, far_undecided = _scan(point, fids, outer, wide, cells)
         if hit:
@@ -447,7 +458,7 @@ def scan_cells(point, fids, window: int = WINDOW) -> Tuple[bool, bool]:
     """Scan the finite block of cell indices around the anchor.  Returns
     (hit, undecided); a hit is sound for the full infinite union, while
     hit == False says nothing about the cells beyond the block."""
-    return _scan(point, fids, _block(point, window), window, {})
+    return _scan(point, fids, (_block(point, window),), window, {})
 
 
 def in_cells_union(point, fids, window: int = WINDOW) -> bool:
@@ -475,16 +486,16 @@ def in_composite(point, name: str, window: int = WINDOW) -> bool:
 
 def classify(point, window: int = WINDOW) -> List[Tuple]:
     """Every region decidedly containing the point; undecidable regions are
-    skipped (classification never errors).  The cells and the composites
-    share one cell table, so each cell is decided once per call."""
+    skipped (classification never errors).  The direct cell scan reads each
+    family's block in full and enters its summary in the cell table that
+    the composites share, so each cell is decided once per call."""
     cells: dict = {}
     out: List[Tuple] = []
-    block = _block(point, window)
+    runs = (_block(point, window),)
     for fid in FAMILY_IDS:
-        vs = [_cell(point, fid, m, window, cells) for m in block]
-        out += [("cell", fid, m) for m, v in zip(block, vs) if v]
-        k = vs.index(True) if True in vs else len(vs)
-        cells[fid, window] = (k < len(vs), None in vs[:k])  # _scan's result
+        vs = list(_run_cells(point, fid, runs[0], window))
+        out += [("cell", fid, m) for m, v in vs if v]
+        cells[fid, window, runs] = _summary(vs)
     for name, fids in COMPOSITES.items():
         try:
             if _cells_union(point, fids, window, cells):

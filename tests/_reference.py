@@ -234,6 +234,58 @@ def two_call_phases(point, objs, window):
 
 
 # ---------------------------------------------------------------------------
+# the Cramer charge and the per-cell decider that the engine's simple
+# charges and regions._run_cells replace
+
+
+def charge_of(point, x):
+    """engine.charge_of by Cramer's rule on the point's shifted anchor
+    K-classes, solved afresh on every call: the signed integer cofactors
+    |det| * lam_i of c = sum lam_i k_i, applied to the anchor charges with
+    the sign of their phase offsets."""
+    from stabq.catalog import ExcObject, kclass
+    from stabq.exact import Gaussian
+    from stabq.quiver import det3
+
+    c = kclass(x) if isinstance(x, ExcObject) else Vec3(*x)
+    k0, k1, k2 = point.anchor().kclasses()
+    s = 1 if det3(k0, k1, k2) > 0 else -1
+    lam = (s * det3(c, k1, k2), s * det3(k0, c, k2), s * det3(k0, k1, c))
+    g = point.global_shift
+    re = im = 0
+    for li, e, z in zip(lam, point.extra_offsets, point.int_charges):
+        if (g + e) % 2:
+            li = -li
+        re += li * z.re
+        im += li * z.im
+    return Gaussian(re, im)
+
+
+def row_cell(point, fid, m, window):
+    """One cell of the point's block at ``window``, as True, False or None
+    (undecidable), read from the analysis's slot row one object at a time:
+    the entries regions._phases would read, in its order and with its stop
+    at the first object that cannot be semistable, then the cell's
+    inequalities as Phase.plus and Phase.cmp."""
+    from stabq.triples import family_triple
+
+    if not -window <= m - point.m <= window:
+        raise ValueError("cell index %d outside the block at window %d" % (m, window))
+    an = point.analysis(window)
+    plan = an.state.plan
+    ph, certified = [], True
+    for o in family_triple(fid, m).objs:
+        status, p = an.entry(plan.index(o.base(), point.m))
+        if p is None:
+            return False
+        certified = certified and status == "semistable"
+        ph.append(p.plus(o.shift) if o.shift else p)
+    if not all(_lt(ph[i], ph[j], c) for i, j, c in PATTERN_INEQS[fid]):
+        return False
+    return True if certified else None
+
+
+# ---------------------------------------------------------------------------
 # the allocating phase comparisons that engine.hom_bracket and
 # engine._unit_shifts replace
 

@@ -2,7 +2,7 @@
 K-group identities."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabq.catalog import (
@@ -81,6 +81,21 @@ def test_kronecker_reference_dims():
 
 def test_k_identities():
     assert check_k_identities(6) > 0
+
+
+@settings(max_examples=400)
+@given(
+    kind=st.sampled_from(["a", "b", "M", "Mp"]),
+    m=st.integers(-30, 30),
+    shift=st.integers(-3, 3),
+    n=st.integers(-40, 40),
+)
+def test_translation_is_linear_on_kclasses(kind, m, shift, n):
+    """n steps along the chains act on K as T^n(c) = c + n * (c_T - c_L) *
+    delta: a chain object moves by -+ delta per step, M and M' stay."""
+    x = ExcObject(kind, m if kind in ("a", "b") else 0, shift)
+    c = kclass(x)
+    assert kclass(x.translated(n)) == c + DELTA.scale(n * (c.T - c.L))
 
 
 def test_delta_is_isotropic_and_orthogonal():

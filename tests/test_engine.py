@@ -4,6 +4,7 @@ invariance, and conditional phases."""
 import gc
 import hashlib
 import random
+import re
 import weakref
 from fractions import Fraction
 
@@ -13,8 +14,16 @@ from hypothesis import strategies as st
 
 import _reference
 from stabq import engine, ff, harness, regions
-from stabq.catalog import ExcObject, build_matrices, dim_vector, hom_dims, parse_label
+from stabq.catalog import (
+    ExcObject,
+    build_matrices,
+    dim_vector,
+    hom_dims,
+    kclass,
+    parse_label,
+)
 from stabq.exact import Gaussian, Phase, int_phase, phase_add, phase_diff
+from stabq.quiver import Vec3
 from stabq.triples import FAMILY_IDS, ExcTriple, family_triple, shift_set_members
 
 
@@ -227,6 +236,77 @@ def test_charge_of_is_positive_multiple_of_true_charge():
                     assert t > 0 and (z.re, z.im) == (t * re, t * im)
                     assert factor in (None, t)
                     factor = t
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    turn=st.integers(0, 3),
+    scale=st.fractions(min_value=Fraction(1, 50), max_value=50),
+    gshift=st.integers(-2, 2),
+    labels=st.lists(
+        st.tuples(st.sampled_from(["a", "b", "M", "Mp"]), st.integers(-60, 60),
+                  st.integers(-2, 2)),
+        max_size=6,
+    ),
+    vecs=st.lists(st.tuples(*[st.integers(-50, 50)] * 3), max_size=3),
+    n=st.integers(-40, 40),
+)
+def test_charge_of_matches_the_cramer_solve(seed, turn, scale, gshift, labels,
+                                            vecs, n):
+    """charge_of, three multiply-adds on the point's simple charges, equals
+    Cramer's rule on the anchor K-classes solved per call
+    (_reference.charge_of) on sampled points turned, rescaled and shifted,
+    at labels inside and far beyond the universe and at raw K-classes; and
+    the simple charges read through n chain steps, as each fixpoint reads
+    its slots, give the charges of the translated labels."""
+    pt = harness._sample_point(random.Random(seed), FAMILY_IDS, -3, 3, 32)
+    if turn:
+        pt = engine.rotate_quarter(pt, turn)
+    pt = engine.shift(engine.rescale(pt, scale), gshift)
+    moved = engine._translated_simple(pt.simple, n)
+    for kind, d, sh in labels:
+        x = ExcObject(kind, pt.m + d if kind in ("a", "b") else 0, sh)
+        z = engine.charge_of(pt, x)
+        assert type(z.re) is int and type(z.im) is int
+        assert z == _reference.charge_of(pt, x)
+        assert engine._charge(moved, kclass(x)) == engine.charge_of(
+            pt, x.translated(n)
+        )
+    for v in vecs:
+        assert engine.charge_of(pt, Vec3(*v)) == _reference.charge_of(pt, v)
+
+
+@pytest.mark.parametrize("window", (0, 4, 8, 32))
+def test_degree_rows_match_the_hom_degrees(window):
+    """Every entry of a plan's hom-degree rows is ``_hom_degrees`` of its
+    two objects; each row is built once, and equal pairs are one object."""
+    plan = engine._plan(window)
+    u = plan.universe
+    pairs = {}
+    for s, x in enumerate(u):
+        row = plan.degrees_of(s)
+        assert row is plan.degrees_of(s)
+        assert row == tuple(engine._hom_degrees(x, y) for y in u)
+        for d in row:
+            assert pairs.setdefault(d, d) is d
+    assert len(pairs) < 10
+
+
+def test_lookup_refuses_a_shifted_label():
+    """lookup and conditional_phase answer for base objects: a shifted
+    label raises a ValueError naming it, inside the plan's universe and
+    beyond it, and leaves nothing in the analysis's table."""
+    pt = _std()
+    for label in ("a[0][1]", "a[20][1]", "M'[-2]"):
+        x = parse_label(label)
+        with pytest.raises(ValueError,
+                           match="^%s is not a base object$" % re.escape(label)):
+            engine.lookup(pt, x)
+        with pytest.raises(ValueError, match="not a base object"):
+            engine.conditional_phase(pt, x)
+        assert engine.lookup(pt, x.base()) == engine.lookup(pt, x.base(), 8)
+    assert all(not xb.shift for xb in pt.analysis(8).table)
 
 
 def test_unstable_verdict_from_big_gap():

@@ -266,34 +266,28 @@ def test_classify_golden_digest():
 
 def test_classify_decides_each_cell_once(monkeypatch):
     """Every cell classify reads is decided once per call, from the slot
-    row (``_row_cell``), and no cell goes through the per-object path
+    row (``_run_cells``), and no cell goes through the per-object path
     (``_phases``)."""
     decided = Counter()
-    reads = Counter()
-    row_cell, cell = regions._row_cell, regions._cell
+    run_cells = regions._run_cells
 
-    def counted(point, fid, m, window):
-        decided[fid, m, window] += 1
-        return row_cell(point, fid, m, window)
-
-    def read(point, fid, m, window, cells):
-        reads[fid, m, window] += 1
-        return cell(point, fid, m, window, cells)
+    def counted(point, fid, ms, window):
+        for m, v in run_cells(point, fid, ms, window):
+            decided[fid, m, window] += 1
+            yield m, v
 
     def per_object(*args):
         raise AssertionError("a cell read its objects one by one")
 
-    monkeypatch.setattr(regions, "_row_cell", counted)
-    monkeypatch.setattr(regions, "_cell", read)
+    monkeypatch.setattr(regions, "_run_cells", counted)
     monkeypatch.setattr(regions, "_phases", per_object)
     for pt in (_std(), _widened_tail_point()):
         decided.clear()
-        reads.clear()
         regions.classify(pt)
         assert decided and max(decided.values()) == 1, decided.most_common(3)
         # each family's block is scanned once: every cell of it is read
         # once, by the direct cell scan, and never again by a composite
-        block = Counter(k for k in reads.elements() if k[2] == regions.WINDOW)
+        block = Counter(k for k in decided.elements() if k[2] == regions.WINDOW)
         assert len(block) == len(FAMILY_IDS) * (2 * regions.WINDOW + 1)
         assert max(block.values()) == 1, block.most_common(3)
     # the widened rescan ran, and its cells too were decided once
@@ -382,11 +376,14 @@ def test_lookup_matches_the_two_call_path():
 
 
 def test_row_cells_match_the_per_object_path():
-    """classify decides its cells from the analysis's slot row
-    (``_row_cell``): every cell of the block at windows 0, 4, 8 and 32
-    answers True, False or None (undecidable) as the same cell read object
-    by object on a fresh equal point (_reference.in_named_cell: one
-    engine.lookup per label, then Phase.plus and Phase.cmp per inequality).
+    """classify decides its cells from the analysis's slot row, a run of
+    indices at a time (``_run_cells``): every cell of the block at windows
+    0, 4, 8 and 32 answers True, False or None (undecidable) as the same
+    cell decided alone from the slot row (_reference.row_cell) and as the
+    same cell read object by object on a fresh equal point
+    (_reference.in_named_cell: one engine.lookup per label, then
+    Phase.plus and Phase.cmp per inequality).  Runs that split the block
+    answer as the whole block does.
 
     After classify, no analysis of the point holds a table entry for an
     object of the plan's universe: those live in the slot row, whose
@@ -402,13 +399,21 @@ def test_row_cells_match_the_per_object_path():
             assert all(plan.index(xb, pt.m) is None for xb in an.table), window
         ref = _fresh(pt)
         for window in (0, 4, 8, 32):
+            block = regions._block(pt, window)
+            halves = (block[:window], block[window:])
             for fid in FAMILY_IDS:
-                for m in regions._block(pt, window):
-                    got = regions._row_cell(pt, fid, m, window)
+                run = list(regions._run_cells(pt, fid, block, window))
+                assert run == [c for ms in halves
+                               for c in regions._run_cells(pt, fid, ms, window)]
+                assert [m for m, _ in run] == list(block)
+                for m, got in run:
+                    assert got == _reference.row_cell(pt, fid, m, window)
                     want = _outcome(_reference.in_named_cell, ref, fid, m, window)
                     assert got == (None if want == "undecidable" else want), (
                         fid, m, window, pt.to_json())
                     outcomes[got] += 1
+        with pytest.raises(ValueError, match="outside the block"):
+            list(regions._run_cells(pt, "F1", range(pt.m, pt.m + 10), 8))
     assert set(outcomes) == {True, False, None}, outcomes
     for window in (0, 4, 8, 32):
         plan = engine._plan(window)
@@ -479,10 +484,11 @@ def test_undecided_cell_keeps_the_union_undecided(monkeypatch):
     union containing its family Undecidable, never False."""
     pt = _std()
 
-    def cell(point, fid, m, window):
-        return None if (fid, m) == ("F1", pt.m) else False
+    def cells(point, fid, ms, window):
+        for m in ms:
+            yield m, None if (fid, m) == ("F1", pt.m) else False
 
-    monkeypatch.setattr(regions, "_row_cell", cell)
+    monkeypatch.setattr(regions, "_run_cells", cells)
     monkeypatch.setattr(regions, "_tails_excluded", lambda *a: True)
     assert regions.scan_cells(pt, ("F1",)) == (False, True)
     for name, fids in regions.COMPOSITES.items():
@@ -502,12 +508,13 @@ def test_classify_block_summaries_are_block_scans(monkeypatch):
     pt = _std()
     stub = {("F1", pt.m): None, ("F2", pt.m - 1): True, ("F2", pt.m): None}
 
-    def cell(point, fid, m, window):
-        return stub.get((fid, m), False)
+    def cells(point, fid, ms, window):
+        for m in ms:
+            yield m, stub.get((fid, m), False)
 
     def named_cell(point, fid, m, window=regions.WINDOW):
         # the public predicate that _one_at_a_time reads, on the same stub
-        v = cell(point, fid, m, window)
+        v = stub.get((fid, m), False)
         if v is None:
             raise regions.Undecidable("stub")
         return v
@@ -519,19 +526,19 @@ def test_classify_block_summaries_are_block_scans(monkeypatch):
         tables.append(cells)
         return union(point, fids, window, cells)
 
-    monkeypatch.setattr(regions, "_row_cell", cell)
+    monkeypatch.setattr(regions, "_run_cells", cells)
     monkeypatch.setattr(regions, "in_named_cell", named_cell)
     monkeypatch.setattr(regions, "_tails_excluded", lambda *a: True)
     monkeypatch.setattr(regions, "_cells_union", spy)
     w = regions.WINDOW
     assert regions.classify(pt) == _one_at_a_time(pt, w)
     assert ("cell", "F2", pt.m - 1) in regions.classify(pt)
-    summaries = {fid: tables[0][fid, w] for fid in FAMILY_IDS}
+    runs = (regions._block(pt, w),)
+    summaries = {fid: tables[0][fid, w, runs] for fid in FAMILY_IDS}
     assert summaries["F1"] == (False, True)
     assert summaries["F2"] == (True, False)
     for fid in FAMILY_IDS:
-        block = regions._block(pt, w)
-        assert summaries[fid] == regions._scan(pt, (fid,), block, w, {})
+        assert summaries[fid] == regions._scan(pt, (fid,), runs, w, {})
 
 
 def test_union_false_certified_when_far_objects_dead():
