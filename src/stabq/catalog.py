@@ -144,6 +144,42 @@ def hom_dims(x: ExcObject, y: ExcObject):
     return (d0 + x.total_shift() - y.total_shift(), abs(chi))
 
 
+def _degree_key(x: ExcObject, y: ExcObject):
+    """The key of ``_DEGREES``: the kinds, and y.m - x.m clamped to -2..2,
+    or 0 when either object is M or M'."""
+    if x.kind in ("M", "Mp") or y.kind in ("M", "Mp"):
+        return x.kind, y.kind, 0
+    return x.kind, y.kind, max(-2, min(2, y.m - x.m))
+
+
+# the unshifted (fwd, bwd) by key, from hom_dims on representatives: x at
+# index 0 and y at -2..2, M and M' at 0
+_DEGREES = {
+    _degree_key(x, y): tuple(
+        None if h is None else h[0] for h in (hom_dims(x, y), hom_dims(y, x))
+    )
+    for x in (ExcObject(kx, 0, 0) for kx in KINDS)
+    for ky in KINDS
+    for y in (ExcObject(ky, d if ky in ("a", "b") else 0, 0) for d in range(-2, 3))
+}
+
+
+def hom_degrees(x: ExcObject, y: ExcObject):
+    """(fwd, bwd): the degrees of the homs x -> y and y -> x, None where one
+    vanishes.  One step along both chains (``ExcObject.translated``) is an
+    autoequivalence, so they depend only on the kinds and the index
+    difference; they are constant beyond a difference of 2, and the same
+    for M and M' against every object of a chain.  So they are a lookup in
+    ``_DEGREES``, moved by the explicit shifts; equal shifts get the
+    table's own tuple."""
+    pair = _DEGREES[_degree_key(x, y)]
+    s = x.shift - y.shift
+    if not s:
+        return pair
+    fwd, bwd = pair
+    return (None if fwd is None else fwd + s, None if bwd is None else bwd - s)
+
+
 class NotExceptionalClass(ValueError):
     pass
 

@@ -213,11 +213,7 @@ def _cmd_oracle(args) -> int:
             % (obj, total, ff.MAX_TOTAL_DIM)
         )
     rep = build_matrices(obj, q=2)
-    zs = tuple(
-        engine.charge_of(pt, v)
-        for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    )
-    ok, destab = ff.semistable_in_heart(rep, zs)
+    ok, destab = ff.semistable_in_heart(rep, pt.simple)
     out = {
         "object": str(obj),
         "dim": list(rep.dims),

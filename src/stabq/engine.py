@@ -27,13 +27,13 @@ inside the scope, and the outer step (the two-factor middle object or the
 K-class-checked three-factor extension).  The plan is keyed on the window
 alone, as all of this is unchanged when every chain index moves by one
 step; rows are built on first use.  The plan also keeps each slot's
-K-class, and, built on first use, per slot the row of hom degrees to
-every slot.  Moving n steps along the chains acts on K as
-T^n(c) = c + n (c_T - c_L) delta, so a fixpoint reads its slots' K-classes
-against the point's simple charges moved once by its m.  Per point the
-fixpoint computes only charges, window arguments and phase comparisons on
-lists indexed by slot, and spells out objects, rules and witnesses in the
-point's own labels.
+K-class, and, built on first use, per slot the row of its hom degrees to
+every slot (``catalog.hom_degrees``).  Moving n steps along the chains
+acts on K as T^n(c) = c + n (c_T - c_L) delta, so a fixpoint reads its
+slots' K-classes against the point's simple charges moved once by its m.
+Per point the fixpoint computes only charges, window arguments and phase
+comparisons on lists indexed by slot, and spells out objects, rules and
+witnesses in the point's own labels.
 The plan also indexes, per slot, the standard triples holding it (the
 readiness index), so a point's fixpoint scans each triple once, in the
 round after its last slot is decided semistable, and never rescans the
@@ -52,7 +52,8 @@ entries of ``lookup`` in one row indexed by the same slots (a memo by
 object only for the objects beyond the plan's universe), and the tail
 enclosures ``regions`` derives from them.  A lookup takes a base object,
 finds its slot by arithmetic on its label and builds no object; an
-undecided slot's bracket reads the plan's hom-degree row.  An analysis is
+undecided slot's bracket reads the plan's hom-degree row, and an object
+beyond the universe reads ``hom_degrees`` directly.  An analysis is
 built on the first lookup at its window and lives exactly as long as its
 point; nothing is cached process-wide on points, so equal but distinct
 point objects each compute their own (identical) results.
@@ -74,7 +75,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
-from .catalog import ExcObject, hom_dims, kclass
+from .catalog import ExcObject, hom_degrees, hom_dims, kclass
 from .exact import (
     ExactError,
     Gaussian,
@@ -129,6 +130,10 @@ class StabilityPoint:
     simple: Tuple[Gaussian, Gaussian, Gaussian] = field(
         init=False, repr=False, compare=False
     )
+    # the anchor phases, carrying the integer charges; derived like int_charges
+    anchor_phases: Tuple[Phase, Phase, Phase] = field(
+        init=False, repr=False, compare=False
+    )
     # window -> Analysis, filled on first lookup; derived like int_charges
     analyses: Dict[int, "Analysis"] = field(
         init=False, repr=False, compare=False
@@ -151,15 +156,18 @@ class StabilityPoint:
         object.__setattr__(self, "int_charges", primitive_multiple(self.charges))
         # a sigma-exceptional anchor: its phases lie in one unit interval,
         # which bounds every conditional phase (see conditional_phase)
-        phases = self.anchor_phases()
+        phases = tuple(
+            Phase(self.global_shift + e, z)
+            for e, z in zip(self.extra_offsets, self.int_charges)
+        )
         if max(phases) >= min(phases).plus(1):
             raise ValueError(
                 "anchor phases %r spread by 1 or more (extra_offsets %r)"
                 % (phases, self.extra_offsets)
             )
+        object.__setattr__(self, "anchor_phases", phases)
         object.__setattr__(self, "simple", _simple_charges(
-            base.shifted(self.shift).kclasses(), self.global_shift,
-            self.extra_offsets, self.int_charges,
+            base.shifted(self.shift).kclasses(), phases
         ))
         object.__setattr__(self, "analyses", {})
 
@@ -173,13 +181,6 @@ class StabilityPoint:
 
     def anchor(self) -> ExcTriple:
         return family_triple(self.family, self.m).shifted(self.shift)
-
-    def anchor_phases(self) -> Tuple[Phase, Phase, Phase]:
-        """The anchor phases, carrying the integer-normalised charges."""
-        return tuple(
-            Phase(self.global_shift + e, z)
-            for e, z in zip(self.extra_offsets, self.int_charges)
-        )
 
     def to_json(self) -> dict:
         out = {
@@ -232,16 +233,15 @@ def _basis_solver(k0: Vec3, k1: Vec3, k2: Vec3):
     return solve
 
 
-def _simple_charges(kclasses, g: int, extra_offsets, int_charges):
+def _simple_charges(kclasses, phases):
     """The charges of the simple classes, in the scale of ``charge_of``:
     each simple class solved in the anchor's K-classes (``_basis_solver``),
     and the solution applied to the anchor's true integer charges.
 
-    The stored charges are upper-branch representatives; the direction of
-    the anchor phase ``Phase(g + e_i, z_i)`` is ``(-1) ** (g + e_i) * z_i``,
-    so the true charge of anchor ``i`` carries that sign."""
+    The stored charges are upper-branch representatives; the true charge
+    of anchor ``i`` is the direction of its phase ``phases[i]``."""
     solve = _basis_solver(*kclasses)
-    signed = [-z if (g + e) % 2 else z for e, z in zip(extra_offsets, int_charges)]
+    signed = [ph.direction() for ph in phases]
     return tuple(_charge(signed, solve(e)) for e in _SIMPLE_CLASSES)
 
 
@@ -333,8 +333,8 @@ class _Plan:
     triple is ready once that many of its slots are decided semistable.
     ``gaps`` holds, per a/b slot, None or its chain successor and the
     slots a phase gap above it kills, in universe order.  ``kclasses``
-    holds the K-class of each slot, and ``degrees_of`` the hom degrees
-    from a slot to every slot.
+    holds the K-class of each slot, and ``degrees_of`` the row of
+    ``hom_degrees`` from a slot to every slot, built on first use.
 
     Hom dimensions, closure contents, the scope and K-class relations are
     unchanged when every chain index moves by the same step
@@ -360,10 +360,7 @@ class _Plan:
                 self.holders[s].append(j)
             self.sizes.append(len(distinct))
         self.kclasses = [kclass(o) for o in u]
-        # per slot its row of hom degrees, and the distinct (fwd, bwd)
-        # pairs the rows share
         self.degrees: List[Optional[tuple]] = [None] * len(u)
-        self.pairs: Dict[tuple, tuple] = {}
         self.gaps = [None] * len(u)
         for s, o in enumerate(u):
             if o.kind in ("a", "b") and o.translated(1) in self.slot:
@@ -372,17 +369,12 @@ class _Plan:
                     if y.kind == o.kind and y.m not in (o.m, o.m + 1)))
 
     def degrees_of(self, s: int) -> tuple:
-        """Per slot t, the degrees (fwd, bwd) of the homs from slot s to t
-        and from t to s, None where one vanishes: ``_hom_degrees`` of the
-        two objects, built from ``hom_dims`` on the first call for s.  The
-        few distinct pairs are shared between rows."""
+        """Per slot t, ``hom_degrees`` from slot s to slot t, built on the
+        first call for s.  The entries are tuples of that function's table."""
         row = self.degrees[s]
         if row is None:
-            x, shared = self.universe[s], self.pairs
-            row = self.degrees[s] = tuple(
-                shared.setdefault(d, d)
-                for d in (_degree_pair(x, y) for y in self.universe)
-            )
+            x = self.universe[s]
+            row = self.degrees[s] = tuple(hom_degrees(x, y) for y in self.universe)
         return row
 
     def ref(self, obj: ExcObject) -> Tuple[int, int]:
@@ -414,8 +406,7 @@ class _Plan:
         B = (t[0], t[1].shifted(s1), t[2].shifted(s2))
         closures = []
         for i in (0, 1):
-            h = hom_dims(B[i], B[i + 1])
-            if h is None or h[0] != 1:
+            if hom_degrees(B[i], B[i + 1])[0] != 1:
                 continue
             pair = ext_pair(B[i], B[i + 1])
             content = None if pair is None else closure_content(pair, self.window)
@@ -714,7 +705,7 @@ def _decide(point: StabilityPoint, window: int) -> _State:
         return -z if ref[1] % 2 else z
 
     anchor = family_triple(point.family, 0).shifted(point.shift)
-    for obj, ph in zip(anchor.objs, point.anchor_phases()):
+    for obj, ph in zip(anchor.objs, point.anchor_phases):
         st.set_ss(plan.ref(obj), ph, "anchor")
 
     phase, holders, missing = st.phase, plan.holders, plan.sizes[:]
@@ -792,8 +783,7 @@ class Analysis:
             st = self.state
             v = st.v[s]
             if v is None:
-                row = st.plan.degrees_of(s)
-                e = _undecided(st, st.charge(s), row.__getitem__)
+                e = _undecided(st, st.charge(s), st.plan.degrees_of(s).__getitem__)
             else:
                 e = _DEAD[v.status] if v.phase is None else (v.status, v.phase)
             self.row[s] = e
@@ -843,17 +833,6 @@ def hom_bracket(bounds) -> Optional[Tuple[Optional[Phase], Optional[Phase]]]:
     )
 
 
-def _degree_pair(x: ExcObject, y: ExcObject) -> Tuple[Optional[int], ...]:
-    """The degrees of the homs x -> y and y -> x, None where one vanishes.
-    They do not change when both objects move along their chains."""
-    return tuple(None if h is None else h[0] for h in (hom_dims(x, y), hom_dims(y, x)))
-
-
-# ``_degree_pair`` for the objects beyond a plan's universe; callers pass
-# labels relative to the point's m, so this is memoised process-wide on labels
-_hom_degrees = lru_cache(maxsize=8192)(_degree_pair)
-
-
 def phase_bracket(point: StabilityPoint, xb: ExcObject, window: int = DEFAULT_WINDOW):
     """``hom_bracket`` of the base object xb against the decided-semistable
     objects of the point's analysis at ``window``, in verdict order.  The
@@ -864,13 +843,13 @@ def phase_bracket(point: StabilityPoint, xb: ExcObject, window: int = DEFAULT_WI
 
 def _degrees(st: _State, xb: ExcObject):
     """The map from a slot to the hom degrees of the base object xb to it:
-    the plan's row for an object of its universe, ``_hom_degrees`` on the
+    the plan's row for an object of its universe, ``hom_degrees`` on the
     plan's labels beyond it."""
     s = st.plan.index(xb, st.dm)
     if s is not None:
         return st.plan.degrees_of(s).__getitem__
     x, u = xb.translated(-st.dm), st.plan.universe
-    return lambda t: _hom_degrees(x, u[t])
+    return lambda t: hom_degrees(x, u[t])
 
 
 def _bracket(st: _State, degrees):

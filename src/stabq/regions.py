@@ -25,8 +25,8 @@ reads each family's block in full; a composite's scan stops at its first
 hit.  Each family's (hit, undecided) over its block, and over the widened
 ring of a tail rescan, is kept in a table local to the call and freed
 with it, so the composites never decide a cell twice.  The hom degrees
-that bound the far tails are a pure function of labels, memoised
-process-wide (``_tail_degrees``), and hold nothing of any point.
+that bound the far tails are read from ``catalog.hom_degrees`` at the few
+index differences a tail meets (``_tail_degrees``).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from . import engine
-from .catalog import ExcObject, hom_dims
+from .catalog import ExcObject, hom_degrees
 from .exact import ExactError, Phase, cmp_shifted, window_arg
 from .triples import (
     A_SIDE,
@@ -229,7 +229,7 @@ _DEAD = "dead"  # no far chain object of the letter can be semistable
 def _reference_objects(point, window: int):
     """Decided-semistable objects with pinned phases: the anchors, plus M
     and M' when the engine certifies them."""
-    refs = list(zip(point.anchor().objs, point.anchor_phases()))
+    refs = list(zip(point.anchor().objs, point.anchor_phases))
     for name in ("M", "Mp"):
         x = ExcObject(name, 0, 0)
         status, ph = engine.lookup(point, x, window)
@@ -238,36 +238,21 @@ def _reference_objects(point, window: int):
     return refs
 
 
-@lru_cache(maxsize=4096)
 def _tail_degrees(kind: str, j_edge: int, direction: int, ref: ExcObject):
     """The hom degrees (to ref, from ref) shared by every chain object of
-    the letter from j_edge on in the given direction, or None where the
-    probes do not all agree on one nonzero hom.  The degrees are eventually
-    constant in the chain index, so probes at the edge, near it and far out
-    stand for the whole tail.  A pure function of labels, memoised
-    process-wide; it holds nothing of any point."""
-    probes = [ExcObject(kind, j_edge + direction * k, 0) for k in (0, 1, 2, 7, 999)]
-
-    def stable(homs):
-        degs = {h[0] if h is not None else None for h in homs}
-        return degs.pop() if len(degs) == 1 else None
-
-    return (
-        stable(hom_dims(x, ref) for x in probes),
-        stable(hom_dims(ref, x) for x in probes),
-    )
-
-
-def _far_bracket(refs, kind: str, j_edge: int, direction: int):
-    """``engine.hom_bracket`` of every unscanned chain object of the letter
-    against the decided reference objects ``refs`` (``_reference_objects``),
-    over the references whose hom degrees have stabilized over the whole
-    tail (``_tail_degrees``): the closed bracket [lo, up] its phase must
-    satisfy were it semistable, ends None when unbounded, or None when the
-    bracket is empty."""
-    return engine.hom_bracket(
-        (ph, *_tail_degrees(kind, j_edge, direction, ref)) for ref, ph in refs
-    )
+    the letter from j_edge on in the given direction, or None where they
+    do not all agree on one nonzero hom.  Exact, with no probe: the degrees
+    depend on the index difference to ref only clamped to -2..2
+    (``hom_degrees``), and a tail index outside ref.m - 2..ref.m + 2 has
+    the clamped difference of the edge or of the nearest of those indices,
+    so the edge and those indices in the tail meet every value."""
+    degs = {hom_degrees(ExcObject(kind, j_edge, 0), ref)}
+    for j in range(ref.m - 2, ref.m + 3):
+        if direction * (j - j_edge) > 0:
+            degs.add(hom_degrees(ExcObject(kind, j, 0), ref))
+    if len(degs) == 1:
+        return degs.pop()
+    return tuple(s.pop() if len(s) == 1 else None for s in map(set, zip(*degs)))
 
 
 def _tail_enclosure(point, window: int, hi: bool) -> Dict[str, Optional[tuple]]:
@@ -279,8 +264,9 @@ def _tail_enclosure(point, window: int, hi: bool) -> Dict[str, Optional[tuple]]:
     charges are strictly monotone and converge to the window representative
     of the ray direction; with a decided phase at the block edge this
     encloses every far phase between the edge phase and the ray limit.
-    Without one, the hom brackets against the decided reference objects
-    still bound (or empty out) the possible phases.  Per letter the result
+    Without one, the hom brackets against the decided reference objects,
+    over the degrees the whole tail shares (``_tail_degrees``), still bound
+    (or empty out) the possible phases.  Per letter the result
     is (lo, lo_strict, up, up_strict, inc): an enclosure with open/closed
     ends (None = unbounded) and whether the phases increase with the chain
     index (None when unknown); the sentinel _DEAD marks a letter whose far
@@ -290,7 +276,9 @@ def _tail_enclosure(point, window: int, hi: bool) -> Dict[str, Optional[tuple]]:
     out: Dict[str, Optional[tuple]] = {}
     refs = _reference_objects(point, window)
     for kind in ("a", "b"):
-        bracket = _far_bracket(refs, kind, j_edge, direction)
+        bracket = engine.hom_bracket(
+            (ph, *_tail_degrees(kind, j_edge, direction, ref)) for ref, ph in refs
+        )
         if bracket is None:
             out[kind] = _DEAD
             continue

@@ -286,6 +286,33 @@ def row_cell(point, fid, m, window):
 
 
 # ---------------------------------------------------------------------------
+# the hom degrees from hom_dims, per pair and per tail, that the table of
+# catalog.hom_degrees replaces
+
+
+def degree_pair(x, y):
+    """The degrees (fwd, bwd) of the homs x -> y and y -> x, None where one
+    vanishes, from two hom_dims calls."""
+    return tuple(None if h is None else h[0] for h in (hom_dims(x, y), hom_dims(y, x)))
+
+
+def tail_degrees(kind, j_edge, direction, ref):
+    """regions._tail_degrees as five probes: the chain objects of the letter
+    at offsets 0, 1, 2, 7 and 999 from j_edge in the direction, each degree
+    kept where every probe agrees on it."""
+    probes = [ExcObject(kind, j_edge + direction * k, 0) for k in (0, 1, 2, 7, 999)]
+
+    def stable(homs):
+        degs = {h[0] if h is not None else None for h in homs}
+        return degs.pop() if len(degs) == 1 else None
+
+    return (
+        stable(hom_dims(x, ref) for x in probes),
+        stable(hom_dims(ref, x) for x in probes),
+    )
+
+
+# ---------------------------------------------------------------------------
 # the allocating phase comparisons that engine.hom_bracket and
 # engine._unit_shifts replace
 
@@ -425,7 +452,7 @@ def decide_by_rescan(point, window):
         return -z if ref[1] % 2 else z
 
     anchor = family_triple(point.family, 0).shifted(point.shift)
-    for obj, ph in zip(anchor.objs, point.anchor_phases()):
+    for obj, ph in zip(anchor.objs, point.anchor_phases):
         st.set_ss(plan.ref(obj), ph, "anchor")
 
     pending = plan.triples

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stabq import catalog
 from stabq.catalog import (
     ExcObject,
     NotExceptionalClass,
     dim_vector,
+    hom_degrees,
     hom_dims,
     kclass,
     object_from_kclass,
@@ -16,7 +18,12 @@ from stabq.catalog import (
 )
 from stabq.quiver import DELTA, Vec3, euler_form, is_real_root
 
-from _reference import check_hom_table, check_k_identities, check_kronecker_dims
+from _reference import (
+    check_hom_table,
+    check_k_identities,
+    check_kronecker_dims,
+    degree_pair,
+)
 
 _objs = st.builds(
     ExcObject,
@@ -69,6 +76,42 @@ def test_hom_euler_consistency(x, y):
         assert chi == 0
     else:
         assert chi == h[1] * (-1) ** h[0]
+
+
+def test_hom_degrees_match_hom_dims_on_a_grid():
+    """The table of hom_degrees against two hom_dims calls per pair, on
+    every pair of a, b at indices -30..30, -1000 and 997 and of M, M', all
+    at shifts -2, 0, 1 and 3; an unshifted pair gets a tuple of the
+    table."""
+    objs = [
+        ExcObject(kind, m, s)
+        for kind in ("a", "b")
+        for m in [*range(-30, 31), -1000, 997]
+        for s in (-2, 0, 1, 3)
+    ] + [ExcObject(kind, 0, s) for kind in ("M", "Mp") for s in (-2, 0, 1, 3)]
+    table = {id(pair) for pair in catalog._DEGREES.values()}
+    for x in objs:
+        for y in objs:
+            got = hom_degrees(x, y)
+            assert got == degree_pair(x, y), (x, y)
+            if not (x.shift or y.shift):
+                assert id(got) in table
+
+
+_far_objs = st.builds(
+    ExcObject,
+    st.sampled_from(["a", "b"]),
+    st.integers(-10**6, 10**6),
+    st.integers(-5, 5),
+) | st.builds(
+    ExcObject, st.sampled_from(["M", "Mp"]), st.just(0), st.integers(-5, 5)
+)
+
+
+@settings(max_examples=400)
+@given(_far_objs, _far_objs)
+def test_hom_degrees_match_hom_dims_far_out(x, y):
+    assert hom_degrees(x, y) == degree_pair(x, y)
 
 
 def test_hom_reference_table():

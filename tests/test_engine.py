@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _reference
-from stabq import engine, ff, harness, regions
+from stabq import catalog, engine, ff, harness, regions
 from stabq.catalog import (
     ExcObject,
     build_matrices,
@@ -279,18 +279,17 @@ def test_charge_of_matches_the_cramer_solve(seed, turn, scale, gshift, labels,
 
 @pytest.mark.parametrize("window", (0, 4, 8, 32))
 def test_degree_rows_match_the_hom_degrees(window):
-    """Every entry of a plan's hom-degree rows is ``_hom_degrees`` of its
-    two objects; each row is built once, and equal pairs are one object."""
+    """Every entry of a plan's hom-degree rows is the degrees of its two
+    objects from hom_dims; each row is built once, and its entries are the
+    tuples of the table of catalog.hom_degrees."""
     plan = engine._plan(window)
     u = plan.universe
-    pairs = {}
+    table = {id(pair) for pair in catalog._DEGREES.values()}
     for s, x in enumerate(u):
         row = plan.degrees_of(s)
         assert row is plan.degrees_of(s)
-        assert row == tuple(engine._hom_degrees(x, y) for y in u)
-        for d in row:
-            assert pairs.setdefault(d, d) is d
-    assert len(pairs) < 10
+        assert row == tuple(_reference.degree_pair(x, y) for y in u)
+        assert all(id(pair) in table for pair in row)
 
 
 def test_lookup_refuses_a_shifted_label():

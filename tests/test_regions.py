@@ -10,7 +10,7 @@ import pytest
 
 import _reference
 from stabq import engine, harness, regions
-from stabq.catalog import ExcObject, hom_dims
+from stabq.catalog import ExcObject
 from stabq.exact import ExactError, Gaussian
 from stabq.triples import (
     FAMILY_IDS,
@@ -204,8 +204,9 @@ def _one_at_a_time(pt, window):
 def test_classify_matches_public_predicates():
     """classify's shared cell table changes no verdict: its output is what
     a fresh equal point answers to the cell and composite predicates called
-    one at a time, and the memoised tail hom degrees are the probe
-    computation they replace."""
+    one at a time, and the tail hom degrees are the five-probe computation
+    they replace, on the sampled reference objects and on every chain
+    object within 30 steps of the edge and M, M', shifted."""
     rng = random.Random(41)
     pts = [
         harness.sample_sigma(
@@ -222,23 +223,16 @@ def test_classify_matches_public_predicates():
             refs.update(ref for ref, _ in regions._reference_objects(pt, window))
     assert ("region", "RightMp") in regions.classify(_widened_tail_point())
 
-    def stable(homs):
-        degs = {h[0] if h is not None else None for h in homs}
-        return degs.pop() if len(degs) == 1 else None
-
-    for ref in refs:
-        for kind in "ab":
-            for j_edge in range(-12, 13):
+    for j_edge in range(-12, 13):
+        near = [
+            ExcObject(kind, j_edge + d, s)
+            for kind in "ab" for d in range(-30, 31) for s in (-1, 0, 2)
+        ] + [ExcObject(kind, 0, s) for kind in ("M", "Mp") for s in (-1, 0, 2)]
+        for ref in refs.union(near):
+            for kind in "ab":
                 for direction in (1, -1):
-                    probes = [
-                        ExcObject(kind, j_edge + direction * k, 0)
-                        for k in (0, 1, 2, 7, 999)
-                    ]
-                    want = (
-                        stable(hom_dims(x, ref) for x in probes),
-                        stable(hom_dims(ref, x) for x in probes),
-                    )
                     got = regions._tail_degrees(kind, j_edge, direction, ref)
+                    want = _reference.tail_degrees(kind, j_edge, direction, ref)
                     assert got == want, (kind, j_edge, direction, ref)
 
 
