@@ -1,8 +1,8 @@
 """Command-line interface: `stab <subcommand>`.
 
 Exit codes: 0 success, 1 a verification mismatch (`stab verify`), 2 input
-the command cannot use (a missing or malformed file, a bool or a
-fraction where a file needs an integer, a bad label, an unknown lemma, a
+the command cannot use (a missing or malformed file, a bool, a float or
+a string where a file needs an integer, a bad label, an unknown lemma, a
 sample count below 1, a window outside 0..MAX_WINDOW, a point outside the
 oracle's domain, an object beyond the oracle's size cap, an output path
 that cannot be written, a slice -o ending in .csv), reported as one

@@ -45,18 +45,19 @@ direction inside its hom bracket against the decided-semistable objects
 (``hom_bracket``).  The anchor alone bounds that bracket to less than one
 unit, so the phase is unique or absent and never left unresolved.
 
-Each point owns its analyses, one per window (``StabilityPoint.analysis``):
-the rule fixpoint's slot state (its one store of verdicts, which
-``semistable`` spells out one at a time), the (status, conditional phase)
-entries of ``lookup`` in one row indexed by the same slots (a memo by
-object only for the objects beyond the plan's universe), and the tail
-enclosures ``regions`` derives from them.  A lookup takes a base object,
-finds its slot by arithmetic on its label and builds no object; an
-undecided slot's bracket reads the plan's hom-degree row, and an object
-beyond the universe reads ``hom_degrees`` directly.  An analysis is
-built on the first lookup at its window and lives exactly as long as its
-point; nothing is cached process-wide on points, so equal but distinct
-point objects each compute their own (identical) results.
+Each point owns its analyses, one ``Analysis`` per window
+(``StabilityPoint.analysis``): the rule fixpoint's verdicts by slot (its
+one store of verdicts, which ``semistable`` spells out one at a time),
+the (status, conditional phase) entries of ``lookup`` in one row indexed
+by the same slots, and the tail enclosures ``regions`` derives from them.
+A lookup takes a base object, finds its slot by arithmetic on its label
+(``_Plan.index``, the one map from objects to slots) and builds no
+object; an undecided slot's bracket reads the plan's hom-degree row.  An
+object beyond the universe keeps no entry: each lookup of it reads
+``hom_degrees`` directly.  An analysis is built on the first lookup at
+its window and lives exactly as long as its point; nothing is cached
+process-wide on points, so equal but distinct point objects each compute
+their own (identical) results.
 
 The phase comparisons on the hot paths (the fixpoint's unit shifts and
 rule comparisons, the hom bracket, the region clause test) read a phase
@@ -172,11 +173,11 @@ class StabilityPoint:
         object.__setattr__(self, "analyses", {})
 
     def analysis(self, window: int = DEFAULT_WINDOW) -> "Analysis":
-        """The engine's analysis of this point at ``window``, built on first
-        use and kept for the life of the point."""
+        """The engine's analysis of this point at ``window``: the one
+        ``_decide`` returns on first use, kept for the life of the point."""
         a = self.analyses.get(window)
         if a is None:
-            a = self.analyses[window] = Analysis(self, window)
+            a = self.analyses[window] = _decide(self, window)
         return a
 
     def anchor(self) -> ExcTriple:
@@ -325,7 +326,8 @@ class _Row:
 class _Plan:
     """The point-independent part of the rule fixpoint at one window, in the
     coordinates of a point with index ``m``.  A slot is an index into the
-    universe, and an object is a (slot, shift) pair.  ``triples`` holds the
+    universe, found by ``index`` alone, and an object is a (slot, shift)
+    pair (``ref``).  ``triples`` holds the
     window's standard triples in scan order with their slots and rows, the
     rows built on first use and keyed by (s1, s2), None outside the shift
     set.  ``holders`` holds per slot the indices of the triples that
@@ -335,6 +337,7 @@ class _Plan:
     slots a phase gap above it kills, in universe order.  ``kclasses``
     holds the K-class of each slot, and ``degrees_of`` the row of
     ``hom_degrees`` from a slot to every slot, built on first use.
+    ``cells`` reads a family's block of cells off ``triples``.
 
     Hom dimensions, closure contents, the scope and K-class relations are
     unchanged when every chain index moves by the same step
@@ -344,12 +347,11 @@ class _Plan:
     def __init__(self, window: int, m: int = 0):
         self.window = window
         self.universe = u = _universe(m, window)
-        self.slot = {o: i for i, o in enumerate(u)}
         # the lowest chain index and the length of each chain in the universe
         self.low, self.span = m - window, 2 * window + 2
         ks = range(m - window, m + window + 1)
         ts = [family_triple(f, k) for f in FAMILY_IDS for k in ks]
-        self.triples = [(t, tuple(self.slot[o] for o in t.objs), {}) for t in ts]
+        self.triples = [(t, tuple(map(self.index, t.objs)), {}) for t in ts]
         # the readiness index: per slot the triples holding it, in plan
         # order, and per triple its number of distinct slots
         self.holders = [[] for _ in u]
@@ -363,8 +365,9 @@ class _Plan:
         self.degrees: List[Optional[tuple]] = [None] * len(u)
         self.gaps = [None] * len(u)
         for s, o in enumerate(u):
-            if o.kind in ("a", "b") and o.translated(1) in self.slot:
-                self.gaps[s] = (self.slot[o.translated(1)], tuple(
+            nxt = self.index(o.translated(1))
+            if o.kind in ("a", "b") and nxt is not None:
+                self.gaps[s] = (nxt, tuple(
                     i for i, y in enumerate(u)
                     if y.kind == o.kind and y.m not in (o.m, o.m + 1)))
 
@@ -377,22 +380,33 @@ class _Plan:
             row = self.degrees[s] = tuple(hom_degrees(x, y) for y in self.universe)
         return row
 
-    def ref(self, obj: ExcObject) -> Tuple[int, int]:
-        return self.slot[obj.base()], obj.shift
+    def ref(self, obj: ExcObject) -> Optional[Tuple[int, int]]:
+        """The object obj as a (slot, shift) pair; None beyond the universe."""
+        s = self.index(obj)
+        return None if s is None else (s, obj.shift)
 
-    def index(self, xb: ExcObject, dm: int = 0) -> Optional[int]:
-        """The slot of the base object xb, in the labels of a point with
-        index ``dm``; None beyond the universe.  The same as
-        ``slot.get(xb.translated(-dm))``, by arithmetic on the universe's
-        order (M, M', the a chain, the b chain), building no object."""
-        if xb.kind == "M":
+    def index(self, x: ExcObject, dm: int = 0) -> Optional[int]:
+        """The slot of x's base object, in the labels of a point with index
+        ``dm``: the position of ``x.base().translated(-dm)`` in the
+        universe, None beyond it.  The only map from objects to slots, by
+        arithmetic on the universe's order (M, M', the a chain, the b
+        chain); it ignores the explicit shift and builds no object."""
+        if x.kind == "M":
             return 0
-        if xb.kind == "Mp":
+        if x.kind == "Mp":
             return 1
-        j = xb.m - dm - self.low
+        j = x.m - dm - self.low
         if not 0 <= j < self.span:
             return None
-        return 2 + j if xb.kind == "a" else 2 + self.span + j
+        return 2 + j if x.kind == "a" else 2 + self.span + j
+
+    def cells(self, fid: str) -> List[Tuple[int, int, int]]:
+        """The slots of family fid's standard triples at the indices
+        m - window .. m + window of the plan's m, in that order: at
+        ``window``, the cells of a point's block, relative to its m."""
+        n = 2 * self.window + 1
+        j = FAMILY_IDS.index(fid) * n
+        return [slots for _, slots, _ in self.triples[j:j + n]]
 
     def row(self, t: ExcTriple, rows: dict, s1: int, s2: int) -> Optional[_Row]:
         key = (s1, s2)
@@ -411,15 +425,16 @@ class _Plan:
             pair = ext_pair(B[i], B[i + 1])
             content = None if pair is None else closure_content(pair, self.window)
             if content:
-                inside = tuple(self.ref(c) for c in content if c.base() in self.slot)
+                inside = tuple(r for r in map(self.ref, content) if r is not None)
                 closures.append((i, inside, ("closure", B, "[%d]" % i)))
         outer = None
         h02 = hom_dims(B[0], B[2])
         if h02 is not None and h02[0] == 1 and h02[1] == 1:
             pair = ext_pair(B[0], B[2])
             content = None if pair is None else closure_content(pair, self.window)
-            if content is not None and content[2].base() in self.slot:
-                outer = (self.ref(content[2]), ("two-factor", B, ""))
+            y = None if content is None else self.ref(content[2])
+            if y is not None:
+                outer = (y, ("two-factor", B, ""))
         elif h02 is None or h02[0] != 1:
             y_obj = self._three_factor_target(B)
             if y_obj is not None:
@@ -439,7 +454,7 @@ class _Plan:
             if content is None:
                 return None
             y_obj = content[2]
-        if y_obj.base() not in self.slot:
+        if self.index(y_obj) is None:
             return None
         cls = kclass(B[0]) + kclass(B[1]) + kclass(B[2])
         if kclass(y_obj) != cls:  # pragma: no cover - pattern sanity check
@@ -461,16 +476,26 @@ def _plan(window: int) -> _Plan:
 # the fixpoint
 
 
-class _State:
-    """One fixpoint run on a plan, relative to the point's m (``dm``): the
-    point's simple charges read through dm steps (``_translated_simple``),
-    so that a slot's charge is its plan K-class against them, and the
-    verdicts, semistable phases and charges of the base objects by slot,
-    whether each decided phase agrees with its charge, and the decided
-    slots in first-verdict order.  Rules are tokens, a string or a plan's
-    (name, B, suffix), and a big-gap witness is the chain object below the
-    gap; both are spelled in the point's own labels only by ``spell`` and
-    in error messages."""
+class Analysis:
+    """What the engine derives for one point at one window, and the one
+    object ``StabilityPoint.analysis`` keeps per window: one run of the rule
+    fixpoint on the window's plan, relative to the point's m (``dm``), and
+    what ``lookup`` and ``regions`` read from it.
+
+    ``simple`` holds the point's simple charges read through dm steps
+    (``_translated_simple``), so that a slot's charge is its plan K-class
+    against them.  Indexed by slot: ``v`` the verdicts (the one store of
+    them, which ``semistable`` spells out one at a time), ``phase`` the
+    semistable phases, ``z`` the charges computed so far, ``agrees``
+    whether each decided phase has the direction of its charge, and
+    ``row`` the ``lookup`` entries read so far: the verdict's status with
+    the conditional phase, None for an object that cannot be semistable.
+    ``order`` holds the decided slots in first-verdict order, and
+    ``tails`` the tail enclosures of ``regions``, by side (True for the
+    high tail).  Rules are tokens, a string or a plan's (name, B, suffix),
+    and a big-gap witness is the chain object below the gap; both are
+    spelled in the point's own labels only by ``spell`` and in error
+    messages.  An analysis keeps no reference to its point."""
 
     def __init__(self, plan: _Plan, dm: int = 0, simple=None):
         self.plan = plan
@@ -481,8 +506,10 @@ class _State:
         # per slot, whether its decided phase has the direction of its
         # charge; tested on the first re-pin (see _pin_in_window)
         self.agrees: List[Optional[bool]] = [None] * n
+        self.row: List[Optional[Tuple[str, Optional[Phase]]]] = [None] * n
         self.order: List[int] = []
         self.changed = False
+        self.tails: Dict[bool, dict] = {}
 
     def charge(self, s: int) -> Gaussian:
         """The charge of the base object of slot s, computed on first use."""
@@ -490,6 +517,20 @@ class _State:
         if z is None:
             z = self.z[s] = _charge(self.simple, self.plan.kclasses[s])
         return z
+
+    def entry(self, s: int) -> Tuple[str, Optional[Phase]]:
+        """The ``lookup`` entry of the universe slot s, computed on the
+        first read; an undecided object's charge is the fixpoint's when it
+        computed one."""
+        e = self.row[s]
+        if e is None:
+            v = self.v[s]
+            if v is None:
+                e = _undecided(self, self.charge(s), self.plan.degrees_of(s).__getitem__)
+            else:
+                e = _DEAD[v.status] if v.phase is None else (v.status, v.phase)
+            self.row[s] = e
+        return e
 
     def at(self, obj: ExcObject) -> ExcObject:
         return obj.translated(self.dm)
@@ -507,10 +548,10 @@ class _State:
     def _labels(self, rules) -> Tuple[str, ...]:
         return tuple(map(self.label, rules))
 
-    def get(self, xb: ExcObject) -> Optional[Verdict]:
-        """The verdict on the base object xb, in the point's own labels;
+    def get(self, x: ExcObject) -> Optional[Verdict]:
+        """The verdict on x's base object, x in the point's own labels;
         None when undecided or outside the universe."""
-        s = self.plan.index(xb, self.dm)
+        s = self.plan.index(x, self.dm)
         return None if s is None else self.v[s]
 
     def spell(self, v: Verdict) -> Verdict:
@@ -576,7 +617,7 @@ def _unit_shifts(p1: Phase, p0: Phase) -> Tuple[int, ...]:
     return (-k,)
 
 
-def _pin_in_window(st: _State, ref: Tuple[int, int], lo: Phase, a: int,
+def _pin_in_window(an: Analysis, ref: Tuple[int, int], lo: Phase, a: int,
                    hi: Phase, b: int, charge, rule):
     """Declare the object ref semistable with its phase in the closed
     window [lo + a, hi + b]: the phases lo and hi moved by the integers a
@@ -588,35 +629,35 @@ def _pin_in_window(st: _State, ref: Tuple[int, int], lo: Phase, a: int,
     direction of its charge, is left as it is: that phase is the only one
     the full path could find.  Moving an object by k shifts negates both
     its charge and the direction of its phase k times, so the direction
-    test is made once per slot (``_State.agrees``).  Every other case
+    test is made once per slot (``Analysis.agrees``).  Every other case
     takes the full path, which builds the window's ends and raises on a
     contradiction."""
     s, k = ref
-    ph = st.phase[s]
+    ph = an.phase[s]
     if (ph is not None and cmp_shifted(lo, a, ph, k) <= 0
             and cmp_shifted(ph, k, hi, b) <= 0):
-        ok = st.agrees[s]
+        ok = an.agrees[s]
         if ok is None:
             d, z = ph.direction(), charge((s, 0))
-            ok = st.agrees[s] = d.cross(z) == 0 and d.dot(z) > 0
+            ok = an.agrees[s] = d.cross(z) == 0 and d.dot(z) > 0
         if ok:
             return
     z = charge(ref)
     if z.is_zero():
         raise EngineError(
-            "paper-rule inconsistency: zero charge on %s" % st.name(*ref)
+            "paper-rule inconsistency: zero charge on %s" % an.name(*ref)
         )
     lo, hi = lo.plus(a), hi.plus(b)
     ph = phase_in_closed_window(z, lo, hi)
     if ph is None:
         raise EngineError(
             "paper-rule inconsistency: phase of %s escapes [%r, %r]"
-            % (st.name(*ref), lo, hi)
+            % (an.name(*ref), lo, hi)
         )
-    st.set_ss(ref, ph, rule)
+    an.set_ss(ref, ph, rule)
 
 
-def _sigma_triple_rules(st: _State, row: _Row, phis, shifts, charge):
+def _sigma_triple_rules(an: Analysis, row: _Row, phis, shifts, charge):
     """All consequences of one sigma-exceptional triple (all three objects
     semistable, pairwise phase gaps strictly below one):
 
@@ -635,7 +676,7 @@ def _sigma_triple_rules(st: _State, row: _Row, phis, shifts, charge):
         if cmp_shifted(hi, a, lo, b) < 0:
             continue
         for c in content:
-            _pin_in_window(st, c, lo, b, hi, a, charge, rule)
+            _pin_in_window(an, c, lo, b, hi, a, charge, rule)
     if row.outer is None:
         return
     p0, p1, p2 = phis
@@ -653,9 +694,9 @@ def _sigma_triple_rules(st: _State, row: _Row, phis, shifts, charge):
         except ExactError:
             raise EngineError(
                 "paper-rule inconsistency: boundary phase for the "
-                "extension of %s" % st.label(("", rule[1], ""))
+                "extension of %s" % an.label(("", rule[1], ""))
             )
-        st.set_ss(target, py, rule)
+        an.set_ss(target, py, rule)
         return
     anchor_low = None
     if c10 < 0 and c20 < 0:
@@ -674,20 +715,20 @@ def _sigma_triple_rules(st: _State, row: _Row, phis, shifts, charge):
     except ExactError:
         raise EngineError(
             "paper-rule inconsistency: boundary phase for the "
-            "three-factor extension of %s" % st.label(("", rule[1], ""))
+            "three-factor extension of %s" % an.label(("", rule[1], ""))
         )
     if py.cmp(p0) >= 0:
         raise EngineError(
             "paper-rule inconsistency: three-factor extension of %s "
-            "above its bound" % st.label(("", rule[1], ""))
+            "above its bound" % an.label(("", rule[1], ""))
         )
-    st.set_ss(target, py, rule)
+    an.set_ss(target, py, rule)
 
 
-def _decide(point: StabilityPoint, window: int) -> _State:
-    """The rule fixpoint at ``window``, run on the window's plan in
-    coordinates relative to ``point.m``; per point it computes only
-    charges, window arguments and phase comparisons, by slot.
+def _decide(point: StabilityPoint, window: int) -> Analysis:
+    """The point's analysis at ``window``: the rule fixpoint, run on the
+    window's plan in coordinates relative to ``point.m``; per point it
+    computes only charges, window arguments and phase comparisons, by slot.
 
     Every rule of a round reads the phases decided before the round.  A
     standard triple is scanned once, exhaustively, in the round after its
@@ -696,8 +737,8 @@ def _decide(point: StabilityPoint, window: int) -> _State:
     before count down their triples' ``_Plan.sizes``, and the triples that
     reach 0 are scanned in plan order."""
     plan = _plan(window)
-    st = _State(plan, point.m, _translated_simple(point.simple, point.m))
-    zs, slot_charge = st.z, st.charge
+    an = Analysis(plan, point.m, _translated_simple(point.simple, point.m))
+    zs, slot_charge = an.z, an.charge
 
     def charge(ref: Tuple[int, int]) -> Gaussian:
         # [x[k]] = (-1)^k [x], and charges are linear with integer values
@@ -706,27 +747,27 @@ def _decide(point: StabilityPoint, window: int) -> _State:
 
     anchor = family_triple(point.family, 0).shifted(point.shift)
     for obj, ph in zip(anchor.objs, point.anchor_phases):
-        st.set_ss(plan.ref(obj), ph, "anchor")
+        an.set_ss(plan.ref(obj), ph, "anchor")
 
-    phase, holders, missing = st.phase, plan.holders, plan.sizes[:]
+    phase, holders, missing = an.phase, plan.holders, plan.sizes[:]
     counted = 0  # the verdicts whose slots have counted down their triples
     # every iteration before the fixpoint makes at least one verdict
     # transition, and each object makes at most two
     for _ in range(2 * len(plan.universe) + 2):
-        st.changed = False
+        an.changed = False
         ready = []
-        for s in st.order[counted:]:
+        for s in an.order[counted:]:
             if phase[s] is not None:
                 for j in holders[s]:
                     missing[j] -= 1
                     if not missing[j]:
                         ready.append(j)
-        counted = len(st.order)
+        counted = len(an.order)
 
         # chain neighbors more than one phase apart kill the rest of the
         # chain; this sets no phase, so the round's phases are still those
         # decided before it
-        for s in st.order[:]:
+        for s in an.order[:]:
             px, gap = phase[s], plan.gaps[s]
             if px is None or gap is None:
                 continue
@@ -734,7 +775,7 @@ def _decide(point: StabilityPoint, window: int) -> _State:
             if py is None or py.cmp(px.plus(1)) <= 0:
                 continue
             for o in gap[1]:
-                st.set_unstable(o, plan.universe[s], "big-gap")
+                an.set_unstable(o, plan.universe[s], "big-gap")
 
         # sigma-exceptional shifts of the standard triples
         for j in sorted(ready):
@@ -747,55 +788,20 @@ def _decide(point: StabilityPoint, window: int) -> _State:
                         continue
                     row = plan.row(t, rows, s1, s2)
                     if row is not None:
-                        _sigma_triple_rules(st, row, phis, (0, s1, s2), charge)
-        if not st.changed:
+                        _sigma_triple_rules(an, row, phis, (0, s1, s2), charge)
+        if not an.changed:
             break
     else:  # pragma: no cover
         raise EngineError("rule fixpoint did not converge")
-    return st
-
-
-class Analysis:
-    """What the engine derives for one point at one window.
-
-    ``state`` is the rule fixpoint's slot state (``_State``), the one store
-    of its verdicts.  ``row`` is the memo of ``lookup`` for the plan's
-    universe, a list indexed by slot: the verdict's status with the
-    conditional phase, None for an object that cannot be semistable.
-    ``table`` is the same memo, by base object, for the objects beyond the
-    universe, which are all undecided.  ``tails`` holds the tail
-    enclosures of ``regions``, by side (True for the high tail).  An
-    analysis keeps no reference to its point."""
-
-    def __init__(self, point: StabilityPoint, window: int):
-        self.state = _decide(point, window)
-        u = self.state.plan.universe
-        self.row: List[Optional[Tuple[str, Optional[Phase]]]] = [None] * len(u)
-        self.table: Dict[ExcObject, Tuple[str, Optional[Phase]]] = {}
-        self.tails: Dict[bool, dict] = {}
-
-    def entry(self, s: int) -> Tuple[str, Optional[Phase]]:
-        """The ``lookup`` entry of the universe slot s, computed on the
-        first read; an undecided object's charge is the fixpoint's when it
-        computed one."""
-        e = self.row[s]
-        if e is None:
-            st = self.state
-            v = st.v[s]
-            if v is None:
-                e = _undecided(st, st.charge(s), st.plan.degrees_of(s).__getitem__)
-            else:
-                e = _DEAD[v.status] if v.phase is None else (v.status, v.phase)
-            self.row[s] = e
-        return e
+    return an
 
 
 def semistable(point: StabilityPoint, x: ExcObject, window: int = DEFAULT_WINDOW) -> Verdict:
     """The verdict on x from the point's analysis at ``window``, spelled
     out on each call.  Results belong to the point object: equal but
     distinct points compute their own."""
-    st = point.analysis(window).state
-    v = st.spell(st.get(x.base()) or UNKNOWN)
+    an = point.analysis(window)
+    v = an.spell(an.get(x) or UNKNOWN)
     if v.status == "semistable" and x.shift:
         v.phase = v.phase.plus(x.shift)
     return v
@@ -837,27 +843,27 @@ def phase_bracket(point: StabilityPoint, xb: ExcObject, window: int = DEFAULT_WI
     """``hom_bracket`` of the base object xb against the decided-semistable
     objects of the point's analysis at ``window``, in verdict order.  The
     hom degrees are read on the plan's labels, relative to m = 0."""
-    st = point.analysis(window).state
-    return _bracket(st, _degrees(st, xb))
+    an = point.analysis(window)
+    return _bracket(an, _degrees(an, xb))
 
 
-def _degrees(st: _State, xb: ExcObject):
+def _degrees(an: Analysis, xb: ExcObject):
     """The map from a slot to the hom degrees of the base object xb to it:
     the plan's row for an object of its universe, ``hom_degrees`` on the
     plan's labels beyond it."""
-    s = st.plan.index(xb, st.dm)
+    s = an.plan.index(xb, an.dm)
     if s is not None:
-        return st.plan.degrees_of(s).__getitem__
-    x, u = xb.translated(-st.dm), st.plan.universe
+        return an.plan.degrees_of(s).__getitem__
+    x, u = xb.translated(-an.dm), an.plan.universe
     return lambda t: hom_degrees(x, u[t])
 
 
-def _bracket(st: _State, degrees):
+def _bracket(an: Analysis, degrees):
     """``hom_bracket`` against the decided-semistable slots, in verdict
     order, with the hom degrees to slot s read as ``degrees(s)``."""
-    phase = st.phase
+    phase = an.phase
     return hom_bracket(
-        (phase[s], *degrees(s)) for s in st.order if phase[s] is not None
+        (phase[s], *degrees(s)) for s in an.order if phase[s] is not None
     )
 
 
@@ -883,35 +889,30 @@ def conditional_phase(point: StabilityPoint, xb: ExcObject,
     return lookup(point, xb, window)[1]
 
 
-# status -> the entry, shared by every row and table, of an object with no phase
+# status -> the entry, shared by every analysis, of an object with no phase
 _DEAD = {"unstable": ("unstable", None), "unknown": ("unknown", None)}
 
 
 def lookup(point: StabilityPoint, xb: ExcObject,
            window: int = DEFAULT_WINDOW) -> Tuple[str, Optional[Phase]]:
-    """(status of the verdict, ``conditional_phase``) of the base object xb,
-    computed on the first read: from the analysis's slot row for an object
-    of the plan's universe, from its table by base object beyond it.  A
-    shifted label is a ValueError: its entry is its base object's, moved
-    by the shift."""
+    """(status of the verdict, ``conditional_phase``) of the base object xb:
+    for an object of the plan's universe, the analysis's slot row, filled
+    on the first read; beyond it, computed on each call.  A shifted label
+    is a ValueError: its entry is its base object's, moved by the shift."""
     if xb.shift:
         raise ValueError("%s is not a base object" % (xb,))
     an = point.analysis(window)
-    st = an.state
-    s = st.plan.index(xb, st.dm)
+    s = an.plan.index(xb, an.dm)
     if s is not None:
         return an.entry(s)
-    e = an.table.get(xb)
-    if e is None:
-        e = an.table[xb] = _undecided(st, charge_of(point, xb), _degrees(st, xb))
-    return e
+    return _undecided(an, charge_of(point, xb), _degrees(an, xb))
 
 
-def _undecided(st: _State, z: Gaussian, degrees) -> Tuple[str, Optional[Phase]]:
+def _undecided(an: Analysis, z: Gaussian, degrees) -> Tuple[str, Optional[Phase]]:
     """The ``lookup`` entry of an object the rules left undecided, of
     charge z and with the hom degrees ``degrees`` to each slot: the phase
     of its charge direction in its hom bracket, or None."""
-    bracket = None if z.is_zero() else _bracket(st, degrees)
+    bracket = None if z.is_zero() else _bracket(an, degrees)
     ph = None if bracket is None else phase_in_closed_window(z, *bracket)
     return _DEAD["unknown"] if ph is None else ("unknown", ph)
 

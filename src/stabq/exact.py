@@ -216,12 +216,13 @@ def cmp_shifted(p: Phase, a: int, q: Phase, b: int) -> int:
 
 
 def exact_int(x) -> int:
-    """x as an int when it is one exactly: a bool, or a number with a
-    fractional part, raises ValueError instead of being truncated the way
-    ``int`` would (``int(1.5) == 1``, ``int(True) == 1``)."""
-    if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
+    """x when it is an ``int``, the only form ``to_json`` writes an integer
+    in: a bool, a float or a string raises ValueError, where ``int`` would
+    read ``True`` as 1, truncate 1.5, read 1e23 as 99999999999999991611392
+    and "0" as 0."""
+    if isinstance(x, bool) or not isinstance(x, int):
         raise ValueError("%r is not an integer" % (x,))
-    return int(x)
+    return x
 
 
 def phase_diff(p1: Phase, p0: Phase) -> Phase:

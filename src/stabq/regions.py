@@ -17,10 +17,10 @@ serves the letter b through the swap a <-> b, M <-> M'.
 A composite is a union of cells.  ``classify`` decides each cell at most
 once per call.  One decider, ``_run_cells``, walks a run of a family's
 cell indices in increasing order and decides each cell from the
-analysis's slot row: a table per window, built once from the window's
-rule plan and independent of any point, says in which plan slots each
-family's cell at each index of the block sits, relative to the point's
-m, and the row's entries are filled on first read.  The direct cell scan
+analysis's slot row: at window w the cells of a point's block are the
+standard triples of the window's rule plan, relative to the point's m,
+so the plan says in which slots each cell sits, and the row's entries
+are filled on first read.  The direct cell scan
 reads each family's block in full; a composite's scan stops at its first
 hit.  Each family's (hit, undecided) over its block, and over the widened
 ring of a tail rescan, is kept in a table local to the call and freed
@@ -31,7 +31,6 @@ index differences a tail meets (``_tail_degrees``).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from . import engine
@@ -169,30 +168,13 @@ def in_named_cell(point, fid: str, m: int, window: int = WINDOW) -> bool:
     return _evaluate(point, family_triple(fid, m).objs, _CELL_ROWS[fid], window)
 
 
-@lru_cache(maxsize=None)
-def _cell_slots(window: int) -> Dict[str, Tuple[Tuple[int, int], ...]]:
-    """Per family, where the three objects of its cell at index k sit in
-    ``engine._plan(window)``, for k in -window..window (the block of a
-    point with m = 0, and of every point relative to its m, as the plan's
-    slots are): (slot at k = 0, step), the slot at k being slot + step * k.
-    A chain object moves one slot per index step (``_Plan.index``), M and
-    M' stay.  Point-independent, built once per window."""
-    plan = engine._plan(window)
-    return {
-        fid: tuple(
-            (plan.slot[o], 1 if o.kind in ("a", "b") else 0)
-            for o in family_triple(fid, 0).objs
-        )
-        for fid in FAMILY_IDS
-    }
-
-
 def _run_cells(point, fid: str, ms: range, window: int):
     """``in_named_cell`` at the indices ms, a run of the point's block at
     ``window`` in increasing order, yielded as (m, True, False or None for
-    undecidable).  The cells are decided from the analysis's slot row: the
-    entries ``_phases`` would read, in its order and with its stop at the
-    first object that cannot be semistable, and the same clause test."""
+    undecidable).  The cells are decided from the analysis's slot row, at
+    the slots of the plan's cells: the entries ``_phases`` would read, in
+    its order and with its stop at the first object that cannot be
+    semistable, and the same clause test."""
     if ms and not (-window <= ms[0] - point.m and ms[-1] - point.m <= window):
         raise ValueError(
             "cell indices %d..%d outside the block at window %d"
@@ -200,13 +182,12 @@ def _run_cells(point, fid: str, ms: range, window: int):
         )
     an = point.analysis(window)
     row, entry = an.row, an.entry
-    slots = _cell_slots(window)[fid]
+    cells = an.plan.cells(fid)
     ineqs = _PATTERN_INEQS[fid]
     for m in ms:
-        k = m - point.m
         ph, certified = [], True
-        for s, step in slots:
-            status, p = row[s + step * k] or entry(s + step * k)
+        for s in cells[m - point.m + window]:
+            status, p = row[s] or entry(s)
             if p is None:
                 break
             certified = certified and status == "semistable"

@@ -272,7 +272,7 @@ def row_cell(point, fid, m, window):
     if not -window <= m - point.m <= window:
         raise ValueError("cell index %d outside the block at window %d" % (m, window))
     an = point.analysis(window)
-    plan = an.state.plan
+    plan = an.plan
     ph, certified = [], True
     for o in family_triple(fid, m).objs:
         status, p = an.entry(plan.index(o.base(), point.m))
@@ -443,7 +443,7 @@ def decide_by_rescan(point, window):
     from stabq.triples import family_triple
 
     plan = engine._plan(window)
-    st = engine._State(plan, point.m)
+    st = engine.Analysis(plan, point.m)
 
     def charge(ref):
         z = st.z[ref[0]]

@@ -295,7 +295,7 @@ def test_degree_rows_match_the_hom_degrees(window):
 def test_lookup_refuses_a_shifted_label():
     """lookup and conditional_phase answer for base objects: a shifted
     label raises a ValueError naming it, inside the plan's universe and
-    beyond it, and leaves nothing in the analysis's table."""
+    beyond it."""
     pt = _std()
     for label in ("a[0][1]", "a[20][1]", "M'[-2]"):
         x = parse_label(label)
@@ -305,7 +305,6 @@ def test_lookup_refuses_a_shifted_label():
         with pytest.raises(ValueError, match="not a base object"):
             engine.conditional_phase(pt, x)
         assert engine.lookup(pt, x.base()) == engine.lookup(pt, x.base(), 8)
-    assert all(not xb.shift for xb in pt.analysis(8).table)
 
 
 def test_unstable_verdict_from_big_gap():
@@ -448,7 +447,6 @@ def test_plan_rows_are_translation_invariant(window):
     for m in range(-6, 7):
         plan = engine._Plan(window, m)
         assert plan.universe == [o.translated(m) for o in base.universe]
-        assert plan.slot == {o: i for i, o in enumerate(plan.universe)}
         assert plan.gaps == base.gaps
         assert len(plan.triples) == len(base.triples)
         for (t, slots, rows), (t0, slots0, rows0) in zip(plan.triples, base.triples):
@@ -460,6 +458,33 @@ def test_plan_rows_are_translation_invariant(window):
                     assert _spelled(plan, plan.row(t, rows, s1, s2)) == _moved(
                         _spelled(base, base.row(t0, rows0, s1, s2)), m
                     )
+
+
+@pytest.mark.parametrize("window", (0, 4, 8, 32))
+def test_plan_layout_pins_index_and_cells(window):
+    """``_Plan.index`` is the one map from an object to its slot, and
+    ``_Plan.cells`` the map from a cell to its slots that ``regions``
+    reads.  For plans at m in -6..6, index maps each universe object, at
+    shifts -2..2 and in the labels of a point with index dm, to its
+    position, and each chain object one step beyond either end of the
+    universe to None.  The cell slots of (fid, k) are the positions of
+    family_triple(fid, k), for k over the plan's block m - window ..
+    m + window."""
+    for m in range(-6, 7):
+        plan = engine._Plan(window, m)
+        u = plan.universe
+        for dm in (-3, 0, 5):
+            for i, o in enumerate(u):
+                for sh in range(-2, 3):
+                    assert plan.index(o.translated(dm).shifted(sh), dm) == i
+            for kind in "ab":
+                for j in (m - window - 1, m + window + 2):
+                    assert plan.index(ExcObject(kind, j + dm, 0), dm) is None
+        for fid in FAMILY_IDS:
+            ks = range(m - window, m + window + 1)
+            assert plan.cells(fid) == [
+                tuple(u.index(o) for o in family_triple(fid, k).objs) for k in ks
+            ], (fid, m)
 
 
 def test_plan_gaps_kill_the_rest_of_the_chain():
@@ -542,7 +567,7 @@ def test_rederivation_that_conflicts_still_raises():
     """A pin of an object already decided takes a short path only when it
     agrees with the decided phase; a conflict raises as the full path
     does, with the same message.  Each case pins a[0], decided at the
-    phase 3/4 on a fresh state, into a window [lo + a, hi + b] given as
+    phase 3/4 on a fresh analysis, into a window [lo + a, hi + b] given as
     phases and integer shifts, with a constant charge."""
     plan = engine._plan(0)
     a0 = plan.ref(ExcObject("a", 0, 0))
@@ -550,7 +575,7 @@ def test_rederivation_that_conflicts_still_raises():
     quarter, half = Phase(0, Gaussian.of(1, 1)), Phase(0, Gaussian.of(0, 1))
 
     def decided(m=0):
-        st = engine._State(plan, m)
+        st = engine.Analysis(plan, m)
         st.set_ss(a0, Phase(0, z), "anchor")
         return st
 
@@ -589,7 +614,7 @@ def test_rederivation_that_conflicts_still_raises():
     assert not st.changed and st.v[a0[0]].rules == ("anchor",)
     assert st.order == [a0[0]] and st.agrees[a0[0]] is True
     # errors name the point's own objects: here m = 2
-    st = engine._State(plan, 2)
+    st = engine.Analysis(plan, 2)
     st.set_ss((a0[0], -1), Phase(-1, z), ("closure", (ExcObject("a", 0, 0),) * 3, "[1]"))
     with pytest.raises(engine.EngineError) as ei:
         pin(st, (quarter, 0, half, 0), z)
@@ -714,7 +739,7 @@ def test_lookup_golden_digest():
     h = hashlib.sha256()
     for p in _digest_points():
         for w in (4, 8):
-            st = p.analysis(w).state
+            st = p.analysis(w)
             beyond = [ExcObject(kind, p.m + j, 0) for kind in "ab"
                       for j in (*range(-w - 6, -w), *range(w + 2, w + 8))]
             for s in range(len(st.plan.universe)):

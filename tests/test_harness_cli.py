@@ -227,14 +227,15 @@ def test_cli_bad_input_exits_2_without_traceback(tmp_path, capsys):
         "list.json": "[1, 2]",
         "not_json.json": "{not json",
     }
-    # integer fields that int() would truncate to a valid point
+    # integer fields that int() would truncate or convert to a valid point
     for key, value in (("m", False), ("m", 0.5), ("shift", [0, 0, -1.5]),
-                       ("shift", [False, 0, -1])):
+                       ("shift", [False, 0, -1]), ("m", 1e23), ("m", 2.0),
+                       ("m", "0")):
         doc = json.loads(json.dumps(good))
         doc["anchor"][key] = value
         files["anchor_%s_%r.json" % (key, value)] = json.dumps(doc)
     for key, value in (("global_shift", 1.5), ("global_shift", True),
-                       ("extra_offsets", [0, 0, 0.25])):
+                       ("global_shift", 1e300), ("extra_offsets", [0, 0, 0.25])):
         files["%s_%r.json" % (key, value)] = json.dumps(dict(good, **{key: value}))
     paths = [str(tmp_path / "missing.json")]
     for name, text in files.items():
@@ -280,7 +281,7 @@ def test_cli_bad_input_exits_2_without_traceback(tmp_path, capsys):
                 {"z2": {"re": "1", "im": "-1"}},
                 {"z2": {"re": "1/0", "im": "1"}},
                 {"z2": {"re": "1", "im": 0.5}},
-                {"resolution": 1.5}, {"resolution": True},
+                {"resolution": 1.5}, {"resolution": True}, {"resolution": 2.0},
                 {"anchor": {"family": "F8", "m": 0.5, "shift": [0, 0, -1]}},
                 {"anchor": {"family": "F8", "m": False, "shift": [0, 0, -1]}},
                 {"anchor": {"family": "F8", "m": 0, "shift": [0, 0, -1.5]}}):

@@ -377,20 +377,12 @@ def test_row_cells_match_the_per_object_path():
     same cell read object by object on a fresh equal point
     (_reference.in_named_cell: one engine.lookup per label, then
     Phase.plus and Phase.cmp per inequality).  Runs that split the block
-    answer as the whole block does.
-
-    After classify, no analysis of the point holds a table entry for an
-    object of the plan's universe: those live in the slot row, whose
-    index arithmetic is the plan's slot map, as is the arithmetic of the
-    cell slots over the block."""
+    answer as the whole block does."""
     pts = _lookup_points(265, 300) + [_widened_tail_point()]
     assert {p.family for p in pts} == set(FAMILY_IDS)
     outcomes = Counter()
     for pt in pts:
         regions.classify(pt)
-        for window, an in pt.analyses.items():
-            plan = an.state.plan
-            assert all(plan.index(xb, pt.m) is None for xb in an.table), window
         ref = _fresh(pt)
         for window in (0, 4, 8, 32):
             block = regions._block(pt, window)
@@ -409,20 +401,6 @@ def test_row_cells_match_the_per_object_path():
         with pytest.raises(ValueError, match="outside the block"):
             list(regions._run_cells(pt, "F1", range(pt.m, pt.m + 10), 8))
     assert set(outcomes) == {True, False, None}, outcomes
-    for window in (0, 4, 8, 32):
-        plan = engine._plan(window)
-        slots = regions._cell_slots(window)
-        for fid in FAMILY_IDS:
-            for k in range(-window, window + 1):
-                assert [s + step * k for s, step in slots[fid]] == [
-                    plan.slot[o] for o in family_triple(fid, k).objs
-                ], (fid, k, window)
-        for dm in (-3, 0, 5):
-            for xb in [ExcObject("M", 0, 0), ExcObject("Mp", 0, 0)] + [
-                ExcObject(k, i, 0) for k in "ab"
-                for i in range(dm - window - 3, dm + window + 5)
-            ]:
-                assert plan.index(xb, dm) == plan.slot.get(xb.translated(-dm))
 
 
 def _outcome(predicate, *args):

@@ -1,6 +1,8 @@
-"""The pytest configuration itself: with warnings as errors, a failing
-Hypothesis test is still reported as one failure of a finished session."""
+"""Checks on the repository itself: with warnings as errors, a failing
+Hypothesis test is still reported as one failure of a finished session,
+and ``regions`` reaches the engine only through its public names."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -25,3 +27,24 @@ def test_a_failing_hypothesis_test_is_reported(tmp_path):
     assert out.returncode == 1, report
     assert "INTERNALERROR" not in report
     assert "1 failed" in report
+
+
+def test_regions_reads_no_private_engine_name():
+    """``regions`` reaches the engine through its public functions and the
+    analysis object only: it reads no ``engine._*`` attribute and imports
+    no private name from it."""
+    path = os.path.join(ROOT, "src", "stabq", "regions.py")
+    with open(path) as f:
+        tree = ast.parse(f.read(), path)
+    private = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name) and node.value.id == "engine"):
+            private.append("engine.%s (line %d)" % (node.attr, node.lineno))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("engine"):
+            private += ["import %s (line %d)" % (a.name, node.lineno)
+                        for a in node.names if a.name.startswith("_")]
+    assert private == []
+    # the check sees the names regions does read
+    assert any(isinstance(node, ast.Attribute) and node.attr == "lookup"
+               for node in ast.walk(tree))
