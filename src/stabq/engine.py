@@ -46,11 +46,14 @@ direction inside its hom bracket against the decided-semistable objects
 unit, so the phase is unique or absent and never left unresolved.
 
 Each point owns its analyses, one ``Analysis`` per window
-(``StabilityPoint.analysis``): the rule fixpoint's verdicts by slot (its
-one store of verdicts, which ``semistable`` spells out one at a time),
-the (status, conditional phase) entries of ``lookup`` in one row indexed
-by the same slots, and the tail enclosures ``regions`` derives from them.
-A lookup takes a base object, finds its slot by arithmetic on its label
+(``StabilityPoint.analysis``).  An analysis keeps each fact once, by
+slot: one row of the (status, conditional phase) entries of ``lookup``,
+which the fixpoint writes for each slot it decides and a lookup fills
+for an undecided one; per decided slot the rule and witness that
+decided it; and the decided slots in the order of their verdicts.
+``semistable`` spells out one verdict at a time from these, and
+``regions`` derives its tail enclosures from the entries.  A lookup
+takes a base object, finds its slot by arithmetic on its label
 (``_Plan.index``, the one map from objects to slots) and builds no
 object; an undecided slot's bracket reads the plan's hom-degree row.  An
 object beyond the universe keeps no entry: each lookup of it reads
@@ -71,7 +74,7 @@ comparisons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
@@ -121,21 +124,18 @@ class StabilityPoint:
     global_shift: int = 0
     # per-charge offset corrections; nonzero only after quarter rotations
     extra_offsets: Tuple[int, int, int] = (0, 0, 0)
-    # the charges times the positive rational that makes them a primitive
-    # integer triple; derived, so not part of ==, hash or the JSON form
-    int_charges: Tuple[Gaussian, Gaussian, Gaussian] = field(
-        init=False, repr=False, compare=False
-    )
-    # the integer charges of the simple classes (1,0,0), (0,1,0), (0,0,1),
-    # so that charge_of is linear on K-classes; derived like int_charges
-    simple: Tuple[Gaussian, Gaussian, Gaussian] = field(
-        init=False, repr=False, compare=False
-    )
-    # the anchor phases, carrying the integer charges; derived like int_charges
+    # the anchor phases, carrying the charges times the positive rational
+    # that makes them a primitive integer triple; derived, so not part of
+    # ==, hash or the JSON form
     anchor_phases: Tuple[Phase, Phase, Phase] = field(
         init=False, repr=False, compare=False
     )
-    # window -> Analysis, filled on first lookup; derived like int_charges
+    # the integer charges of the simple classes (1,0,0), (0,1,0), (0,0,1),
+    # so that charge_of is linear on K-classes; derived like anchor_phases
+    simple: Tuple[Gaussian, Gaussian, Gaussian] = field(
+        init=False, repr=False, compare=False
+    )
+    # window -> Analysis, filled on first lookup; derived like anchor_phases
     analyses: Dict[int, "Analysis"] = field(
         init=False, repr=False, compare=False
     )
@@ -154,12 +154,11 @@ class StabilityPoint:
             )
         for z in self.charges:
             branch_checked(z)
-        object.__setattr__(self, "int_charges", primitive_multiple(self.charges))
         # a sigma-exceptional anchor: its phases lie in one unit interval,
         # which bounds every conditional phase (see conditional_phase)
         phases = tuple(
             Phase(self.global_shift + e, z)
-            for e, z in zip(self.extra_offsets, self.int_charges)
+            for e, z in zip(self.extra_offsets, primitive_multiple(self.charges))
         )
         if max(phases) >= min(phases).plus(1):
             raise ValueError(
@@ -291,9 +290,6 @@ class Verdict:
     phase: Optional[Phase] = None  # phase of the *base* object when semistable
     witness: Optional[str] = None
     rules: Tuple[str, ...] = ()
-
-
-UNKNOWN = Verdict("unknown")
 
 
 def _universe(m: int, window: int) -> List[ExcObject]:
@@ -484,31 +480,33 @@ class Analysis:
 
     ``simple`` holds the point's simple charges read through dm steps
     (``_translated_simple``), so that a slot's charge is its plan K-class
-    against them.  Indexed by slot: ``v`` the verdicts (the one store of
-    them, which ``semistable`` spells out one at a time), ``phase`` the
-    semistable phases, ``z`` the charges computed so far, ``agrees``
-    whether each decided phase has the direction of its charge, and
-    ``row`` the ``lookup`` entries read so far: the verdict's status with
-    the conditional phase, None for an object that cannot be semistable.
-    ``order`` holds the decided slots in first-verdict order, and
-    ``tails`` the tail enclosures of ``regions``, by side (True for the
-    high tail).  Rules are tokens, a string or a plan's (name, B, suffix),
-    and a big-gap witness is the chain object below the gap; both are
-    spelled in the point's own labels only by ``spell`` and in error
-    messages.  An analysis keeps no reference to its point."""
+    against them.  Indexed by slot: ``row`` the ``lookup`` entries, each
+    a status with the conditional phase (None for an object that cannot
+    be semistable), ``rule`` the (rule token, witness) that decided each
+    decided slot, ``z`` the charges computed so far, and ``agrees``
+    whether each decided phase has the direction of its charge.  A slot
+    is decided when it has a ``rule``; ``set_ss`` and ``set_unstable``
+    write its entry then, and ``entry`` fills an undecided slot's
+    ``unknown`` entry on its first read, after the fixpoint.  ``order``
+    holds the decided slots in first-verdict order, and ``tails`` the
+    tail enclosures of ``regions``, by side (True for the high tail).
+    Rules are tokens, a string or a plan's (name, B, suffix), and a
+    big-gap witness is the chain object below the gap; both are spelled in
+    the point's own labels only by ``verdict`` and in error messages.  An
+    analysis keeps no reference to its point."""
 
     def __init__(self, plan: _Plan, dm: int = 0, simple=None):
         self.plan = plan
         self.dm = dm
         self.simple = simple
         n = len(plan.universe)
-        self.v, self.phase, self.z = [None] * n, [None] * n, [None] * n
+        self.row: List[Optional[Tuple[str, Optional[Phase]]]] = [None] * n
+        self.rule: List[Optional[tuple]] = [None] * n
+        self.z: List[Optional[Gaussian]] = [None] * n
         # per slot, whether its decided phase has the direction of its
         # charge; tested on the first re-pin (see _pin_in_window)
         self.agrees: List[Optional[bool]] = [None] * n
-        self.row: List[Optional[Tuple[str, Optional[Phase]]]] = [None] * n
         self.order: List[int] = []
-        self.changed = False
         self.tails: Dict[bool, dict] = {}
 
     def charge(self, s: int) -> Gaussian:
@@ -519,17 +517,13 @@ class Analysis:
         return z
 
     def entry(self, s: int) -> Tuple[str, Optional[Phase]]:
-        """The ``lookup`` entry of the universe slot s, computed on the
-        first read; an undecided object's charge is the fixpoint's when it
+        """The ``lookup`` entry of the universe slot s; an undecided slot's
+        is computed on the first read, with the fixpoint's charge when it
         computed one."""
         e = self.row[s]
         if e is None:
-            v = self.v[s]
-            if v is None:
-                e = _undecided(self, self.charge(s), self.plan.degrees_of(s).__getitem__)
-            else:
-                e = _DEAD[v.status] if v.phase is None else (v.status, v.phase)
-            self.row[s] = e
+            e = self.row[s] = _undecided(
+                self, self.charge(s), self.plan.degrees_of(s).__getitem__)
         return e
 
     def at(self, obj: ExcObject) -> ExcObject:
@@ -545,59 +539,55 @@ class Analysis:
         name, B, suffix = rule
         return "%s(%s,%s,%s)%s" % (name, *map(self.at, B), suffix)
 
-    def _labels(self, rules) -> Tuple[str, ...]:
-        return tuple(map(self.label, rules))
-
-    def get(self, x: ExcObject) -> Optional[Verdict]:
-        """The verdict on x's base object, x in the point's own labels;
-        None when undecided or outside the universe."""
-        s = self.plan.index(x, self.dm)
-        return None if s is None else self.v[s]
-
-    def spell(self, v: Verdict) -> Verdict:
-        """A verdict with its witness and rules in the point's own labels."""
-        w = v.witness
+    def verdict(self, s: Optional[int]) -> Verdict:
+        """The verdict on slot s, a new object spelled in the point's own
+        labels; ``unknown`` when s is undecided or None (beyond the
+        universe)."""
+        decided = None if s is None else self.rule[s]
+        if decided is None:
+            return Verdict("unknown")
+        rule, w = decided
         if w is not None:
             w = self.at(w)
             w = "phase gap %s..x[%d]" % (w, w.m + 1)
-        return Verdict(v.status, v.phase, w, self._labels(v.rules))
+        return Verdict(*self.row[s], w, (self.label(rule),))
 
     def verdicts(self) -> Dict[ExcObject, Verdict]:
-        return {self.name(s): self.spell(self.v[s]) for s in self.order}
+        return {self.name(s): self.verdict(s) for s in self.order}
 
     def set_ss(self, ref: Tuple[int, int], phase: Phase, rule):
         s, shift = ref
         if shift:
             phase = phase.plus(-shift)
-        cur = self.v[s]
-        if cur is None:
-            self.v[s] = Verdict("semistable", phase, None, (rule,))
-            self.phase[s] = phase
+        decided = self.rule[s]
+        if decided is None:
+            self.row[s] = ("semistable", phase)
+            self.rule[s] = (rule, None)
             self.order.append(s)
-            self.changed = True
             return
-        if cur.status == "unstable":
+        cur = self.row[s][1]
+        if cur is None:
             raise EngineError(
                 "paper-rule inconsistency: %s semistable by %s, unstable by %s"
-                % (self.name(s), self.label(rule), self._labels(cur.rules))
+                % (self.name(s), self.label(rule), (self.label(decided[0]),))
             )
-        if not cur.phase.same_as(phase):
+        if not cur.same_as(phase):
             raise EngineError(
                 "paper-rule inconsistency: %s has phases %r (%s) and %r (%s)"
-                % (self.name(s), cur.phase, self._labels(cur.rules), phase,
+                % (self.name(s), cur, (self.label(decided[0]),), phase,
                    self.label(rule))
             )
 
     def set_unstable(self, s: int, witness: ExcObject, rule):
-        cur = self.v[s]
-        if cur is None:
-            self.v[s] = Verdict("unstable", None, witness, (rule,))
+        decided = self.rule[s]
+        if decided is None:
+            self.row[s] = _DEAD["unstable"]
+            self.rule[s] = (rule, witness)
             self.order.append(s)
-            self.changed = True
-        elif cur.status == "semistable":
+        elif self.row[s][1] is not None:
             raise EngineError(
                 "paper-rule inconsistency: %s unstable by %s, semistable by %s"
-                % (self.name(s), self.label(rule), self._labels(cur.rules))
+                % (self.name(s), self.label(rule), (self.label(decided[0]),))
             )
 
 
@@ -633,7 +623,7 @@ def _pin_in_window(an: Analysis, ref: Tuple[int, int], lo: Phase, a: int,
     takes the full path, which builds the window's ends and raises on a
     contradiction."""
     s, k = ref
-    ph = an.phase[s]
+    ph = (an.row[s] or _DEAD["unknown"])[1]
     if (ph is not None and cmp_shifted(lo, a, ph, k) <= 0
             and cmp_shifted(ph, k, hi, b) <= 0):
         ok = an.agrees[s]
@@ -730,12 +720,14 @@ def _decide(point: StabilityPoint, window: int) -> Analysis:
     window's plan in coordinates relative to ``point.m``; per point it
     computes only charges, window arguments and phase comparisons, by slot.
 
-    Every rule of a round reads the phases decided before the round.  A
-    standard triple is scanned once, exhaustively, in the round after its
-    last slot is decided semistable (decided phases are immutable): at
-    the start of each round the slots decided semistable in the round
-    before count down their triples' ``_Plan.sizes``, and the triples that
-    reach 0 are scanned in plan order."""
+    Each verdict writes its slot's entry and rule (``Analysis.set_ss``,
+    ``set_unstable``), and the fixpoint stops after a round that decides
+    no slot.  Every rule of a round reads the phases decided before the
+    round.  A standard triple is scanned once, exhaustively, in the round
+    after its last slot is decided semistable (decided phases are
+    immutable): at the start of each round the slots decided semistable
+    in the round before count down their triples' ``_Plan.sizes``, and
+    the triples that reach 0 are scanned in plan order."""
     plan = _plan(window)
     an = Analysis(plan, point.m, _translated_simple(point.simple, point.m))
     zs, slot_charge = an.z, an.charge
@@ -749,15 +741,13 @@ def _decide(point: StabilityPoint, window: int) -> Analysis:
     for obj, ph in zip(anchor.objs, point.anchor_phases):
         an.set_ss(plan.ref(obj), ph, "anchor")
 
-    phase, holders, missing = an.phase, plan.holders, plan.sizes[:]
+    row, holders, missing = an.row, plan.holders, plan.sizes[:]
     counted = 0  # the verdicts whose slots have counted down their triples
-    # every iteration before the fixpoint makes at least one verdict
-    # transition, and each object makes at most two
-    for _ in range(2 * len(plan.universe) + 2):
-        an.changed = False
+    # every round but the last decides at least one slot
+    for _ in range(len(plan.universe) + 1):
         ready = []
         for s in an.order[counted:]:
-            if phase[s] is not None:
+            if row[s][1] is not None:
                 for j in holders[s]:
                     missing[j] -= 1
                     if not missing[j]:
@@ -768,10 +758,10 @@ def _decide(point: StabilityPoint, window: int) -> Analysis:
         # chain; this sets no phase, so the round's phases are still those
         # decided before it
         for s in an.order[:]:
-            px, gap = phase[s], plan.gaps[s]
+            px, gap = row[s][1], plan.gaps[s]
             if px is None or gap is None:
                 continue
-            py = phase[gap[0]]
+            py = (row[gap[0]] or _DEAD["unknown"])[1]
             if py is None or py.cmp(px.plus(1)) <= 0:
                 continue
             for o in gap[1]:
@@ -780,16 +770,16 @@ def _decide(point: StabilityPoint, window: int) -> Analysis:
         # sigma-exceptional shifts of the standard triples
         for j in sorted(ready):
             t, (i0, i1, i2), rows = plan.triples[j]
-            phis = p0, p1, p2 = phase[i0], phase[i1], phase[i2]
+            phis = p0, p1, p2 = row[i0][1], row[i1][1], row[i2][1]
             u12 = _unit_shifts(p2, p1)
             for s1 in _unit_shifts(p1, p0):
                 for s2 in _unit_shifts(p2, p0):
                     if s2 - s1 not in u12:
                         continue
-                    row = plan.row(t, rows, s1, s2)
-                    if row is not None:
-                        _sigma_triple_rules(an, row, phis, (0, s1, s2), charge)
-        if not an.changed:
+                    r = plan.row(t, rows, s1, s2)
+                    if r is not None:
+                        _sigma_triple_rules(an, r, phis, (0, s1, s2), charge)
+        if len(an.order) == counted:
             break
     else:  # pragma: no cover
         raise EngineError("rule fixpoint did not converge")
@@ -801,7 +791,7 @@ def semistable(point: StabilityPoint, x: ExcObject, window: int = DEFAULT_WINDOW
     out on each call.  Results belong to the point object: equal but
     distinct points compute their own."""
     an = point.analysis(window)
-    v = an.spell(an.get(x) or UNKNOWN)
+    v = an.verdict(an.plan.index(x, an.dm))
     if v.status == "semistable" and x.shift:
         v.phase = v.phase.plus(x.shift)
     return v
@@ -861,9 +851,9 @@ def _degrees(an: Analysis, xb: ExcObject):
 def _bracket(an: Analysis, degrees):
     """``hom_bracket`` against the decided-semistable slots, in verdict
     order, with the hom degrees to slot s read as ``degrees(s)``."""
-    phase = an.phase
+    row = an.row
     return hom_bracket(
-        (phase[s], *degrees(s)) for s in an.order if phase[s] is not None
+        (ph, *degrees(s)) for s in an.order if (ph := row[s][1]) is not None
     )
 
 
@@ -925,25 +915,11 @@ def rescale(point: StabilityPoint, lam) -> StabilityPoint:
     lam = Fraction(lam)
     if lam <= 0:
         raise ValueError("scale must be positive")
-    return StabilityPoint(
-        point.family,
-        point.m,
-        point.shift,
-        tuple(z.scale(lam) for z in point.charges),
-        point.global_shift,
-        point.extra_offsets,
-    )
+    return replace(point, charges=tuple(z.scale(lam) for z in point.charges))
 
 
 def shift(point: StabilityPoint, n: int) -> StabilityPoint:
-    return StabilityPoint(
-        point.family,
-        point.m,
-        point.shift,
-        point.charges,
-        point.global_shift + n,
-        point.extra_offsets,
-    )
+    return replace(point, global_shift=point.global_shift + n)
 
 
 def rotate_quarter(point: StabilityPoint, k: int) -> StabilityPoint:
@@ -960,11 +936,4 @@ def rotate_quarter(point: StabilityPoint, k: int) -> StabilityPoint:
         np = phase_add(ph, delta) if delta is not None else ph
         charges.append(np.charge)
         extras.append(np.offset - point.global_shift)
-    return StabilityPoint(
-        point.family,
-        point.m,
-        point.shift,
-        tuple(charges),
-        point.global_shift,
-        tuple(extras),
-    )
+    return replace(point, charges=tuple(charges), extra_offsets=tuple(extras))

@@ -16,7 +16,7 @@ keeps them for the whole process).  Semistability compares arguments on
 integers: rational simple charges are scaled once per call by a positive
 rational that clears their denominators (``exact.primitive_multiple``),
 which changes no argument, and integer ones, such as a point's
-``int_charges``, are read as they are.  King's compare checks the whole's
+``simple`` charges, are read as they are.  King's compare checks the whole's
 charge and each subrepresentation's charge once, and then decides each
 subrepresentation by the sign of one cross product.
 """
@@ -269,7 +269,7 @@ def semistable_in_heart(rep: FiniteRep, charges, subreps=None):
     vectors in ``all_subreps`` key order (its keys, or a tuple of them),
     enumerated here when not given.
 
-    Integer charges (a point's ``int_charges``) are read as they are;
+    Integer charges (a point's ``simple``) are read as they are;
     rational ones are first scaled by a positive factor to integers, which
     no argument comparison sees.  The whole's charge and each
     subrepresentation's charge are computed once, as integer pairs, and

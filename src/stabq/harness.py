@@ -575,7 +575,9 @@ def oracle_agreement(n_samples: int = 1000, seed: int = 0,
     oracle's.  Engine unknowns are counted, never compared.  The oracle's
     table of test objects and their subrep classes is built by the first
     call in a process and read by every later one, and it reads each
-    point's charges as the point normalised them once, ``int_charges``."""
+    point's integer charges of the simple classes, ``simple``: on the
+    standard heart those are its charges scaled to a primitive integer
+    triple."""
     from . import ff
 
     objs = _heart_test_objects(max_entry)
@@ -596,7 +598,7 @@ def oracle_agreement(n_samples: int = 1000, seed: int = 0,
             if st == "unknown":
                 continue
             decided_any = True
-            ok, destab = ff.semistable_in_heart(frep, pt.int_charges, subreps=subs)
+            ok, destab = ff.semistable_in_heart(frep, pt.simple, subreps=subs)
             if ok != (st == "semistable"):
                 rep_out.mismatches.append(
                     {

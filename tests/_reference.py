@@ -206,8 +206,8 @@ def conditional_phase_uncached(point, xb, window):
     from stabq import engine
     from stabq.exact import phase_in_closed_window
 
-    v = spelled_verdicts(point, window).get(xb, engine.UNKNOWN)
-    if v.status != "unknown":
+    v = spelled_verdicts(point, window).get(xb)
+    if v is not None:
         return v.phase
     z = engine.charge_of(point, xb)
     bracket = None if z.is_zero() else engine.phase_bracket(point, xb, window)
@@ -244,16 +244,16 @@ def charge_of(point, x):
     |det| * lam_i of c = sum lam_i k_i, applied to the anchor charges with
     the sign of their phase offsets."""
     from stabq.catalog import ExcObject, kclass
-    from stabq.exact import Gaussian
+    from stabq.exact import Gaussian, primitive_multiple
     from stabq.quiver import det3
 
     c = kclass(x) if isinstance(x, ExcObject) else Vec3(*x)
     k0, k1, k2 = point.anchor().kclasses()
     s = 1 if det3(k0, k1, k2) > 0 else -1
     lam = (s * det3(c, k1, k2), s * det3(k0, c, k2), s * det3(k0, k1, c))
-    g = point.global_shift
+    g, ints = point.global_shift, primitive_multiple(point.charges)
     re = im = 0
-    for li, e, z in zip(lam, point.extra_offsets, point.int_charges):
+    for li, e, z in zip(lam, point.extra_offsets, ints):
         if (g + e) % 2:
             li = -li
         re += li * z.re
@@ -356,7 +356,8 @@ def _pin_in_window_short(st, ref, z, lo, hi, short, rule):
     from stabq import engine
     from stabq.exact import phase_in_closed_window
 
-    ph = st.phase[ref[0]]
+    e = st.row[ref[0]]
+    ph = None if e is None else e[1]
     if ph is not None and short:
         ph = ph.plus(ref[1]) if ref[1] else ph
         d = ph.direction()
@@ -457,8 +458,8 @@ def decide_by_rescan(point, window):
 
     pending = plan.triples
     for _ in range(2 * len(plan.universe) + 2):
-        st.changed = False
-        known = st.phase[:]
+        before = len(st.order)
+        known = [None if e is None else e[1] for e in st.row]
         for s in st.order[:]:
             px, gap = known[s], plan.gaps[s]
             if px is None or gap is None:
@@ -486,7 +487,7 @@ def decide_by_rescan(point, window):
                             st, row, (p0, p1.plus(s1), p2.plus(s2)), charge
                         )
         pending = waiting
-        if not st.changed:
+        if len(st.order) == before:
             break
     else:
         raise engine.EngineError("rule fixpoint did not converge")

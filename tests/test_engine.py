@@ -608,10 +608,10 @@ def test_rederivation_that_conflicts_still_raises():
     # the agreeing re-derivation changes nothing, also one shift up, where
     # both the charge and the window move
     st = decided()
-    st.changed = False
+    before = st.order[:]
     pin(st, (quarter, 0, Phase(0, z), 0), z.scale(3))
     pin(st, (quarter, 1, Phase(0, z), 1), -z, ref=(a0[0], 1))
-    assert not st.changed and st.v[a0[0]].rules == ("anchor",)
+    assert st.order == before and st.verdict(a0[0]).rules == ("anchor",)
     assert st.order == [a0[0]] and st.agrees[a0[0]] is True
     # errors name the point's own objects: here m = 2
     st = engine.Analysis(plan, 2)
@@ -692,8 +692,72 @@ def test_fixpoint_matches_the_rescan(window, monkeypatch):
         assert list(got.verdicts().items()) == list(want.verdicts().items()), p
         assert got.order == want.order
         full = [j for j, (_, slots, _) in enumerate(triples)
-                if all(got.phase[s] is not None for s in slots)]
+                if all(got.row[s] is not None and got.row[s][1] is not None
+                       for s in slots)]
         assert sorted(triples.reads) == full, p
+
+
+@pytest.mark.parametrize("window", (0, 4, 8, 32))
+def test_analysis_keeps_each_verdict_once(window):
+    """An analysis keeps each decided slot's verdict once: ``order`` holds
+    exactly the slots that have a ``rule``, each once, and each of those
+    slots' ``row`` entry is its spelled verdict's (status, phase).  An
+    undecided slot has no rule, and its entry stays None until ``entry``
+    fills it with an ``unknown`` one, which leaves its verdict
+    ``unknown``.  At window 0 no chain is long enough for a phase gap to
+    kill an object, so no verdict is ``unstable`` there."""
+    statuses, undecided = set(), 0
+    for p in _rescan_points():
+        an = engine._decide(p, window)
+        assert sorted(an.order) == [s for s, r in enumerate(an.rule) if r is not None]
+        for s in an.order:
+            v = an.verdict(s)
+            statuses.add(v.status)
+            assert an.row[s] == (v.status, v.phase)
+            assert repr(an.row[s][1]) == repr(v.phase)
+        for s, r in enumerate(an.rule):
+            if r is None:
+                undecided += 1
+                assert an.row[s] is None
+                e = an.entry(s)
+                assert e[0] == "unknown" and an.row[s] is e
+                assert an.verdict(s) == engine.Verdict("unknown")
+        assert an.verdict(None) == engine.Verdict("unknown")
+    want = {"semistable"} if window == 0 else {"semistable", "unstable"}
+    assert statuses == want and undecided
+
+
+def test_verdicts_and_transformed_points_share_nothing():
+    """``semistable`` returns a new Verdict on every call, ``unknown``
+    ones included, so a caller that mutates one changes no later answer.
+    ``rescale``, ``shift`` and ``rotate_quarter`` of a point whose
+    analysis is built return points with no analysis and with the
+    derived fields of a point built afresh from their fields."""
+    pts = _rescan_points()
+    for p in pts:
+        an = p.analysis(8)
+        objs = [an.name(s) for s in range(len(an.row))]
+        statuses = {engine.semistable(p, x).status for x in objs}
+        if statuses == {"semistable", "unstable", "unknown"}:
+            break
+    assert statuses == {"semistable", "unstable", "unknown"}
+    far = ExcObject("a", p.m + 20, 0)  # beyond the universe: unknown
+    for x in objs + [far, objs[2].shifted(1)]:
+        got = engine.semistable(p, x)
+        want = engine.Verdict(got.status, got.phase, got.witness, got.rules)
+        got.status, got.phase, got.witness, got.rules = "x", None, "x", ("x",)
+        again = engine.semistable(p, x)
+        assert again is not got and again == want
+    for p in pts[::15]:
+        p.analysis(4)
+        for q in (engine.rescale(p, Fraction(3, 7)), engine.shift(p, -1),
+                  engine.rotate_quarter(p, 3)):
+            assert p.analyses and q.analyses == {}
+            fresh = engine.StabilityPoint(q.family, q.m, q.shift, q.charges,
+                                          q.global_shift, q.extra_offsets)
+            assert q == fresh
+            assert q.simple == fresh.simple
+            assert repr(q.anchor_phases) == repr(fresh.anchor_phases)
 
 
 def _digest_points():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from stabq import cli, engine, harness, regions
 from stabq.engine import EngineError, StabilityPoint, standard_heart_point
-from stabq.exact import ExactError, Gaussian
+from stabq.exact import ExactError, Gaussian, primitive_multiple
 from stabq.triples import FAMILY_IDS
 
 
@@ -564,3 +564,21 @@ def test_harness_golden_digest(monkeypatch):
 def test_oracle_agreement_smoke():
     rep = harness.oracle_agreement(25, seed=11)
     assert rep.attempted == 25 and not rep.mismatches
+
+
+def test_standard_heart_simple_charges_are_the_normalised_charges():
+    """``oracle_agreement`` and ``stab oracle`` hand King's compare a
+    point's ``simple`` charges.  On the standard heart these are its
+    charges scaled to a primitive integer triple, as the oracle read them
+    before: checked on 2,000 points drawn as ``oracle_agreement`` draws
+    them."""
+    rng = random.Random("standard-heart-simple")
+    n = 0
+    while n < 2000:
+        charges = tuple(harness._rand_charge(rng, 16) for _ in range(3))
+        try:
+            pt = StabilityPoint("F8", 0, (0, 0, -1), charges)
+        except ValueError:
+            continue
+        assert pt.simple == primitive_multiple(pt.charges), pt
+        n += 1

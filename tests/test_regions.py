@@ -334,7 +334,7 @@ def test_lookup_matches_the_two_call_path():
             for xb in universe + far:
                 status, ph = engine.lookup(pt, xb, window)
                 statuses[status, ph is None] += 1
-                v = spelled.get(xb, engine.UNKNOWN)
+                v = spelled.get(xb) or engine.Verdict("unknown")
                 witnesses += v.witness is not None
                 assert status == v.status
                 assert ph == engine.conditional_phase(pt, xb, window)
