@@ -8,13 +8,16 @@ oracle's domain, an object beyond the oracle's size cap, an output path
 that cannot be written, a slice -o ending in .csv), reported as one
 `<command>: ...` line on stderr, and 3 an internal error (any other
 exception, such as an engine contradiction), reported as one
-`<command>: internal error: ...` line on stderr.
+`<command>: internal error: ...` line on stderr, and 141 (128 + SIGPIPE)
+when the reader of standard output closes it early, as `stab catalog |
+head -1` does, with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import engine, ff, harness, regions
@@ -274,7 +277,15 @@ def main(argv=None) -> int:
 
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: write what is left to devnull, so that the
+        # interpreter's last flush fails no more
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
     except _BadInput as e:
         print("%s: %s" % (args.cmd, e), file=sys.stderr)
         return 2

@@ -488,8 +488,10 @@ class Analysis:
     is decided when it has a ``rule``; ``set_ss`` and ``set_unstable``
     write its entry then, and ``entry`` fills an undecided slot's
     ``unknown`` entry on its first read, after the fixpoint.  ``order``
-    holds the decided slots in first-verdict order, and ``tails`` the
-    tail enclosures of ``regions``, by side (True for the high tail).
+    holds the decided slots in first-verdict order, ``tails`` the
+    tail enclosures of ``regions``, by side (True for the high tail), and
+    ``cells`` its cell verdicts: per family, one True, False or None
+    (undecidable) for each cell of the point's block, in index order.
     Rules are tokens, a string or a plan's (name, B, suffix), and a
     big-gap witness is the chain object below the gap; both are spelled in
     the point's own labels only by ``verdict`` and in error messages.  An
@@ -508,6 +510,7 @@ class Analysis:
         self.agrees: List[Optional[bool]] = [None] * n
         self.order: List[int] = []
         self.tails: Dict[bool, dict] = {}
+        self.cells: Dict[str, tuple] = {}
 
     def charge(self, s: int) -> Gaussian:
         """The charge of the base object of slot s, computed on first use."""

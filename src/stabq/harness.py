@@ -437,6 +437,8 @@ def _chk_disjoint(pt, rng):
 
 
 def _chk_coverage(pt, rng):
+    # the block scans decide each family's block once, on the point's
+    # analysis, and the composites below read the same verdicts
     names = ("Ta", "MidMp", "MidM", "Tb")
     if any(regions.scan_cells(pt, regions.COMPOSITES[n])[0] for n in names):
         return

@@ -14,19 +14,17 @@ constant clause "every pairwise gap below 1", and the intersection lemmas'
 systems are one table row each.  A chain system written for the letter a
 serves the letter b through the swap a <-> b, M <-> M'.
 
-A composite is a union of cells.  ``classify`` decides each cell at most
-once per call.  One decider, ``_run_cells``, walks a run of a family's
-cell indices in increasing order and decides each cell from the
-analysis's slot row: at window w the cells of a point's block are the
+A composite is a union of cells.  Each cell is decided once per analysis:
+``_block_cells`` decides a family's whole block at a window from the
+analysis's slot row and keeps the verdicts, one tuple per family, in the
+analysis's ``cells``.  At window w the cells of a point's block are the
 standard triples of the window's rule plan, relative to the point's m,
 so the plan says in which slots each cell sits, and the row's entries
-are filled on first read.  The direct cell scan
-reads each family's block in full; a composite's scan stops at its first
-hit.  Each family's (hit, undecided) over its block, and over the widened
-ring of a tail rescan, is kept in a table local to the call and freed
-with it, so the composites never decide a cell twice.  The hom degrees
-that bound the far tails are read from ``catalog.hom_degrees`` at the few
-index differences a tail meets (``_tail_degrees``).
+are filled on first read.  ``classify``, the composites and a widened
+tail rescan, which reads only the ring beyond the narrower block, all
+read those tuples, so no cell of an analysis is decided twice.  The hom
+degrees that bound the far tails are read from ``catalog.hom_degrees`` at
+the few index differences a tail meets (``_tail_degrees``).
 """
 
 from __future__ import annotations
@@ -168,25 +166,23 @@ def in_named_cell(point, fid: str, m: int, window: int = WINDOW) -> bool:
     return _evaluate(point, family_triple(fid, m).objs, _CELL_ROWS[fid], window)
 
 
-def _run_cells(point, fid: str, ms: range, window: int):
-    """``in_named_cell`` at the indices ms, a run of the point's block at
-    ``window`` in increasing order, yielded as (m, True, False or None for
-    undecidable).  The cells are decided from the analysis's slot row, at
-    the slots of the plan's cells: the entries ``_phases`` would read, in
-    its order and with its stop at the first object that cannot be
-    semistable, and the same clause test."""
-    if ms and not (-window <= ms[0] - point.m and ms[-1] - point.m <= window):
-        raise ValueError(
-            "cell indices %d..%d outside the block at window %d"
-            % (ms[0], ms[-1], window)
-        )
+def _block_cells(point, fid: str, window: int) -> tuple:
+    """``in_named_cell`` at every index of the point's block at ``window``,
+    in increasing order, as True, False or None (undecidable), decided once
+    per analysis and kept in its ``cells``.  Each cell is decided from the
+    analysis's slot row, at the slots of the plan's cell: the entries
+    ``_phases`` would read, in its order and with its stop at the first
+    object that cannot be semistable, and the same clause test."""
     an = point.analysis(window)
+    vs = an.cells.get(fid)
+    if vs is not None:
+        return vs
     row, entry = an.row, an.entry
-    cells = an.plan.cells(fid)
     ineqs = _PATTERN_INEQS[fid]
-    for m in ms:
+    out = []
+    for slots in an.plan.cells(fid):
         ph, certified = [], True
-        for s in cells[m - point.m + window]:
+        for s in slots:
             status, p = row[s] or entry(s)
             if p is None:
                 break
@@ -194,9 +190,11 @@ def _run_cells(point, fid: str, ms: range, window: int):
             ph.append(p)
         else:
             if _holds(ph, ineqs):
-                yield m, True if certified else None
+                out.append(True if certified else None)
                 continue
-        yield m, False
+        out.append(False)
+    vs = an.cells[fid] = tuple(out)
+    return vs
 
 
 # ---------------------------------------------------------------------------
@@ -369,50 +367,41 @@ def _block(point, window: int) -> range:
     return range(point.m - window, point.m + window + 1)
 
 
-def _summary(cells) -> Tuple[bool, bool]:
-    """(hit, undecided) of a walk of (m, verdict) cells, stopping at the
-    first hit; undecided counts only the cells before it."""
+def _summary(verdicts) -> Tuple[bool, bool]:
+    """(hit, undecided) of a walk of cell verdicts, stopping at the first
+    hit; undecided counts only the cells before it."""
     undecided = False
-    for _, v in cells:
+    for v in verdicts:
         if v:
             return True, undecided
         undecided = undecided or v is None
     return False, undecided
 
 
-def _scan(point, fids, runs, window: int, cells: dict) -> Tuple[bool, bool]:
-    """(hit, undecided) over the cells of the families at the index runs
-    ``runs`` of the block at ``window``, stopping at the first hit.  Each
-    family's summary over the runs is entered in the table ``cells`` under
-    (fid, window, runs) on first use, so its cells are decided once."""
-    undecided = False
-    for fid in fids:
-        key = (fid, window, runs)
-        v = cells.get(key)
-        if v is None:
-            v = cells[key] = _summary(
-                c for ms in runs for c in _run_cells(point, fid, ms, window)
-            )
-        if v[0]:
-            return True, undecided
-        undecided = undecided or v[1]
-    return False, undecided
+def scan_cells(point, fids, window: int = WINDOW) -> Tuple[bool, bool]:
+    """Scan the finite block of cell indices around the anchor.  Returns
+    (hit, undecided); a hit is sound for the full infinite union, while
+    hit == False says nothing about the cells beyond the block."""
+    return _summary(v for fid in fids for v in _block_cells(point, fid, window))
 
 
-def _cells_union(point, fids, window: int, cells: dict) -> bool:
-    """in_cells_union, reading and filling the cell table ``cells``."""
-    hit, undecided = _scan(point, fids, (_block(point, window),), window, cells)
+def in_cells_union(point, fids, window: int = WINDOW) -> bool:
+    """Membership in the union of the families' cells at every index: True
+    on a hit in the block or in the ring of a widened rescan, False when no
+    cell is undecided and the tails beyond are excluded, else
+    Undecidable."""
+    hit, undecided = scan_cells(point, fids, window)
     if hit:
         return True
     if not _tails_excluded(point, fids, window):
-        # a far cell might contain the point: rescan a widened block, then
+        # a far cell might contain the point: rescan the ring of a widened
+        # block, the TAIL_EXT cells on either side of the block, then
         # require the remaining tails to be excluded
         wide = window + TAIL_EXT
-        outer = (
-            range(point.m - wide, point.m - window),
-            range(point.m + window + 1, point.m + wide + 1),
+        blocks = (_block_cells(point, fid, wide) for fid in fids)
+        hit, far_undecided = _summary(
+            v for vs in blocks for v in vs[:TAIL_EXT] + vs[-TAIL_EXT:]
         )
-        hit, far_undecided = _scan(point, fids, outer, wide, cells)
         if hit:
             return True
         undecided = undecided or far_undecided
@@ -421,17 +410,6 @@ def _cells_union(point, fids, window: int, cells: dict) -> bool:
     if undecided:
         raise Undecidable("union not certified false (undecided cells)")
     return False
-
-
-def scan_cells(point, fids, window: int = WINDOW) -> Tuple[bool, bool]:
-    """Scan the finite block of cell indices around the anchor.  Returns
-    (hit, undecided); a hit is sound for the full infinite union, while
-    hit == False says nothing about the cells beyond the block."""
-    return _scan(point, fids, (_block(point, window),), window, {})
-
-
-def in_cells_union(point, fids, window: int = WINDOW) -> bool:
-    return _cells_union(point, fids, window, {})
 
 
 COMPOSITES = {
@@ -455,19 +433,17 @@ def in_composite(point, name: str, window: int = WINDOW) -> bool:
 
 def classify(point, window: int = WINDOW) -> List[Tuple]:
     """Every region decidedly containing the point; undecidable regions are
-    skipped (classification never errors).  The direct cell scan reads each
-    family's block in full and enters its summary in the cell table that
-    the composites share, so each cell is decided once per call."""
-    cells: dict = {}
-    out: List[Tuple] = []
-    runs = (_block(point, window),)
-    for fid in FAMILY_IDS:
-        vs = list(_run_cells(point, fid, runs[0], window))
-        out += [("cell", fid, m) for m, v in vs if v]
-        cells[fid, window, runs] = _summary(vs)
+    skipped (classification never errors).  The cells are read off each
+    family's block verdicts, which the composites then share."""
+    out: List[Tuple] = [
+        ("cell", fid, m)
+        for fid in FAMILY_IDS
+        for m, v in zip(_block(point, window), _block_cells(point, fid, window))
+        if v
+    ]
     for name, fids in COMPOSITES.items():
         try:
-            if _cells_union(point, fids, window, cells):
+            if in_cells_union(point, fids, window):
                 out.append(("region", name))
         except Undecidable:
             pass

@@ -235,7 +235,7 @@ def two_call_phases(point, objs, window):
 
 # ---------------------------------------------------------------------------
 # the Cramer charge and the per-cell decider that the engine's simple
-# charges and regions._run_cells replace
+# charges and regions._block_cells replace
 
 
 def charge_of(point, x):

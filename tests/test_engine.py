@@ -731,8 +731,9 @@ def test_verdicts_and_transformed_points_share_nothing():
     """``semistable`` returns a new Verdict on every call, ``unknown``
     ones included, so a caller that mutates one changes no later answer.
     ``rescale``, ``shift`` and ``rotate_quarter`` of a point whose
-    analysis is built return points with no analysis and with the
-    derived fields of a point built afresh from their fields."""
+    analysis is built, or which is classified, return points with no
+    analysis, so no cell verdicts, and with the derived fields of a point
+    built afresh from their fields."""
     pts = _rescan_points()
     for p in pts:
         an = p.analysis(8)
@@ -748,11 +749,16 @@ def test_verdicts_and_transformed_points_share_nothing():
         got.status, got.phase, got.witness, got.rules = "x", None, "x", ("x",)
         again = engine.semistable(p, x)
         assert again is not got and again == want
-    for p in pts[::15]:
-        p.analysis(4)
+    for i, p in enumerate(pts[::15]):
+        if i % 2:
+            p.analysis(4)
+        else:
+            regions.classify(p, 4)
+            assert p.analysis(4).cells
         for q in (engine.rescale(p, Fraction(3, 7)), engine.shift(p, -1),
                   engine.rotate_quarter(p, 3)):
             assert p.analyses and q.analyses == {}
+            assert q.analysis(4).cells == {}
             fresh = engine.StabilityPoint(q.family, q.m, q.shift, q.charges,
                                           q.global_shift, q.extra_offsets)
             assert q == fresh

@@ -4,7 +4,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -311,6 +314,25 @@ def test_cli_internal_error_exits_3_with_one_line(monkeypatch, capsys):
         assert captured.err.startswith("hom: internal error: %s: "
                                        % type(exc).__name__)
         assert captured.err.count("\n") == 1
+
+
+def test_cli_reader_closing_the_pipe_exits_141_silently():
+    """A reader that closes standard output early, as ``stab catalog |
+    head -1`` does, is no fault of the program: the command exits 141
+    (128 + SIGPIPE) and writes nothing on stderr.  The catalog from -400
+    to 400 is about 100 KB, more than a pipe buffer holds."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stabq.cli", "catalog", "--lo", "-400", "--hi", "400"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"[\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141, err
+    assert err == b""
 
 
 # arbitrary JSON, and documents shaped like a point with arbitrary parts

@@ -201,19 +201,24 @@ def _one_at_a_time(pt, window):
     return out
 
 
-def test_classify_matches_public_predicates():
-    """classify's shared cell table changes no verdict: its output is what
-    a fresh equal point answers to the cell and composite predicates called
-    one at a time, and the tail hom degrees are the five-probe computation
-    they replace, on the sampled reference objects and on every chain
-    object within 30 steps of the edge and M, M', shifted."""
+def _public_points():
+    """40 sampled points of every family, and the widened-tail point."""
     rng = random.Random(41)
-    pts = [
+    return [
         harness.sample_sigma(
             (rng.choice(list(FAMILY_IDS)), rng.randint(-2, 2)), rng=rng, bound=32
         )
         for _ in range(40)
     ] + [_widened_tail_point()]
+
+
+def test_classify_matches_public_predicates():
+    """classify's shared cell verdicts change no verdict: its output is what
+    a fresh equal point answers to the cell and composite predicates called
+    one at a time, and the tail hom degrees are the five-probe computation
+    they replace, on the sampled reference objects and on every chain
+    object within 30 steps of the edge and M, M', shifted."""
+    pts = _public_points()
     refs = set()
     for pt in pts:
         for window in (4, 8):
@@ -259,31 +264,37 @@ def test_classify_golden_digest():
 
 
 def test_classify_decides_each_cell_once(monkeypatch):
-    """Every cell classify reads is decided once per call, from the slot
-    row (``_run_cells``), and no cell goes through the per-object path
-    (``_phases``)."""
+    """Every cell classify reads is decided once per analysis, from the
+    slot row (``_block_cells``), and no cell goes through the per-object
+    path (``_phases``); a second classify of the same point decides
+    none."""
     decided = Counter()
-    run_cells = regions._run_cells
+    block_cells = regions._block_cells
 
-    def counted(point, fid, ms, window):
-        for m, v in run_cells(point, fid, ms, window):
-            decided[fid, m, window] += 1
-            yield m, v
+    def counted(point, fid, window):
+        known = fid in point.analysis(window).cells
+        vs = block_cells(point, fid, window)
+        if not known:
+            for m in regions._block(point, window):
+                decided[fid, m, window] += 1
+        return vs
 
     def per_object(*args):
         raise AssertionError("a cell read its objects one by one")
 
-    monkeypatch.setattr(regions, "_run_cells", counted)
+    monkeypatch.setattr(regions, "_block_cells", counted)
     monkeypatch.setattr(regions, "_phases", per_object)
     for pt in (_std(), _widened_tail_point()):
         decided.clear()
         regions.classify(pt)
         assert decided and max(decided.values()) == 1, decided.most_common(3)
-        # each family's block is scanned once: every cell of it is read
-        # once, by the direct cell scan, and never again by a composite
+        # each family's block is decided once: every cell of it is read by
+        # the direct cell scan, and never decided again by a composite
         block = Counter(k for k in decided.elements() if k[2] == regions.WINDOW)
         assert len(block) == len(FAMILY_IDS) * (2 * regions.WINDOW + 1)
-        assert max(block.values()) == 1, block.most_common(3)
+        before = Counter(decided)
+        regions.classify(pt)
+        assert decided == before
     # the widened rescan ran, and its cells too were decided once
     assert any(w == regions.WINDOW + regions.TAIL_EXT for _, _, w in decided)
 
@@ -370,14 +381,13 @@ def test_lookup_matches_the_two_call_path():
 
 
 def test_row_cells_match_the_per_object_path():
-    """classify decides its cells from the analysis's slot row, a run of
-    indices at a time (``_run_cells``): every cell of the block at windows
+    """classify decides its cells from the analysis's slot row, a family's
+    block at a time (``_block_cells``): every cell of the block at windows
     0, 4, 8 and 32 answers True, False or None (undecidable) as the same
     cell decided alone from the slot row (_reference.row_cell) and as the
     same cell read object by object on a fresh equal point
     (_reference.in_named_cell: one engine.lookup per label, then
-    Phase.plus and Phase.cmp per inequality).  Runs that split the block
-    answer as the whole block does."""
+    Phase.plus and Phase.cmp per inequality)."""
     pts = _lookup_points(265, 300) + [_widened_tail_point()]
     assert {p.family for p in pts} == set(FAMILY_IDS)
     outcomes = Counter()
@@ -386,20 +396,15 @@ def test_row_cells_match_the_per_object_path():
         ref = _fresh(pt)
         for window in (0, 4, 8, 32):
             block = regions._block(pt, window)
-            halves = (block[:window], block[window:])
             for fid in FAMILY_IDS:
-                run = list(regions._run_cells(pt, fid, block, window))
-                assert run == [c for ms in halves
-                               for c in regions._run_cells(pt, fid, ms, window)]
-                assert [m for m, _ in run] == list(block)
-                for m, got in run:
+                vs = regions._block_cells(pt, fid, window)
+                assert len(vs) == len(block)
+                for m, got in zip(block, vs):
                     assert got == _reference.row_cell(pt, fid, m, window)
                     want = _outcome(_reference.in_named_cell, ref, fid, m, window)
                     assert got == (None if want == "undecidable" else want), (
                         fid, m, window, pt.to_json())
                     outcomes[got] += 1
-        with pytest.raises(ValueError, match="outside the block"):
-            list(regions._run_cells(pt, "F1", range(pt.m, pt.m + 10), 8))
     assert set(outcomes) == {True, False, None}, outcomes
 
 
@@ -451,16 +456,20 @@ def test_clause_rows_match_the_hand_written_predicates():
     }, outcomes
 
 
+def _stub_block_cells(stub):
+    """A ``_block_cells`` reading each cell's verdict from the dict stub
+    keyed on (fid, m), False where it has none."""
+    def cells(point, fid, window):
+        return tuple(stub.get((fid, m), False) for m in regions._block(point, window))
+    return cells
+
+
 def test_undecided_cell_keeps_the_union_undecided(monkeypatch):
     """With no hit and certified tails, one undecidable cell leaves every
     union containing its family Undecidable, never False."""
     pt = _std()
-
-    def cells(point, fid, ms, window):
-        for m in ms:
-            yield m, None if (fid, m) == ("F1", pt.m) else False
-
-    monkeypatch.setattr(regions, "_run_cells", cells)
+    monkeypatch.setattr(regions, "_block_cells",
+                        _stub_block_cells({("F1", pt.m): None}))
     monkeypatch.setattr(regions, "_tails_excluded", lambda *a: True)
     assert regions.scan_cells(pt, ("F1",)) == (False, True)
     for name, fids in regions.COMPOSITES.items():
@@ -473,16 +482,13 @@ def test_undecided_cell_keeps_the_union_undecided(monkeypatch):
 
 
 def test_classify_block_summaries_are_block_scans(monkeypatch):
-    """The block summaries classify enters during its direct cell scan are
-    the _scan of each family's block on a fresh table: (hit, undecided)
-    stopping at the first hit, so an undecidable cell after a hit does not
-    count."""
+    """The block scans classify's composites read are ``scan_cells``
+    summaries: (hit, undecided) stopping at the first hit, so an
+    undecidable cell after a hit does not count, and one before it, in an
+    earlier family, does.  classify's output is what the public
+    predicates answer one at a time on the same verdicts."""
     pt = _std()
     stub = {("F1", pt.m): None, ("F2", pt.m - 1): True, ("F2", pt.m): None}
-
-    def cells(point, fid, ms, window):
-        for m in ms:
-            yield m, stub.get((fid, m), False)
 
     def named_cell(point, fid, m, window=regions.WINDOW):
         # the public predicate that _one_at_a_time reads, on the same stub
@@ -491,26 +497,75 @@ def test_classify_block_summaries_are_block_scans(monkeypatch):
             raise regions.Undecidable("stub")
         return v
 
-    tables = []
-    union = regions._cells_union
-
-    def spy(point, fids, window, cells):
-        tables.append(cells)
-        return union(point, fids, window, cells)
-
-    monkeypatch.setattr(regions, "_run_cells", cells)
+    monkeypatch.setattr(regions, "_block_cells", _stub_block_cells(stub))
     monkeypatch.setattr(regions, "in_named_cell", named_cell)
     monkeypatch.setattr(regions, "_tails_excluded", lambda *a: True)
-    monkeypatch.setattr(regions, "_cells_union", spy)
     w = regions.WINDOW
     assert regions.classify(pt) == _one_at_a_time(pt, w)
     assert ("cell", "F2", pt.m - 1) in regions.classify(pt)
-    runs = (regions._block(pt, w),)
-    summaries = {fid: tables[0][fid, w, runs] for fid in FAMILY_IDS}
-    assert summaries["F1"] == (False, True)
-    assert summaries["F2"] == (True, False)
+    assert regions.scan_cells(pt, ("F1",)) == (False, True)
+    assert regions.scan_cells(pt, ("F2",)) == (True, False)
+    assert regions.scan_cells(pt, ("F2", "F1")) == (True, False)
+    assert regions.scan_cells(pt, ("F1", "F2")) == (True, True)
+    assert regions.scan_cells(pt, ("F3", "F4")) == (False, False)
+
+
+@pytest.mark.parametrize("inner", [True, None])
+@pytest.mark.parametrize("offset", [-regions.WINDOW, 0, regions.WINDOW])
+def test_widened_rescan_reads_only_the_ring(monkeypatch, inner, offset):
+    """The widened tail rescan reads only the TAIL_EXT cells on either side
+    of the block at ``window``, never the inner cells of the wide block:
+    with every block cell False and the tails excluded only at the wide
+    window, one inner hit or one inner undecidable cell of the wide block
+    leaves the union False."""
+    pt = _std()
+    w, wide = regions.WINDOW, regions.WINDOW + regions.TAIL_EXT
+
+    def cells(point, fid, window):
+        vs = [False] * (2 * window + 1)
+        if window == wide:
+            vs[wide + offset] = inner  # the cell at index point.m + offset
+        return tuple(vs)
+
+    monkeypatch.setattr(regions, "_block_cells", cells)
+    monkeypatch.setattr(regions, "_tails_excluded",
+                        lambda point, fids, window: window == wide)
+    assert regions.in_cells_union(pt, ("F1",), w) is False
+    assert regions.in_composite(pt, "St", w) is False
+    assert ("region", "St") not in regions.classify(pt, w)
+
+
+def _predicate_answers(pt, window):
+    """Every composite, block scan and single-family union of pt at window,
+    the composites' families read in reverse as well."""
+    out = []
+    for name, fids in regions.COMPOSITES.items():
+        out.append(_outcome(regions.in_composite, pt, name, window))
+        out.append(regions.scan_cells(pt, fids, window))
+        out.append(_outcome(regions.in_cells_union, pt, fids[::-1], window))
     for fid in FAMILY_IDS:
-        assert summaries[fid] == regions._scan(pt, (fid,), runs, w, {})
+        out.append(regions.scan_cells(pt, (fid,), window))
+        out.append(_outcome(regions.in_cells_union, pt, (fid,), window))
+    return out
+
+
+def test_cell_verdicts_are_shared_in_any_order():
+    """The cell verdicts kept on a point's analysis answer the same
+    whichever call fills them: on one point object, every composite, block
+    scan and union called before classify, and after it, give the answers
+    they give on their own, and classify the output of classify on a fresh
+    equal point."""
+    pts = _public_points()
+    for pt in pts:
+        for window in (4, 8):
+            want = regions.classify(_fresh(pt), window)
+            first = _fresh(pt)
+            answers = _predicate_answers(first, window)
+            assert regions.classify(first, window) == want, pt.to_json()
+            last = _fresh(pt)
+            assert regions.classify(last, window) == want, pt.to_json()
+            assert _predicate_answers(last, window) == answers, pt.to_json()
+            assert last.analysis(window).cells == first.analysis(window).cells
 
 
 def test_union_false_certified_when_far_objects_dead():

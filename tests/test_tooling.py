@@ -1,6 +1,7 @@
 """Checks on the repository itself: with warnings as errors, a failing
 Hypothesis test is still reported as one failure of a finished session,
-and every other module reaches the engine only through its public names."""
+every other module reaches the engine only through its public names, and
+the only process-wide caches are point-independent tables."""
 
 import ast
 import os
@@ -58,3 +59,45 @@ def test_regions_reads_no_private_engine_name():
     assert {"regions.py", "harness.py", "cli.py", "__init__.py"} <= set(read)
     assert "lookup" in read["regions.py"]
     assert "semistable" in read["harness.py"] and "semistable" in read["cli.py"]
+
+
+# the point-independent tables that may be memoised process-wide
+_CACHED = {
+    "catalog._dim_vector",
+    "triples.family_triple",
+    "triples.alpha_beta_gamma",
+    "triples.theta_bounds",
+    "engine._plan",
+    "ff._subspace_table",
+    "harness._heart_test_objects",
+}
+
+
+def _decorator_name(node):
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def test_only_point_independent_tables_are_cached():
+    """No function of the package is decorated with ``lru_cache`` or
+    ``cache`` but the tables in _CACHED, none of which holds anything of
+    a point: what is derived for a point lives on its ``engine.Analysis``
+    and is freed with it."""
+    pkg = os.path.join(ROOT, "src", "stabq")
+    cached = set()
+    for fname in sorted(os.listdir(pkg)):
+        if not fname.endswith(".py"):
+            continue
+        path = os.path.join(pkg, fname)
+        with open(path) as f:
+            tree = ast.parse(f.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                _decorator_name(d) in ("lru_cache", "cache")
+                for d in node.decorator_list
+            ):
+                cached.add("%s.%s" % (fname[:-3], node.name))
+    assert cached == _CACHED
