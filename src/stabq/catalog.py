@@ -22,17 +22,20 @@ from .quiver import Vec3, euler_form
 KINDS = ("a", "b", "M", "Mp")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True, init=False)
 class ExcObject:
     kind: str  # 'a', 'b', 'M', 'Mp'
     m: int  # index for a/b; must be 0 for M/Mp
     shift: int  # explicit homological shift [shift]
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError("bad kind %r" % (self.kind,))
-        if self.kind in ("M", "Mp") and self.m != 0:
+    def __init__(self, kind, m, shift):
+        if kind not in KINDS:
+            raise ValueError("bad kind %r" % (kind,))
+        if kind in ("M", "Mp") and m != 0:
             raise ValueError("M/M' carry no index")
+        _set_kind(self, kind)
+        _set_m(self, m)
+        _set_shift(self, shift)
 
     def base(self) -> "ExcObject":
         return self if self.shift == 0 else ExcObject(self.kind, self.m, 0)
@@ -67,6 +70,10 @@ class ExcObject:
         if self.shift:
             s += "[%d]" % self.shift
         return s
+
+
+_set_kind, _set_m, _set_shift = (
+    ExcObject.kind.__set__, ExcObject.m.__set__, ExcObject.shift.__set__)
 
 
 _LABEL_RE = _re.compile(

@@ -730,7 +730,9 @@ def _decide(point: StabilityPoint, window: int) -> Analysis:
     after its last slot is decided semistable (decided phases are
     immutable): at the start of each round the slots decided semistable
     in the round before count down their triples' ``_Plan.sizes``, and
-    the triples that reach 0 are scanned in plan order."""
+    the triples that reach 0 are scanned in plan order.  Likewise each
+    chain pair (slot, successor) of ``_Plan.gaps`` is compared for a big
+    gap once, in the first round in which both ends are decided."""
     plan = _plan(window)
     an = Analysis(plan, point.m, _translated_simple(point.simple, point.m))
     zs, slot_charge = an.z, an.charge
@@ -745,6 +747,7 @@ def _decide(point: StabilityPoint, window: int) -> Analysis:
         an.set_ss(plan.ref(obj), ph, "anchor")
 
     row, holders, missing = an.row, plan.holders, plan.sizes[:]
+    gapped = [False] * len(plan.universe)  # chain pairs compared for a big gap
     counted = 0  # the verdicts whose slots have counted down their triples
     # every round but the last decides at least one slot
     for _ in range(len(plan.universe) + 1):
@@ -759,16 +762,18 @@ def _decide(point: StabilityPoint, window: int) -> Analysis:
 
         # chain neighbors more than one phase apart kill the rest of the
         # chain; this sets no phase, so the round's phases are still those
-        # decided before it
-        for s in an.order[:]:
+        # decided before it.  A pair is compared in the first round in
+        # which both ends are decided, and never again: its phases cannot
+        # change, and its kills would repeat as no-ops
+        for s in an.order[:counted]:
             px, gap = row[s][1], plan.gaps[s]
-            if px is None or gap is None:
+            if px is None or gap is None or gapped[s] or row[gap[0]] is None:
                 continue
-            py = (row[gap[0]] or _DEAD["unknown"])[1]
-            if py is None or py.cmp(px.plus(1)) <= 0:
-                continue
-            for o in gap[1]:
-                an.set_unstable(o, plan.universe[s], "big-gap")
+            gapped[s] = True
+            py = row[gap[0]][1]
+            if py is not None and cmp_shifted(py, 0, px, 1) > 0:
+                for o in gap[1]:
+                    an.set_unstable(o, plan.universe[s], "big-gap")
 
         # sigma-exceptional shifts of the standard triples
         for j in sorted(ready):

@@ -18,6 +18,12 @@ by argument with the sign of one cross product.  Every phase comparison
 (``cmp_shifted``, which ``Phase.cmp`` calls) and every representative
 search (``window_arg``, ``phase_in_closed_window``) reads offsets and that
 sign, and builds only the ``Phase`` it returns.
+
+``Gaussian`` and ``Phase`` are frozen, slotted dataclasses with their own
+``__init__``, which writes the slots through their descriptors (bound once
+below each class) instead of one ``object.__setattr__`` per field, as the
+generated ``__init__`` does; ``Phase``'s also checks its charge.  The
+dataclass still provides ``==``, ``hash`` and the guard against assignment.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ def sign(x: Fraction) -> int:
     return 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Gaussian:
     """A Gaussian rational re + im*i.  Each component is an ``int`` or a
     ``Fraction`` (kept reduced by ``Fraction`` itself); equal values compare
@@ -59,6 +65,10 @@ class Gaussian:
 
     re: Union[int, Fraction]
     im: Union[int, Fraction]
+
+    def __init__(self, re, im):
+        _set_re(self, re)
+        _set_im(self, im)
 
     @staticmethod
     def of(re: Rat, im: Rat = 0) -> "Gaussian":
@@ -118,6 +128,9 @@ class Gaussian:
         return "Gaussian(%s, %s)" % (frac_to_str(self.re), frac_to_str(self.im))
 
 
+_set_re, _set_im = Gaussian.re.__set__, Gaussian.im.__set__
+
+
 def _json_rat(x) -> Fraction:
     if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise ValueError("%r is not a rational string or an integer" % (x,))
@@ -155,7 +168,7 @@ def branch_checked(z: Gaussian) -> Gaussian:
     return z
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Phase:
     """offset + arg(charge)/pi with arg(charge) in (0, pi].
 
@@ -169,8 +182,9 @@ class Phase:
     offset: int
     charge: Gaussian
 
-    def __post_init__(self):
-        branch_checked(self.charge)
+    def __init__(self, offset, charge):
+        _set_offset(self, offset)
+        _set_charge(self, branch_checked(charge))
 
     def cmp(self, other: "Phase") -> int:
         return cmp_shifted(self, 0, other, 0)
@@ -192,8 +206,8 @@ class Phase:
 
     def plus(self, n: int) -> "Phase":
         p = object.__new__(Phase)  # the charge is unchanged: skip validation
-        object.__setattr__(p, "offset", self.offset + n)
-        object.__setattr__(p, "charge", self.charge)
+        _set_offset(p, self.offset + n)
+        _set_charge(p, self.charge)
         return p
 
     def direction(self) -> Gaussian:
@@ -203,6 +217,9 @@ class Phase:
 
     def __repr__(self):
         return "Phase(%d, %r)" % (self.offset, self.charge)
+
+
+_set_offset, _set_charge = Phase.offset.__set__, Phase.charge.__set__
 
 
 def cmp_shifted(p: Phase, a: int, q: Phase, b: int) -> int:

@@ -18,12 +18,13 @@ from .catalog import ExcObject, hom_dims, kclass, object_from_kclass
 from .quiver import Vec3, det3, euler_form
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ExcTriple:
     objs: Tuple[ExcObject, ExcObject, ExcObject]
 
-    def __post_init__(self):
-        assert len(self.objs) == 3
+    def __init__(self, objs):
+        assert len(objs) == 3
+        _set_objs(self, objs)
 
     def __getitem__(self, i: int) -> ExcObject:
         return self.objs[i]
@@ -39,6 +40,9 @@ class ExcTriple:
 
     def __str__(self):
         return "(%s, %s, %s)" % self.objs
+
+
+_set_objs = ExcTriple.objs.__set__
 
 
 def is_exceptional_collection(t: ExcTriple) -> bool:

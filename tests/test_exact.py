@@ -1,5 +1,6 @@
 """Property and hand-check tests for the exact phase arithmetic."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _reference
+from stabq.catalog import ExcObject
 from stabq.exact import (
     ExactError,
     Gaussian,
@@ -18,6 +20,7 @@ from stabq.exact import (
     phase_in_closed_window,
     window_arg,
 )
+from stabq.triples import ExcTriple
 
 _fracs = st.fractions(
     min_value=-8, max_value=8, max_denominator=16
@@ -287,3 +290,62 @@ def test_diff_reflects_order(p, q):
     zero = int_phase(0)
     assert (d.cmp(zero) > 0) == (p > q)
     assert (d.cmp(zero) == 0) == p.same_as(q)
+
+
+# ---------------------------------------------------------------------------
+# the immutable value types
+
+
+def _field_tuple(v):
+    return tuple(getattr(v, f.name) for f in dataclasses.fields(v))
+
+
+_A, _B = ExcObject("a", -1, 0), ExcObject("b", 2, 1)
+_VALUES = [
+    [Gaussian(3, Fraction(-1, 2)), Gaussian(3, 0), Gaussian(Fraction(3), Fraction(-1, 2))],
+    [Phase(0, Gaussian(1, 1)), Phase(1, Gaussian(1, 1)), Phase(0, Gaussian(-1, 0)),
+     Phase(-1, Gaussian(1, 1)).plus(1)],
+    [_A, _B, ExcObject("M", 0, 2), ExcObject("a", -1, 0)],
+    [ExcTriple((_A, _B, _A)), ExcTriple((_A, _A, _B)), ExcTriple((_A, _B, _A))],
+]
+
+
+@pytest.mark.parametrize("values", _VALUES, ids=lambda vs: type(vs[0]).__name__)
+def test_value_types_are_frozen_slotted_tuples(values):
+    """Gaussian, Phase, ExcObject and ExcTriple build their fields in a
+    hand-written ``__init__`` (``Phase.plus`` without one), yet stay what
+    their dataclass makes them: no field can be assigned or deleted, an
+    instance has no ``__dict__``, and ``==`` and ``hash`` are those of the
+    field tuple."""
+    for v in values:
+        for f in dataclasses.fields(v):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(v, f.name, getattr(v, f.name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(v, f.name)
+        assert not hasattr(v, "__dict__")
+        assert hash(v) == hash(_field_tuple(v))
+        for w in values:
+            assert (v == w) == (_field_tuple(v) == _field_tuple(w))
+
+
+_exc_objects = st.one_of(
+    st.builds(ExcObject, st.sampled_from("ab"), st.integers(-3, 3), st.integers(-2, 2)),
+    st.builds(ExcObject, st.sampled_from(("M", "Mp")), st.just(0), st.integers(-2, 2)),
+)
+
+
+@given(st.lists(_exc_objects))
+def test_exc_objects_sort_as_their_field_tuples(objs):
+    assert [_field_tuple(o) for o in sorted(objs)] == sorted(map(_field_tuple, objs))
+
+
+def test_exc_objects_and_triples_keep_their_checks():
+    # Phase's branch check: test_phase_rejects_charges_as_branch_checked_does
+    with pytest.raises(ValueError, match="^bad kind 'c'$"):
+        ExcObject("c", 0, 0)
+    for kind in ("M", "Mp"):
+        with pytest.raises(ValueError, match="^M/M' carry no index$"):
+            ExcObject(kind, 1, 0)
+    with pytest.raises(AssertionError):
+        ExcTriple((_A, _B))

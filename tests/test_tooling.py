@@ -101,3 +101,37 @@ def test_only_point_independent_tables_are_cached():
             ):
                 cached.add("%s.%s" % (fname[:-3], node.name))
     assert cached == _CACHED
+
+
+# the value types built on every lookup, by module
+_SLOTTED = {
+    "exact": {"Gaussian", "Phase"},
+    "catalog": {"ExcObject"},
+    "triples": {"ExcTriple"},
+}
+
+
+def test_value_types_keep_their_hand_written_init():
+    """Gaussian, Phase, ExcObject and ExcTriple are declared
+    ``@dataclass(..., slots=True, init=False)`` and define no
+    ``__post_init__``: their own ``__init__`` runs the checks and writes
+    the slots, so an edit cannot quietly bring back the generated one
+    (which writes every field through ``object.__setattr__``)."""
+    found = {}
+    for mod, names in _SLOTTED.items():
+        path = os.path.join(ROOT, "src", "stabq", mod + ".py")
+        with open(path) as f:
+            tree = ast.parse(f.read(), path)
+        for node in tree.body:
+            if not (isinstance(node, ast.ClassDef) and node.name in names):
+                continue
+            flags = {kw.arg: kw.value.value
+                     for d in node.decorator_list
+                     if isinstance(d, ast.Call) and _decorator_name(d) == "dataclass"
+                     for kw in d.keywords if isinstance(kw.value, ast.Constant)}
+            methods = {n.name for n in node.body if isinstance(n, ast.FunctionDef)}
+            found[node.name] = (flags.get("frozen"), flags.get("slots"),
+                                flags.get("init"), "__init__" in methods,
+                                "__post_init__" in methods)
+    assert found == {name: (True, True, False, True, False)
+                     for names in _SLOTTED.values() for name in names}
