@@ -15,9 +15,11 @@ out) and never on ``Fraction``: the anchor phases carry the integer charges
 and ``charge_of`` returns integer Gaussians.  The point's rational charges
 are what it stores, serializes, compares and transforms.  A central
 charge is a homomorphism on K, so each point also stores, when it is
-built, the charges of the three simple classes (``StabilityPoint.simple``,
-solved once by Cramer's rule in its shifted anchor's K-classes), and
-``charge_of`` is three multiply-adds on a K-class.
+built, the charges of the three simple classes (``StabilityPoint.simple``),
+and ``charge_of`` is three multiply-adds on a K-class.  They are read
+from a table built at import: per family, the Cramer cofactor rows of the
+simple classes in its triple's K-classes at m = 0, applied to the
+point's anchor charges signed by the shift, and moved to its m.
 
 The rule fixpoint reads a plan, one per window and shared by every point
 (``_Plan``).  The plan numbers its objects (slots), and its rows are the
@@ -68,8 +70,9 @@ shifted by an integer as an (offset, charge) pair and decide with one
 cross product (``exact.cmp_shifted``), building no Phase per comparison.
 Most closure pins re-derive an object already decided; whether its
 decided phase has the direction of its charge does not depend on the
-shift, so that is tested once per slot, and such a re-pin costs two
-comparisons.
+shift, so that is tested once per slot, and the closure loop decides
+such a re-pin itself, on the offsets and one integer cross product per
+window end.
 """
 
 from __future__ import annotations
@@ -131,7 +134,9 @@ class StabilityPoint:
         init=False, repr=False, compare=False
     )
     # the integer charges of the simple classes (1,0,0), (0,1,0), (0,0,1),
-    # so that charge_of is linear on K-classes; derived like anchor_phases
+    # so that charge_of is linear on K-classes: the family's row of
+    # _COFACTORS applied to the anchor charges, moved to m; derived like
+    # anchor_phases
     simple: Tuple[Gaussian, Gaussian, Gaussian] = field(
         init=False, repr=False, compare=False
     )
@@ -166,8 +171,13 @@ class StabilityPoint:
                 % (phases, self.extra_offsets)
             )
         object.__setattr__(self, "anchor_phases", phases)
-        object.__setattr__(self, "simple", _simple_charges(
-            base.shifted(self.shift).kclasses(), phases
+        # the true integer charge of anchor i is its phase's direction, and
+        # that of the unshifted object is moved by shift i as well
+        signed = [ph.direction() if s % 2 == 0 else -ph.direction()
+                  for ph, s in zip(phases, self.shift)]
+        object.__setattr__(self, "simple", _translated_simple(
+            tuple(_charge(signed, c) for c in _COFACTORS[self.family]),
+            -self.m,
         ))
         object.__setattr__(self, "analyses", {})
 
@@ -219,33 +229,27 @@ def standard_heart_point(charges, global_shift: int = 0) -> StabilityPoint:
 # central charge on all of K
 
 
-def _basis_solver(k0: Vec3, k1: Vec3, k2: Vec3):
-    """Cramer's rule for c = sum lam_i k_i, scaled by |det|: the solver
-    returns the signed integer cofactors sign(det) * d_i = |det| * lam_i."""
-    det = det3(k0, k1, k2)
-    if det == 0:  # pragma: no cover - excluded by the anchor invariant
-        raise EngineError("anchor K-classes degenerate")
-    s = 1 if det > 0 else -1
+def _cofactor_rows(fid: str):
+    """Per simple class (1,0,0), (0,1,0), (0,0,1), its coordinates in the
+    K-classes k_i of family fid's triple at m = 0 by Cramer's rule, scaled
+    by |det|: the signed integer cofactors sign(det) * d_i = |det| * lam_i
+    of c = sum lam_i k_i.
 
-    def solve(c: Vec3):
-        return (s * det3(c, k1, k2), s * det3(k0, c, k2), s * det3(k0, k1, c))
-
-    return solve
-
-
-def _simple_charges(kclasses, phases):
-    """The charges of the simple classes, in the scale of ``charge_of``:
-    each simple class solved in the anchor's K-classes (``_basis_solver``),
-    and the solution applied to the anchor's true integer charges.
-
-    The stored charges are upper-branch representatives; the true charge
-    of anchor ``i`` is the direction of its phase ``phases[i]``."""
-    solve = _basis_solver(*kclasses)
-    signed = [ph.direction() for ph in phases]
-    return tuple(_charge(signed, solve(e)) for e in _SIMPLE_CLASSES)
+    A point's shifted anchor has the K-classes T^m M0 D, with M0 those at
+    m = 0, T the chain step (determinant 1) and D the signs of the shift,
+    so |det| is that of M0: the rows applied to the shift-signed anchor
+    charges give the point's simple charges at m = 0, and
+    ``_translated_simple`` moves them to its m."""
+    k0, k1, k2 = family_triple(fid, 0).kclasses()
+    s = 1 if det3(k0, k1, k2) > 0 else -1
+    return tuple(
+        (s * det3(c, k1, k2), s * det3(k0, c, k2), s * det3(k0, k1, c))
+        for c in (Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1))
+    )
 
 
-_SIMPLE_CLASSES = (Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1))
+# the point-independent part of each point's ``simple``, eight solves
+_COFACTORS = {fid: _cofactor_rows(fid) for fid in FAMILY_IDS}
 
 
 def _charge(simple, c) -> Gaussian:
@@ -506,7 +510,7 @@ class Analysis:
         self.rule: List[Optional[tuple]] = [None] * n
         self.z: List[Optional[Gaussian]] = [None] * n
         # per slot, whether its decided phase has the direction of its
-        # charge; tested on the first re-pin (see _pin_in_window)
+        # charge; tested on the first re-pin (see _agrees)
         self.agrees: List[Optional[bool]] = [None] * n
         self.order: List[int] = []
         self.tails: Dict[bool, dict] = {}
@@ -610,31 +614,35 @@ def _unit_shifts(p1: Phase, p0: Phase) -> Tuple[int, ...]:
     return (-k,)
 
 
+def _agrees(an: Analysis, s: int, charge) -> bool:
+    """Whether slot s is decided at a phase with the direction of its
+    charge.  Moving an object by k shifts negates both its charge and the
+    direction of its phase k times, so this does not depend on the shift:
+    it is tested once per decided slot and kept in ``Analysis.agrees``."""
+    ok = an.agrees[s]
+    if ok is None:
+        ph = (an.row[s] or _DEAD["unknown"])[1]
+        if ph is None:
+            return False
+        d, z = ph.direction(), charge((s, 0))
+        ok = an.agrees[s] = d.cross(z) == 0 and d.dot(z) > 0
+    return ok
+
+
 def _pin_in_window(an: Analysis, ref: Tuple[int, int], lo: Phase, a: int,
                    hi: Phase, b: int, charge, rule):
     """Declare the object ref semistable with its phase in the closed
     window [lo + a, hi + b]: the phases lo and hi moved by the integers a
-    and b.  ``charge`` maps an object to its charge.
+    and b.  ``charge`` maps an object to its charge.  Builds the window's
+    ends, and raises on a contradiction; a slot already decided is
+    direction-tested first (``_agrees``).
 
     The window is shorter than 1: it runs between two phases of a scanned
     triple, and ``_unit_shifts`` keeps every pairwise gap of those below 1.
-    So an object already decided at a phase in the window, with the
-    direction of its charge, is left as it is: that phase is the only one
-    the full path could find.  Moving an object by k shifts negates both
-    its charge and the direction of its phase k times, so the direction
-    test is made once per slot (``Analysis.agrees``).  Every other case
-    takes the full path, which builds the window's ends and raises on a
-    contradiction."""
-    s, k = ref
-    ph = (an.row[s] or _DEAD["unknown"])[1]
-    if (ph is not None and cmp_shifted(lo, a, ph, k) <= 0
-            and cmp_shifted(ph, k, hi, b) <= 0):
-        ok = an.agrees[s]
-        if ok is None:
-            d, z = ph.direction(), charge((s, 0))
-            ok = an.agrees[s] = d.cross(z) == 0 and d.dot(z) > 0
-        if ok:
-            return
+    So a slot already decided at a phase in the window, with the direction
+    of its charge, keeps that phase: it is the only one found here, and
+    ``_sigma_triple_rules`` leaves such a re-pin out."""
+    _agrees(an, ref[0], charge)
     z = charge(ref)
     if z.is_zero():
         raise EngineError(
@@ -662,13 +670,30 @@ def _sigma_triple_rules(an: Analysis, row: _Row, phis, shifts, charge):
 
     The triple's phases are the base phases ``phis`` moved by the integers
     ``shifts`` = (0, s1, s2), compared with ``cmp_shifted``; a Phase is
-    built only as a ``window_arg`` anchor or on a pin's full path.
+    built only as a ``window_arg`` anchor or in ``_pin_in_window``.
+
+    Most closure pins re-derive a slot decided at a phase with the
+    direction of its charge (``_agrees``); such a re-pin holds, and
+    changes nothing, exactly when the decided phase moved by the pin's
+    shift lies in the window, which the loop tests on the offsets and one
+    integer cross product per end.  Every other pin (a new slot, a
+    conflict) goes to ``_pin_in_window``.
     """
+    entries, agrees = an.row, an.agrees
     for i, content, rule in row.closures:
         hi, a, lo, b = phis[i], shifts[i], phis[i + 1], shifts[i + 1]
         if cmp_shifted(hi, a, lo, b) < 0:
             continue
+        # the window [lo + b, hi + a] as offsets and charges
+        lo_o, lz, hi_o, hz = lo.offset + b, lo.charge, hi.offset + a, hi.charge
         for c in content:
+            s, k = c
+            if agrees[s] or _agrees(an, s, charge):
+                ph = entries[s][1]
+                o, z = ph.offset + k, ph.charge
+                if ((o > lo_o or o == lo_o and lz.re * z.im >= lz.im * z.re) and
+                        (o < hi_o or o == hi_o and z.re * hz.im >= z.im * hz.re)):
+                    continue
             _pin_in_window(an, c, lo, b, hi, a, charge, rule)
     if row.outer is None:
         return

@@ -11,18 +11,22 @@ is a pure function of the field order and d: it is built once per process
 per (q, d), as immutable tuples, and shared by every enumeration.  The
 semistability test reads only the dimension vectors of the
 subrepresentations, so a caller that tests one representation often
-enumerates them once and passes them in (``harness._heart_test_objects``
-keeps them for the whole process).  Semistability compares arguments on
-integers: rational simple charges are scaled once per call by a positive
-rational that clears their denominators (``exact.primitive_multiple``),
-which changes no argument, and integer ones, such as a point's
-``simple`` charges, are read as they are.  King's compare checks the whole's
-charge and each subrepresentation's charge once, and then decides each
-subrepresentation by the sign of one cross product.
+enumerates them once and passes them in, or passes only the extreme rays
+of the cone they span (``extreme_rays``), which decide the same verdicts:
+``harness._heart_test_objects`` keeps the rays for the whole process, and
+``stab oracle`` scans every subrepresentation.  Semistability compares
+arguments on integers: rational simple charges are scaled once per call
+by a positive rational that clears their denominators
+(``exact.primitive_multiple``), which changes no argument, and integer
+ones, such as a point's ``simple`` charges, are read as they are.
+King's compare checks the whole's charge and each subrepresentation's
+charge once, and then decides each subrepresentation by the sign of one
+cross product.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from typing import Dict, List, Tuple
@@ -216,6 +220,44 @@ def all_subreps(rep: FiniteRep):
     return out
 
 
+def extreme_rays(subreps, whole: Vec3) -> Tuple[Vec3, ...]:
+    """The extreme rays of the cone spanned by the proper nonzero vectors
+    among ``subreps`` (dimension vectors, ``whole`` the representation's),
+    one vector per ray: the first in the order given.
+
+    Exact: each vector is projected onto L + R + T = 1 as a point of
+    ``Fraction`` coordinates (L, R), vectors of one ray meet in one point,
+    and the rays are the strict vertices of the points' convex hull
+    (Andrew's monotone chain; a point inside an edge is not a vertex).
+    The rays come in the order of their first vectors."""
+    first: Dict[Tuple[Fraction, Fraction], Vec3] = {}
+    for d in subreps:
+        if d.is_zero() or d == whole:
+            continue
+        n = sum(d)
+        first.setdefault((Fraction(d[0], n), Fraction(d[1], n)), d)
+    pts = sorted(first)
+    if len(pts) > 2:
+        pts = _hull_side(pts)[:-1] + _hull_side(pts[::-1])[:-1]
+    keep = {first[p] for p in pts}
+    return tuple(d for d in first.values() if d in keep)
+
+
+def _hull_side(pts):
+    # one side of the strict convex hull of the sorted points, both ends
+    # included: a point is dropped unless the chain turns strictly left
+    out = []
+    for p in pts:
+        while len(out) > 1 and _turn(out[-2], out[-1], p) <= 0:
+            out.pop()
+        out.append(p)
+    return out
+
+
+def _turn(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
 def _coords_in_basis(F: GF, basis: List[Tuple[int, ...]], v) -> List[int]:
     """Coordinates of v in the span of basis (must be solvable)."""
     if not basis:
@@ -267,7 +309,9 @@ def semistable_in_heart(rep: FiniteRep, charges, subreps=None):
     strictly larger normalized argument; the witness is the first one of
     largest argument.  ``subreps`` is the subrepresentations' dimension
     vectors in ``all_subreps`` key order (its keys, or a tuple of them),
-    enumerated here when not given.
+    enumerated here when not given, or their ``extreme_rays``: the
+    verdict is the same, and the witness has a charge parallel to the
+    full scan's (``harness.oracle_agreement``).
 
     Integer charges (a point's ``simple``) are read as they are;
     rational ones are first scaled by a positive factor to integers, which

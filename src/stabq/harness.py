@@ -541,13 +541,14 @@ def verify_all(n_samples: int = DEFAULT_SAMPLES, seed: int = 0) -> List[Verifica
 @lru_cache(maxsize=None)
 def _heart_test_objects(max_entry: int):
     """Exceptional representations of the standard heart with every dimension
-    entry at most max_entry, as (catalog object, FiniteRep, subrep classes).
+    entry at most max_entry, as (catalog object, FiniteRep, rays).
 
-    The subrep classes are the dimension vectors of ``ff.all_subreps``, in
-    its key order, which is all King's criterion reads.  The table depends
-    on max_entry alone, so it is built on the first call and shared by
-    every later one; it is made of tuples and holds no witnesses, so no
-    caller can change it."""
+    The rays are the extreme rays of the cone spanned by the proper nonzero
+    dimension vectors of ``ff.all_subreps`` (``ff.extreme_rays``, in its
+    key order), which decide King's criterion on the standard heart (see
+    ``oracle_agreement``).  The table depends on max_entry alone, so it is
+    built on the first call and shared by every later one; it is made of
+    tuples and holds no witnesses, so no caller can change it."""
     from . import ff
     from .catalog import build_matrices, object_from_kclass
     from .quiver import Vec3
@@ -566,7 +567,7 @@ def _heart_test_objects(max_entry: int):
             continue
         obj = object_from_kclass(d)
         rep = build_matrices(obj)
-        out.append((obj, rep, tuple(ff.all_subreps(rep))))
+        out.append((obj, rep, ff.extreme_rays(ff.all_subreps(rep), d)))
     return tuple(out)
 
 
@@ -575,11 +576,25 @@ def oracle_agreement(n_samples: int = 1000, seed: int = 0,
     """Compare the rule engine against exhaustive subrepresentation search on
     the standard-heart anchor: every decided engine verdict must match the
     oracle's.  Engine unknowns are counted, never compared.  The oracle's
-    table of test objects and their subrep classes is built by the first
-    call in a process and read by every later one, and it reads each
-    point's integer charges of the simple classes, ``simple``: on the
-    standard heart those are its charges scaled to a primitive integer
-    triple."""
+    table of test objects and the extreme rays of their subrepresentation
+    cones (``_heart_test_objects``) is built by the first call in a process
+    and read by every later one, and it reads each point's integer charges
+    of the simple classes, ``simple``: on the standard heart those are its
+    charges scaled to a primitive integer triple.
+
+    King's compare on the rays decides what it decides on every
+    subrepresentation.  The closed upper branch H is closed under positive
+    sums, so each subrepresentation vector, a nonnegative combination of
+    the rays, has its charge in H (nonzero) when the rays' charges are:
+    the branch and zero-charge checks pass on all of them iff they pass
+    on the rays.  For an argument t in (0, pi], the charges in H of
+    argument at most t are H cut by a closed half-plane through 0, again
+    closed under positive sums; so the largest argument over all the
+    subrepresentations is attained on a ray, and some subrepresentation
+    has a larger argument than the whole iff some ray has.  A destabilizer
+    named on the rays has a charge parallel to the one the full scan
+    names, and is printed only in a mismatch.  ``stab oracle`` still scans
+    every subrepresentation."""
     from . import ff
 
     objs = _heart_test_objects(max_entry)
@@ -595,12 +610,12 @@ def oracle_agreement(n_samples: int = 1000, seed: int = 0,
             rep_out.unknown += 1
             continue
         decided_any = False
-        for obj, frep, subs in objs:
+        for obj, frep, rays in objs:
             st = engine.semistable(pt, obj).status
             if st == "unknown":
                 continue
             decided_any = True
-            ok, destab = ff.semistable_in_heart(frep, pt.simple, subreps=subs)
+            ok, destab = ff.semistable_in_heart(frep, pt.simple, subreps=rays)
             if ok != (st == "semistable"):
                 rep_out.mismatches.append(
                     {

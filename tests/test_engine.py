@@ -277,6 +277,28 @@ def test_charge_of_matches_the_cramer_solve(seed, turn, scale, gshift, labels,
         assert engine.charge_of(pt, Vec3(*v)) == _reference.charge_of(pt, v)
 
 
+def test_simple_charges_match_the_cramer_solve_per_point():
+    """A point's simple charges, read from the per-family cofactor table,
+    equal Cramer's rule on its shifted anchor K-classes
+    (_reference.charge_of) at the three simple classes: every family,
+    m in -6..6, every shift of shift_set_members(..., 4), and a quarter
+    turn of each point."""
+    rng = random.Random(6)
+    simples = [Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1)]
+    n = 0
+    for fid in FAMILY_IDS:
+        for m in range(-6, 7):
+            for sh in shift_set_members(family_triple(fid, m), 4):
+                charges = tuple(harness._rand_charge(rng, 9) for _ in range(3))
+                pt = engine.StabilityPoint(fid, m, sh, charges, rng.randint(-2, 2))
+                for q in (pt, engine.rotate_quarter(pt, 1 + n % 3)):
+                    assert q.simple == tuple(
+                        _reference.charge_of(q, e) for e in simples
+                    ), (fid, m, sh)
+                n += 1
+    assert n == 2600
+
+
 @pytest.mark.parametrize("window", (0, 4, 8, 32))
 def test_degree_rows_match_the_hom_degrees(window):
     """Every entry of a plan's hom-degree rows is the degrees of its two
@@ -622,6 +644,54 @@ def test_rederivation_that_conflicts_still_raises():
     assert st.verdicts()[ExcObject("a", 2, 0)].rules == (
         "closure(a[2],a[2],a[2])[1]",
     )
+
+
+def test_rederivation_that_conflicts_raises_through_the_closure_loop():
+    """The closure loop of _sigma_triple_rules decides a re-pin itself only
+    when it holds; a re-pin of (a) a slot whose direction test has passed
+    but whose phase lies outside the window, or (b) a slot whose direction
+    test failed, still raises the message of the full path.  Each case
+    re-pins a[0], decided at the phase 3/4, by a closure between the
+    triple's phases p0 (the window's top) and p1 (its bottom)."""
+    plan = engine._plan(0)
+    a0 = plan.ref(ExcObject("a", 0, 0))
+    z = Gaussian.of(-1, 1)  # the phase 3/4
+    quarter, half = Phase(0, Gaussian.of(1, 1)), Phase(0, Gaussian.of(0, 1))
+    row = engine._Row(((0, 0),) * 3, ((0, (a0,), "closure(x)[0]"),), None)
+
+    def decided():
+        an = engine.Analysis(plan, 0)
+        an.set_ss(a0, Phase(0, z), "anchor")
+        return an
+
+    def closure(an, lo, hi, w):
+        engine._sigma_triple_rules(an, row, (hi, lo, hi), (0, 0, 0),
+                                   lambda r: w)
+
+    # (a) the first re-pin passes the direction test and changes nothing;
+    # the next one, in a window that excludes 3/4, raises
+    an = decided()
+    closure(an, quarter, Phase(0, z), z)
+    assert an.agrees[a0[0]] is True and an.order == [a0[0]]
+    closure(an, quarter, Phase(0, z), z.scale(3))  # decided in the loop
+    assert an.order == [a0[0]] and an.verdict(a0[0]).rules == ("anchor",)
+    with pytest.raises(engine.EngineError) as ei:
+        closure(an, quarter, half, z)
+    assert str(ei.value) == (
+        "paper-rule inconsistency: phase of a[0] escapes "
+        "[Phase(0, Gaussian(1, 1)), Phase(0, Gaussian(0, 1))]"
+    )
+    # (b) a charge of another direction, in a window holding 3/4: raises on
+    # the first re-pin, and again once agrees is False
+    an = decided()
+    for _ in range(2):
+        with pytest.raises(engine.EngineError) as ei:
+            closure(an, quarter, Phase(0, z), Gaussian.of(0, 1))
+        assert str(ei.value) == (
+            "paper-rule inconsistency: a[0] has phases Phase(0, Gaussian(-1, 1)) "
+            "(('anchor',)) and Phase(0, Gaussian(0, 1)) (closure(x)[0])"
+        )
+        assert an.agrees[a0[0]] is False
 
 
 def test_each_round_reads_the_phases_decided_before_it():

@@ -3,14 +3,15 @@ brute-force semistability in the standard heart."""
 
 import random
 from fractions import Fraction
-from itertools import product
+from functools import lru_cache
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _reference
-from stabq import ff, harness
+from stabq import engine, ff, harness
 from stabq.catalog import build_matrices, hom_dims, parse_label
 from stabq.exact import ExactError, Gaussian, primitive_multiple
 from stabq.ff import (
@@ -148,14 +149,117 @@ def test_heart_test_objects_built_once_and_immutable():
     assert isinstance(objs, tuple) and len(objs) == 18
     with pytest.raises(TypeError):
         objs[0] = objs[-1]
-    for obj, rep, subs in objs:
-        assert isinstance(subs, tuple)
-        assert subs == tuple(all_subreps(rep)), obj
+    for obj, rep, rays in objs:
+        assert isinstance(rays, tuple)
+        assert rays == ff.extreme_rays(all_subreps(rep), rep.dims), obj
         with pytest.raises(TypeError):
-            subs[0] = rep.dims
+            rays[0] = rep.dims
         if rep.lr:
             with pytest.raises(TypeError):
                 rep.lr[0] = ()
+
+
+def _solve(cols, v):
+    """The coefficients of v in the vectors cols, exactly, when cols are
+    linearly independent and v lies in their span; None otherwise."""
+    n = len(cols)
+    rows = [[Fraction(c[i]) for c in cols] + [Fraction(v[i])] for i in range(3)]
+    for j in range(n):
+        p = next((i for i in range(j, 3) if rows[i][j]), None)
+        if p is None:
+            return None
+        rows[j], rows[p] = rows[p], rows[j]
+        rows[j] = [x / rows[j][j] for x in rows[j]]
+        for i in range(3):
+            if i != j and rows[i][j]:
+                f = rows[i][j]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[j])]
+    if any(rows[i][n] for i in range(n, 3)):
+        return None
+    return [rows[i][n] for i in range(n)]
+
+
+def _in_cone(v, rays):
+    """Whether v is a nonnegative combination of rays: by Caratheodory's
+    theorem, of a linearly independent subset of at most three."""
+    return any(
+        (lam := _solve(cols, v)) is not None and min(lam) >= 0
+        for k in (1, 2, 3)
+        for cols in combinations(rays, k)
+    )
+
+
+def test_extreme_rays_of_a_small_cone():
+    """Vectors of one ray keep the first; points inside the hull or inside
+    an edge are no rays; zero and the whole are left out."""
+    whole = Vec3(3, 3, 3)
+    vs = [Vec3(0, 0, 0), Vec3(2, 0, 0), Vec3(1, 1, 1), Vec3(1, 0, 0),
+          Vec3(0, 1, 0), Vec3(1, 1, 0), Vec3(0, 0, 2), whole]
+    assert ff.extreme_rays(vs, whole) == (Vec3(2, 0, 0), Vec3(0, 1, 0),
+                                          Vec3(0, 0, 2))
+    # all on one line of the projection: its two ends
+    line = [Vec3(1, 0, 1), Vec3(0, 0, 1), Vec3(2, 0, 2), Vec3(1, 0, 0)]
+    assert ff.extreme_rays(line, whole) == (Vec3(0, 0, 1), Vec3(1, 0, 0))
+    assert ff.extreme_rays([Vec3(0, 0, 0), Vec3(1, 0, 1)], whole) == (
+        Vec3(1, 0, 1),)
+    assert ff.extreme_rays([Vec3(0, 0, 0), whole], whole) == ()
+
+
+def test_extreme_rays_span_every_subrepresentation():
+    """On each of the 18 test objects the rays are subrepresentation
+    vectors, every proper nonzero subrepresentation vector is a
+    nonnegative combination of them, and none of them is one of the
+    others; 221 vectors (zero and whole included) give 45 rays."""
+    n_subs = n_rays = 0
+    for obj, rep, rays in harness._heart_test_objects(4):
+        subs = list(all_subreps(rep))
+        assert set(rays) <= set(subs), obj
+        proper = [d for d in subs if not d.is_zero() and d != rep.dims]
+        assert all(_in_cone(d, rays) for d in proper), obj
+        for r in rays:
+            assert not _in_cone(r, [x for x in rays if x != r]), (obj, r)
+        n_subs += len(subs)
+        n_rays += len(rays)
+    assert (n_subs, n_rays) == (221, 45)
+
+
+def test_extreme_rays_follow_one_pattern_per_kind():
+    """The rays of the four chain kinds for k = 1..3: dimension vectors of
+    simples, of M, M' and delta, and of chain neighbours."""
+    rays = {tuple(rep.dims): set(map(tuple, r))
+            for _, rep, r in harness._heart_test_objects(4)}
+    for k in (1, 2, 3):
+        assert rays[(k + 1, k, k)] == {(0, 0, 1), (0, 1, 1), (1, 1, 1),
+                                       (1, 0, 1)}
+        assert rays[(k + 1, k + 1, k)] == {(0, 0, 1), (0, 1, 0), (1, 1, 1)}
+        assert rays[(k, k + 1, k + 1)] == {(0, 0, 1), (0, 1, 1),
+                                           (k - 1, k, k), (k, k, k + 1)}
+        assert rays[(k, k, k + 1)] == {(0, 0, 1), (0, 1, 1),
+                                       (k - 1, k - 1, k), (k - 1, k, k)}
+
+
+def test_king_compare_on_the_rays_matches_the_full_scan():
+    """On 2,000 standard-heart points, King's compare on the rays gives the
+    verdict of the scan over every subrepresentation, and a destabilizer
+    whose charge has the direction of the full scan's."""
+    rng = random.Random(("rays", 2000).__repr__())
+    objs = _full_scan_objects()
+    rays = [r for _, _, r in harness._heart_test_objects(4)]
+    unstable = 0
+    for _ in range(2000):
+        charges = tuple(harness._rand_charge(rng, 16) for _ in range(3))
+        simple = engine.standard_heart_point(charges).simple
+        for (obj, rep, subs), rs in zip(objs, rays):
+            ok, destab = semistable_in_heart(rep, simple, subreps=subs)
+            got_ok, got = semistable_in_heart(rep, simple, subreps=rs)
+            assert got_ok == ok, obj
+            if ok:
+                assert got is None
+                continue
+            unstable += 1
+            z, w = (engine._charge(simple, d) for d in (destab, got))
+            assert z.cross(w) == 0 and z.dot(w) > 0, (obj, destab, got)
+    assert 0 < unstable < 2000 * 18
 
 
 def _report_without_time(rep):
@@ -182,6 +286,14 @@ def _rand_rational_charge(rng):
     return Gaussian.of(re, im)
 
 
+@lru_cache(maxsize=None)
+def _full_scan_objects():
+    """The oracle's 18 test objects with every subrepresentation vector,
+    ``tuple(all_subreps(rep))``, where the oracle's table keeps rays."""
+    return tuple((obj, rep, tuple(all_subreps(rep)))
+                 for obj, rep, _ in harness._heart_test_objects(4))
+
+
 def _reference_semistable(rep, charges, subs):
     """The oracle's verdict on Fraction charges, comparing arguments in
     (0, pi] by the sign of the cross product."""
@@ -206,7 +318,7 @@ def _reference_semistable(rep, charges, subs):
 
 def test_semistable_in_heart_matches_fraction_reference():
     rng = random.Random(2024)
-    objs = harness._heart_test_objects(4)
+    objs = _full_scan_objects()
     assert len(objs) == 18
     unstable = 0
     for _ in range(200):
@@ -247,7 +359,7 @@ def test_king_compare_matches_the_normarg_reference(charges, lam):
     on a positively scaled copy, and on their integer normalisation."""
     scaled = tuple(c.scale(lam) for c in charges)
     ints = primitive_multiple(charges)
-    for obj, rep, subs in harness._heart_test_objects(4):
+    for obj, rep, subs in _full_scan_objects():
         want = _reference.semistable_in_heart(rep, charges, subs)
         for zs in (charges, scaled, ints):
             assert semistable_in_heart(rep, zs, subreps=subs) == want, obj
