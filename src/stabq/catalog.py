@@ -17,11 +17,13 @@ import re as _re
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .exact import frozen_guard
 from .quiver import Vec3, euler_form
 
 KINDS = ("a", "b", "M", "Mp")
 
 
+@frozen_guard
 @dataclass(frozen=True, order=True, slots=True, init=False)
 class ExcObject:
     kind: str  # 'a', 'b', 'M', 'Mp'

@@ -24,11 +24,13 @@ point's anchor charges signed by the shift, and moved to its m.
 The rule fixpoint reads a plan, one per window and shared by every point
 (``_Plan``).  The plan numbers its objects (slots), and its rows are the
 sigma-triple instances of the window's standard triples as (slot, shift)
-pairs relative to the point's m: shift-set membership, closure contents
-inside the scope, and the outer step (the two-factor middle object or the
-K-class-checked three-factor extension).  The plan is keyed on the window
-alone, as all of this is unchanged when every chain index moves by one
-step; rows are built on first use.  The plan also keeps each slot's
+pairs relative to the point's m: closure contents inside the scope, and
+the outer step (the two-factor middle object or the three-factor
+extension, each K-class-checked against its factors).  The plan is keyed
+on the window alone, as all of this is unchanged when every chain index
+moves by one step; rows are built on first use, and it keeps each
+triple's shift-set bounds, so that a fixpoint builds and reads only the
+rows of shifts inside the shift set.  The plan also keeps each slot's
 K-class, and, built on first use, per slot the row of its hom degrees to
 every slot (``catalog.hom_degrees``).  Moving n steps along the chains
 acts on K as T^n(c) = c + n (c_T - c_L) delta, so a fixpoint reads its
@@ -68,6 +70,10 @@ The phase comparisons on the hot paths (the fixpoint's unit shifts and
 rule comparisons, the hom bracket, the region clause test) read a phase
 shifted by an integer as an (offset, charge) pair and decide with one
 cross product (``exact.cmp_shifted``), building no Phase per comparison.
+A rule that pins an object builds one Phase, its base object's: the
+window functions of ``exact`` take integer shifts of their ends or
+anchor, so a pin hands over the triple's phases with their shifts less
+the pinned object's, and an outer step reads its target slot's charge.
 Most closure pins re-derive an object already decided; whether its
 decided phase has the direction of its charge does not depend on the
 shift, so that is tested once per slot, and the closure loop decides
@@ -100,6 +106,7 @@ from .quiver import Vec3, det3
 from .triples import (
     ExcTriple,
     FAMILY_IDS,
+    alpha_beta_gamma,
     closure_content,
     ext_pair,
     family_triple,
@@ -330,9 +337,12 @@ class _Plan:
     pair (``ref``).  ``triples`` holds the
     window's standard triples in scan order with their slots and rows, the
     rows built on first use and keyed by (s1, s2), None outside the shift
-    set.  ``holders`` holds per slot the indices of the triples that
-    contain it, and ``sizes`` per triple its number of distinct slots: a
-    triple is ready once that many of its slots are decided semistable.
+    set.  ``bounds`` holds per triple the numbers (alpha, beta, gamma) that
+    ``in_shift_set`` reads, so that the fixpoint asks only for rows inside
+    the shift set.  ``holders`` holds per slot the indices
+    of the triples that contain it, and ``sizes`` per triple its number of
+    distinct slots: a triple is ready once that many of its slots are
+    decided semistable.
     ``gaps`` holds, per a/b slot, None or its chain successor and the
     slots a phase gap above it kills, in universe order.  ``kclasses``
     holds the K-class of each slot, and ``degrees_of`` the row of
@@ -352,6 +362,10 @@ class _Plan:
         ks = range(m - window, m + window + 1)
         ts = [family_triple(f, k) for f in FAMILY_IDS for k in ks]
         self.triples = [(t, tuple(map(self.index, t.objs)), {}) for t in ts]
+        # per triple its shift-set bounds, its family's: they are finite,
+        # and unchanged along the chains
+        self.bounds = [alpha_beta_gamma(family_triple(f, 0))
+                       for f in FAMILY_IDS for _ in ks]
         # the readiness index: per slot the triples holding it, in plan
         # order, and per triple its number of distinct slots
         self.holders = [[] for _ in u]
@@ -427,18 +441,24 @@ class _Plan:
             if content:
                 inside = tuple(r for r in map(self.ref, content) if r is not None)
                 closures.append((i, inside, ("closure", B, "[%d]" % i)))
-        outer = None
+        outer = y_obj = None
         h02 = hom_dims(B[0], B[2])
         if h02 is not None and h02[0] == 1 and h02[1] == 1:
             pair = ext_pair(B[0], B[2])
             content = None if pair is None else closure_content(pair, self.window)
-            y = None if content is None else self.ref(content[2])
-            if y is not None:
-                outer = (y, ("two-factor", B, ""))
+            if content is not None:
+                y_obj, name, factors = content[2], "two-factor", (B[0], B[2])
         elif h02 is None or h02[0] != 1:
-            y_obj = self._three_factor_target(B)
-            if y_obj is not None:
-                outer = (self.ref(y_obj), ("three-factor", B, ""))
+            y_obj, name, factors = self._three_factor_target(B), "three-factor", B
+        if y_obj is not None and self.index(y_obj) is not None:
+            # the fixpoint reads the charge of Y's slot for the factors' sum
+            cls = sum(map(kclass, factors[1:]), kclass(factors[0]))
+            if kclass(y_obj) != cls:  # pragma: no cover - pattern sanity check
+                raise EngineError(
+                    "paper-rule inconsistency: filtration class mismatch for "
+                    "(%s,%s,%s), indices relative to the point's m" % B
+                )
+            outer = (self.ref(y_obj), (name, B, ""))
         return _Row(tuple(map(self.ref, B)), tuple(closures), outer)
 
     def _three_factor_target(self, B) -> Optional[ExcObject]:
@@ -454,14 +474,6 @@ class _Plan:
             if content is None:
                 return None
             y_obj = content[2]
-        if self.index(y_obj) is None:
-            return None
-        cls = kclass(B[0]) + kclass(B[1]) + kclass(B[2])
-        if kclass(y_obj) != cls:  # pragma: no cover - pattern sanity check
-            raise EngineError(
-                "paper-rule inconsistency: filtration class mismatch for "
-                "(%s,%s,%s), indices relative to the point's m" % B
-            )
         return y_obj
 
 
@@ -633,29 +645,32 @@ def _pin_in_window(an: Analysis, ref: Tuple[int, int], lo: Phase, a: int,
                    hi: Phase, b: int, charge, rule):
     """Declare the object ref semistable with its phase in the closed
     window [lo + a, hi + b]: the phases lo and hi moved by the integers a
-    and b.  ``charge`` maps an object to its charge.  Builds the window's
-    ends, and raises on a contradiction; a slot already decided is
-    direction-tested first (``_agrees``).
+    and b.  ``charge`` maps an object to its charge.  Builds one Phase,
+    that of ref's base object, in the window moved down by ref's shift
+    (the ends are built only for an error message), and raises on a
+    contradiction; a slot already decided is direction-tested first
+    (``_agrees``).
 
     The window is shorter than 1: it runs between two phases of a scanned
     triple, and ``_unit_shifts`` keeps every pairwise gap of those below 1.
     So a slot already decided at a phase in the window, with the direction
     of its charge, keeps that phase: it is the only one found here, and
     ``_sigma_triple_rules`` leaves such a re-pin out."""
-    _agrees(an, ref[0], charge)
+    s, k = ref
+    _agrees(an, s, charge)
     z = charge(ref)
     if z.is_zero():
         raise EngineError(
             "paper-rule inconsistency: zero charge on %s" % an.name(*ref)
         )
-    lo, hi = lo.plus(a), hi.plus(b)
-    ph = phase_in_closed_window(z, lo, hi)
+    # the base object's charge, and its window
+    ph = phase_in_closed_window(-z if k % 2 else z, lo, hi, a - k, b - k)
     if ph is None:
         raise EngineError(
             "paper-rule inconsistency: phase of %s escapes [%r, %r]"
-            % (an.name(*ref), lo, hi)
+            % (an.name(*ref), lo.plus(a), hi.plus(b))
         )
-    an.set_ss(ref, ph, rule)
+    an.set_ss((s, 0), ph, rule)
 
 
 def _sigma_triple_rules(an: Analysis, row: _Row, phis, shifts, charge):
@@ -669,8 +684,11 @@ def _sigma_triple_rules(an: Analysis, row: _Row, phis, shifts, charge):
       middle object pins the three-factor extension instead.
 
     The triple's phases are the base phases ``phis`` moved by the integers
-    ``shifts`` = (0, s1, s2), compared with ``cmp_shifted``; a Phase is
-    built only as a ``window_arg`` anchor or in ``_pin_in_window``.
+    ``shifts`` = (0, s1, s2), compared with ``cmp_shifted`` and handed to
+    the window functions with their shifts; a Phase is built only for a
+    pinned object, at its base offset, and for the three-factor test
+    phase.  An outer step reads the charge of its target's base object,
+    whose K-class the plan checked against the sum of the factors'.
 
     Most closure pins re-derive a slot decided at a phase with the
     direction of its charge (``_agrees``); such a re-pin holds, and
@@ -703,12 +721,13 @@ def _sigma_triple_rules(an: Analysis, row: _Row, phis, shifts, charge):
     c10 = cmp_shifted(p1, s1, p0, 0)
     c20 = cmp_shifted(p2, s2, p0, 0)
     c21 = cmp_shifted(p2, s2, p1, s1)
-    target, rule = row.outer
+    (y, k), rule = row.outer
+    target = (y, 0)  # the target's base object
     if rule[0] == "two-factor":
         if not ((c20 < 0 and c21 < 0) or (c10 < 0 and c20 < 0)):
             return
         try:
-            py = window_arg(charge(B[0]) + charge(B[2]), p0.plus(-1))
+            py = window_arg(charge(target), p0, -1 - k)
         except ExactError:
             raise EngineError(
                 "paper-rule inconsistency: boundary phase for the "
@@ -719,23 +738,23 @@ def _sigma_triple_rules(an: Analysis, row: _Row, phis, shifts, charge):
     anchor_low = None
     if c10 < 0 and c20 < 0:
         try:
-            wa = window_arg(charge(B[0]) + charge(B[1]), p0.plus(-1))
+            wa = window_arg(charge(B[0]) + charge(B[1]), p0, -1)
         except ExactError:
             wa = None
         if wa is not None and cmp_shifted(wa, 0, p2, s2) > 0:
-            anchor_low = p0.plus(-1)
+            anchor_low = p0, -1
     if anchor_low is None and c21 < 0 and c10 <= 0:
-        anchor_low = p2.plus(s2)
+        anchor_low = p2, s2
     if anchor_low is None:
         return
     try:
-        py = window_arg(charge(B[0]) + charge(B[1]) + charge(B[2]), anchor_low)
+        py = window_arg(charge(target), anchor_low[0], anchor_low[1] - k)
     except ExactError:
         raise EngineError(
             "paper-rule inconsistency: boundary phase for the "
             "three-factor extension of %s" % an.label(("", rule[1], ""))
         )
-    if py.cmp(p0) >= 0:
+    if cmp_shifted(py, k, p0, 0) >= 0:
         raise EngineError(
             "paper-rule inconsistency: three-factor extension of %s "
             "above its bound" % an.label(("", rule[1], ""))
@@ -755,7 +774,10 @@ def _decide(point: StabilityPoint, window: int) -> Analysis:
     after its last slot is decided semistable (decided phases are
     immutable): at the start of each round the slots decided semistable
     in the round before count down their triples' ``_Plan.sizes``, and
-    the triples that reach 0 are scanned in plan order.  Likewise each
+    the triples that reach 0 are scanned in plan order, each at the shifts
+    (0, s1, s2) that keep its pairwise phase gaps below one
+    (``_unit_shifts``) and lie inside its shift set (``_Plan.bounds``),
+    so that only rows of the shift set are built or read.  Likewise each
     chain pair (slot, successor) of ``_Plan.gaps`` is compared for a big
     gap once, in the first round in which both ends are decided."""
     plan = _plan(window)
@@ -771,7 +793,7 @@ def _decide(point: StabilityPoint, window: int) -> Analysis:
     for obj, ph in zip(anchor.objs, point.anchor_phases):
         an.set_ss(plan.ref(obj), ph, "anchor")
 
-    row, holders, missing = an.row, plan.holders, plan.sizes[:]
+    row, holders, missing, bounds = an.row, plan.holders, plan.sizes[:], plan.bounds
     gapped = [False] * len(plan.universe)  # chain pairs compared for a big gap
     counted = 0  # the verdicts whose slots have counted down their triples
     # every round but the last decides at least one slot
@@ -800,18 +822,21 @@ def _decide(point: StabilityPoint, window: int) -> Analysis:
                 for o in gap[1]:
                     an.set_unstable(o, plan.universe[s], "big-gap")
 
-        # sigma-exceptional shifts of the standard triples
+        # sigma-exceptional shifts of the standard triples, inside each
+        # triple's shift set
         for j in sorted(ready):
             t, (i0, i1, i2), rows = plan.triples[j]
+            a, b, g = bounds[j]
             phis = p0, p1, p2 = row[i0][1], row[i1][1], row[i2][1]
-            u12 = _unit_shifts(p2, p1)
+            u12, u02 = _unit_shifts(p2, p1), _unit_shifts(p2, p0)
             for s1 in _unit_shifts(p1, p0):
-                for s2 in _unit_shifts(p2, p0):
-                    if s2 - s1 not in u12:
+                if s1 > a:
+                    continue
+                for s2 in u02:
+                    if s2 > b or s2 - s1 > g or s2 - s1 not in u12:
                         continue
-                    r = plan.row(t, rows, s1, s2)
-                    if r is not None:
-                        _sigma_triple_rules(an, r, phis, (0, s1, s2), charge)
+                    _sigma_triple_rules(an, plan.row(t, rows, s1, s2), phis,
+                                        (0, s1, s2), charge)
         if len(an.order) == counted:
             break
     else:  # pragma: no cover

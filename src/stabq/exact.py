@@ -23,17 +23,35 @@ sign, and builds only the ``Phase`` it returns.
 ``__init__``, which writes the slots through their descriptors (bound once
 below each class) instead of one ``object.__setattr__`` per field, as the
 generated ``__init__`` does; ``Phase``'s also checks its charge.  The
-dataclass still provides ``==``, ``hash`` and the guard against assignment.
+dataclass still provides ``==`` and ``hash``, and ``frozen_guard`` the
+guard against assignment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Tuple, Union
 
 Rat = Union[int, Fraction, str]
+
+
+def frozen_guard(cls):
+    """cls, a frozen dataclass with slots and no subclasses, whose
+    instances refuse to set or delete any attribute, declared or not, with
+    ``FrozenInstanceError``.  The guard ``dataclass`` generates names the
+    class it replaces when it adds the slots, so on Python 3.11 it raised
+    ``TypeError`` from a ``super()`` call for an undeclared name."""
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError("cannot delete field %r" % (name,))
+
+    cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
+    return cls
 
 
 def _frac(x: Rat) -> Union[int, Fraction]:
@@ -57,6 +75,7 @@ def sign(x: Fraction) -> int:
     return 0
 
 
+@frozen_guard
 @dataclass(frozen=True, slots=True, init=False)
 class Gaussian:
     """A Gaussian rational re + im*i.  Each component is an ``int`` or a
@@ -168,6 +187,7 @@ def branch_checked(z: Gaussian) -> Gaussian:
     return z
 
 
+@frozen_guard
 @dataclass(frozen=True, slots=True, init=False)
 class Phase:
     """offset + arg(charge)/pi with arg(charge) in (0, pi].
@@ -205,10 +225,7 @@ class Phase:
         return self.cmp(other) == 0
 
     def plus(self, n: int) -> "Phase":
-        p = object.__new__(Phase)  # the charge is unchanged: skip validation
-        _set_offset(p, self.offset + n)
-        _set_charge(p, self.charge)
-        return p
+        return _checked_phase(self.offset + n, self.charge)
 
     def direction(self) -> Gaussian:
         """The actual direction of exp(i*pi*value): the stored charge for an
@@ -220,6 +237,15 @@ class Phase:
 
 
 _set_offset, _set_charge = Phase.offset.__set__, Phase.charge.__set__
+
+
+def _checked_phase(offset: int, charge: Gaussian) -> Phase:
+    """Phase(offset, charge) for a charge already known to be nonzero and
+    in the closed upper branch: skips ``branch_checked``."""
+    p = object.__new__(Phase)
+    _set_offset(p, offset)
+    _set_charge(p, charge)
+    return p
 
 
 def cmp_shifted(p: Phase, a: int, q: Phase, b: int) -> int:
@@ -261,46 +287,58 @@ def phase_add(p: Phase, d: Phase) -> Phase:
     return Phase(k + 1, -w)
 
 
-def window_arg(z: Gaussian, anchor: Phase) -> Phase:
-    """The unique phase in the open window (anchor, anchor + 1) whose
-    direction is z.
+def window_arg(z: Gaussian, anchor: Phase, k: int = 0) -> Phase:
+    """The unique phase in the open window (anchor + k, anchor + k + 1)
+    whose direction is z: the anchor moved by the integer k.
 
     Requires z to lie strictly inside the open half-plane of window
     directions; a z on the boundary line raises "boundary argument".  The
-    representative at the anchor's offset lies below anchor + 1, and lies
-    above the anchor iff its charge is counterclockwise from the anchor's;
-    otherwise the one an offset higher is in the window.
+    representative at the moved anchor's offset lies below its top, and
+    lies above its bottom iff its charge is counterclockwise from the
+    anchor's; otherwise the one an offset higher is in the window.  Builds
+    only the Phase it returns.
     """
     if z.is_zero():
         raise ExactError("zero charge")
-    s = anchor.direction().cross(z)
+    # the cross product with the moved anchor's direction, (-1)^offset times
+    # its charge
+    o = anchor.offset + k
+    s = anchor.charge.cross(z)
+    if o % 2:
+        s = -s
     if s <= 0:
         if s == 0:
             raise ExactError("boundary argument")
         raise ExactError("charge outside the window half-plane")
     # the charge in the upper branch, and the parity of z's offsets
     zb, parity = (z, 0) if z.in_upper_branch() else (-z, 1)
-    o = anchor.offset if anchor.charge.cross(zb) > 0 else anchor.offset + 1
+    if anchor.charge.cross(zb) <= 0:
+        o += 1
     if (o - parity) % 2:  # pragma: no cover - the half-plane test excludes it
         raise ExactError("no window representative")
-    return Phase(o, zb)
+    return _checked_phase(o, zb)
 
 
-def phase_in_closed_window(z: Gaussian, low: Phase, high: Phase):
-    """The phase with direction z inside the closed window [low, high], or
-    None.  The window must be shorter than 1, which makes the representative
+def phase_in_closed_window(z: Gaussian, low: Phase, high: Phase,
+                           a: int = 0, b: int = 0):
+    """The phase with direction z inside the closed window
+    [low + a, high + b] (its ends moved by the integers a and b), or None.
+    The window must be shorter than 1, which makes the representative
     unique when it exists: it is the least phase of charge z or -z at or
-    above low, when its offset has z's parity and it is not above high."""
+    above low + a, when its offset has z's parity and it is not above
+    high + b.  Builds only the Phase it returns."""
     if z.is_zero():
         raise ExactError("zero charge")
-    if cmp_shifted(high, 0, low, 1) >= 0:
+    if cmp_shifted(high, b, low, a + 1) >= 0:
         raise ExactError("window too long")
     zb, parity = (z, 0) if z.in_upper_branch() else (-z, 1)
-    o = low.offset if low.charge.cross(zb) >= 0 else low.offset + 1
+    o = low.offset + a if low.charge.cross(zb) >= 0 else low.offset + a + 1
     if (o - parity) % 2:
         return None
-    cand = Phase(o, zb)
-    return None if cand.cmp(high) > 0 else cand
+    d = o - high.offset - b
+    if d > 0 or d == 0 and zb.cross(high.charge) < 0:
+        return None
+    return _checked_phase(o, zb)
 
 
 def int_phase(n: int) -> Phase:

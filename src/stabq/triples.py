@@ -15,9 +15,11 @@ from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from .catalog import ExcObject, hom_dims, kclass, object_from_kclass
+from .exact import frozen_guard
 from .quiver import Vec3, det3, euler_form
 
 
+@frozen_guard
 @dataclass(frozen=True, slots=True, init=False)
 class ExcTriple:
     objs: Tuple[ExcObject, ExcObject, ExcObject]
@@ -133,18 +135,17 @@ def in_shift_set(t: ExcTriple, p: Tuple[int, int, int]) -> bool:
 
 
 def shift_set_members(t: ExcTriple, depth: int = 4) -> List[Tuple[int, int, int]]:
-    """The members (0, p1, p2) of the shift set with components within
-    ``depth`` of the extreme member.  Requires finite bounds."""
+    """The members (0, p1, p2) of the shift set with p1 within ``depth``
+    of alpha and p2 within ``depth`` of its largest value for that p1, in
+    increasing order.  Requires finite bounds."""
     a, b, g = alpha_beta_gamma(t)
     if a is None or b is None or g is None:
         raise ValueError("shift set unbounded for %s" % (t,))
+    # every such pair is a member: p1 <= a, and p2 <= min(b, p1 + g)
     out = []
     for p1 in range(a - depth, a + 1):
         hi2 = min(b, p1 + g)
-        for p2 in range(hi2 - depth, hi2 + 1):
-            p = (0, p1, p2)
-            if in_shift_set(t, p):
-                out.append(p)
+        out += [(0, p1, p2) for p2 in range(hi2 - depth, hi2 + 1)]
     return out
 
 

@@ -24,7 +24,14 @@ from stabq.catalog import (
 )
 from stabq.exact import Gaussian, Phase, int_phase, phase_add, phase_diff
 from stabq.quiver import Vec3
-from stabq.triples import FAMILY_IDS, ExcTriple, family_triple, shift_set_members
+from stabq.triples import (
+    FAMILY_IDS,
+    ExcTriple,
+    alpha_beta_gamma,
+    family_triple,
+    in_shift_set,
+    shift_set_members,
+)
 
 
 def _g(re, im):
@@ -491,7 +498,8 @@ def test_plan_layout_pins_index_and_cells(window):
     position, and each chain object one step beyond either end of the
     universe to None.  The cell slots of (fid, k) are the positions of
     family_triple(fid, k), for k over the plan's block m - window ..
-    m + window."""
+    m + window.  The shift-set bounds the fixpoint reads per triple are
+    its own ``alpha_beta_gamma``."""
     for m in range(-6, 7):
         plan = engine._Plan(window, m)
         u = plan.universe
@@ -502,6 +510,7 @@ def test_plan_layout_pins_index_and_cells(window):
             for kind in "ab":
                 for j in (m - window - 1, m + window + 2):
                     assert plan.index(ExcObject(kind, j + dm, 0), dm) is None
+        assert plan.bounds == [alpha_beta_gamma(t) for t, _, _ in plan.triples]
         for fid in FAMILY_IDS:
             ks = range(m - window, m + window + 1)
             assert plan.cells(fid) == [
@@ -889,6 +898,30 @@ def test_lookup_golden_digest():
     assert h.hexdigest() == (
         "25ea7c18a557092cd01f2344bad2b1e638058da195688a55788158724514eff9"
     )
+
+
+def test_fixpoint_builds_only_rows_of_the_shift_set(monkeypatch):
+    """The fixpoint skips the shifts outside a triple's shift set before it
+    asks the plan for a row (``_Plan.bounds``), so every row it builds, on
+    fresh plans at windows 4, 8 and 32 for the fixpoint digest's points,
+    is a sigma-triple instance of the shift set, and none is None."""
+    built = []
+    build = engine._Plan._build
+
+    def recording(self, t, s1, s2):
+        row = build(self, t, s1, s2)
+        built.append((self.window, t, s1, s2, row))
+        return row
+
+    monkeypatch.setattr(engine._Plan, "_build", recording)
+    plans = {w: engine._Plan(w) for w in (4, 8, 32)}
+    monkeypatch.setattr(engine, "_plan", plans.__getitem__)
+    for p in _digest_points():
+        for w in plans:
+            engine._decide(p, w)
+    assert {w for w, *_ in built} == set(plans)
+    for w, t, s1, s2, row in built:
+        assert in_shift_set(t, (0, s1, s2)) and row is not None, (w, t, s1, s2)
 
 
 def test_wider_windows_agree_and_decide_a_superset():

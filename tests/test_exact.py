@@ -283,6 +283,37 @@ def test_closed_window_matches_the_offset_loop(z, low, dk, high_charge):
     assert got is None or isinstance(got, Phase) or got.startswith("ExactError: ")
 
 
+@settings(max_examples=300)
+@given(st.one_of(_small, _charges()),
+       st.builds(Phase, st.integers(-3, 3), st.one_of(_small_upper, _upper())),
+       st.integers(-1, 1),
+       st.one_of(_small_upper, _upper()),
+       st.integers(-3, 3), st.integers(-3, 3))
+@example(Gaussian.of(0, 0), int_phase(0), 0, Gaussian.of(1, 1), 1, 1)  # zero
+@example(Gaussian.of(2, 0), int_phase(0), 0, Gaussian.of(1, 1), 2, 0)  # boundary
+@example(Gaussian.of(1, 1), int_phase(0), 0, Gaussian.of(1, 1), -1, 1)  # too long
+@example(Gaussian.of(1, 1), Phase(0, Gaussian.of(1, 2)), 0,
+         Gaussian.of(1, 3), 1, 0)  # empty: high below low
+@example(Gaussian.of(1, 1), Phase(0, Gaussian.of(1, 2)), 0,
+         Gaussian.of(1, 3), 1, 1)  # z below the window
+@example(Gaussian.of(-1, -1), Phase(-1, Gaussian.of(1, 2)), 1,
+         Gaussian.of(1, 3), 3, 3)  # an odd shift moves the direction
+def test_window_functions_take_shifts_of_their_ends(z, low, dk, high_charge, a, b):
+    """phase_in_closed_window(z, low, high, a, b) is the call on the
+    window [low.plus(a), high.plus(b)], and window_arg(z, anchor, k) the
+    call on anchor.plus(k): the same Phase representation, None, or the
+    same ExactError message (zero charge, boundary argument, window too
+    long)."""
+    high = Phase(low.offset + dk, high_charge)
+    got = _outcome(phase_in_closed_window, z, low, high, a, b)
+    want = _outcome(phase_in_closed_window, z, low.plus(a), high.plus(b))
+    assert got == want and repr(got) == repr(want)
+    for k in (a, b):
+        got = _outcome(window_arg, z, low, k)
+        want = _outcome(window_arg, z, low.plus(k))
+        assert got == want and repr(got) == repr(want)
+
+
 @settings(max_examples=50)
 @given(_phases(), _phases())
 def test_diff_reflects_order(p, q):
@@ -314,15 +345,19 @@ _VALUES = [
 def test_value_types_are_frozen_slotted_tuples(values):
     """Gaussian, Phase, ExcObject and ExcTriple build their fields in a
     hand-written ``__init__`` (``Phase.plus`` without one), yet stay what
-    their dataclass makes them: no field can be assigned or deleted, an
-    instance has no ``__dict__``, and ``==`` and ``hash`` are those of the
-    field tuple."""
+    their dataclass makes them: no field, nor any undeclared attribute,
+    can be assigned or deleted, an instance has no ``__dict__``, and
+    ``==`` and ``hash`` are those of the field tuple."""
     for v in values:
         for f in dataclasses.fields(v):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(v, f.name, getattr(v, f.name))
             with pytest.raises(dataclasses.FrozenInstanceError):
                 delattr(v, f.name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            v.extra = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del v.extra
         assert not hasattr(v, "__dict__")
         assert hash(v) == hash(_field_tuple(v))
         for w in values:

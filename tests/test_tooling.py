@@ -61,6 +61,29 @@ def test_regions_reads_no_private_engine_name():
     assert "semistable" in read["harness.py"] and "semistable" in read["cli.py"]
 
 
+def test_readme_names_resolve():
+    """Every backticked ``module.name`` that README.md cites for a module
+    of the package (``engine.lookup``, ``stabq.regions``) names an
+    attribute of that module, so a rename cannot leave the README
+    pointing at nothing."""
+    import importlib.util
+    import re
+
+    def resolves(m, n):
+        if m == "stabq":  # a module of the package
+            return importlib.util.find_spec("stabq." + n) is not None
+        return hasattr(importlib.import_module("stabq." + m), n)
+
+    pkg = os.path.join(ROOT, "src", "stabq")
+    modules = {f[:-3] for f in os.listdir(pkg) if f.endswith(".py")} - {"__init__"}
+    with open(os.path.join(ROOT, "README.md")) as f:
+        cited = re.findall(r"`(\w+)\.(\w+)`", f.read())
+    cited = [(m, n) for m, n in cited if m in modules or m == "stabq"]
+    assert [m + "." + n for m, n in cited if not resolves(m, n)] == []
+    # the module table's ten rows and the names the prose cites
+    assert len(cited) >= 21
+
+
 # the point-independent tables that may be memoised process-wide
 _CACHED = {
     "catalog._dim_vector",

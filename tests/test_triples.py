@@ -67,6 +67,28 @@ def test_shift_set_structure(fid):
         assert is_ext_collection(t.shifted(p))
 
 
+@pytest.mark.parametrize("fid", FAMILY_IDS)
+def test_shift_set_members_match_the_filtered_enumeration(fid):
+    """shift_set_members lists its members without testing them: they are
+    the members (0, p1, p2) of a grid around the extreme member, filtered
+    by in_shift_set, with p1 within depth of alpha and p2 within depth of
+    the largest p2 the shift set allows for that p1, in increasing
+    order."""
+    for m in range(-6, 7):
+        t = family_triple(fid, m)
+        a, b, g = alpha_beta_gamma(t)
+        for depth in range(5):
+            want = [
+                (0, p1, p2)
+                for p1 in range(a - depth - 3, a + 4)
+                for p2 in range(min(b, a + g) - 2 * depth - 6, b + 4)
+                if in_shift_set(t, (0, p1, p2))
+                and p1 >= a - depth and p2 >= min(b, p1 + g) - depth
+            ]
+            assert shift_set_members(t, depth) == want, (fid, m, depth)
+            assert len(want) == (depth + 1) ** 2
+
+
 # the families as label strings: the reference for the shape table
 _FAMILY_LABELS = {
     "F1": ("M'", "a[{m}]", "a[{m1}]"),
