@@ -53,8 +53,9 @@ Each point owns its analyses, one ``Analysis`` per window
 (``StabilityPoint.analysis``).  An analysis keeps each fact once, by
 slot: one row of the (status, conditional phase) entries of ``lookup``,
 which the fixpoint writes for each slot it decides and a lookup fills
-for an undecided one; per decided slot the rule and witness that
-decided it; and the decided slots in the order of their verdicts.
+for an undecided one; per decided slot the rule token that decided it,
+shared with the plan; the witness of each slot a big gap killed; and the
+decided slots in the order of their verdicts.
 ``semistable`` spells out one verdict at a time from these, and
 ``regions`` derives its tail enclosures from the entries.  A lookup
 takes a base object, finds its slot by arithmetic on its label
@@ -347,7 +348,7 @@ class _Plan:
     slots a phase gap above it kills, in universe order.  ``kclasses``
     holds the K-class of each slot, and ``degrees_of`` the row of
     ``hom_degrees`` from a slot to every slot, built on first use.
-    ``cells`` reads a family's block of cells off ``triples``.
+    ``blocks`` holds per family its block of cells, read by ``cells``.
 
     Hom dimensions, closure contents, the scope and K-class relations are
     unchanged when every chain index moves by the same step
@@ -366,6 +367,10 @@ class _Plan:
         # and unchanged along the chains
         self.bounds = [alpha_beta_gamma(family_triple(f, 0))
                        for f in FAMILY_IDS for _ in ks]
+        # per family the slots of its triples, a block of len(ks) cells
+        n = len(ks)
+        self.blocks = {f: [slots for _, slots, _ in self.triples[j:j + n]]
+                       for f, j in zip(FAMILY_IDS, range(0, len(ts), n))}
         # the readiness index: per slot the triples holding it, in plan
         # order, and per triple its number of distinct slots
         self.holders = [[] for _ in u]
@@ -417,10 +422,9 @@ class _Plan:
     def cells(self, fid: str) -> List[Tuple[int, int, int]]:
         """The slots of family fid's standard triples at the indices
         m - window .. m + window of the plan's m, in that order: at
-        ``window``, the cells of a point's block, relative to its m."""
-        n = 2 * self.window + 1
-        j = FAMILY_IDS.index(fid) * n
-        return [slots for _, slots, _ in self.triples[j:j + n]]
+        ``window``, the cells of a point's block, relative to its m.  The
+        list is the plan's own, built with it."""
+        return self.blocks[fid]
 
     def row(self, t: ExcTriple, rows: dict, s1: int, s2: int) -> Optional[_Row]:
         key = (s1, s2)
@@ -498,20 +502,23 @@ class Analysis:
     (``_translated_simple``), so that a slot's charge is its plan K-class
     against them.  Indexed by slot: ``row`` the ``lookup`` entries, each
     a status with the conditional phase (None for an object that cannot
-    be semistable), ``rule`` the (rule token, witness) that decided each
-    decided slot, ``z`` the charges computed so far, and ``agrees``
-    whether each decided phase has the direction of its charge.  A slot
-    is decided when it has a ``rule``; ``set_ss`` and ``set_unstable``
-    write its entry then, and ``entry`` fills an undecided slot's
-    ``unknown`` entry on its first read, after the fixpoint.  ``order``
-    holds the decided slots in first-verdict order, ``tails`` the
-    tail enclosures of ``regions``, by side (True for the high tail), and
+    be semistable), ``rule`` the rule token that decided each decided
+    slot, and ``agrees`` whether each decided phase has the direction of
+    its charge.  A slot is decided when it has a ``rule``; ``set_ss`` and
+    ``set_unstable`` write its entry then, and ``entry`` fills an
+    undecided slot's ``unknown`` entry on its first read, after the
+    fixpoint.  ``witness`` maps each slot a big gap killed to the chain
+    object below the gap.  ``order`` holds the decided slots in
+    first-verdict order, ``tails`` per side (True for the high tail) the
+    tail enclosure of ``regions`` and its per-family exclusions, and
     ``cells`` its cell verdicts: per family, one True, False or None
     (undecidable) for each cell of the point's block, in index order.
-    Rules are tokens, a string or a plan's (name, B, suffix), and a
-    big-gap witness is the chain object below the gap; both are spelled in
-    the point's own labels only by ``verdict`` and in error messages.  An
-    analysis keeps no reference to its point."""
+    Rules are tokens, the plan's own: a string ("anchor", "big-gap") or a
+    row's (name, B, suffix).  Tokens and witnesses are spelled in the
+    point's own labels only by ``verdict`` and in error messages.  The
+    fixpoint's charges are a local of ``_decide``, so an analysis keeps,
+    besides ``agrees``, only what a later lookup or ``regions`` reads, and
+    no reference to its point."""
 
     def __init__(self, plan: _Plan, dm: int = 0, simple=None):
         self.plan = plan
@@ -519,30 +526,23 @@ class Analysis:
         self.simple = simple
         n = len(plan.universe)
         self.row: List[Optional[Tuple[str, Optional[Phase]]]] = [None] * n
-        self.rule: List[Optional[tuple]] = [None] * n
-        self.z: List[Optional[Gaussian]] = [None] * n
+        self.rule: List[Optional[object]] = [None] * n
+        self.witness: Dict[int, ExcObject] = {}
         # per slot, whether its decided phase has the direction of its
         # charge; tested on the first re-pin (see _agrees)
         self.agrees: List[Optional[bool]] = [None] * n
         self.order: List[int] = []
-        self.tails: Dict[bool, dict] = {}
+        self.tails: Dict[bool, tuple] = {}
         self.cells: Dict[str, tuple] = {}
-
-    def charge(self, s: int) -> Gaussian:
-        """The charge of the base object of slot s, computed on first use."""
-        z = self.z[s]
-        if z is None:
-            z = self.z[s] = _charge(self.simple, self.plan.kclasses[s])
-        return z
 
     def entry(self, s: int) -> Tuple[str, Optional[Phase]]:
         """The ``lookup`` entry of the universe slot s; an undecided slot's
-        is computed on the first read, with the fixpoint's charge when it
-        computed one."""
+        is computed on the first read, with its charge."""
         e = self.row[s]
         if e is None:
             e = self.row[s] = _undecided(
-                self, self.charge(s), self.plan.degrees_of(s).__getitem__)
+                self, _charge(self.simple, self.plan.kclasses[s]),
+                self.plan.degrees_of(s).__getitem__)
         return e
 
     def at(self, obj: ExcObject) -> ExcObject:
@@ -562,10 +562,10 @@ class Analysis:
         """The verdict on slot s, a new object spelled in the point's own
         labels; ``unknown`` when s is undecided or None (beyond the
         universe)."""
-        decided = None if s is None else self.rule[s]
-        if decided is None:
+        rule = None if s is None else self.rule[s]
+        if rule is None:
             return Verdict("unknown")
-        rule, w = decided
+        w = self.witness.get(s)
         if w is not None:
             w = self.at(w)
             w = "phase gap %s..x[%d]" % (w, w.m + 1)
@@ -581,19 +581,19 @@ class Analysis:
         decided = self.rule[s]
         if decided is None:
             self.row[s] = ("semistable", phase)
-            self.rule[s] = (rule, None)
+            self.rule[s] = rule
             self.order.append(s)
             return
         cur = self.row[s][1]
         if cur is None:
             raise EngineError(
                 "paper-rule inconsistency: %s semistable by %s, unstable by %s"
-                % (self.name(s), self.label(rule), (self.label(decided[0]),))
+                % (self.name(s), self.label(rule), (self.label(decided),))
             )
         if not cur.same_as(phase):
             raise EngineError(
                 "paper-rule inconsistency: %s has phases %r (%s) and %r (%s)"
-                % (self.name(s), cur, (self.label(decided[0]),), phase,
+                % (self.name(s), cur, (self.label(decided),), phase,
                    self.label(rule))
             )
 
@@ -601,12 +601,13 @@ class Analysis:
         decided = self.rule[s]
         if decided is None:
             self.row[s] = _DEAD["unstable"]
-            self.rule[s] = (rule, witness)
+            self.rule[s] = rule
+            self.witness[s] = witness
             self.order.append(s)
         elif self.row[s][1] is not None:
             raise EngineError(
                 "paper-rule inconsistency: %s unstable by %s, semistable by %s"
-                % (self.name(s), self.label(rule), (self.label(decided[0]),))
+                % (self.name(s), self.label(rule), (self.label(decided),))
             )
 
 
@@ -782,11 +783,16 @@ def _decide(point: StabilityPoint, window: int) -> Analysis:
     gap once, in the first round in which both ends are decided."""
     plan = _plan(window)
     an = Analysis(plan, point.m, _translated_simple(point.simple, point.m))
-    zs, slot_charge = an.z, an.charge
+    simple, kclasses = an.simple, plan.kclasses
+    # the charges by slot, computed on first use; no lookup reads them
+    zs: List[Optional[Gaussian]] = [None] * len(kclasses)
 
     def charge(ref: Tuple[int, int]) -> Gaussian:
         # [x[k]] = (-1)^k [x], and charges are linear with integer values
-        z = zs[ref[0]] or slot_charge(ref[0])
+        s = ref[0]
+        z = zs[s]
+        if z is None:
+            z = zs[s] = _charge(simple, kclasses[s])
         return -z if ref[1] % 2 else z
 
     anchor = family_triple(point.family, 0).shifted(point.shift)

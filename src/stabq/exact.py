@@ -29,6 +29,7 @@ guard against assignment.
 
 from __future__ import annotations
 
+import re
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -138,9 +139,10 @@ class Gaussian:
 
     @staticmethod
     def from_json(d) -> "Gaussian":
-        """The inverse of ``to_json``: each component a string "p" or "p/q",
-        or an ``int``.  A float or a bool raises ValueError, where
-        ``Fraction`` would read 0.1 as its binary value and true as 1."""
+        """The inverse of ``to_json``: each component a string "p" or "p/q"
+        (an optional "-", ASCII digits, q >= 1), or an ``int``.  Anything
+        else raises ValueError, where ``Fraction`` would read 0.1 as its
+        binary value, true as 1, and "1e5", "1_0" and " 1 " as numbers."""
         return Gaussian(_json_rat(d["re"]), _json_rat(d["im"]))
 
     def __repr__(self):
@@ -150,10 +152,15 @@ class Gaussian:
 _set_re, _set_im = Gaussian.re.__set__, Gaussian.im.__set__
 
 
+# what frac_to_str writes: "p" or "p/q", with q >= 1
+_RATIONAL = re.compile(r"-?[0-9]+(?:/0*[1-9][0-9]*)?")
+
+
 def _json_rat(x) -> Fraction:
-    if isinstance(x, bool) or not isinstance(x, (int, str)):
-        raise ValueError("%r is not a rational string or an integer" % (x,))
-    return Fraction(x)
+    if (isinstance(x, str) and _RATIONAL.fullmatch(x)
+            or isinstance(x, int) and not isinstance(x, bool)):
+        return Fraction(x)
+    raise ValueError("%r is not a rational string or an integer" % (x,))
 
 
 def primitive_multiple(zs) -> Tuple[Gaussian, ...]:

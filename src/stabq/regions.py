@@ -22,7 +22,9 @@ standard triples of the window's rule plan, relative to the point's m,
 so the plan says in which slots each cell sits, and the row's entries
 are filled on first read.  ``classify``, the composites and a widened
 tail rescan, which reads only the ring beyond the narrower block, all
-read those tuples, so no cell of an analysis is decided twice.  The hom
+read those tuples, so no cell of an analysis is decided twice.  Each
+side's tail enclosure, and each family's exclusion beyond the block, is
+likewise kept on the analysis (``_tails_excluded``).  The hom
 degrees that bound the far tails are read from ``catalog.hom_degrees`` at
 the few index differences a tail meets (``_tail_degrees``).
 """
@@ -351,13 +353,21 @@ def _tail_family_excluded(point, fid: str, encl, window: int) -> bool:
 
 
 def _tails_excluded(point, fids, window: int) -> bool:
+    """Whether every family's cells beyond the block at ``window`` are
+    excluded on both sides.  Each side's enclosure, and each family's
+    exclusion on it, is computed once per analysis and kept in its
+    ``tails``, so the composites share them."""
     tails = point.analysis(window).tails
     for hi in (False, True):
-        encl = tails.get(hi)
-        if encl is None:
-            encl = tails[hi] = _tail_enclosure(point, window, hi)
+        side = tails.get(hi)
+        if side is None:
+            side = tails[hi] = (_tail_enclosure(point, window, hi), {})
+        encl, excluded = side
         for fid in fids:
-            if not _tail_family_excluded(point, fid, encl, window):
+            ex = excluded.get(fid)
+            if ex is None:
+                ex = excluded[fid] = _tail_family_excluded(point, fid, encl, window)
+            if not ex:
                 return False
     return True
 
@@ -390,9 +400,12 @@ def in_cells_union(point, fids, window: int = WINDOW) -> bool:
     on a hit in the block or in the ring of a widened rescan, False when no
     cell is undecided and the tails beyond are excluded, else
     Undecidable."""
-    hit, undecided = scan_cells(point, fids, window)
-    if hit:
-        return True
+    undecided = False
+    for fid in fids:
+        vs = _block_cells(point, fid, window)
+        if True in vs:
+            return True
+        undecided = undecided or None in vs
     if not _tails_excluded(point, fids, window):
         # a far cell might contain the point: rescan the ring of a widened
         # block, the TAIL_EXT cells on either side of the block, then

@@ -445,11 +445,12 @@ def decide_by_rescan(point, window):
 
     plan = engine._plan(window)
     st = engine.Analysis(plan, point.m)
+    zs = [None] * len(plan.universe)  # the charges by slot, on first use
 
     def charge(ref):
-        z = st.z[ref[0]]
+        z = zs[ref[0]]
         if z is None:
-            z = st.z[ref[0]] = engine.charge_of(point, st.name(ref[0]))
+            z = zs[ref[0]] = engine.charge_of(point, st.name(ref[0]))
         return -z if ref[1] % 2 else z
 
     anchor = family_triple(point.family, 0).shifted(point.shift)

@@ -784,16 +784,37 @@ def test_analysis_keeps_each_verdict_once(window):
     undecided slot has no rule, and its entry stays None until ``entry``
     fills it with an ``unknown`` one, which leaves its verdict
     ``unknown``.  At window 0 no chain is long enough for a phase gap to
-    kill an object, so no verdict is ``unstable`` there."""
+    kill an object, so no verdict is ``unstable`` there.
+
+    A rule is the token itself, never a per-slot tuple: "anchor",
+    "big-gap" or the very token of one of the plan's rows.  A witness is
+    kept exactly for the slots a big gap killed, and it is the plan's
+    universe object that the verdict spells."""
     statuses, undecided = set(), 0
+    plan = engine._plan(window)
     for p in _rescan_points():
         an = engine._decide(p, window)
         assert sorted(an.order) == [s for s, r in enumerate(an.rule) if r is not None]
+        tokens = set()  # the tokens of the plan's rows built so far
+        for _, _, rows in plan.triples:
+            for row in filter(None, rows.values()):
+                tokens.update(id(c[2]) for c in row.closures)
+                if row.outer:
+                    tokens.add(id(row.outer[1]))
+        assert set(an.witness) == {s for s in an.order if an.rule[s] == "big-gap"}
         for s in an.order:
             v = an.verdict(s)
             statuses.add(v.status)
             assert an.row[s] == (v.status, v.phase)
             assert repr(an.row[s][1]) == repr(v.phase)
+            rule = an.rule[s]
+            assert rule in ("anchor", "big-gap") or id(rule) in tokens, rule
+            w = an.witness.get(s)
+            assert (v.witness is None) == (w is None)
+            if w is not None:
+                assert any(w is o for o in plan.universe)
+                w = an.at(w)
+                assert v.witness == "phase gap %s..x[%d]" % (w, w.m + 1)
         for s, r in enumerate(an.rule):
             if r is None:
                 undecided += 1

@@ -79,7 +79,10 @@ def test_json_roundtrip(z):
 
 def test_json_reads_rational_strings_and_ints_only():
     assert Gaussian.from_json({"re": "-7/2", "im": 3}) == Gaussian.of("-7/2", 3)
-    for bad in (0.1, True, False, 1.0, None, [1]):
+    assert Gaussian.from_json({"re": "-0", "im": "12/08"}) == Gaussian.of(0, "3/2")
+    # what Fraction reads but to_json never writes, and zero denominators
+    for bad in (0.1, True, False, 1.0, None, [1], "1e5", "1_0", " 1 ", "1\n",
+                "+1", "1.5", "1/-2", "-1/0", "1/00", "1 /2", "", "\u0661", "1/2/3"):
         with pytest.raises(ValueError, match="not a rational string"):
             Gaussian.from_json({"re": "1", "im": bad})
         with pytest.raises(ValueError, match="not a rational string"):

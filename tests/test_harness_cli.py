@@ -208,6 +208,24 @@ def _assert_bad_input(argv, capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_cli_refuses_charge_strings_to_json_never_writes(tmp_path, capsys):
+    """A charge component that ``Fraction`` reads as a number but
+    ``to_json`` never writes ("1e5", "1_0", " 1 ") is refused like a
+    float: exit 2 and one "not a stability point" line."""
+    good = json.loads(Path(_write_sigma(tmp_path)).read_text())
+    path = str(tmp_path / "charge.json")
+    for text in ("1e5", "1_0", " 1 "):
+        doc = json.loads(json.dumps(good))
+        doc["charges"][1]["re"] = text
+        Path(path).write_text(json.dumps(doc))
+        for argv in (["classify", path], ["oracle", path, "b[0]"]):
+            assert cli.main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1
+            assert err.startswith("%s: %s: not a stability point: %r is not a "
+                                  "rational string" % (argv[0], path, text))
+
+
 def test_cli_bad_input_exits_2_without_traceback(tmp_path, capsys):
     good = json.loads(Path(_write_sigma(tmp_path)).read_text())
     no_m = json.loads(json.dumps(good))
@@ -225,6 +243,9 @@ def test_cli_bad_input_exits_2_without_traceback(tmp_path, capsys):
         ),
         "bool_charge.json": json.dumps(
             dict(good, charges=[{"re": "0", "im": True}] + good["charges"][1:])
+        ),
+        "zero_den_charge.json": json.dumps(
+            dict(good, charges=[{"re": "1/0", "im": "1"}] + good["charges"][1:])
         ),
         "spread.json": json.dumps(spread),
         "list.json": "[1, 2]",

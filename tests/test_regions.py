@@ -1,8 +1,10 @@
 """Region membership predicates: cells, composites, the two Theta variants,
 and the registered inequality systems."""
 
+import gc
 import hashlib
 import random
+import types
 from collections import Counter
 from fractions import Fraction
 
@@ -174,6 +176,79 @@ def test_union_membership_beyond_the_scan_block():
     assert regions.in_composite(pt, "RightMp") is True
     # while the a-side tails are certified empty
     assert regions.in_composite(pt, "Ta") is False
+
+
+def _tracked(roots, stop):
+    """The GC-tracked objects reachable from roots, crossing no object
+    whose id is in stop, and no type, module or function."""
+    seen, out, todo = set(stop), [], list(roots)
+    while todo:
+        o = todo.pop()
+        if id(o) in seen or isinstance(
+                o, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(o))
+        if gc.is_tracked(o):
+            out.append(o)
+        todo.extend(gc.get_referents(o))
+    return out
+
+
+def test_classified_points_keep_little_alive():
+    """What a classified point's analyses keep alive is what later lookups
+    and region tests read: on 240 sampled points classified at window 8,
+    at most 30 GC-tracked objects per point on average (about 59 while
+    each analysis kept its charges and a (rule, witness) tuple per decided
+    slot).  Not counted: the shared plans, with their rows and tokens,
+    ``engine._DEAD``, and the point's own charges and phases.  No rule is
+    a per-slot tuple (each is a plan's token or a string), and a witness
+    is kept only for a slot a big gap killed."""
+    rng = random.Random("retention")
+    pts = [harness._sample_point(rng, FAMILY_IDS) for _ in range(240)]
+    for p in pts:
+        regions.classify(p, 8)
+    plans = {id(an.plan): an.plan for p in pts for an in p.analyses.values()}
+    shared = {id(o) for o in _tracked([*plans.values(), engine._DEAD], ())}
+    kept = 0
+    for p in pts:
+        own = _tracked([p.anchor_phases, p.simple, p.charges], shared)
+        kept += len(_tracked(p.analyses.values(), shared | set(map(id, own))))
+        for an in p.analyses.values():
+            assert all(isinstance(r, str) or id(r) in shared
+                       for r in an.rule if r is not None)
+            assert set(an.witness) == {
+                s for s, r in enumerate(an.rule) if r == "big-gap"}
+    assert kept / len(pts) <= 30, kept / len(pts)
+
+
+def test_each_tail_exclusion_is_computed_once(monkeypatch):
+    """The eleven composites share each analysis's tail exclusions: on
+    400 sampled points (two of which reach the exclusions of the widened
+    window) and the widened-tail point, classify and every
+    composite called after it compute each family's exclusion on each
+    side's enclosure at most once per analysis, the widened window's
+    included."""
+    calls = Counter()
+    real = regions._tail_family_excluded
+
+    def counted(point, fid, encl, window):
+        calls[id(point), window, id(encl), fid] += 1
+        return real(point, fid, encl, window)
+
+    monkeypatch.setattr(regions, "_tail_family_excluded", counted)
+    rng = random.Random("tails-once")
+    pts = [harness._sample_point(rng, FAMILY_IDS) for _ in range(400)]
+    pts.append(_widened_tail_point())
+    for p in pts:
+        regions.classify(p, 8)
+        for name in regions.COMPOSITES:
+            try:
+                regions.in_composite(p, name)
+            except regions.Undecidable:
+                pass
+    assert max(calls.values()) == 1
+    windows = Counter(w for _, w, _, _ in calls)
+    assert windows[8] and windows[8 + regions.TAIL_EXT]
 
 
 def _fresh(pt):
