@@ -377,22 +377,24 @@ def _block(point, window: int) -> range:
     return range(point.m - window, point.m + window + 1)
 
 
-def _summary(verdicts) -> Tuple[bool, bool]:
-    """(hit, undecided) of a walk of cell verdicts, stopping at the first
-    hit; undecided counts only the cells before it."""
+def _summary(blocks) -> Tuple[bool, bool]:
+    """(hit, undecided) of a walk of per-family verdict tuples, stopping at
+    the first family with a hit; undecided counts only the cells before
+    the hit."""
     undecided = False
-    for v in verdicts:
-        if v:
-            return True, undecided
-        undecided = undecided or v is None
+    for vs in blocks:
+        if True in vs:
+            return True, undecided or None in vs[: vs.index(True)]
+        undecided = undecided or None in vs
     return False, undecided
 
 
 def scan_cells(point, fids, window: int = WINDOW) -> Tuple[bool, bool]:
-    """Scan the finite block of cell indices around the anchor.  Returns
-    (hit, undecided); a hit is sound for the full infinite union, while
-    hit == False says nothing about the cells beyond the block."""
-    return _summary(v for fid in fids for v in _block_cells(point, fid, window))
+    """Scan the finite block of cell indices around the anchor, family by
+    family.  Returns (hit, undecided); a hit is sound for the full infinite
+    union, while hit == False says nothing about the cells beyond the
+    block."""
+    return _summary(_block_cells(point, fid, window) for fid in fids)
 
 
 def in_cells_union(point, fids, window: int = WINDOW) -> bool:
@@ -400,12 +402,9 @@ def in_cells_union(point, fids, window: int = WINDOW) -> bool:
     on a hit in the block or in the ring of a widened rescan, False when no
     cell is undecided and the tails beyond are excluded, else
     Undecidable."""
-    undecided = False
-    for fid in fids:
-        vs = _block_cells(point, fid, window)
-        if True in vs:
-            return True
-        undecided = undecided or None in vs
+    hit, undecided = scan_cells(point, fids, window)
+    if hit:
+        return True
     if not _tails_excluded(point, fids, window):
         # a far cell might contain the point: rescan the ring of a widened
         # block, the TAIL_EXT cells on either side of the block, then
@@ -413,7 +412,7 @@ def in_cells_union(point, fids, window: int = WINDOW) -> bool:
         wide = window + TAIL_EXT
         blocks = (_block_cells(point, fid, wide) for fid in fids)
         hit, far_undecided = _summary(
-            v for vs in blocks for v in vs[:TAIL_EXT] + vs[-TAIL_EXT:]
+            vs[:TAIL_EXT] + vs[-TAIL_EXT:] for vs in blocks
         )
         if hit:
             return True
