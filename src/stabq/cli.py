@@ -201,9 +201,7 @@ def _cmd_slice(args) -> int:
 
 def _cmd_oracle(args) -> int:
     pt = _load_point(args.sigma)
-    if (pt.family, pt.m, pt.shift, pt.global_shift, pt.extra_offsets) != (
-        "F8", 0, (0, 0, -1), 0, (0, 0, 0)
-    ):
+    if pt != engine.standard_heart_point(pt.charges):
         raise _BadInput(
             "only standard-heart points (F8, m 0, shift (0,0,-1), "
             "global_shift 0, no extra_offsets) are in its domain"

@@ -31,8 +31,10 @@ on the window alone, as all of this is unchanged when every chain index
 moves by one step; rows are built on first use, and it keeps each
 triple's shift-set bounds, so that a fixpoint builds and reads only the
 rows of shifts inside the shift set.  The plan also keeps each slot's
-K-class, and, built on first use, per slot the row of its hom degrees to
-every slot (``catalog.hom_degrees``).  Moving n steps along the chains
+K-class, and, built on first use, the row of hom degrees to every slot
+(``catalog.hom_degrees``) of each slot and, per letter, of the chain
+objects one and two steps past each end of its chain, the latter shared
+by every object further out.  Moving n steps along the chains
 acts on K as T^n(c) = c + n (c_T - c_L) delta, so a fixpoint reads its
 slots' K-classes against the point's simple charges moved once by its m.
 Per point the fixpoint computes only charges, window arguments and phase
@@ -45,9 +47,10 @@ triples still waiting.
 
 An object the rules leave undecided still has a conditional phase, the
 one it would have were it semistable: the only phase of its charge
-direction inside its hom bracket against the decided-semistable objects
-(``hom_bracket``).  The anchor alone bounds that bracket to less than one
-unit, so the phase is unique or absent and never left unresolved.
+direction inside its hom bracket against the decided-semistable objects,
+one fold (``_bracket``) for every object on its plan row
+(``_Plan.hom_row``).  The anchor alone bounds that bracket to less than
+one unit, so the phase is unique or absent and never left unresolved.
 
 Each point owns its analyses, one ``Analysis`` per window
 (``StabilityPoint.analysis``).  An analysis keeps each fact once, by
@@ -57,12 +60,11 @@ for an undecided one; per decided slot the rule token that decided it,
 shared with the plan; the witness of each slot a big gap killed; and the
 decided slots in the order of their verdicts.
 ``semistable`` spells out one verdict at a time from these, and
-``regions`` derives its tail enclosures from the entries.  A lookup
+``regions`` derives its tail enclosures from the brackets.  A lookup
 takes a base object, finds its slot by arithmetic on its label
 (``_Plan.index``, the one map from objects to slots) and builds no
-object; an undecided slot's bracket reads the plan's hom-degree row.  An
-object beyond the universe keeps no entry: each lookup of it reads
-``hom_degrees`` directly.  An analysis is built on the first lookup at
+object.  An object beyond the universe keeps no entry: each lookup of
+it folds its bracket anew.  An analysis is built on the first lookup at
 its window and lives exactly as long as its point; nothing is cached
 process-wide on points, so equal but distinct point objects each compute
 their own (identical) results.
@@ -347,7 +349,8 @@ class _Plan:
     ``gaps`` holds, per a/b slot, None or its chain successor and the
     slots a phase gap above it kills, in universe order.  ``kclasses``
     holds the K-class of each slot, and ``degrees_of`` the row of
-    ``hom_degrees`` from a slot to every slot, built on first use.
+    ``hom_degrees`` from a slot, or from a chain object one or two steps
+    beyond the universe (``reps``), to every slot, built on first use.
     ``blocks`` holds per family its block of cells, read by ``cells``.
 
     Hom dimensions, closure contents, the scope and K-class relations are
@@ -381,7 +384,11 @@ class _Plan:
                 self.holders[s].append(j)
             self.sizes.append(len(distinct))
         self.kclasses = [kclass(o) for o in u]
-        self.degrees: List[Optional[tuple]] = [None] * len(u)
+        # the slots, then per letter the chain objects two and one steps
+        # below its chain and one and two steps above it (``hom_row``)
+        self.reps = u + [ExcObject(k, self.low + j, 0) for k in ("a", "b")
+                         for j in (-2, -1, self.span, self.span + 1)]
+        self.degrees: List[Optional[tuple]] = [None] * len(self.reps)
         self.gaps = [None] * len(u)
         for s, o in enumerate(u):
             nxt = self.index(o.translated(1))
@@ -391,13 +398,27 @@ class _Plan:
                     if y.kind == o.kind and y.m not in (o.m, o.m + 1)))
 
     def degrees_of(self, s: int) -> tuple:
-        """Per slot t, ``hom_degrees`` from slot s to slot t, built on the
-        first call for s.  The entries are tuples of that function's table."""
+        """Per slot t, ``hom_degrees`` from the object ``reps[s]`` (slot s,
+        for s inside the universe) to slot t, built on the first call for
+        s.  The entries are tuples of that function's table."""
         row = self.degrees[s]
         if row is None:
-            x = self.universe[s]
+            x = self.reps[s]
             row = self.degrees[s] = tuple(hom_degrees(x, y) for y in self.universe)
         return row
+
+    def hom_row(self, x: ExcObject, dm: int = 0) -> tuple:
+        """``degrees_of`` the base object x, in the labels of a point with
+        index ``dm``: its slot's, and beyond the universe that of its
+        letter's chain object one or two steps past the chain's end; the
+        degrees clamp index differences to -2..2, so every object further
+        out shares the latter."""
+        s = self.index(x, dm)
+        if s is None:  # j is below 0 or from span on
+            j = x.m - dm - self.low
+            s = len(self.universe) + 4 * (x.kind == "b") + (
+                max(j, -2) + 2 if j < 0 else min(j - self.span, 1) + 2)
+        return self.degrees_of(s)
 
     def ref(self, obj: ExcObject) -> Optional[Tuple[int, int]]:
         """The object obj as a (slot, shift) pair; None beyond the universe."""
@@ -542,7 +563,7 @@ class Analysis:
         if e is None:
             e = self.row[s] = _undecided(
                 self, _charge(self.simple, self.plan.kclasses[s]),
-                self.plan.degrees_of(s).__getitem__)
+                self.plan.degrees_of(s))
         return e
 
     def at(self, obj: ExcObject) -> ExcObject:
@@ -868,19 +889,31 @@ def phase_of(point: StabilityPoint, x: ExcObject, window: int = DEFAULT_WINDOW) 
     return ph.plus(x.shift) if x.shift else ph
 
 
-def hom_bracket(bounds) -> Optional[Tuple[Optional[Phase], Optional[Phase]]]:
+def phase_bracket(point: StabilityPoint, xb: ExcObject, window: int = DEFAULT_WINDOW):
+    """``_bracket`` of the base object xb in the point's analysis at
+    ``window``, on its plan row (``_Plan.hom_row``)."""
+    an = point.analysis(window)
+    return _bracket(an, an.plan.hom_row(xb, an.dm))
+
+
+def _bracket(an: Analysis, degrees) -> Optional[Tuple[Optional[Phase], Optional[Phase]]]:
     """The closed bracket [lo, up] the phase of an object x must lie in were
-    x semistable, folded from triples (phase of a semistable V, degree of
-    the hom from x to V, degree of the hom from V to x), a degree None where
-    the hom vanishes: a nonzero hom in degree d from U to V forces
-    phi(U) <= phi(V) + d.  An end is None while nothing bounds it, and of
-    equal bounds the first read is kept.  Returns None, without reading
-    further triples, once the bracket is empty.
+    x semistable, folded over the analysis's decided-semistable slots in
+    verdict order, with ``degrees[s]`` the degrees (fwd, bwd) of the homs
+    from x to slot s and back (a plan row): a nonzero hom in degree d from
+    U to V forces phi(U) <= phi(V) + d.  An end is None while nothing
+    bounds it, and of equal bounds the first read is kept.  Returns None,
+    reading no further slot, once the bracket is empty.
 
     Each end is kept as a (phase, integer shift) pair and compared with
     ``cmp_shifted``; a Phase is built only for the ends returned."""
+    row = an.row
     lo = up = None
-    for ph, fwd, bwd in bounds:
+    for s in an.order:
+        ph = row[s][1]
+        if ph is None:
+            continue
+        fwd, bwd = degrees[s]
         if fwd is not None and (up is None or cmp_shifted(ph, fwd, *up) < 0):
             up = ph, fwd
         if bwd is not None and (lo is None or cmp_shifted(ph, -bwd, *lo) > 0):
@@ -890,34 +923,6 @@ def hom_bracket(bounds) -> Optional[Tuple[Optional[Phase], Optional[Phase]]]:
     return (
         None if lo is None else lo[0].plus(lo[1]),
         None if up is None else up[0].plus(up[1]),
-    )
-
-
-def phase_bracket(point: StabilityPoint, xb: ExcObject, window: int = DEFAULT_WINDOW):
-    """``hom_bracket`` of the base object xb against the decided-semistable
-    objects of the point's analysis at ``window``, in verdict order.  The
-    hom degrees are read on the plan's labels, relative to m = 0."""
-    an = point.analysis(window)
-    return _bracket(an, _degrees(an, xb))
-
-
-def _degrees(an: Analysis, xb: ExcObject):
-    """The map from a slot to the hom degrees of the base object xb to it:
-    the plan's row for an object of its universe, ``hom_degrees`` on the
-    plan's labels beyond it."""
-    s = an.plan.index(xb, an.dm)
-    if s is not None:
-        return an.plan.degrees_of(s).__getitem__
-    x, u = xb.translated(-an.dm), an.plan.universe
-    return lambda t: hom_degrees(x, u[t])
-
-
-def _bracket(an: Analysis, degrees):
-    """``hom_bracket`` against the decided-semistable slots, in verdict
-    order, with the hom degrees to slot s read as ``degrees(s)``."""
-    row = an.row
-    return hom_bracket(
-        (ph, *degrees(s)) for s in an.order if (ph := row[s][1]) is not None
     )
 
 
@@ -959,13 +964,13 @@ def lookup(point: StabilityPoint, xb: ExcObject,
     s = an.plan.index(xb, an.dm)
     if s is not None:
         return an.entry(s)
-    return _undecided(an, charge_of(point, xb), _degrees(an, xb))
+    return _undecided(an, charge_of(point, xb), an.plan.hom_row(xb, an.dm))
 
 
 def _undecided(an: Analysis, z: Gaussian, degrees) -> Tuple[str, Optional[Phase]]:
     """The ``lookup`` entry of an object the rules left undecided, of
-    charge z and with the hom degrees ``degrees`` to each slot: the phase
-    of its charge direction in its hom bracket, or None."""
+    charge z and with the plan row ``degrees`` of its hom degrees: the
+    phase of its charge direction in its hom bracket, or None."""
     bracket = None if z.is_zero() else _bracket(an, degrees)
     ph = None if bracket is None else phase_in_closed_window(z, *bracket)
     return _DEAD["unknown"] if ph is None else ("unknown", ph)

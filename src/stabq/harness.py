@@ -605,7 +605,7 @@ def oracle_agreement(n_samples: int = 1000, seed: int = 0,
         rep_out.attempted += 1
         charges = tuple(_rand_charge(rng, 16) for _ in range(3))
         try:
-            pt = engine.StabilityPoint("F8", 0, (0, 0, -1), charges)
+            pt = engine.standard_heart_point(charges)
         except ValueError:
             rep_out.unknown += 1
             continue

@@ -24,9 +24,10 @@ are filled on first read.  ``classify``, the composites and a widened
 tail rescan, which reads only the ring beyond the narrower block, all
 read those tuples, so no cell of an analysis is decided twice.  Each
 side's tail enclosure, and each family's exclusion beyond the block, is
-likewise kept on the analysis (``_tails_excluded``).  The hom
-degrees that bound the far tails are read from ``catalog.hom_degrees`` at
-the few index differences a tail meets (``_tail_degrees``).
+likewise kept on the analysis (``_tails_excluded``).  The far tails are
+bounded by the engine's own brackets (``_tail_enclosure``): the
+conditional phases of the two chain objects nearest the edge, and the one
+bracket that every object further out shares.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from . import engine
-from .catalog import ExcObject, hom_degrees
+from .catalog import ExcObject
 from .exact import ExactError, Phase, cmp_shifted, window_arg
 from .triples import (
     A_SIDE,
@@ -207,73 +208,53 @@ TAIL_EXT = 24  # extra cell indices scanned when a tail cannot be excluded
 _DEAD = "dead"  # no far chain object of the letter can be semistable
 
 
-def _reference_objects(point, window: int):
-    """Decided-semistable objects with pinned phases: the anchors, plus M
-    and M' when the engine certifies them."""
-    refs = list(zip(point.anchor().objs, point.anchor_phases))
-    for name in ("M", "Mp"):
-        x = ExcObject(name, 0, 0)
-        status, ph = engine.lookup(point, x, window)
-        if status == "semistable":
-            refs.append((x, ph))
-    return refs
-
-
-def _tail_degrees(kind: str, j_edge: int, direction: int, ref: ExcObject):
-    """The hom degrees (to ref, from ref) shared by every chain object of
-    the letter from j_edge on in the given direction, or None where they
-    do not all agree on one nonzero hom.  Exact, with no probe: the degrees
-    depend on the index difference to ref only clamped to -2..2
-    (``hom_degrees``), and a tail index outside ref.m - 2..ref.m + 2 has
-    the clamped difference of the edge or of the nearest of those indices,
-    so the edge and those indices in the tail meet every value."""
-    degs = {hom_degrees(ExcObject(kind, j_edge, 0), ref)}
-    for j in range(ref.m - 2, ref.m + 3):
-        if direction * (j - j_edge) > 0:
-            degs.add(hom_degrees(ExcObject(kind, j, 0), ref))
-    if len(degs) == 1:
-        return degs.pop()
-    return tuple(s.pop() if len(s) == 1 else None for s in map(set, zip(*degs)))
-
-
 def _tail_enclosure(point, window: int, hi: bool) -> Dict[str, Optional[tuple]]:
     """Constraints on the phase any chain object beyond the scanned block
     could have, were it semistable.
 
+    A far cell of the side holds chain objects from the block's edge
+    object outwards: the edge object, its outer neighbour (one step past
+    the plan's universe) and the objects further out.  Were one of them
+    semistable, its phase would be its conditional phase, which lies in
+    its hom bracket against the analysis's decided-semistable objects; the
+    objects two or more steps out share one row of hom degrees
+    (``engine._Plan.hom_row``), so the bracket of the object two steps out
+    (``engine.phase_bracket``) holds all of their phases.  The closed hull
+    of the edge's and the neighbour's conditional phases and that bracket
+    bounds the whole tail, and where it is empty no far object can be
+    semistable.
+
     Beyond the block the chain K-classes move along exact rays
     [x^(j -/+ 1)] = [x^j] +/- [delta], so the window arguments of their
     charges are strictly monotone and converge to the window representative
-    of the ray direction; with a decided phase at the block edge this
-    encloses every far phase between the edge phase and the ray limit.
-    Without one, the hom brackets against the decided reference objects,
-    over the degrees the whole tail shares (``_tail_degrees``), still bound
-    (or empty out) the possible phases.  Per letter the result
-    is (lo, lo_strict, up, up_strict, inc): an enclosure with open/closed
-    ends (None = unbounded) and whether the phases increase with the chain
-    index (None when unknown); the sentinel _DEAD marks a letter whose far
-    objects cannot be semistable at all, and None certifies nothing."""
+    of the ray direction; with a phase at the block edge this encloses
+    every far phase between the edge phase and the ray limit, which
+    narrows the hull.  Per letter the result is (lo, lo_strict, up,
+    up_strict, inc): an enclosure with open/closed ends (None = unbounded)
+    and whether the phases increase with the chain index (None when
+    unknown); the sentinel _DEAD marks a letter whose far objects cannot
+    be semistable at all."""
     direction = 1 if hi else -1
     j_edge = point.m + window + 1 if hi else point.m - window
     out: Dict[str, Optional[tuple]] = {}
-    refs = _reference_objects(point, window)
     for kind in ("a", "b"):
-        bracket = engine.hom_bracket(
-            (ph, *_tail_degrees(kind, j_edge, direction, ref)) for ref, ph in refs
-        )
-        if bracket is None:
-            out[kind] = _DEAD
-            continue
-        fallback = None
-        if bracket != (None, None):
-            fallback = (bracket[0], False, bracket[1], False, None)
-        out[kind] = fallback
+        ph_edge, ph_next = (engine.conditional_phase(
+            point, ExcObject(kind, j_edge + k, 0), window) for k in (0, direction))
+        far = engine.phase_bracket(
+            point, ExcObject(kind, j_edge + 2 * direction, 0), window)
+        known = [ph for ph in (ph_edge, ph_next) if ph is not None]
+        if far is None:
+            if not known:
+                out[kind] = _DEAD
+                continue
+            far = known[0], known[0]
+        lo = None if far[0] is None else min(known + [far[0]])
+        up = None if far[1] is None else max(known + [far[1]])
+        out[kind] = (lo, False, up, False, None)
         if (hi and j_edge < 1) or (not hi and j_edge > 0):
             continue  # block edge outside the linear zone of the K-classes
-        ph_edge = engine.conditional_phase(
-            point, ExcObject(kind, j_edge, 0), window
-        )
         if ph_edge is None:
-            continue  # edge object dead; keep the bracket fallback
+            continue  # edge object dead; keep the hull
         edge = engine.charge_of(point, ExcObject(kind, j_edge, 0))
         step = (
             engine.charge_of(point, ExcObject(kind, j_edge + direction, 0))
@@ -288,13 +269,23 @@ def _tail_enclosure(point, window: int, hi: bool) -> Dict[str, Optional[tuple]]:
                 limit = window_arg(step, ph_edge)
             except ExactError:
                 continue
+        # the hull holds the edge phase: the ray enclosure narrows it to
+        # that on one side, and to the limit where tighter on the other
         below = limit.cmp(ph_edge) < 0
-        lo, up = (limit, ph_edge) if below else (ph_edge, limit)
+        lo_strict = up_strict = False
+        if below:
+            up = ph_edge
+            if lo is None or limit.cmp(lo) >= 0:
+                lo, lo_strict = limit, True
+        else:
+            lo = ph_edge
+            if up is None or limit.cmp(up) <= 0:
+                up, up_strict = limit, True
         # the limit sits at the far end, so the phases increase with the
         # index exactly when the block edge is the high end of a low tail,
         # or the low end of a high tail
         inc = below if not hi else not below
-        out[kind] = (lo, below, up, not below, inc)
+        out[kind] = (lo, lo_strict, up, up_strict, inc)
     return out
 
 

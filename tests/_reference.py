@@ -286,7 +286,7 @@ def row_cell(point, fid, m, window):
 
 
 # ---------------------------------------------------------------------------
-# the hom degrees from hom_dims, per pair and per tail, that the table of
+# the hom degrees from hom_dims per pair, which the table of
 # catalog.hom_degrees replaces
 
 
@@ -296,30 +296,98 @@ def degree_pair(x, y):
     return tuple(None if h is None else h[0] for h in (hom_dims(x, y), hom_dims(y, x)))
 
 
-def tail_degrees(kind, j_edge, direction, ref):
-    """regions._tail_degrees as five probes: the chain objects of the letter
-    at offsets 0, 1, 2, 7 and 999 from j_edge in the direction, each degree
-    kept where every probe agrees on it."""
-    probes = [ExcObject(kind, j_edge + direction * k, 0) for k in (0, 1, 2, 7, 999)]
+# ---------------------------------------------------------------------------
+# the tail enclosure that the engine's brackets replace: a bracket against
+# the anchors and M, M' over the hom degrees every object of the tail
+# shares, replaced by the ray enclosure where that one exists
 
-    def stable(homs):
-        degs = {h[0] if h is not None else None for h in homs}
-        return degs.pop() if len(degs) == 1 else None
 
-    return (
-        stable(hom_dims(x, ref) for x in probes),
-        stable(hom_dims(ref, x) for x in probes),
-    )
+def _reference_objects(point, window):
+    """Decided-semistable objects with pinned phases: the anchors, plus M
+    and M' when the engine certifies them."""
+    from stabq import engine
+
+    refs = list(zip(point.anchor().objs, point.anchor_phases))
+    for name in ("M", "Mp"):
+        x = ExcObject(name, 0, 0)
+        status, ph = engine.lookup(point, x, window)
+        if status == "semistable":
+            refs.append((x, ph))
+    return refs
+
+
+def _tail_degrees(kind, j_edge, direction, ref):
+    """The hom degrees (to ref, from ref) shared by every chain object of
+    the letter from j_edge on in the given direction, or None where they
+    do not all agree on one nonzero hom: the edge and the indices
+    ref.m - 2..ref.m + 2 inside the tail meet every clamped index
+    difference."""
+    from stabq.catalog import hom_degrees
+
+    degs = {hom_degrees(ExcObject(kind, j_edge, 0), ref)}
+    for j in range(ref.m - 2, ref.m + 3):
+        if direction * (j - j_edge) > 0:
+            degs.add(hom_degrees(ExcObject(kind, j, 0), ref))
+    if len(degs) == 1:
+        return degs.pop()
+    return tuple(s.pop() if len(s) == 1 else None for s in map(set, zip(*degs)))
+
+
+def _tail_enclosure(point, window, hi):
+    """regions._tail_enclosure as it was: per letter _DEAD, None or (lo,
+    lo_strict, up, up_strict, inc), the ray enclosure where it exists and
+    else the closed bracket of the shared tail degrees."""
+    from stabq import engine, regions
+    from stabq.exact import ExactError, window_arg
+
+    direction = 1 if hi else -1
+    j_edge = point.m + window + 1 if hi else point.m - window
+    out = {}
+    refs = _reference_objects(point, window)
+    for kind in ("a", "b"):
+        bracket = hom_bracket(
+            (ph, *_tail_degrees(kind, j_edge, direction, ref)) for ref, ph in refs
+        )
+        if bracket is None:
+            out[kind] = regions._DEAD
+            continue
+        fallback = None
+        if bracket != (None, None):
+            fallback = (bracket[0], False, bracket[1], False, None)
+        out[kind] = fallback
+        if (hi and j_edge < 1) or (not hi and j_edge > 0):
+            continue
+        ph_edge = engine.conditional_phase(point, ExcObject(kind, j_edge, 0), window)
+        if ph_edge is None:
+            continue
+        edge = engine.charge_of(point, ExcObject(kind, j_edge, 0))
+        step = engine.charge_of(point, ExcObject(kind, j_edge + direction, 0)) - edge
+        if step.is_zero() or step.cross(edge) == 0:
+            continue
+        try:
+            limit = window_arg(step, ph_edge.plus(-1))
+        except ExactError:
+            try:
+                limit = window_arg(step, ph_edge)
+            except ExactError:
+                continue
+        below = limit.cmp(ph_edge) < 0
+        lo, up = (limit, ph_edge) if below else (ph_edge, limit)
+        inc = below if not hi else not below
+        out[kind] = (lo, below, up, not below, inc)
+    return out
 
 
 # ---------------------------------------------------------------------------
-# the allocating phase comparisons that engine.hom_bracket and
+# the allocating phase comparisons that engine._bracket and
 # engine._unit_shifts replace
 
 
 def hom_bracket(bounds):
-    """engine.hom_bracket as it was: every bound built as a Phase with
-    Phase.plus, then compared."""
+    """The hom bracket folded from triples (phase of a semistable V, degree
+    of the hom from x to V, degree of the hom from V to x), a degree None
+    where the hom vanishes, as engine._bracket was first written: every
+    bound built as a Phase with Phase.plus, then compared."""
     lo = up = None
     for ph, fwd, bwd in bounds:
         if fwd is not None:

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import random
 import re
+import types
 import weakref
 from fractions import Fraction
 
@@ -321,6 +322,31 @@ def test_degree_rows_match_the_hom_degrees(window):
         assert all(id(pair) in table for pair in row)
 
 
+@pytest.mark.parametrize("window", (0, 4, 8, 32))
+def test_beyond_rows_match_the_hom_degrees(window):
+    """A chain object 1 to 30 steps past either end of the plan's chains,
+    in the labels of points at several indices, reads the row of the
+    object one or two steps past that end (``_Plan.hom_row``), and that
+    row is its own degrees to every slot from hom_dims."""
+    plan = engine._plan(window)
+    u = plan.universe
+    ends = ((plan.low, -1), (plan.low + plan.span - 1, 1))
+    for kind in ("a", "b"):
+        for edge, direction in ends:
+            rows = set()
+            for k in range(1, 31):
+                x = ExcObject(kind, edge + direction * k, 0)
+                want = tuple(_reference.degree_pair(x, y) for y in u)
+                for dm in (-3, 0, 5):
+                    assert plan.index(x.translated(dm), dm) is None
+                    row = plan.hom_row(x.translated(dm), dm)
+                    assert row == want, (kind, edge, k, dm)
+                    rows.add(id(row))
+            assert len(rows) == 2, (kind, edge)
+    for s, x in enumerate(u):
+        assert plan.hom_row(x) is plan.degrees_of(s)
+
+
 def test_lookup_refuses_a_shifted_label():
     """lookup and conditional_phase answer for base objects: a shifted
     label raises a ValueError naming it, inside the plan's universe and
@@ -572,12 +598,23 @@ _ONE, _TWO = Phase(0, Gaussian(-1, 0)), Phase(1, Gaussian(-2, 0))
 @example(bounds=[(_ONE, 1, None), (_TWO, None, 0)])  # one point, real ends
 @example(bounds=[(_ONE, 1, None), (_TWO, None, -1)])  # empty, real ends
 def test_hom_bracket_matches_the_allocating_fold(bounds):
-    """hom_bracket compares (phase, shift) pairs and builds a Phase only
-    for the ends it returns; it answers what the fold that built every
-    bound answers: the same ends in the same representation (of equal
-    bounds the first), the same unbounded ends, and None for an empty
-    bracket."""
-    got = engine.hom_bracket(iter(bounds))
+    """_bracket compares (phase, shift) pairs and builds a Phase only for
+    the ends it returns; on a stand-in analysis whose decided-semistable
+    slots carry the drawn phases, in the drawn order, with the drawn
+    degrees as the row, it answers what the fold that built every bound
+    answers: the same ends in the same representation (of equal bounds
+    the first), the same unbounded ends, and None for an empty bracket.
+    An unstable slot between them is skipped."""
+    an = types.SimpleNamespace(row=[], order=[])
+    degrees = []
+    for ph, fwd, bwd in bounds:
+        an.order.append(len(an.row))
+        an.row.append(("semistable", ph))
+        degrees.append((fwd, bwd))
+        an.order.append(len(an.row))
+        an.row.append(engine._DEAD["unstable"])
+        degrees.append((0, 0))
+    got = engine._bracket(an, degrees)
     want = _reference.hom_bracket(iter(bounds))
     assert got == want and repr(got) == repr(want)
 

@@ -224,12 +224,28 @@ def test_classified_points_keep_little_alive():
     assert kept / len(pts) <= 30, kept / len(pts)
 
 
+def _ring_taker_point():
+    # a criterion-8 sample whose MidMp tails at window 8 are not excluded:
+    # its ring rescan misses, and both sides are excluded at window 32
+    F = Fraction
+    return engine.StabilityPoint(
+        "F1",
+        1,
+        (0, -1, -2),
+        (
+            Gaussian.of(F(4, 17), F(5, 14)),
+            Gaussian.of(F(-11, 3), 0),
+            Gaussian.of(F(7, 2), F(5, 18)),
+        ),
+    )
+
+
 def test_each_tail_exclusion_is_computed_once(monkeypatch):
     """The eleven composites share each analysis's tail exclusions: on
-    400 sampled points (two of which reach the exclusions of the widened
-    window) and the widened-tail point, classify and every
-    composite called after it compute each family's exclusion on each
-    side's enclosure at most once per analysis, the widened window's
+    400 sampled points, the widened-tail point and a point that reaches
+    the exclusions of the widened window, classify and every composite
+    called after it compute each family's exclusion on each side's
+    enclosure at most once per analysis, the widened window's
     included."""
     calls = Counter()
     real = regions._tail_family_excluded
@@ -241,7 +257,7 @@ def test_each_tail_exclusion_is_computed_once(monkeypatch):
     monkeypatch.setattr(regions, "_tail_family_excluded", counted)
     rng = random.Random("tails-once")
     pts = [harness._sample_point(rng, FAMILY_IDS) for _ in range(400)]
-    pts.append(_widened_tail_point())
+    pts += [_widened_tail_point(), _ring_taker_point()]
     for p in pts:
         regions.classify(p, 8)
         for name in regions.COMPOSITES:
@@ -293,30 +309,84 @@ def _public_points():
 def test_classify_matches_public_predicates():
     """classify's shared cell verdicts change no verdict: its output is what
     a fresh equal point answers to the cell and composite predicates called
-    one at a time, and the tail hom degrees are the five-probe computation
-    they replace, on the sampled reference objects and on every chain
-    object within 30 steps of the edge and M, M', shifted."""
-    pts = _public_points()
-    refs = set()
-    for pt in pts:
+    one at a time."""
+    for pt in _public_points():
         for window in (4, 8):
             assert regions.classify(pt, window) == _one_at_a_time(
                 _fresh(pt), window
             ), (window, pt.to_json())
-            refs.update(ref for ref, _ in regions._reference_objects(pt, window))
     assert ("region", "RightMp") in regions.classify(_widened_tail_point())
 
-    for j_edge in range(-12, 13):
-        near = [
-            ExcObject(kind, j_edge + d, s)
-            for kind in "ab" for d in range(-30, 31) for s in (-1, 0, 2)
-        ] + [ExcObject(kind, 0, s) for kind in ("M", "Mp") for s in (-1, 0, 2)]
-        for ref in refs.union(near):
-            for kind in "ab":
-                for direction in (1, -1):
-                    got = regions._tail_degrees(kind, j_edge, direction, ref)
-                    want = _reference.tail_degrees(kind, j_edge, direction, ref)
-                    assert got == want, (kind, j_edge, direction, ref)
+
+def _tail_point_sets(n=500):
+    """Six point sets, each with the two windows it is read at: sampled
+    points at m -2..2 and bound 32, at m -6..6 and bounds 8 and 64,
+    sampled points turned a quarter, standard-heart points, and
+    phi(M)=phi(M') points."""
+    rng = random.Random("tail-superset")
+
+    def sampled(mlo, mhi, bound):
+        return [harness._sample_point(rng, FAMILY_IDS, mlo, mhi, bound)
+                for _ in range(n)]
+
+    heart = []
+    while len(heart) < n:
+        charges = tuple(harness._rand_charge(rng, 16) for _ in range(3))
+        try:
+            heart.append(engine.standard_heart_point(charges))
+        except ValueError:
+            pass
+    return {
+        "m -2..2, bound 32": (sampled(-2, 2, 32), (8, 32)),
+        "m -6..6, bound 8": (sampled(-6, 6, 8), (4, 8)),
+        "m -6..6, bound 64": (sampled(-6, 6, 64), (0, 8)),
+        "quarter-turned": ([engine.rotate_quarter(p, 1 + i % 3)
+                            for i, p in enumerate(sampled(-2, 2, 32))], (4, 8)),
+        "standard heart": (heart, (4, 8)),
+        "phi(M)=phi(M')": ([
+            harness.sample_sigma(("F8", rng.randint(-2, 2)), "phi(M)=phi(M')",
+                                 rng=rng)
+            for _ in range(n)], (4, 8)),
+    }
+
+
+def test_tail_enclosure_excludes_every_tail_the_old_one_did():
+    """The tail enclosure bounded by the engine's brackets excludes every
+    family's far cells wherever the enclosure it replaces
+    (``_reference._tail_enclosure``: a bracket against the anchors and M,
+    M' over the degrees the whole tail shares, replaced by the ray
+    enclosure where that exists) excluded them, on both sides of six
+    point sets at two windows each; and on the standard heart, where
+    edge phases are often undecided, it excludes more.  Where the ray
+    enclosure exists, the bound narrows it rather than replacing it: on
+    one point the b tail below the window-0 block is left with the edge
+    phase alone, where the ray enclosure leaves an interval below it."""
+    gained = {}
+    for name, (pts, windows) in _tail_point_sets().items():
+        gained[name] = 0
+        for pt in pts:
+            for window in windows:
+                for hi in (False, True):
+                    old = _reference._tail_enclosure(pt, window, hi)
+                    new = regions._tail_enclosure(pt, window, hi)
+                    for fid in FAMILY_IDS:
+                        was = regions._tail_family_excluded(pt, fid, old, window)
+                        now = regions._tail_family_excluded(pt, fid, new, window)
+                        assert now or not was, (name, fid, window, hi, pt.to_json())
+                        gained[name] += now and not was
+    assert gained["standard heart"] > 0, gained
+
+    F = Fraction
+    pt = engine.StabilityPoint("F7", 0, (0, 0, -2), (
+        Gaussian.of(F(-4, 9), F(41, 57)),
+        Gaussian.of(F(10, 23), F(9, 11)),
+        Gaussian.of(F(-20, 43), F(25, 18)),
+    ))
+    new = regions._tail_enclosure(pt, 0, False)
+    assert new["b"][0] == new["b"][2] and not new["b"][1]
+    assert regions._tail_family_excluded(pt, "F6", new, 0)
+    old = _reference._tail_enclosure(pt, 0, False)
+    assert not regions._tail_family_excluded(pt, "F6", old, 0)
 
 
 def test_classify_golden_digest():

@@ -1,7 +1,8 @@
 """Checks on the repository itself: with warnings as errors, a failing
 Hypothesis test is still reported as one failure of a finished session,
-every other module reaches the engine only through its public names, and
-the only process-wide caches are point-independent tables."""
+every other module reaches the engine only through its public names, only
+the catalog and the engine call ``hom_degrees``, and the only process-wide
+caches are point-independent tables."""
 
 import ast
 import os
@@ -59,6 +60,26 @@ def test_regions_reads_no_private_engine_name():
     assert {"regions.py", "harness.py", "cli.py", "__init__.py"} <= set(read)
     assert "lookup" in read["regions.py"]
     assert "semistable" in read["harness.py"] and "semistable" in read["cli.py"]
+
+
+def test_only_catalog_and_engine_call_hom_degrees():
+    """No module of the package but ``catalog`` and ``engine`` calls
+    ``hom_degrees``: every hom bracket is the engine's one fold over a
+    plan row, so no second bracket route (such as a tail bracket of
+    ``regions`` on degrees of its own) can come back."""
+    pkg = os.path.join(ROOT, "src", "stabq")
+    calls = {}
+    for fname in sorted(os.listdir(pkg)):
+        if not fname.endswith(".py"):
+            continue
+        path = os.path.join(pkg, fname)
+        with open(path) as f:
+            tree = ast.parse(f.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _decorator_name(node) == "hom_degrees":
+                calls.setdefault(fname, []).append(node.lineno)
+    assert set(calls) <= {"catalog.py", "engine.py"}, calls
+    assert "engine.py" in calls  # the check sees the calls there are
 
 
 def test_readme_names_resolve():
