@@ -60,7 +60,7 @@ for an undecided one; per decided slot the rule token that decided it,
 shared with the plan; the witness of each slot a big gap killed; and the
 decided slots in the order of their verdicts.
 ``semistable`` spells out one verdict at a time from these, and
-``regions`` derives its tail enclosures from the brackets.  A lookup
+``regions`` derives its far tail bounds from the brackets.  A lookup
 takes a base object, finds its slot by arithmetic on its label
 (``_Plan.index``, the one map from objects to slots) and builds no
 object.  An object beyond the universe keeps no entry: each lookup of
@@ -100,6 +100,7 @@ from .exact import (
     cmp_shifted,
     exact_int,
     int_phase,
+    json_typed,
     phase_add,
     phase_in_closed_window,
     primitive_multiple,
@@ -218,14 +219,18 @@ class StabilityPoint:
 
     @staticmethod
     def from_json(d: dict) -> "StabilityPoint":
-        a = d["anchor"]
+        """The inverse of ``to_json``; a mistyped field is a ValueError."""
+        a = json_typed(json_typed(d, dict, "the top level")["anchor"],
+                       dict, "anchor")
         return StabilityPoint(
             a["family"],
             exact_int(a["m"]),
-            tuple(exact_int(x) for x in a["shift"]),
-            tuple(Gaussian.from_json(z) for z in d["charges"]),
+            tuple(exact_int(x) for x in json_typed(a["shift"], list, "anchor.shift")),
+            tuple(Gaussian.from_json(z)
+                  for z in json_typed(d["charges"], list, "charges")),
             exact_int(d.get("global_shift", 0)),
-            tuple(exact_int(x) for x in d.get("extra_offsets", (0, 0, 0))),
+            tuple(exact_int(x) for x in json_typed(
+                d.get("extra_offsets", [0, 0, 0]), list, "extra_offsets")),
         )
 
 
@@ -531,7 +536,8 @@ class Analysis:
     fixpoint.  ``witness`` maps each slot a big gap killed to the chain
     object below the gap.  ``order`` holds the decided slots in
     first-verdict order, ``tails`` per side (True for the high tail) the
-    tail enclosure of ``regions`` and its per-family exclusions, and
+    far bounds of each chain letter and the exclusion of each family
+    beyond the block that ``regions`` has needed so far, and
     ``cells`` its cell verdicts: per family, one True, False or None
     (undecidable) for each cell of the point's block, in index order.
     Rules are tokens, the plan's own: a string ("anchor", "big-gap") or a
@@ -553,7 +559,7 @@ class Analysis:
         # charge; tested on the first re-pin (see _agrees)
         self.agrees: List[Optional[bool]] = [None] * n
         self.order: List[int] = []
-        self.tails: Dict[bool, tuple] = {}
+        self.tails: Dict[bool, Dict[str, object]] = {}
         self.cells: Dict[str, tuple] = {}
 
     def entry(self, s: int) -> Tuple[str, Optional[Phase]]:

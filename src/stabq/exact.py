@@ -143,6 +143,7 @@ class Gaussian:
         (an optional "-", ASCII digits, q >= 1), or an ``int``.  Anything
         else raises ValueError, where ``Fraction`` would read 0.1 as its
         binary value, true as 1, and "1e5", "1_0" and " 1 " as numbers."""
+        json_typed(d, dict, "a charge")
         return Gaussian(_json_rat(d["re"]), _json_rat(d["im"]))
 
     def __repr__(self):
@@ -263,6 +264,16 @@ def cmp_shifted(p: Phase, a: int, q: Phase, b: int) -> int:
     if d:
         return -1 if d < 0 else 1
     return -sign(p.charge.cross(q.charge))
+
+
+def json_typed(x, want: type, name: str):
+    """x when it is what ``json.load`` makes of a JSON object (want = dict)
+    or array (want = list); else a ValueError naming the field and the
+    type it wants, where indexing x would fail in Python's own words."""
+    if not isinstance(x, want):
+        raise ValueError("%s must be a JSON %s" % (
+            name, "object" if want is dict else "array"))
+    return x
 
 
 def exact_int(x) -> int:

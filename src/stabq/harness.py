@@ -19,7 +19,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import engine, regions
 from .catalog import ExcObject, parse_label
-from .exact import ExactError, Gaussian, Phase, exact_int, window_arg
+from .exact import (
+    ExactError, Gaussian, Phase, exact_int, json_typed, window_arg
+)
 from .triples import FAMILY_IDS, family_triple, shift_set_members
 
 DEFAULT_BOUND = 64
@@ -668,9 +670,9 @@ def slice_params(spec: dict):
     if unknown:
         raise ValueError("unknown regions %s" % (unknown,))
     a = spec.get("anchor", {"family": "F8", "m": 0, "shift": [0, 0, -1]})
-    anchor = (
-        a["family"], exact_int(a["m"]), tuple(exact_int(x) for x in a["shift"])
-    )
+    a = json_typed(a, dict, "anchor")
+    shift = json_typed(a["shift"], list, "anchor.shift")
+    anchor = (a["family"], exact_int(a["m"]), tuple(exact_int(x) for x in shift))
     res = exact_int(spec.get("resolution", 16))
     if res < 1:
         raise ValueError("resolution must be positive")

@@ -22,17 +22,18 @@ standard triples of the window's rule plan, relative to the point's m,
 so the plan says in which slots each cell sits, and the row's entries
 are filled on first read.  ``classify``, the composites and a widened
 tail rescan, which reads only the ring beyond the narrower block, all
-read those tuples, so no cell of an analysis is decided twice.  Each
-side's tail enclosure, and each family's exclusion beyond the block, is
-likewise kept on the analysis (``_tails_excluded``).  The far tails are
-bounded by the engine's own brackets (``_tail_enclosure``): the
-conditional phases of the two chain objects nearest the edge, and the one
-bracket that every object further out shares.
+read those tuples, so no cell of an analysis is decided twice.  Beyond
+the block, each letter's far phases on each side are bounded by the
+engine's own brackets and the chain's charge ray (``_far_phases``), and
+each family's cells there are excluded by one interval test, a row of a
+table read off its pattern (``_tail_family_excluded``).  Both are kept
+on the analysis, each computed when first needed (``_tails_excluded``),
+so a family reads only its own letters.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from . import engine
 from .catalog import ExcObject
@@ -208,156 +209,130 @@ TAIL_EXT = 24  # extra cell indices scanned when a tail cannot be excluded
 _DEAD = "dead"  # no far chain object of the letter can be semistable
 
 
-def _tail_enclosure(point, window: int, hi: bool) -> Dict[str, Optional[tuple]]:
-    """Constraints on the phase any chain object beyond the scanned block
-    could have, were it semistable.
+def _far_phases(point, window: int, hi: bool, kind: str):
+    """(lo, up, inc): a closed interval (an end None where unbounded)
+    holding the phase that any chain object of the letter beyond the
+    block on the side could have were it semistable, and whether those
+    phases increase with the chain index (None when unknown); _DEAD when
+    none of them can be semistable.
 
-    A far cell of the side holds chain objects from the block's edge
-    object outwards: the edge object, its outer neighbour (one step past
-    the plan's universe) and the objects further out.  Were one of them
-    semistable, its phase would be its conditional phase, which lies in
-    its hom bracket against the analysis's decided-semistable objects; the
-    objects two or more steps out share one row of hom degrees
-    (``engine._Plan.hom_row``), so the bracket of the object two steps out
-    (``engine.phase_bracket``) holds all of their phases.  The closed hull
-    of the edge's and the neighbour's conditional phases and that bracket
-    bounds the whole tail, and where it is empty no far object can be
-    semistable.
-
-    Beyond the block the chain K-classes move along exact rays
-    [x^(j -/+ 1)] = [x^j] +/- [delta], so the window arguments of their
-    charges are strictly monotone and converge to the window representative
-    of the ray direction; with a phase at the block edge this encloses
-    every far phase between the edge phase and the ray limit, which
-    narrows the hull.  Per letter the result is (lo, lo_strict, up,
-    up_strict, inc): an enclosure with open/closed ends (None = unbounded)
-    and whether the phases increase with the chain index (None when
-    unknown); the sentinel _DEAD marks a letter whose far objects cannot
-    be semistable at all."""
+    The far objects are the block's edge object, its outer neighbour and
+    the objects further out, which share one row of hom degrees
+    (``engine._Plan.hom_row``), so the bracket of the object two steps
+    out (``engine.phase_bracket``) holds all their phases.  The hull of
+    the edge's and the neighbour's conditional phases and that bracket
+    bounds the tail.  Beyond the block the chain K-classes move along
+    exact rays [x^(j -/+ 1)] = [x^j] +/- [delta], so the window arguments
+    of the charges move monotonically from the edge phase towards the
+    window representative of the ray direction, on the side the sign of
+    ``edge.cross(step)`` gives, and that interval narrows the hull."""
     direction = 1 if hi else -1
     j_edge = point.m + window + 1 if hi else point.m - window
-    out: Dict[str, Optional[tuple]] = {}
-    for kind in ("a", "b"):
-        ph_edge, ph_next = (engine.conditional_phase(
-            point, ExcObject(kind, j_edge + k, 0), window) for k in (0, direction))
-        far = engine.phase_bracket(
-            point, ExcObject(kind, j_edge + 2 * direction, 0), window)
-        known = [ph for ph in (ph_edge, ph_next) if ph is not None]
-        if far is None:
-            if not known:
-                out[kind] = _DEAD
-                continue
-            far = known[0], known[0]
-        lo = None if far[0] is None else min(known + [far[0]])
-        up = None if far[1] is None else max(known + [far[1]])
-        out[kind] = (lo, False, up, False, None)
-        if (hi and j_edge < 1) or (not hi and j_edge > 0):
-            continue  # block edge outside the linear zone of the K-classes
-        if ph_edge is None:
-            continue  # edge object dead; keep the hull
-        edge = engine.charge_of(point, ExcObject(kind, j_edge, 0))
-        step = (
-            engine.charge_of(point, ExcObject(kind, j_edge + direction, 0))
-            - edge
-        )
-        if step.is_zero() or step.cross(edge) == 0:
-            continue
-        try:
-            limit = window_arg(step, ph_edge.plus(-1))
-        except ExactError:
-            try:
-                limit = window_arg(step, ph_edge)
-            except ExactError:
-                continue
-        # the hull holds the edge phase: the ray enclosure narrows it to
-        # that on one side, and to the limit where tighter on the other
-        below = limit.cmp(ph_edge) < 0
-        lo_strict = up_strict = False
-        if below:
-            up = ph_edge
-            if lo is None or limit.cmp(lo) >= 0:
-                lo, lo_strict = limit, True
-        else:
-            lo = ph_edge
-            if up is None or limit.cmp(up) <= 0:
-                up, up_strict = limit, True
-        # the limit sits at the far end, so the phases increase with the
-        # index exactly when the block edge is the high end of a low tail,
-        # or the low end of a high tail
-        inc = below if not hi else not below
-        out[kind] = (lo, lo_strict, up, up_strict, inc)
-    return out
+    ph_edge, ph_next = (engine.conditional_phase(
+        point, ExcObject(kind, j_edge + k, 0), window) for k in (0, direction))
+    far = engine.phase_bracket(
+        point, ExcObject(kind, j_edge + 2 * direction, 0), window)
+    known = [ph for ph in (ph_edge, ph_next) if ph is not None]
+    if far is None and not known:
+        return _DEAD
+    lo, up = far or (known[0], known[0])
+    lo = None if lo is None else min(known + [lo])
+    up = None if up is None else max(known + [up])
+    if ph_edge is None or (j_edge < 1 if hi else j_edge > 0):
+        # edge object dead, or the block edge outside the linear zone of
+        # the K-classes: keep the hull
+        return lo, up, None
+    edge = engine.charge_of(point, ExcObject(kind, j_edge, 0))
+    step = engine.charge_of(point, ExcObject(kind, j_edge + direction, 0)) - edge
+    turn = edge.cross(step)
+    if turn == 0:  # the step is zero or parallel to the edge charge
+        return lo, up, None
+    # the hull holds the edge phase, so the ray narrows it to that on one
+    # side and to the limit where tighter on the other; the phases rise
+    # with the index exactly when the limit lies below a low tail's edge
+    # or above a high tail's
+    if turn < 0:
+        limit = window_arg(step, ph_edge, -1)
+        return (limit if lo is None else max(lo, limit)), ph_edge, not hi
+    limit = window_arg(step, ph_edge, 0)
+    return ph_edge, (limit if up is None else min(up, limit)), hi
 
 
-def _tail_family_excluded(point, fid: str, encl, window: int) -> bool:
-    """True when no cell of the family beyond the scanned block can contain
-    the point; False when that cannot be certified."""
+def _tail_test(fid: str) -> tuple:
+    """The family's row of ``_TAIL_TESTS``, read off its pattern: (letters,
+    impossible, rising, fixed, bounds).  Far chain neighbours keep their
+    phase gap inside [-1, 1], so a chain pair p_i < p_j + c with c <= -1
+    is impossible, and a same-letter pair (written lower index first)
+    with c <= 0 needs the phases of the letter ``rising`` not to fall.
+    Every other inequality pairs a chain letter with the one fixed object
+    ``fixed``, and is one entry (letter, end, c) of ``bounds``: the tail
+    is excluded where the letter's far lower end (end 0) is at least, or
+    its upper end (1) at most, the fixed phase plus c.  ``letters`` are
+    the chain letters the test reads, none for an impossible family."""
     shape = FAMILY_SHAPES[fid]
-    if any(encl[k] == _DEAD for k, r in shape if r is not None):
-        return True
-    lowers: Dict[int, list] = {}
-    uppers: Dict[int, list] = {}
-    fixed_needed = []
+    impossible, rising, fixed, bounds = False, None, None, []
     for i, j, c in _PATTERN_INEQS[fid]:
         (ki, ri), (kj, rj) = shape[i], shape[j]
         if ri is not None and rj is not None:
-            # two chain members: the surviving hom and ext between far
-            # chain neighbours keep their phase gap inside [-1, 1], with a
-            # known sign for a same-letter pair when the enclosure says
-            # which way the phases move
-            if ki == kj and encl[ki] is not None and encl[ki][4] is not None:
-                dmin = -1 if encl[ki][4] == (ri < rj) else 0
-            else:
-                dmin = -1
-            if c <= dmin:
-                return True
+            impossible = impossible or c <= -1
+            if ki == kj and c <= 0:
+                rising = ki
         elif ri is not None:  # chain < fixed + c
-            uppers.setdefault(i, []).append((kj, c))
-            fixed_needed.append(kj)
-        elif rj is not None:  # fixed < chain + c
-            lowers.setdefault(j, []).append((ki, -c))
-            fixed_needed.append(ki)
-    fixed_ph: Dict[str, Phase] = {}
-    for kind in set(fixed_needed):
-        ph = engine.conditional_phase(point, ExcObject(kind, 0, 0), window)
-        if ph is None:  # the rigid object cannot be semistable at all
-            return True
-        fixed_ph[kind] = ph
-    for pos, (kind, rel) in enumerate(shape):
-        if rel is None or encl[kind] is None:
-            continue
-        eff_lo, lo_strict, eff_up, up_strict, _ = encl[kind]
-        for fk, shift in lowers.get(pos, ()):
-            bound = fixed_ph[fk].plus(shift)
-            if eff_lo is None or bound.cmp(eff_lo) >= 0:
-                eff_lo, lo_strict = bound, True
-        for fk, shift in uppers.get(pos, ()):
-            bound = fixed_ph[fk].plus(shift)
-            if eff_up is None or bound.cmp(eff_up) <= 0:
-                eff_up, up_strict = bound, True
-        if eff_lo is None or eff_up is None:
-            continue
-        s = eff_lo.cmp(eff_up)
-        if s > 0 or (s == 0 and (lo_strict or up_strict)):
-            return True
+            fixed = kj
+            bounds.append((ki, 0, c))
+        else:  # fixed < chain + c
+            fixed = ki
+            bounds.append((kj, 1, -c))
+    if impossible:
+        return (), True, None, None, ()
+    letters = tuple(sorted({k for k, r in shape if r is not None}))
+    return letters, False, rising, fixed, tuple(bounds)
+
+
+_TAIL_TESTS = {fid: _tail_test(fid) for fid in FAMILY_IDS}
+
+
+def _tail_family_excluded(point, fid: str, bounds, window: int) -> bool:
+    """True when no cell of the family beyond the scanned block can contain
+    the point, given each chain letter's far bounds (``_far_phases``) in
+    ``bounds``; False when that cannot be certified.  Every inequality
+    with the fixed object is strict, so a far bound that meets the moved
+    fixed phase already excludes, and since the far bounds of a letter
+    never form an empty interval on their own, their ends can be read as
+    closed."""
+    letters, impossible, rising, fixed, tests = _TAIL_TESTS[fid]
+    if impossible or any(bounds[k] is _DEAD for k in letters):
+        return True
+    if rising is not None and bounds[rising][2] is False:
+        return True
+    ph = engine.conditional_phase(point, ExcObject(fixed, 0, 0), window)
+    if ph is None:  # the rigid object cannot be semistable at all
+        return True
+    for k, end, c in tests:
+        b = bounds[k][end]
+        if b is not None:
+            s = cmp_shifted(b, 0, ph, c)
+            if s == 0 or (s > 0) == (end == 0):
+                return True
     return False
 
 
 def _tails_excluded(point, fids, window: int) -> bool:
     """Whether every family's cells beyond the block at ``window`` are
-    excluded on both sides.  Each side's enclosure, and each family's
-    exclusion on it, is computed once per analysis and kept in its
-    ``tails``, so the composites share them."""
+    excluded on both sides.  The analysis's ``tails`` keeps, per side, each
+    letter's far bounds and each family's exclusion, each computed when
+    first needed, so the composites share them and a family reads only
+    its own letters."""
     tails = point.analysis(window).tails
     for hi in (False, True):
-        side = tails.get(hi)
-        if side is None:
-            side = tails[hi] = (_tail_enclosure(point, window, hi), {})
-        encl, excluded = side
+        side = tails.setdefault(hi, {})
         for fid in fids:
-            ex = excluded.get(fid)
+            ex = side.get(fid)
             if ex is None:
-                ex = excluded[fid] = _tail_family_excluded(point, fid, encl, window)
+                for k in _TAIL_TESTS[fid][0]:
+                    if k not in side:
+                        side[k] = _far_phases(point, window, hi, k)
+                ex = side[fid] = _tail_family_excluded(point, fid, side, window)
             if not ex:
                 return False
     return True

@@ -334,9 +334,14 @@ def _tail_degrees(kind, j_edge, direction, ref):
 
 
 def _tail_enclosure(point, window, hi):
-    """regions._tail_enclosure as it was: per letter _DEAD, None or (lo,
-    lo_strict, up, up_strict, inc), the ray enclosure where it exists and
-    else the closed bracket of the shared tail degrees."""
+    """The far bounds of each letter as the old enclosure gave them, in the
+    form ``regions._tail_family_excluded`` reads (``regions._far_phases``):
+    per letter _DEAD or (lo, up, inc), the ray enclosure where it exists
+    and else the closed bracket of the shared tail degrees, an end None
+    where unbounded.  The old enclosure's open ends are read as closed,
+    and its None (no bound at all) as (None, None, None): on the six
+    point sets of the superset test this changes none of its
+    exclusions."""
     from stabq import engine, regions
     from stabq.exact import ExactError, window_arg
 
@@ -351,10 +356,7 @@ def _tail_enclosure(point, window, hi):
         if bracket is None:
             out[kind] = regions._DEAD
             continue
-        fallback = None
-        if bracket != (None, None):
-            fallback = (bracket[0], False, bracket[1], False, None)
-        out[kind] = fallback
+        out[kind] = (bracket[0], bracket[1], None)
         if (hi and j_edge < 1) or (not hi and j_edge > 0):
             continue
         ph_edge = engine.conditional_phase(point, ExcObject(kind, j_edge, 0), window)
@@ -374,7 +376,7 @@ def _tail_enclosure(point, window, hi):
         below = limit.cmp(ph_edge) < 0
         lo, up = (limit, ph_edge) if below else (ph_edge, limit)
         inc = below if not hi else not below
-        out[kind] = (lo, below, up, not below, inc)
+        out[kind] = (lo, up, inc)
     return out
 
 

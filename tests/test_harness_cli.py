@@ -248,9 +248,31 @@ def test_cli_bad_input_exits_2_without_traceback(tmp_path, capsys):
             dict(good, charges=[{"re": "1/0", "im": "1"}] + good["charges"][1:])
         ),
         "spread.json": json.dumps(spread),
-        "list.json": "[1, 2]",
         "not_json.json": "{not json",
     }
+    # fields of the wrong JSON type, each named in the message with the
+    # type it wants
+    int_shift = json.loads(json.dumps(good))
+    int_shift["anchor"]["shift"] = 0
+    typed = {
+        "list.json": ("[1, 2]", "the top level must be a JSON object"),
+        "list_anchor.json": (json.dumps(dict(good, anchor=[1, 2])),
+                             "anchor must be a JSON object"),
+        "null_charge.json": (
+            json.dumps(dict(good, charges=[None] + good["charges"][1:])),
+            "a charge must be a JSON object"),
+        "string_charges.json": (json.dumps(dict(good, charges="1+i")),
+                                "charges must be a JSON array"),
+        "int_shift.json": (json.dumps(int_shift),
+                           "anchor.shift must be a JSON array"),
+    }
+    for name, (text, message) in typed.items():
+        files[name] = text
+        (tmp_path / name).write_text(text)
+        path = tmp_path / name
+        assert cli.main(["classify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "classify: %s: not a stability point: %s\n" % (path, message)
     # integer fields that int() would truncate or convert to a valid point
     for key, value in (("m", False), ("m", 0.5), ("shift", [0, 0, -1.5]),
                        ("shift", [False, 0, -1]), ("m", 1e23), ("m", 2.0),

@@ -16,6 +16,7 @@ from stabq.catalog import ExcObject
 from stabq.exact import ExactError, Gaussian
 from stabq.triples import (
     FAMILY_IDS,
+    FAMILY_SHAPES,
     extreme_shift,
     family_triple,
     mutate_triple,
@@ -198,7 +199,7 @@ def test_classified_points_keep_little_alive():
     """What a classified point's analyses keep alive is what later lookups
     and region tests read: on 240 sampled points classified at window 8,
     at most 30 GC-tracked objects per point on average after a collection
-    (about 23; about 58 while each analysis kept its charges and a
+    (about 21; about 58 while each analysis kept its charges and a
     (rule, witness) tuple per decided slot).  Not counted: the shared plans, with their rows and tokens,
     ``engine._DEAD``, and the point's own charges and phases.  No rule is
     a per-slot tuple (each is a plan's token or a string), and a witness
@@ -244,17 +245,22 @@ def test_each_tail_exclusion_is_computed_once(monkeypatch):
     """The eleven composites share each analysis's tail exclusions: on
     400 sampled points, the widened-tail point and a point that reaches
     the exclusions of the widened window, classify and every composite
-    called after it compute each family's exclusion on each side's
-    enclosure at most once per analysis, the widened window's
-    included."""
-    calls = Counter()
-    real = regions._tail_family_excluded
+    called after it compute each family's exclusion on each side's far
+    bounds, and each letter's far bounds on each side, at most once per
+    analysis, the widened window's included."""
+    calls, letters = Counter(), Counter()
+    real, far = regions._tail_family_excluded, regions._far_phases
 
-    def counted(point, fid, encl, window):
-        calls[id(point), window, id(encl), fid] += 1
-        return real(point, fid, encl, window)
+    def counted(point, fid, bounds, window):
+        calls[id(point), window, id(bounds), fid] += 1
+        return real(point, fid, bounds, window)
+
+    def counted_far(point, window, hi, kind):
+        letters[id(point), window, hi, kind] += 1
+        return far(point, window, hi, kind)
 
     monkeypatch.setattr(regions, "_tail_family_excluded", counted)
+    monkeypatch.setattr(regions, "_far_phases", counted_far)
     rng = random.Random("tails-once")
     pts = [harness._sample_point(rng, FAMILY_IDS) for _ in range(400)]
     pts += [_widened_tail_point(), _ring_taker_point()]
@@ -265,7 +271,7 @@ def test_each_tail_exclusion_is_computed_once(monkeypatch):
                 regions.in_composite(p, name)
             except regions.Undecidable:
                 pass
-    assert max(calls.values()) == 1
+    assert max(calls.values()) == 1 and max(letters.values()) == 1
     windows = Counter(w for _, w, _, _ in calls)
     assert windows[8] and windows[8 + regions.TAIL_EXT]
 
@@ -350,14 +356,20 @@ def _tail_point_sets(n=500):
     }
 
 
+def _far_bounds(pt, window, hi):
+    """Both letters' far bounds on one side, the mapping
+    ``_tail_family_excluded`` reads."""
+    return {k: regions._far_phases(pt, window, hi, k) for k in "ab"}
+
+
 def test_tail_enclosure_excludes_every_tail_the_old_one_did():
-    """The tail enclosure bounded by the engine's brackets excludes every
-    family's far cells wherever the enclosure it replaces
+    """The far bounds drawn from the engine's brackets exclude every
+    family's far cells wherever the enclosure they replace
     (``_reference._tail_enclosure``: a bracket against the anchors and M,
     M' over the degrees the whole tail shares, replaced by the ray
     enclosure where that exists) excluded them, on both sides of six
     point sets at two windows each; and on the standard heart, where
-    edge phases are often undecided, it excludes more.  Where the ray
+    edge phases are often undecided, they exclude more.  Where the ray
     enclosure exists, the bound narrows it rather than replacing it: on
     one point the b tail below the window-0 block is left with the edge
     phase alone, where the ray enclosure leaves an interval below it."""
@@ -368,7 +380,7 @@ def test_tail_enclosure_excludes_every_tail_the_old_one_did():
             for window in windows:
                 for hi in (False, True):
                     old = _reference._tail_enclosure(pt, window, hi)
-                    new = regions._tail_enclosure(pt, window, hi)
+                    new = _far_bounds(pt, window, hi)
                     for fid in FAMILY_IDS:
                         was = regions._tail_family_excluded(pt, fid, old, window)
                         now = regions._tail_family_excluded(pt, fid, new, window)
@@ -382,11 +394,124 @@ def test_tail_enclosure_excludes_every_tail_the_old_one_did():
         Gaussian.of(F(10, 23), F(9, 11)),
         Gaussian.of(F(-20, 43), F(25, 18)),
     ))
-    new = regions._tail_enclosure(pt, 0, False)
-    assert new["b"][0] == new["b"][2] and not new["b"][1]
+    new = _far_bounds(pt, 0, False)
+    assert new["b"][0] == new["b"][1]
     assert regions._tail_family_excluded(pt, "F6", new, 0)
     old = _reference._tail_enclosure(pt, 0, False)
     assert not regions._tail_family_excluded(pt, "F6", old, 0)
+
+
+def _height_one_points():
+    """Every point at m = 0 with its family's extreme shift whose three
+    charges are integer Gaussians of height at most 1: 8 x 4^3 = 512."""
+    zs = [Gaussian.of(x, y) for y in (0, 1) for x in (-1, 0, 1) if y or x < 0]
+    return [
+        engine.StabilityPoint(fid, 0, extreme_shift(family_triple(fid, 0)),
+                              (z0, z1, z2))
+        for fid in FAMILY_IDS for z0 in zs for z1 in zs for z2 in zs
+    ]
+
+
+def test_excluded_tails_hold_no_cell_of_the_ring():
+    """Soundness of the exclusion, read off the cells themselves: wherever
+    a family's far tail on one side of the window-4 block is excluded, the
+    TAIL_EXT cells of the widened block beyond it hold no cell containing
+    the point.  On the 512 height-1 points and 300 sampled points, where
+    rings with a hit exist."""
+    rng = random.Random("tail-soundness")
+    pts = _height_one_points() + [
+        harness._sample_point(rng, FAMILY_IDS) for _ in range(300)]
+    w, ext = 4, regions.TAIL_EXT
+    hits = 0
+    for pt in pts:
+        for hi in (False, True):
+            bounds = _far_bounds(pt, w, hi)
+            for fid in FAMILY_IDS:
+                vs = regions._block_cells(pt, fid, w + ext)
+                ring = vs[-ext:] if hi else vs[:ext]
+                if regions._tail_family_excluded(pt, fid, bounds, w):
+                    assert True not in ring, (fid, hi, pt.to_json())
+                hits += True in ring
+    assert hits > 100, hits
+
+
+def test_tail_table_is_the_hand_reduction():
+    """The exclusion test derived from each family's pattern is the hand
+    reduction of its inequalities over the far bounds (lo, up) of its
+    letters: every pattern has at most one fixed object; F2 and F5 are
+    excluded outright, reading no letter; F1, F3, F4 and F6 need their
+    letter's far phases not to fall, and are excluded where
+    up_a <= phi(M')+1, lo_a >= phi(M), up_b <= phi(M)+1 and
+    lo_b >= phi(M') respectively; F7 where lo_b >= phi(M')+1 or
+    up_a <= phi(M'), and F8 where lo_a >= phi(M)+1 or up_b <= phi(M).
+    Of the bound tests of one end of one letter, the weakest (the least
+    shift on a lower end, the greatest on an upper end) decides."""
+    hand = {
+        "F1": ("a", "Mp", {("a", 1): 1}),
+        "F3": ("a", "M", {("a", 0): 0}),
+        "F4": ("b", "M", {("b", 1): 1}),
+        "F6": ("b", "Mp", {("b", 0): 0}),
+        "F7": (None, "Mp", {("b", 0): 1, ("a", 1): 0}),
+        "F8": (None, "M", {("a", 0): 1, ("b", 1): 0}),
+    }
+    for fid in FAMILY_IDS:
+        shape = FAMILY_SHAPES[fid]
+        assert sum(r is None for _, r in shape) <= 1, fid
+        letters, impossible, rising, fixed, tests = regions._TAIL_TESTS[fid]
+        if fid in ("F2", "F5"):
+            assert impossible and letters == (), fid
+            continue
+        assert not impossible, fid
+        assert letters == tuple(sorted({k for k, r in shape if r is not None}))
+        weakest = {}
+        for k, end, c in tests:
+            pick = min if end == 0 else max
+            weakest[k, end] = pick(c, weakest.get((k, end), c))
+        assert (rising, fixed, weakest) == hand[fid], fid
+
+
+def test_a_lone_family_reads_only_its_letters(monkeypatch):
+    """A union of one family folds the far brackets of its own chain
+    letter only, on each side (F3 reads a), and F2 and F5, excluded
+    outright, fold none."""
+    read = []
+    bracket = engine.phase_bracket
+
+    def recorded(point, xb, window=engine.DEFAULT_WINDOW):
+        read.append((xb.kind, xb.m > point.m))
+        return bracket(point, xb, window)
+
+    monkeypatch.setattr(engine, "phase_bracket", recorded)
+    assert regions.in_cells_union(_std(), ("F3",)) is False
+    assert set(read) == {("a", False), ("a", True)}, read
+    read.clear()
+    assert regions.in_cells_union(_std(), ("F2", "F5")) is False
+    assert read == []
+
+
+def test_tail_exclusion_golden_digest():
+    """Every tail exclusion, per point, window, side and family, and the
+    union's exclusion of each family on both sides (``_tails_excluded``),
+    over the six point sets of the superset test and the height-1 points
+    at windows 4 and 8, hashed.  The constant was computed before the far
+    bounds were filled per letter and read by one table-driven test per
+    family; any change to what is excluded changes it."""
+    sets = dict(_tail_point_sets())
+    sets["height 1"] = (_height_one_points(), (4, 8))
+    h = hashlib.sha256()
+    for name, (pts, windows) in sets.items():
+        for pt in pts:
+            for w in windows:
+                low, high = _far_bounds(pt, w, False), _far_bounds(pt, w, True)
+                bits = "".join(
+                    "%d%d%d" % (regions._tail_family_excluded(pt, fid, low, w),
+                                regions._tail_family_excluded(pt, fid, high, w),
+                                regions._tails_excluded(pt, (fid,), w))
+                    for fid in FAMILY_IDS)
+                h.update(("%s|%d|%s;" % (name, w, bits)).encode())
+    assert h.hexdigest() == (
+        "8e47f1da2b1c961b44118ab111cacc777bc328181f6cfff3b617db5935feb7a5"
+    )
 
 
 def test_classify_golden_digest():
