@@ -536,10 +536,12 @@ class Analysis:
     fixpoint.  ``witness`` maps each slot a big gap killed to the chain
     object below the gap.  ``order`` holds the decided slots in
     first-verdict order, ``tails`` per side (True for the high tail) the
-    far bounds of each chain letter and the exclusion of each family
-    beyond the block that ``regions`` has needed so far, and
-    ``cells`` its cell verdicts: per family, one True, False or None
-    (undecidable) for each cell of the point's block, in index order.
+    far bounds of each chain letter beyond the block that ``regions`` has
+    needed so far, ``cells`` its cell verdicts: per family, one True,
+    False or None (undecidable) for each cell of the point's block, in
+    index order, and ``unions`` per family its answer to membership in
+    the union of the family's cells at every index: True, False or the
+    reason it is undecidable.
     Rules are tokens, the plan's own: a string ("anchor", "big-gap") or a
     row's (name, B, suffix).  Tokens and witnesses are spelled in the
     point's own labels only by ``verdict`` and in error messages.  The
@@ -561,6 +563,7 @@ class Analysis:
         self.order: List[int] = []
         self.tails: Dict[bool, Dict[str, object]] = {}
         self.cells: Dict[str, tuple] = {}
+        self.unions: Dict[str, object] = {}
 
     def entry(self, s: int) -> Tuple[str, Optional[Phase]]:
         """The ``lookup`` entry of the universe slot s; an undecided slot's

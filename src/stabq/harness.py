@@ -22,7 +22,7 @@ from .catalog import ExcObject, parse_label
 from .exact import (
     ExactError, Gaussian, Phase, exact_int, json_typed, window_arg
 )
-from .triples import FAMILY_IDS, family_triple, shift_set_members
+from .triples import FAMILY_IDS, family_triple, in_shift_set, shift_set_members
 
 DEFAULT_BOUND = 64
 
@@ -49,60 +49,54 @@ def _rand_shift(rng: random.Random, fid: str, m: int, depth: int = 2):
 
 def sample_sigma(
     anchor,
-    constraints: Optional[Callable] = None,
+    constraints: Optional[str] = None,
     seed: int = 0,
     bound: int = DEFAULT_BOUND,
-    budget: int = 2000,
     rng: Optional[random.Random] = None,
 ) -> engine.StabilityPoint:
     """A deterministic random stability point on the given anchor.
 
     ``anchor`` is (family, m) or (family, m, shift); with no shift a random
-    member of the shift set is chosen.  ``constraints`` may be a predicate on
-    the point, or the string "phi(M)=phi(M')" which is realized
-    constructively on the standard middle-M family; anything else raises
-    ValueError.
+    member of the shift set is chosen.  ``constraints`` may be the string
+    "phi(M)=phi(M')", which is realized constructively on the middle-M
+    family F8.  An anchor no point can have, or any other constraint,
+    raises ValueError before any draw.
     """
-    if not (constraints is None or callable(constraints)
-            or constraints == "phi(M)=phi(M')"):
+    if constraints not in (None, "phi(M)=phi(M')"):
         raise ValueError("unknown constraint %r" % (constraints,))
+    fid, m = anchor[:2]
+    shift = anchor[2] if len(anchor) > 2 else None
+    if (fid not in FAMILY_IDS or type(m) is not int or len(anchor) > 3
+            or shift is not None and not (
+                len(shift) == 3 and in_shift_set(family_triple(fid, m), shift))):
+        raise ValueError("no point has the anchor %r" % (anchor,))
+    collinear = constraints is not None
+    if collinear and fid != "F8":
+        raise ValueError("collinear M/M' construction needs the middle-M family")
+    # [M'] = [a^m] + [b^{m+1}[s2]] exactly when s2 is odd, and Z(M) = z1
+    # exactly when s1 is even; the construction below needs such a shift,
+    # and the three consecutive values of each a drawn member ranges over
+    # hold one
+    if collinear and shift is not None and (shift[1] % 2 or not shift[2] % 2):
+        raise ValueError("no point with phi(M)=phi(M') has the anchor %r"
+                         % (anchor,))
     if rng is None:
         rng = random.Random(seed)
-    fid, m = anchor[0], anchor[1]
-    shift = anchor[2] if len(anchor) > 2 else None
-    for _ in range(budget):
+    while True:
         sh = shift if shift is not None else _rand_shift(rng, fid, m)
-        if constraints == "phi(M)=phi(M')":
-            if fid != "F8":
-                raise ValueError(
-                    "collinear M/M' construction needs the middle-M family"
-                )
-            # [M'] = [a^m] + [b^{m+1}[s2]] exactly when s2 is odd, and
-            # Z(M) = z1 exactly when s1 is even; restrict to such shifts so
-            # the construction below is valid.
-            if sh[1] % 2 != 0 or sh[2] % 2 == 0:
-                continue
-            # on these anchors Z(M') = z0 + z2; force z0 + z2 parallel
-            # (same direction) to z1 = Z(M).
-            z0 = _rand_charge(rng, bound)
-            z1 = _rand_charge(rng, bound)
-            t = _rand_frac(rng, bound, positive=True)
-            z2 = z1.scale(t) - z0
-            if z2.is_zero() or not z2.in_upper_branch():
-                continue
-            charges = (z0, z1, z2)
-        else:
-            charges = tuple(_rand_charge(rng, bound) for _ in range(3))
-        try:
-            pt = engine.StabilityPoint(fid, m, sh, charges)
-        except ValueError:
+        if not collinear:
+            return engine.StabilityPoint(
+                fid, m, sh, tuple(_rand_charge(rng, bound) for _ in range(3)))
+        if sh[1] % 2 != 0 or sh[2] % 2 == 0:
             continue
-        if callable(constraints) and not constraints(pt):
-            continue
-        return pt
-    raise RuntimeError(
-        "sampling budget exhausted for anchor %r (budget %d)" % (anchor, budget)
-    )
+        # on these anchors Z(M') = z0 + z2; force z0 + z2 parallel (same
+        # direction) to z1 = Z(M).
+        z0 = _rand_charge(rng, bound)
+        z1 = _rand_charge(rng, bound)
+        t = _rand_frac(rng, bound, positive=True)
+        z2 = z1.scale(t) - z0
+        if not z2.is_zero() and z2.in_upper_branch():
+            return engine.StabilityPoint(fid, m, sh, (z0, z1, z2))
 
 
 def _sample_point(rng: random.Random, fids: Sequence[str],
@@ -438,21 +432,15 @@ def _chk_disjoint(pt, rng):
         raise regions.Undecidable("Ta/Tb disjointness not decided")
 
 
+# Ta, MidMp, MidM and Tb: together the families F1-F8
+_COVER = sum((regions.COMPOSITES[n] for n in ("Ta", "MidMp", "MidM", "Tb")), ())
+
+
 def _chk_coverage(pt, rng):
-    # the block scans decide each family's block once, on the point's
-    # analysis, and the composites below read the same verdicts
-    names = ("Ta", "MidMp", "MidM", "Tb")
-    if any(regions.scan_cells(pt, regions.COMPOSITES[n])[0] for n in names):
-        return
-    undecided = False
-    for n in names:
-        v = _tri_composite(pt, n)
-        if v:
-            return
-        undecided = undecided or v is None
-    if undecided:
-        raise regions.Undecidable("coverage membership undecided")
-    raise _Mismatch("sample escapes the four-piece decomposition")
+    # one union over the four pieces' families: a block hit costs no tail
+    # work, and the families' answers are kept on the point's analysis
+    if not regions.in_cells_union(pt, _COVER):
+        raise _Mismatch("sample escapes the four-piece decomposition")
 
 
 # anchor pools: where the sampler places each suite's points
@@ -540,15 +528,18 @@ def verify_all(n_samples: int = DEFAULT_SAMPLES, seed: int = 0) -> List[Verifica
 # differential test: rule engine vs brute-force heart oracle
 
 
+HEART_MAX_ENTRY = 4  # the largest dimension entry of the oracle's objects
+
+
 @lru_cache(maxsize=None)
-def _heart_test_objects(max_entry: int):
+def _heart_test_objects():
     """Exceptional representations of the standard heart with every dimension
-    entry at most max_entry, as (catalog object, FiniteRep, rays).
+    entry at most HEART_MAX_ENTRY, as (catalog object, FiniteRep, rays).
 
     The rays are the extreme rays of the cone spanned by the proper nonzero
     dimension vectors of ``ff.all_subreps`` (``ff.extreme_rays``, in its
     key order), which decide King's criterion on the standard heart (see
-    ``oracle_agreement``).  The table depends on max_entry alone, so it is
+    ``oracle_agreement``).  The table depends on no point, so it is
     built on the first call and shared by every later one; it is made of
     tuples and holds no witnesses, so no caller can change it."""
     from . import ff
@@ -556,7 +547,7 @@ def _heart_test_objects(max_entry: int):
     from .quiver import Vec3
 
     dims = [Vec3(0, 1, 0), Vec3(1, 0, 1)]
-    for k in range(0, max_entry):
+    for k in range(0, HEART_MAX_ENTRY):
         dims += [
             Vec3(k + 1, k, k),
             Vec3(k, k + 1, k + 1),
@@ -565,7 +556,7 @@ def _heart_test_objects(max_entry: int):
         ]
     out = []
     for d in dims:
-        if max(d) > max_entry:
+        if max(d) > HEART_MAX_ENTRY:
             continue
         obj = object_from_kclass(d)
         rep = build_matrices(obj)
@@ -573,8 +564,7 @@ def _heart_test_objects(max_entry: int):
     return tuple(out)
 
 
-def oracle_agreement(n_samples: int = 1000, seed: int = 0,
-                     max_entry: int = 4) -> VerificationReport:
+def oracle_agreement(n_samples: int = 1000, seed: int = 0) -> VerificationReport:
     """Compare the rule engine against exhaustive subrepresentation search on
     the standard-heart anchor: every decided engine verdict must match the
     oracle's.  Engine unknowns are counted, never compared.  The oracle's
@@ -599,7 +589,7 @@ def oracle_agreement(n_samples: int = 1000, seed: int = 0,
     every subrepresentation."""
     from . import ff
 
-    objs = _heart_test_objects(max_entry)
+    objs = _heart_test_objects()
     rng = random.Random(("oracle-agreement", seed).__repr__())
     rep_out = VerificationReport("oracle-agreement", seed=seed)
     t0 = time.monotonic()

@@ -54,9 +54,6 @@ class IntervalFamily:
         )
         return IntervalFamily(n, pairs)
 
-    def bounds(self) -> Dict[Tuple[int, int], Tuple[Optional[Fraction], Optional[Fraction]]]:
-        return dict(self.intervals)
-
 
 def s_n_member(y: RatVec, fam: IntervalFamily) -> bool:
     if len(y) != fam.n + 1:
@@ -76,7 +73,7 @@ def _gap_margin(y: Sequence[Fraction]) -> int:
     return int(ceil(g)) + 2
 
 
-def union_square_member(y: RatVec, n: int, krange: Optional[int] = None) -> bool:
+def union_square_member(y: RatVec, n: int) -> bool:
     """Membership in the union of S^n(-1,1) + v over nondecreasing integer
     shift vectors v (v_0 = 0).  The union is infinite; shifts are enumerated
     up to a margin that is sound for the given point.  The search runs on
@@ -87,16 +84,9 @@ def union_square_member(y: RatVec, n: int, krange: Optional[int] = None) -> bool
     y = [Fraction(v) for v in y]
     if len(y) != n + 1:
         raise ValueError("point dimension mismatch")
-    need = _gap_margin(y)
-    if krange is None:
-        krange = need
-    elif krange < need:
-        raise ValueError(
-            "shift range %d too small for this point (need %d)" % (krange, need)
-        )
     den = lcm(*(v.denominator for v in y))
     ys = [v.numerator * (den // v.denominator) for v in y]
-    for inc in product(range(krange + 1), repeat=n):
+    for inc in product(range(_gap_margin(y) + 1), repeat=n):
         z, v = [ys[0]], 0
         for yi, k in zip(ys[1:], inc):
             v += k

@@ -14,21 +14,22 @@ constant clause "every pairwise gap below 1", and the intersection lemmas'
 systems are one table row each.  A chain system written for the letter a
 serves the letter b through the swap a <-> b, M <-> M'.
 
-A composite is a union of cells.  Each cell is decided once per analysis:
-``_block_cells`` decides a family's whole block at a window from the
-analysis's slot row and keeps the verdicts, one tuple per family, in the
-analysis's ``cells``.  At window w the cells of a point's block are the
-standard triples of the window's rule plan, relative to the point's m,
-so the plan says in which slots each cell sits, and the row's entries
-are filled on first read.  ``classify``, the composites and a widened
-tail rescan, which reads only the ring beyond the narrower block, all
-read those tuples, so no cell of an analysis is decided twice.  Beyond
-the block, each letter's far phases on each side are bounded by the
-engine's own brackets and the chain's charge ray (``_far_phases``), and
-each family's cells there are excluded by one interval test, a row of a
-table read off its pattern (``_tail_family_excluded``).  Both are kept
-on the analysis, each computed when first needed (``_tails_excluded``),
-so a family reads only its own letters.
+A composite is a union of families' cells.  Each cell is decided once
+per analysis: ``_block_cells`` decides a family's whole block at a window
+from the analysis's slot row and keeps the verdicts, one tuple per
+family, in the analysis's ``cells``.  At window w the cells of a point's
+block are the standard triples of the window's rule plan, relative to
+the point's m, so the plan says in which slots each cell sits, and the
+row's entries are filled on first read.  ``classify``, the composites
+and a widened tail rescan, which reads only the ring beyond the narrower
+block, all read those tuples, so no cell of an analysis is decided
+twice.  Beyond the block, each letter's far phases on each side are
+bounded by the engine's own brackets and the chain's charge ray
+(``_far_phases``), kept on the analysis when a family first reads the
+letter, and each family's cells there are excluded by one interval test,
+a row of a table read off its pattern (``_tail_family_excluded``).  Each
+family's union is decided once per analysis (``_in_family_union``), and
+a composite's membership is the fold of its families' answers.
 """
 
 from __future__ import annotations
@@ -317,24 +318,19 @@ def _tail_family_excluded(point, fid: str, bounds, window: int) -> bool:
     return False
 
 
-def _tails_excluded(point, fids, window: int) -> bool:
-    """Whether every family's cells beyond the block at ``window`` are
-    excluded on both sides.  The analysis's ``tails`` keeps, per side, each
-    letter's far bounds and each family's exclusion, each computed when
-    first needed, so the composites share them and a family reads only
-    its own letters."""
+def _tail_excluded(point, fid: str, window: int) -> bool:
+    """Whether the family's cells beyond the block at ``window`` are
+    excluded on both sides.  The analysis's ``tails`` keeps, per side,
+    each letter's far bounds, each filled when a family first reads it, so
+    a family reads only its own letters."""
     tails = point.analysis(window).tails
     for hi in (False, True):
         side = tails.setdefault(hi, {})
-        for fid in fids:
-            ex = side.get(fid)
-            if ex is None:
-                for k in _TAIL_TESTS[fid][0]:
-                    if k not in side:
-                        side[k] = _far_phases(point, window, hi, k)
-                ex = side[fid] = _tail_family_excluded(point, fid, side, window)
-            if not ex:
-                return False
+        for k in _TAIL_TESTS[fid][0]:
+            if k not in side:
+                side[k] = _far_phases(point, window, hi, k)
+        if not _tail_family_excluded(point, fid, side, window):
+            return False
     return True
 
 
@@ -343,50 +339,51 @@ def _block(point, window: int) -> range:
     return range(point.m - window, point.m + window + 1)
 
 
-def _summary(blocks) -> Tuple[bool, bool]:
-    """(hit, undecided) of a walk of per-family verdict tuples, stopping at
-    the first family with a hit; undecided counts only the cells before
-    the hit."""
-    undecided = False
-    for vs in blocks:
-        if True in vs:
-            return True, undecided or None in vs[: vs.index(True)]
-        undecided = undecided or None in vs
-    return False, undecided
+def scan_cells(point, fids, window: int = WINDOW) -> bool:
+    """Whether some cell of the families' blocks around the anchor holds
+    the point: sound for the full infinite union, while False says nothing
+    about the cells beyond the block."""
+    return any(True in _block_cells(point, fid, window) for fid in fids)
 
 
-def scan_cells(point, fids, window: int = WINDOW) -> Tuple[bool, bool]:
-    """Scan the finite block of cell indices around the anchor, family by
-    family.  Returns (hit, undecided); a hit is sound for the full infinite
-    union, while hit == False says nothing about the cells beyond the
-    block."""
-    return _summary(_block_cells(point, fid, window) for fid in fids)
+def _in_family_union(point, fid: str, window: int):
+    """Membership in the union of the family's cells at every index: True,
+    False, or the reason it is undecidable, decided once per analysis and
+    kept in its ``unions``.  True on a hit in the block; where the tails
+    beyond it are excluded, False unless a block cell is undecidable.
+    Otherwise the same on the block and the ring of a widened block, the
+    TAIL_EXT cells on either side, with "far cells" where the widened
+    block's tails are not excluded either."""
+    unions = point.analysis(window).unions
+    if fid not in unions:
+        vs, far = _block_cells(point, fid, window), False
+        if True not in vs and not _tail_excluded(point, fid, window):
+            ring = _block_cells(point, fid, window + TAIL_EXT)
+            vs += ring[:TAIL_EXT] + ring[-TAIL_EXT:]
+            far = True not in vs and not _tail_excluded(
+                point, fid, window + TAIL_EXT)
+        unions[fid] = (True if True in vs else "far cells" if far
+                       else "undecided cells" if None in vs else False)
+    return unions[fid]
 
 
 def in_cells_union(point, fids, window: int = WINDOW) -> bool:
-    """Membership in the union of the families' cells at every index: True
-    on a hit in the block or in the ring of a widened rescan, False when no
-    cell is undecided and the tails beyond are excluded, else
-    Undecidable."""
-    hit, undecided = scan_cells(point, fids, window)
-    if hit:
+    """Membership in the union of the families' cells at every index: after
+    one block scan, so that a hit costs no tail work, the fold of the
+    families' answers (``_in_family_union``): True if one is, else
+    Undecidable if one is, for far cells before undecided cells, else
+    False."""
+    if scan_cells(point, fids, window):
         return True
-    if not _tails_excluded(point, fids, window):
-        # a far cell might contain the point: rescan the ring of a widened
-        # block, the TAIL_EXT cells on either side of the block, then
-        # require the remaining tails to be excluded
-        wide = window + TAIL_EXT
-        blocks = (_block_cells(point, fid, wide) for fid in fids)
-        hit, far_undecided = _summary(
-            vs[:TAIL_EXT] + vs[-TAIL_EXT:] for vs in blocks
-        )
-        if hit:
+    answers = set()
+    for fid in fids:
+        answer = _in_family_union(point, fid, window)
+        if answer is True:
             return True
-        undecided = undecided or far_undecided
-        if not _tails_excluded(point, fids, wide):
-            raise Undecidable("union not certified false (far cells)")
-    if undecided:
-        raise Undecidable("union not certified false (undecided cells)")
+        answers.add(answer)
+    for reason in ("far cells", "undecided cells"):
+        if reason in answers:
+            raise Undecidable("union not certified false (%s)" % reason)
     return False
 
 

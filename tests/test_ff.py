@@ -131,7 +131,7 @@ def _fresh_subreps(rep):
 
 
 def test_all_subreps_matches_fresh_enumeration():
-    for obj, rep, _ in harness._heart_test_objects(4):
+    for obj, rep, _ in harness._heart_test_objects():
         ref = _fresh_subreps(rep)
         subs = all_subreps(rep)
         assert list(subs.items()) == list(ref.items()), obj
@@ -144,8 +144,8 @@ def test_all_subreps_matches_fresh_enumeration():
 
 
 def test_heart_test_objects_built_once_and_immutable():
-    objs = harness._heart_test_objects(4)
-    assert harness._heart_test_objects(4) is objs
+    objs = harness._heart_test_objects()
+    assert harness._heart_test_objects() is objs
     assert isinstance(objs, tuple) and len(objs) == 18
     with pytest.raises(TypeError):
         objs[0] = objs[-1]
@@ -211,7 +211,7 @@ def test_extreme_rays_span_every_subrepresentation():
     nonnegative combination of them, and none of them is one of the
     others; 221 vectors (zero and whole included) give 45 rays."""
     n_subs = n_rays = 0
-    for obj, rep, rays in harness._heart_test_objects(4):
+    for obj, rep, rays in harness._heart_test_objects():
         subs = list(all_subreps(rep))
         assert set(rays) <= set(subs), obj
         proper = [d for d in subs if not d.is_zero() and d != rep.dims]
@@ -227,7 +227,7 @@ def test_extreme_rays_follow_one_pattern_per_kind():
     """The rays of the four chain kinds for k = 1..3: dimension vectors of
     simples, of M, M' and delta, and of chain neighbours."""
     rays = {tuple(rep.dims): set(map(tuple, r))
-            for _, rep, r in harness._heart_test_objects(4)}
+            for _, rep, r in harness._heart_test_objects()}
     for k in (1, 2, 3):
         assert rays[(k + 1, k, k)] == {(0, 0, 1), (0, 1, 1), (1, 1, 1),
                                        (1, 0, 1)}
@@ -244,7 +244,7 @@ def test_king_compare_on_the_rays_matches_the_full_scan():
     whose charge has the direction of the full scan's."""
     rng = random.Random(("rays", 2000).__repr__())
     objs = _full_scan_objects()
-    rays = [r for _, _, r in harness._heart_test_objects(4)]
+    rays = [r for _, _, r in harness._heart_test_objects()]
     unstable = 0
     for _ in range(2000):
         charges = tuple(harness._rand_charge(rng, 16) for _ in range(3))
@@ -291,7 +291,7 @@ def _full_scan_objects():
     """The oracle's 18 test objects with every subrepresentation vector,
     ``tuple(all_subreps(rep))``, where the oracle's table keeps rays."""
     return tuple((obj, rep, tuple(all_subreps(rep)))
-                 for obj, rep, _ in harness._heart_test_objects(4))
+                 for obj, rep, _ in harness._heart_test_objects())
 
 
 def _reference_semistable(rep, charges, subs):
@@ -370,7 +370,7 @@ def test_king_compare_rejects_charges_outside_the_branch():
     charge leave the upper branch: both versions raise the same
     ExactError."""
     charges = (Gaussian.of(3, -1), Gaussian.of(0, 1), Gaussian.of(0, 1))
-    obj, rep, subs = next(o for o in harness._heart_test_objects(4)
+    obj, rep, subs = next(o for o in harness._heart_test_objects()
                           if o[1].dims.L > 0 and len(o[2]) > 2)
     with pytest.raises(ExactError) as want:
         _reference.semistable_in_heart(rep, charges, subs)

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,10 +35,17 @@ def test_sample_sigma_honors_anchor_and_shift():
     assert (pt.family, pt.m, pt.shift) == ("F5", -1, (0, -1, -2))
 
 
-def test_sample_sigma_callable_constraint():
-    pred = lambda p: p.charges[0].re > 0
-    pt = harness.sample_sigma(("F1", 0), constraints=pred, seed=9)
-    assert pt.charges[0].re > 0
+def test_sample_sigma_rejects_an_anchor_no_point_has(monkeypatch):
+    """A shift outside the shift set, a shift of the wrong arity and an
+    unknown family raise ValueError naming the anchor before any draw."""
+    def no_draw(*args):
+        raise AssertionError("drew a charge for a bad anchor")
+
+    monkeypatch.setattr(harness, "_rand_charge", no_draw)
+    monkeypatch.setattr(harness, "_rand_shift", no_draw)
+    for anchor in (("F5", 0, (0, 5, 5)), ("F5", 0, (0, 0)), ("F9", 0)):
+        with pytest.raises(ValueError, match=re.escape(repr(anchor))):
+            harness.sample_sigma(anchor, seed=1)
 
 
 def test_sample_sigma_rejects_an_unknown_constraint():

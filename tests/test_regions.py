@@ -172,8 +172,7 @@ def test_union_membership_beyond_the_scan_block():
     # certificate triggers the widened rescan, and the union still decides
     # True
     pt = _widened_tail_point()
-    hit, _ = regions.scan_cells(pt, regions.COMPOSITES["RightMp"])
-    assert not hit
+    assert regions.scan_cells(pt, regions.COMPOSITES["RightMp"]) is False
     assert regions.in_composite(pt, "RightMp") is True
     # while the a-side tails are certified empty
     assert regions.in_composite(pt, "Ta") is False
@@ -491,7 +490,7 @@ def test_a_lone_family_reads_only_its_letters(monkeypatch):
 
 def test_tail_exclusion_golden_digest():
     """Every tail exclusion, per point, window, side and family, and the
-    union's exclusion of each family on both sides (``_tails_excluded``),
+    exclusion of each family on both sides (``_tail_excluded``),
     over the six point sets of the superset test and the height-1 points
     at windows 4 and 8, hashed.  The constant was computed before the far
     bounds were filled per letter and read by one table-driven test per
@@ -506,7 +505,7 @@ def test_tail_exclusion_golden_digest():
                 bits = "".join(
                     "%d%d%d" % (regions._tail_family_excluded(pt, fid, low, w),
                                 regions._tail_family_excluded(pt, fid, high, w),
-                                regions._tails_excluded(pt, (fid,), w))
+                                regions._tail_excluded(pt, fid, w))
                     for fid in FAMILY_IDS)
                 h.update(("%s|%d|%s;" % (name, w, bits)).encode())
     assert h.hexdigest() == (
@@ -743,8 +742,8 @@ def test_undecided_cell_keeps_the_union_undecided(monkeypatch):
     pt = _std()
     monkeypatch.setattr(regions, "_block_cells",
                         _stub_block_cells({("F1", pt.m): None}))
-    monkeypatch.setattr(regions, "_tails_excluded", lambda *a: True)
-    assert regions.scan_cells(pt, ("F1",)) == (False, True)
+    monkeypatch.setattr(regions, "_tail_excluded", lambda *a: True)
+    assert regions.scan_cells(pt, ("F1",)) is False
     for name, fids in regions.COMPOSITES.items():
         if "F1" in fids:
             with pytest.raises(regions.Undecidable):
@@ -755,11 +754,10 @@ def test_undecided_cell_keeps_the_union_undecided(monkeypatch):
 
 
 def test_classify_block_summaries_are_block_scans(monkeypatch):
-    """The block scans classify's composites read are ``scan_cells``
-    summaries: (hit, undecided) stopping at the first hit, so an
-    undecidable cell after a hit does not count, and one before it, in an
-    earlier family, does.  classify's output is what the public
-    predicates answer one at a time on the same verdicts."""
+    """The block scans classify's composites read are ``scan_cells``: a
+    hit in any family's block, whatever undecidable cells come before or
+    after it.  classify's output is what the public predicates answer one
+    at a time on the same verdicts."""
     pt = _std()
     stub = {("F1", pt.m): None, ("F2", pt.m - 1): True, ("F2", pt.m): None,
             ("F5", pt.m - 1): None, ("F5", pt.m): True,
@@ -774,18 +772,17 @@ def test_classify_block_summaries_are_block_scans(monkeypatch):
 
     monkeypatch.setattr(regions, "_block_cells", _stub_block_cells(stub))
     monkeypatch.setattr(regions, "in_named_cell", named_cell)
-    monkeypatch.setattr(regions, "_tails_excluded", lambda *a: True)
+    monkeypatch.setattr(regions, "_tail_excluded", lambda *a: True)
     w = regions.WINDOW
     assert regions.classify(pt) == _one_at_a_time(pt, w)
     assert ("cell", "F2", pt.m - 1) in regions.classify(pt)
-    assert regions.scan_cells(pt, ("F1",)) == (False, True)
-    assert regions.scan_cells(pt, ("F2",)) == (True, False)
-    assert regions.scan_cells(pt, ("F2", "F1")) == (True, False)
-    assert regions.scan_cells(pt, ("F1", "F2")) == (True, True)
-    assert regions.scan_cells(pt, ("F3", "F4")) == (False, False)
-    # within one family too, only the cells before the hit count
-    assert regions.scan_cells(pt, ("F5",)) == (True, True)
-    assert regions.scan_cells(pt, ("F6",)) == (True, False)
+    assert regions.scan_cells(pt, ("F1",)) is False
+    assert regions.scan_cells(pt, ("F2",)) is True
+    assert regions.scan_cells(pt, ("F2", "F1")) is True
+    assert regions.scan_cells(pt, ("F1", "F2")) is True
+    assert regions.scan_cells(pt, ("F3", "F4")) is False
+    assert regions.scan_cells(pt, ("F5",)) is True
+    assert regions.scan_cells(pt, ("F6",)) is True
 
 
 @pytest.mark.parametrize("inner", [True, None])
@@ -806,11 +803,92 @@ def test_widened_rescan_reads_only_the_ring(monkeypatch, inner, offset):
         return tuple(vs)
 
     monkeypatch.setattr(regions, "_block_cells", cells)
-    monkeypatch.setattr(regions, "_tails_excluded",
-                        lambda point, fids, window: window == wide)
+    monkeypatch.setattr(regions, "_tail_excluded",
+                        lambda point, fid, window: window == wide)
     assert regions.in_cells_union(pt, ("F1",), w) is False
     assert regions.in_composite(pt, "St", w) is False
     assert ("region", "St") not in regions.classify(pt, w)
+
+
+def test_a_family_excluded_at_either_window_decides_the_union(monkeypatch):
+    """Each family's union is decided on its own: with every block cell
+    False, F1's tails excluded only at the window and F2's only at the
+    widened window, each family's answer is False, and so is their
+    union's; no family's far cells are left open."""
+    pt = _std()
+    w = regions.WINDOW
+    monkeypatch.setattr(regions, "_block_cells", _stub_block_cells({}))
+    monkeypatch.setattr(regions, "_tail_excluded",
+                        lambda point, fid, window: (fid == "F1") == (window == w))
+    assert regions.in_cells_union(pt, ("F1", "F2"), w) is False
+    assert regions.in_cells_union(pt, ("F2", "F1"), w) is False
+
+
+def _reason(predicate, *args):
+    """The answer, or the reason the union is undecidable."""
+    try:
+        return predicate(*args)
+    except regions.Undecidable as e:
+        return str(e)
+
+
+def test_union_reasons_name_far_before_undecided_cells(monkeypatch):
+    """An undecidable union says why: "far cells" when some family's
+    tails are excluded at neither window, whatever the other families'
+    cells, and "undecided cells" when only undecidable cells are left."""
+    pt = _std()
+    far, undecided = ("union not certified false (%s)" % r
+                      for r in ("far cells", "undecided cells"))
+    monkeypatch.setattr(regions, "_block_cells",
+                        _stub_block_cells({("F1", pt.m): None}))
+    monkeypatch.setattr(regions, "_tail_excluded",
+                        lambda point, fid, window: fid != "F3")
+    assert _reason(regions.in_cells_union, pt, ("F1",)) == undecided
+    assert _reason(regions.in_cells_union, pt, ("F1", "F2")) == undecided
+    assert _reason(regions.in_cells_union, pt, ("F3",)) == far
+    assert _reason(regions.in_cells_union, pt, ("F1", "F3")) == far
+    assert _reason(regions.in_cells_union, pt, ("F3", "F1")) == far
+    assert _reason(regions.in_cells_union, pt, ("F2",)) is False
+
+
+def _fold(answers):
+    """A union's answer from its families' answers: True if any is, else
+    the far-cells reason if any has it, else any other reason, else
+    False."""
+    if True in answers:
+        return True
+    for reason in ("far cells", "undecided cells"):
+        if any(isinstance(a, str) and reason in a for a in answers):
+            return "union not certified false (%s)" % reason
+    return False
+
+
+def test_composites_are_folds_of_their_families():
+    """On sampled points and standard-heart points at windows 4 and 8,
+    every composite answers, on a fresh point, the fold of what each of
+    its families' unions answers alone on another fresh point, reasons
+    included."""
+    rng = random.Random("union-folds")
+    pts = [harness._sample_point(rng, FAMILY_IDS, -6, 6, 8) for _ in range(120)]
+    while len(pts) < 280:
+        charges = tuple(harness._rand_charge(rng, 16) for _ in range(3))
+        try:
+            pts.append(engine.standard_heart_point(charges))
+        except ValueError:
+            pass
+    met = Counter()
+    for pt in pts:
+        for window in (4, 8):
+            alone = _fresh(pt)
+            single = {fid: _reason(regions.in_cells_union, alone, (fid,), window)
+                      for fid in FAMILY_IDS}
+            both = _fresh(pt)
+            for name, fids in regions.COMPOSITES.items():
+                got = _reason(regions.in_composite, both, name, window)
+                assert got == _fold([single[f] for f in fids]), (
+                    name, window, pt.to_json())
+                met[got] += 1
+    assert {True, False, "union not certified false (far cells)"} <= set(met), met
 
 
 def _predicate_answers(pt, window):

@@ -1,6 +1,6 @@
 """Checks on the repository itself: with warnings as errors, a failing
 Hypothesis test is still reported as one failure of a finished session,
-every other module reaches the engine only through its public names, only
+every module reaches every other one only through its public names, only
 the catalog and the engine call ``hom_degrees``, and the only process-wide
 caches are point-independent tables."""
 
@@ -31,35 +31,60 @@ def test_a_failing_hypothesis_test_is_reported(tmp_path):
     assert "1 failed" in report
 
 
-def test_regions_reads_no_private_engine_name():
-    """Every module of the package but ``engine`` itself (``regions``,
-    ``harness``, ``cli`` and the rest) reaches the engine through its
-    public functions and the analysis object only: it reads no
-    ``engine._*`` attribute and imports no private name from it."""
+def _package_modules():
     pkg = os.path.join(ROOT, "src", "stabq")
+    return {f[:-3]: os.path.join(pkg, f)
+            for f in sorted(os.listdir(pkg)) if f.endswith(".py")}
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_module_reads_a_private_name_of_another():
+    """Every module of the package reaches every other one through its
+    public names only: it reads no ``X._name`` of a package module X it
+    imports, and imports no private name from one.  So ``regions`` keeps
+    its per-family answers and tail exclusions to itself, and every
+    module reaches the engine through its public functions and the
+    analysis object."""
+    modules = _package_modules()
     private, read = [], {}
-    for fname in sorted(os.listdir(pkg)):
-        if not fname.endswith(".py") or fname == "engine.py":
-            continue
-        path = os.path.join(pkg, fname)
+    for mod, path in modules.items():
         with open(path) as f:
             tree = ast.parse(f.read(), path)
-        read[fname] = set()
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                source = (node.module or "").rpartition(".")[2]
+                package = node.level == 1 and node.module is None or (
+                    node.module == "stabq")
+                for a in node.names:
+                    if package and a.name in modules:
+                        aliases[a.asname or a.name] = a.name
+                    elif source in modules and _is_private(a.name):
+                        private.append("%s: from %s import %s (line %d)"
+                                       % (mod, source, a.name, node.lineno))
+            elif isinstance(node, ast.Import):
+                for a in node.names:
+                    head, _, tail = a.name.partition(".")
+                    if head == "stabq" and tail in modules and a.asname:
+                        aliases[a.asname] = tail
+        read[mod] = set()
         for node in ast.walk(tree):
             if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                    and node.value.id == "engine"):
-                read[fname].add(node.attr)
-                if node.attr.startswith("_"):
-                    private.append("%s: engine.%s (line %d)"
-                                   % (fname, node.attr, node.lineno))
-            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("engine"):
-                private += ["%s: import %s (line %d)" % (fname, a.name, node.lineno)
-                            for a in node.names if a.name.startswith("_")]
+                    and node.value.id in aliases):
+                other = aliases[node.value.id]
+                read[mod].add("%s.%s" % (other, node.attr))
+                if _is_private(node.attr):
+                    private.append("%s: %s.%s (line %d)"
+                                   % (mod, other, node.attr, node.lineno))
     assert private == []
-    # the check sees every module, and the names the engine's readers read
-    assert {"regions.py", "harness.py", "cli.py", "__init__.py"} <= set(read)
-    assert "lookup" in read["regions.py"]
-    assert "semistable" in read["harness.py"] and "semistable" in read["cli.py"]
+    # the check sees every module, and the names its readers read
+    assert {"regions", "harness", "cli", "__init__", "engine"} <= set(read)
+    assert "engine.lookup" in read["regions"]
+    assert "regions.in_cells_union" in read["harness"]
+    assert "engine.semistable" in read["harness"] & read["cli"]
 
 
 def test_only_catalog_and_engine_call_hom_degrees():
