@@ -68,7 +68,8 @@ def sample_sigma(
     shift = anchor[2] if len(anchor) > 2 else None
     if (fid not in FAMILY_IDS or type(m) is not int or len(anchor) > 3
             or shift is not None and not (
-                len(shift) == 3 and in_shift_set(family_triple(fid, m), shift))):
+                isinstance(shift, tuple) and len(shift) == 3
+                and in_shift_set(family_triple(fid, m), shift))):
         raise ValueError("no point has the anchor %r" % (anchor,))
     collinear = constraints is not None
     if collinear and fid != "F8":

@@ -36,16 +36,22 @@ def test_sample_sigma_honors_anchor_and_shift():
 
 
 def test_sample_sigma_rejects_an_anchor_no_point_has(monkeypatch):
-    """A shift outside the shift set, a shift of the wrong arity and an
-    unknown family raise ValueError naming the anchor before any draw."""
+    """A shift outside the shift set, a shift of the wrong arity or type,
+    an unknown family, and a shift the phi(M)=phi(M') construction cannot
+    use (an even third shift) raise ValueError naming the anchor before
+    any draw."""
     def no_draw(*args):
         raise AssertionError("drew a charge for a bad anchor")
 
     monkeypatch.setattr(harness, "_rand_charge", no_draw)
     monkeypatch.setattr(harness, "_rand_shift", no_draw)
-    for anchor in (("F5", 0, (0, 5, 5)), ("F5", 0, (0, 0)), ("F9", 0)):
+    for anchor in (("F5", 0, (0, 5, 5)), ("F5", 0, (0, 0)), ("F9", 0),
+                   ("F5", 0, 5)):
         with pytest.raises(ValueError, match=re.escape(repr(anchor))):
             harness.sample_sigma(anchor, seed=1)
+    anchor = ("F8", 0, (0, 0, -2))
+    with pytest.raises(ValueError, match=re.escape(repr(anchor))):
+        harness.sample_sigma(anchor, "phi(M)=phi(M')", seed=1)
 
 
 def test_sample_sigma_rejects_an_unknown_constraint():
