@@ -29,6 +29,7 @@ from .catalog import (
     kclass,
     parse_label,
 )
+from .exact import digits_checked
 from .triples import (
     ExcTriple,
     MUTATION_OPS,
@@ -55,11 +56,18 @@ def _label(s: str) -> ExcObject:
 def _load_json(path: str):
     try:
         with open(path) as f:
-            return json.load(f)
+            return json.load(f, parse_int=lambda s: _json_int(path, s))
     except OSError as e:
         raise _BadInput("cannot read %s: %s" % (path, e.strerror or e))
     except (ValueError, RecursionError) as e:  # also UnicodeDecodeError
         raise _BadInput("%s is not valid JSON: %s" % (path, e))
+
+
+def _json_int(path: str, s: str) -> int:
+    try:
+        return int(digits_checked(s))
+    except ValueError as e:
+        raise _BadInput("%s: %s" % (path, e))
 
 
 def _cmd_catalog(args) -> int:

@@ -38,8 +38,9 @@ by every object further out.  Moving n steps along the chains
 acts on K as T^n(c) = c + n (c_T - c_L) delta, so a fixpoint reads its
 slots' K-classes against the point's simple charges moved once by its m.
 Per point the fixpoint computes only charges, window arguments and phase
-comparisons on lists indexed by slot, and spells out objects, rules and
-witnesses in the point's own labels.
+comparisons on lists indexed by slot, seeding the anchor from its
+family's cell (``_Plan.cells``) at the point's m; objects, rules and
+witnesses are spelled in the point's own labels only when read.
 The plan also indexes, per slot, the standard triples holding it (the
 readiness index), so a point's fixpoint scans each triple once, in the
 round after its last slot is decided semistable, and never rescans the
@@ -59,8 +60,10 @@ which the fixpoint writes for each slot it decides and a lookup fills
 for an undecided one; per decided slot the rule token that decided it,
 shared with the plan; the witness of each slot a big gap killed; and the
 decided slots in the order of their verdicts.
-``semistable`` spells out one verdict at a time from these, and
-``regions`` derives its far tail bounds from the brackets.  A lookup
+``semistable`` builds one verdict at a time from these, and the
+verdict spells its rule and witness only when either is read, so a
+caller of the status alone (criterion 6) spells nothing; ``regions``
+derives its far tail bounds from the brackets.  A lookup
 takes a base object, finds its slot by arithmetic on its label
 (``_Plan.index``, the one map from objects to slots) and builds no
 object.  An object beyond the universe keeps no entry: each lookup of
@@ -81,7 +84,8 @@ Most closure pins re-derive an object already decided; whether its
 decided phase has the direction of its charge does not depend on the
 shift, so that is tested once per slot, and the closure loop decides
 such a re-pin itself, on the offsets and one integer cross product per
-window end.
+window end.  A closure's contents leave out its pair's own two objects,
+which sit at the ends of its window.
 """
 
 from __future__ import annotations
@@ -305,10 +309,33 @@ def charge_of(point: StabilityPoint, x) -> Gaussian:
 
 @dataclass
 class Verdict:
+    """A verdict, with the rules that decided it and the witness of a big
+    gap spelled in the point's own labels.  A verdict of
+    ``Analysis.verdict`` leaves ``witness`` and ``rules`` unset and spells
+    both on the first read of either (``Analysis.spelled``), so a caller
+    that reads only the status or the phase spells nothing; ``==`` and
+    ``repr`` read them like any field."""
+
     status: str  # "semistable" | "unstable" | "unknown"
     phase: Optional[Phase] = None  # phase of the *base* object when semistable
     witness: Optional[str] = None
     rules: Tuple[str, ...] = ()
+
+    def __getattr__(self, name):
+        # reached only for an attribute unset on the instance
+        d = self.__dict__
+        if name not in ("witness", "rules") or "_an" not in d:
+            raise AttributeError(name)
+        an, s = d.pop("_an"), d.pop("_slot")
+        w, rules = an.spelled(s)
+        d.setdefault("witness", w)
+        d.setdefault("rules", rules)
+        return d[name]
+
+
+# the class defaults would hide unset fields from __getattr__; the
+# constructor keeps its own
+del Verdict.witness, Verdict.rules
 
 
 def _universe(m: int, window: int) -> List[ExcObject]:
@@ -469,7 +496,10 @@ class _Plan:
             pair = ext_pair(B[i], B[i + 1])
             content = None if pair is None else closure_content(pair, self.window)
             if content:
-                inside = tuple(r for r in map(self.ref, content) if r is not None)
+                # the pair's own objects are decided at the window's ends
+                ends = self.ref(B[i]), self.ref(B[i + 1])
+                inside = tuple(r for r in map(self.ref, content)
+                               if r is not None and r not in ends)
                 closures.append((i, inside, ("closure", B, "[%d]" % i)))
         outer = y_obj = None
         h02 = hom_dims(B[0], B[2])
@@ -589,17 +619,24 @@ class Analysis:
         return "%s(%s,%s,%s)%s" % (name, *map(self.at, B), suffix)
 
     def verdict(self, s: Optional[int]) -> Verdict:
-        """The verdict on slot s, a new object spelled in the point's own
-        labels; ``unknown`` when s is undecided or None (beyond the
-        universe)."""
-        rule = None if s is None else self.rule[s]
-        if rule is None:
+        """The verdict on slot s, a new object whose witness and rules are
+        spelled in the point's own labels on first read (``spelled``);
+        ``unknown`` when s is undecided or None (beyond the universe)."""
+        if s is None or self.rule[s] is None:
             return Verdict("unknown")
+        v = object.__new__(Verdict)
+        v.status, v.phase = self.row[s]
+        v._an, v._slot = self, s
+        return v
+
+    def spelled(self, s: int) -> Tuple[Optional[str], Tuple[str, ...]]:
+        """The witness and rules of the decided slot s, in the point's own
+        labels."""
         w = self.witness.get(s)
         if w is not None:
             w = self.at(w)
             w = "phase gap %s..x[%d]" % (w, w.m + 1)
-        return Verdict(*self.row[s], w, (self.label(rule),))
+        return w, (self.label(self.rule[s]),)
 
     def verdicts(self) -> Dict[ExcObject, Verdict]:
         return {self.name(s): self.verdict(s) for s in self.order}
@@ -726,7 +763,10 @@ def _sigma_triple_rules(an: Analysis, row: _Row, phis, shifts, charge):
     changes nothing, exactly when the decided phase moved by the pin's
     shift lies in the window, which the loop tests on the offsets and one
     integer cross product per end.  Every other pin (a new slot, a
-    conflict) goes to ``_pin_in_window``.
+    conflict) goes to ``_pin_in_window``.  The pair's own two objects are
+    not among the contents (``_Plan._build``): each is decided, from its
+    own charge, at exactly one end of the window, so its re-pin could
+    neither decide nor raise.
     """
     entries, agrees = an.row, an.agrees
     for i, content, rule in row.closures:
@@ -825,9 +865,10 @@ def _decide(point: StabilityPoint, window: int) -> Analysis:
             z = zs[s] = _charge(simple, kclasses[s])
         return -z if ref[1] % 2 else z
 
-    anchor = family_triple(point.family, 0).shifted(point.shift)
-    for obj, ph in zip(anchor.objs, point.anchor_phases):
-        an.set_ss(plan.ref(obj), ph, "anchor")
+    # the anchor is the family's cell at the point's m, shifted
+    for ref, ph in zip(zip(plan.cells(point.family)[window], point.shift),
+                       point.anchor_phases):
+        an.set_ss(ref, ph, "anchor")
 
     row, holders, missing, bounds = an.row, plan.holders, plan.sizes[:], plan.bounds
     gapped = [False] * len(plan.universe)  # chain pairs compared for a big gap

@@ -30,6 +30,7 @@ guard against assignment.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -158,10 +159,24 @@ _RATIONAL = re.compile(r"-?[0-9]+(?:/0*[1-9][0-9]*)?")
 
 
 def _json_rat(x) -> Fraction:
-    if (isinstance(x, str) and _RATIONAL.fullmatch(x)
-            or isinstance(x, int) and not isinstance(x, bool)):
+    if isinstance(x, str) and _RATIONAL.fullmatch(x):
+        return Fraction(digits_checked(x))
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise ValueError("%r is not a rational string or an integer" % (x,))
+
+
+def digits_checked(s: str) -> str:
+    """s, a number string ("p" or "p/q" with an optional "-"), once no
+    integer in it has more digits than Python reads from a string
+    (``sys.get_int_max_str_digits``); else a ValueError that names its
+    size, where ``int`` would name the interpreter's setting."""
+    limit = sys.get_int_max_str_digits()
+    n = max(len(part.lstrip("-")) for part in s.split("/"))
+    if limit and n > limit:
+        raise ValueError("a number of %d digits exceeds the %d-digit limit"
+                         % (n, limit))
+    return s
 
 
 def primitive_multiple(zs) -> Tuple[Gaussian, ...]:

@@ -313,32 +313,36 @@ def semistable_in_heart(rep: FiniteRep, charges, subreps=None):
     verdict is the same, and the witness has a charge parallel to the
     full scan's (``harness.oracle_agreement``).
 
-    Integer charges (a point's ``simple``) are read as they are;
-    rational ones are first scaled by a positive factor to integers, which
-    no argument comparison sees.  The whole's charge and each
+    The six charge components are read once.  Integer charges (a point's
+    ``simple``) are used as they are; rational ones are first scaled by a
+    positive factor to integers, which no argument comparison sees.  The
+    whole and each subrepresentation are tested for zero on their
+    unpacked entries.  The whole's charge and each
     subrepresentation's charge are computed once, as integer pairs, and
     checked once (nonzero, in the closed upper branch, else ``ExactError``;
     the whole's is checked after the first subrepresentation's).  Then one
     cross product against the largest argument so far, the whole's until a
     subrepresentation beats it, decides each subrepresentation.
     """
-    if rep.dims.is_zero():
+    whole = L, R, T = rep.dims
+    if not (L or R or T):
         raise ValueError("zero representation")
     if subreps is None:
         subreps = all_subreps(rep)
-    if not all(type(z.re) is int and type(z.im) is int for z in charges):
-        charges = primitive_multiple(charges)
-    (lx, ly), (rx, ry), (tx, ty) = [(z.re, z.im) for z in charges]
-    whole = rep.dims
-    L, R, T = whole
+    zl, zr, zt = charges
+    lx, ly, rx, ry, tx, ty = zl.re, zl.im, zr.re, zr.im, zt.re, zt.im
+    if not (type(lx) is type(ly) is type(rx) is type(ry) is type(tx)
+            is type(ty) is int):
+        zl, zr, zt = primitive_multiple(charges)
+        lx, ly, rx, ry, tx, ty = zl.re, zl.im, zr.re, zr.im, zt.re, zt.im
     # (x, y): the charge of largest argument so far
     x, y = lx * L + rx * R + tx * T, ly * L + ry * R + ty * T
     worst = None
     checked = False
     for d in subreps:
-        if d.is_zero() or d == whole:
-            continue
         L, R, T = d
+        if not (L or R or T) or d == whole:
+            continue
         u, v = lx * L + rx * R + tx * T, ly * L + ry * R + ty * T
         if not (v > 0 or (v == 0 and u < 0)):
             branch_checked(Gaussian(u, v))  # zero or outside: raises

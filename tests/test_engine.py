@@ -29,6 +29,8 @@ from stabq.triples import (
     FAMILY_IDS,
     ExcTriple,
     alpha_beta_gamma,
+    closure_content,
+    ext_pair,
     family_triple,
     in_shift_set,
     shift_set_members,
@@ -931,6 +933,94 @@ def test_fixpoint_golden_digest():
     assert h.hexdigest() == (
         "b614fb67d634954ac825c09627a77a807724cf03d2e2050d7beedb4bbdccb6cf"
     )
+
+
+def _eager_verdict(an, s):
+    """The verdict on slot s spelled in full when it is built, as
+    ``Analysis.verdict`` did before it spelled witnesses and rules on
+    read."""
+    rule = an.rule[s]
+    if rule is None:
+        return engine.Verdict("unknown")
+    w = an.witness.get(s)
+    if w is not None:
+        w = an.at(w)
+        w = "phase gap %s..x[%d]" % (w, w.m + 1)
+    if not isinstance(rule, str):
+        name, B, suffix = rule
+        rule = "%s(%s,%s,%s)%s" % (name, *map(an.at, B), suffix)
+    return engine.Verdict(*an.row[s], w, (rule,))
+
+
+def test_verdicts_spell_rules_and_witnesses_only_when_read(monkeypatch):
+    """A verdict spells its rules and witness on their first read, and
+    then as it did when it spelled them on construction: on every slot of
+    the fixpoint digest's points at windows 4 and 8 the lazy verdict
+    equals, and has the repr of, the eager one, whichever field is read
+    or assigned first.  ``stab explain`` prints them as before
+    (``test_cli_explain`` pins its JSON).  Criterion 6 reads only
+    statuses, so a whole ``oracle_agreement`` call spells none."""
+    kinds = set()
+    for p in _digest_points():
+        for w in (4, 8):
+            an = p.analysis(w)
+            for s in range(len(an.row)):
+                want = _eager_verdict(an, s)
+                kinds.add((want.status, want.witness is not None))
+                assert an.verdict(s) == want and want == an.verdict(s)
+                assert repr(an.verdict(s)) == repr(want)
+                v = an.verdict(s)
+                assert (v.status, v.phase) == (want.status, want.phase)
+                assert (v.witness, v.rules) == (want.witness, want.rules)
+                v = an.verdict(s)
+                v.rules = ("x",)
+                assert (v.witness, v.rules) == (want.witness, ("x",))
+                v = an.verdict(s)
+                v.witness = "x"
+                assert (v.witness, v.rules) == ("x", want.rules)
+    assert kinds == {("semistable", False), ("unstable", True), ("unknown", False)}
+    with pytest.raises(TypeError):
+        hash(an.verdict(an.order[0]))
+
+    def unspelled(*args):
+        raise AssertionError("spelled a rule or a witness")
+
+    monkeypatch.setattr(engine.Analysis, "label", unspelled)
+    monkeypatch.setattr(engine.Analysis, "spelled", unspelled)
+    rep = harness.oracle_agreement(20, seed=28)
+    assert rep.decided == 20 and not rep.mismatches
+
+
+def test_closure_contents_leave_out_their_pair(monkeypatch):
+    """No closure of a plan row lists the pair it comes from among its
+    contents, and with the pair's two objects the contents are the
+    closure's objects inside the scope, in order (rows built by the
+    fixpoints at windows 0, 4 and 8 of the fixpoint digest's points).
+    Those two re-pins could neither decide nor raise because every slot
+    decided semistable has a phase with the direction of its charge,
+    which the same fixpoints show."""
+    rows = 0
+    for w in (0, 4, 8):
+        plan = engine._Plan(w)
+        monkeypatch.setattr(engine, "_plan", lambda window: plan)
+        for p in _digest_points():
+            an = engine._decide(p, w)
+            for s in an.order:
+                ph = an.row[s][1]
+                if ph is not None:
+                    d, z = ph.direction(), engine.charge_of(p, an.name(s))
+                    assert d.cross(z) == 0 and d.dot(z) > 0
+        for _, _, built in plan.triples:
+            for row in filter(None, built.values()):
+                for i, inside, rule in row.closures:
+                    B = rule[1]
+                    ends = {plan.ref(B[i]), plan.ref(B[i + 1])}
+                    whole = [r for r in map(plan.ref, closure_content(
+                        ext_pair(B[i], B[i + 1]), w)) if r is not None]
+                    assert ends <= set(whole) and not ends & set(inside)
+                    assert [r for r in whole if r not in ends] == list(inside)
+                    rows += 1
+    assert rows
 
 
 def test_lookup_golden_digest():

@@ -15,6 +15,7 @@ from stabq import engine, ff, harness
 from stabq.catalog import build_matrices, hom_dims, parse_label
 from stabq.exact import ExactError, Gaussian, primitive_multiple
 from stabq.ff import (
+    FiniteRep,
     all_subreps,
     all_subspaces_with_sets,
     restrict,
@@ -331,6 +332,42 @@ def test_semistable_in_heart_matches_fraction_reference():
             assert semistable_in_heart(rep, scaled, subreps=subs) == want, obj
             unstable += not want[0]
     assert 0 < unstable < 200 * 18
+
+
+def test_king_compare_reads_int_fraction_and_mixed_charges_alike():
+    """``semistable_in_heart`` gives one (ok, witness) for integer charges,
+    for their multiples by a positive ``Fraction`` (integral ones
+    included) and for the same charges with each component an ``int`` or
+    a ``Fraction`` at random, on every subrepresentation and on the rays;
+    the integer verdict is the Fraction reference's.  A zero
+    representation is a ValueError whatever the charges."""
+    rng = random.Random("king-compare-component-types")
+    objs = _full_scan_objects()
+    rays = [r for _, _, r in harness._heart_test_objects()]
+    unstable = 0
+    for _ in range(150):
+        ints = tuple(Gaussian(rng.randint(-16, 16), rng.randint(1, 16))
+                     for _ in range(3))
+        lam = Fraction(rng.randint(1, 9), rng.choice((1, rng.randint(1, 9))))
+        scaled = tuple(z.scale(lam) for z in ints)
+        mixed = tuple(Gaussian(*(c if rng.random() < 0.5 else Fraction(c)
+                                 for c in (z.re, z.im))) for z in ints)
+        for (obj, rep, subs), rs in zip(objs, rays):
+            want = _reference_semistable(rep, ints, subs)
+            assert semistable_in_heart(rep, ints, subreps=subs) == want, obj
+            on_rays = semistable_in_heart(rep, ints, subreps=rs)
+            for zs in (scaled, mixed):
+                assert semistable_in_heart(rep, zs, subreps=subs) == want, obj
+                assert semistable_in_heart(rep, zs, subreps=rs) == on_rays, obj
+            unstable += not want[0]
+    assert 0 < unstable < 150 * len(objs)
+    rep = objs[0][1]
+    zero = FiniteRep(rep.F, Vec3(0, 0, 0), (), (), ())
+    for zs in (ints, scaled, mixed):
+        with pytest.raises(ValueError, match="zero representation"):
+            semistable_in_heart(zero, zs)
+        with pytest.raises(ValueError, match="zero representation"):
+            semistable_in_heart(zero, zs, subreps=rays[0])
 
 
 _RAT = st.fractions(min_value=-16, max_value=16, max_denominator=16)

@@ -264,6 +264,27 @@ def test_cli_bad_input_exits_2_without_traceback(tmp_path, capsys):
         "spread.json": json.dumps(spread),
         "not_json.json": "{not json",
     }
+    # a component with more digits than Python reads from a string, as a
+    # rational string and as a JSON integer: the message names its size
+    int_charge = json.dumps(
+        dict(good, charges=[{"re": 0, "im": "1"}] + good["charges"][1:]))
+    long_charges = {
+        "long_charge.json": (json.dumps(dict(
+            good, charges=[{"re": "-1/1" + "0" * 5000, "im": "1"}]
+            + good["charges"][1:])), 5001),
+        "long_int_charge.json": (
+            int_charge.replace('"re": 0,', '"re": %s,' % ("7" * 4301)), 4301),
+    }
+    for name, (text, digits) in long_charges.items():
+        files[name] = text
+        path = tmp_path / name
+        path.write_text(text)
+        for argv in (["classify", str(path)], ["explain", str(path), "b[0]"]):
+            assert cli.main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1
+            assert err.endswith(": a number of %d digits exceeds the 4300-digit "
+                                "limit\n" % digits), err
     # fields of the wrong JSON type, each named in the message with the
     # type it wants
     int_shift = json.loads(json.dumps(good))
