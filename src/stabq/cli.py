@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 a verification mismatch (`stab verify`), 2 input
 the command cannot use (a missing or malformed file, a bool, a float or
 a string where a file needs an integer, a bad label, an unknown lemma, a
-sample count below 1, a window outside 0..MAX_WINDOW, a point outside the
+`catalog` range whose --lo is above its --hi, a sample count below 1, a window outside 0..MAX_WINDOW, a point outside the
 oracle's domain, an object beyond the oracle's size cap, an output path
 that cannot be written, a slice -o ending in .csv), reported as one
 `<command>: ...` line on stderr, and 3 an internal error (any other
@@ -71,6 +71,8 @@ def _json_int(path: str, s: str) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    if args.lo > args.hi:
+        raise _BadInput("--lo %d is above --hi %d" % (args.lo, args.hi))
     rows = []
     objs = [ExcObject("M", 0, 0), ExcObject("Mp", 0, 0)]
     for kind in ("a", "b"):

@@ -62,12 +62,15 @@ shared with the plan; the witness of each slot a big gap killed; and the
 decided slots in the order of their verdicts.
 ``semistable`` builds one verdict at a time from these, and the
 verdict spells its rule and witness only when either is read, so a
-caller of the status alone (criterion 6) spells nothing; ``regions``
-derives its far tail bounds from the brackets.  A lookup
+caller of the status alone (criterion 6) spells nothing.  A lookup
 takes a base object, finds its slot by arithmetic on its label
 (``_Plan.index``, the one map from objects to slots) and builds no
 object.  An object beyond the universe keeps no entry: each lookup of
-it folds its bracket anew.  An analysis is built on the first lookup at
+it folds its bracket anew.  ``regions``, which knows its objects by
+slot, skips the labels: the analysis's slot readers give a slot's
+charge, conditional phase and bracket, for the universe and for the
+chain objects one and two steps past its ends, from which ``regions``
+derives its far tail bounds.  An analysis is built on the first lookup at
 its window and lives exactly as long as its point; nothing is cached
 process-wide on points, so equal but distinct point objects each compute
 their own (identical) results.
@@ -338,8 +341,13 @@ class Verdict:
 del Verdict.witness, Verdict.rules
 
 
+# the slots of M and M' in every plan: its universe begins with them
+RIGID_SLOTS = {"M": 0, "Mp": 1}
+
+
 def _universe(m: int, window: int) -> List[ExcObject]:
-    """The objects a fixpoint at index m and ``window`` decides."""
+    """The objects a fixpoint at index m and ``window`` decides, M and M'
+    first (``RIGID_SLOTS``)."""
     objs = [ExcObject("M", 0, 0), ExcObject("Mp", 0, 0)]
     for kind in ("a", "b"):
         for i in range(m - window, m + window + 2):
@@ -379,11 +387,15 @@ class _Plan:
     distinct slots: a triple is ready once that many of its slots are
     decided semistable.
     ``gaps`` holds, per a/b slot, None or its chain successor and the
-    slots a phase gap above it kills, in universe order.  ``kclasses``
-    holds the K-class of each slot, and ``degrees_of`` the row of
-    ``hom_degrees`` from a slot, or from a chain object one or two steps
-    beyond the universe (``reps``), to every slot, built on first use.
-    ``blocks`` holds per family its block of cells, read by ``cells``.
+    slots a phase gap above it kills, in universe order.  ``reps`` holds
+    the slots' objects and then, per letter, the chain objects one and two
+    steps past each end of its chain; ``kclasses`` holds the K-class of
+    each of them, and ``degrees_of`` its row of ``hom_degrees`` to every
+    slot, built on first use.  ``ends`` holds per letter and end of its
+    chain the ``reps`` indices of the end object and of the objects one
+    and two steps past it.  ``blocks`` holds per family its block of
+    cells, read by ``cells``, and ``columns`` the same block as three
+    columns of slots, one per object of the cells.
 
     Hom dimensions, closure contents, the scope and K-class relations are
     unchanged when every chain index moves by the same step
@@ -406,6 +418,8 @@ class _Plan:
         n = len(ks)
         self.blocks = {f: [slots for _, slots, _ in self.triples[j:j + n]]
                        for f, j in zip(FAMILY_IDS, range(0, len(ts), n))}
+        # and the same block as three slot columns, one per object
+        self.columns = {f: tuple(zip(*b)) for f, b in self.blocks.items()}
         # the readiness index: per slot the triples holding it, in plan
         # order, and per triple its number of distinct slots
         self.holders = [[] for _ in u]
@@ -415,12 +429,20 @@ class _Plan:
             for s in distinct:
                 self.holders[s].append(j)
             self.sizes.append(len(distinct))
-        self.kclasses = [kclass(o) for o in u]
         # the slots, then per letter the chain objects two and one steps
         # below its chain and one and two steps above it (``hom_row``)
         self.reps = u + [ExcObject(k, self.low + j, 0) for k in ("a", "b")
                          for j in (-2, -1, self.span, self.span + 1)]
+        self.kclasses = [kclass(o) for o in self.reps]
         self.degrees: List[Optional[tuple]] = [None] * len(self.reps)
+        # per letter and end of its chain (True for the high end) the
+        # slots of the end object and of the objects one and two steps
+        # past it
+        self.ends = {
+            (k, hi): (2 + self.span * (k == "b") + (self.span - 1) * hi,
+                      len(u) + 4 * (k == "b") + (2 if hi else 1),
+                      len(u) + 4 * (k == "b") + (3 if hi else 0))
+            for k in ("a", "b") for hi in (False, True)}
         self.gaps = [None] * len(u)
         for s, o in enumerate(u):
             nxt = self.index(o.translated(1))
@@ -572,6 +594,12 @@ class Analysis:
     index order, and ``unions`` per family its answer to membership in
     the union of the family's cells at every index: True, False or the
     reason it is undecidable.
+    ``slot_charge``, ``slot_phase`` and ``slot_bracket`` read a slot of
+    the plan's ``reps`` by number: its charge, its conditional phase (a
+    universe slot's through ``entry``, so kept; one beyond the universe
+    computed on each call and kept nowhere) and the bracket fold on its
+    plan row, what ``charge_of``, ``conditional_phase`` and
+    ``phase_bracket`` give for its label.
     Rules are tokens, the plan's own: a string ("anchor", "big-gap") or a
     row's (name, B, suffix).  Tokens and witnesses are spelled in the
     point's own labels only by ``verdict`` and in error messages.  The
@@ -604,6 +632,24 @@ class Analysis:
                 self, _charge(self.simple, self.plan.kclasses[s]),
                 self.plan.degrees_of(s))
         return e
+
+    def slot_charge(self, s: int) -> Gaussian:
+        """``charge_of`` the object ``plan.reps[s]`` in the point's labels:
+        its plan K-class against ``simple``."""
+        return _charge(self.simple, self.plan.kclasses[s])
+
+    def slot_phase(self, s: int) -> Optional[Phase]:
+        """``conditional_phase`` of the object ``plan.reps[s]``: the phase
+        of a universe slot's ``entry``, and beyond the universe computed
+        on each call and kept nowhere."""
+        if s < len(self.row):
+            return self.entry(s)[1]
+        return _undecided(self, self.slot_charge(s), self.plan.degrees_of(s))[1]
+
+    def slot_bracket(self, s: int):
+        """``phase_bracket`` of the object ``plan.reps[s]``: the bracket
+        fold (``_bracket``) on the slot's plan row."""
+        return _bracket(self, self.plan.degrees_of(s))
 
     def at(self, obj: ExcObject) -> ExcObject:
         return obj.translated(self.dm)
@@ -855,7 +901,7 @@ def _decide(point: StabilityPoint, window: int) -> Analysis:
     an = Analysis(plan, point.m, _translated_simple(point.simple, point.m))
     simple, kclasses = an.simple, plan.kclasses
     # the charges by slot, computed on first use; no lookup reads them
-    zs: List[Optional[Gaussian]] = [None] * len(kclasses)
+    zs: List[Optional[Gaussian]] = [None] * len(plan.universe)
 
     def charge(ref: Tuple[int, int]) -> Gaussian:
         # [x[k]] = (-1)^k [x], and charges are linear with integer values

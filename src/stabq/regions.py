@@ -19,17 +19,21 @@ per analysis: ``_block_cells`` decides a family's whole block at a window
 from the analysis's slot row and keeps the verdicts, one tuple per
 family, in the analysis's ``cells``.  At window w the cells of a point's
 block are the standard triples of the window's rule plan, relative to
-the point's m, so the plan says in which slots each cell sits, and the
-row's entries are filled on first read.  ``classify``, the composites
-and a widened tail rescan, which reads only the ring beyond the narrower
-block, all read those tuples, so no cell of an analysis is decided
-twice.  Beyond the block, each letter's far phases on each side are
-bounded by the engine's own brackets and the chain's charge ray
-(``_far_phases``), kept on the analysis when a family first reads the
-letter, and each family's cells there are excluded by one interval test,
-a row of a table read off its pattern (``_tail_family_excluded``).  Each
-family's union is decided once per analysis (``_in_family_union``), and
-a composite's membership is the fold of its families' answers.
+the point's m, so the plan says in which slots each cell sits, as three
+slot columns, and the row's entries are filled on first read.
+``classify``, the composites and a widened tail rescan, which reads only
+the ring beyond the narrower block, all read those tuples, so no cell of
+an analysis is decided twice.  Beyond the block, each letter's far
+phases on each side are bounded by the engine's own brackets and the
+chain's charge ray (``_far_phases``), kept on the analysis when a family
+first reads the letter, and each family's cells there are excluded by
+one interval test, a row of a table read off its pattern
+(``_tail_family_excluded``).  The block cells, the far tails and the
+fixed objects M and M' of the tail tests are all read from the analysis
+by plan slot (``engine.Analysis.slot_phase``, ``slot_bracket``,
+``slot_charge``), building no object label.  Each family's union is
+decided once per analysis (``_in_family_union``), and a composite's
+membership is the fold of its families' answers.
 """
 
 from __future__ import annotations
@@ -175,29 +179,30 @@ def _block_cells(point, fid: str, window: int) -> tuple:
     """``in_named_cell`` at every index of the point's block at ``window``,
     in increasing order, as True, False or None (undecidable), decided once
     per analysis and kept in its ``cells``.  Each cell is decided from the
-    analysis's slot row, at the slots of the plan's cell: the entries
-    ``_phases`` would read, in its order and with its stop at the first
-    object that cannot be semistable, and the same clause test."""
+    analysis's slot row, at the slots of the plan's cell, read as the
+    block's three slot columns (``_Plan.columns``): the first object of
+    every cell, the second only where the first can be semistable and the
+    third only where the second can.  These are the entries ``_phases``
+    would read, with its stop at the first object that cannot be
+    semistable, and the clause test is the same."""
     an = point.analysis(window)
     vs = an.cells.get(fid)
     if vs is not None:
         return vs
     row, entry = an.row, an.entry
+    c0, c1, c2 = an.plan.columns[fid]
     ineqs = _PATTERN_INEQS[fid]
-    out = []
-    for slots in an.plan.cells(fid):
-        ph, certified = [], True
-        for s in slots:
-            status, p = row[s] or entry(s)
-            if p is None:
-                break
-            certified = certified and status == "semistable"
-            ph.append(p)
-        else:
-            if _holds(ph, ineqs):
-                out.append(True if certified else None)
-                continue
-        out.append(False)
+    heads = [row[s] or entry(s) for s in c0]
+    out = [False] * len(heads)
+    for i, (st0, p0) in enumerate(heads):
+        if p0 is None:
+            continue
+        st1, p1 = row[c1[i]] or entry(c1[i])
+        if p1 is None:
+            continue
+        st2, p2 = row[c2[i]] or entry(c2[i])
+        if p2 is not None and _holds((p0, p1, p2), ineqs):
+            out[i] = st0 == st1 == st2 == "semistable" or None
     vs = an.cells[fid] = tuple(out)
     return vs
 
@@ -220,32 +225,37 @@ def _far_phases(point, window: int, hi: bool, kind: str):
     The far objects are the block's edge object, its outer neighbour and
     the objects further out, which share one row of hom degrees
     (``engine._Plan.hom_row``), so the bracket of the object two steps
-    out (``engine.phase_bracket``) holds all their phases.  The hull of
-    the edge's and the neighbour's conditional phases and that bracket
-    bounds the tail.  Beyond the block the chain K-classes move along
+    out holds all their phases.  The hull of the edge's and the
+    neighbour's conditional phases and that bracket bounds the tail.
+    All three are read by plan slot (``_Plan.ends``: the edge object, a
+    universe slot, and the chain objects one and two steps past it) from
+    the analysis (``Analysis.slot_phase``, ``slot_bracket`` and
+    ``slot_charge``), the values ``engine.conditional_phase``,
+    ``phase_bracket`` and ``charge_of`` give for their labels, and no
+    label is built.  Beyond the block the chain K-classes move along
     exact rays [x^(j -/+ 1)] = [x^j] +/- [delta], so the window arguments
     of the charges move monotonically from the edge phase towards the
     window representative of the ray direction, on the side the sign of
-    ``edge.cross(step)`` gives, and that interval narrows the hull."""
-    direction = 1 if hi else -1
-    j_edge = point.m + window + 1 if hi else point.m - window
-    ph_edge, ph_next = (engine.conditional_phase(
-        point, ExcObject(kind, j_edge + k, 0), window) for k in (0, direction))
-    far = engine.phase_bracket(
-        point, ExcObject(kind, j_edge + 2 * direction, 0), window)
+    ``z_edge.cross(step)`` gives, and that interval narrows the hull."""
+    an = point.analysis(window)
+    edge, nxt, beyond = an.plan.ends[kind, hi]
+    ph_edge, ph_next = an.slot_phase(edge), an.slot_phase(nxt)
+    far = an.slot_bracket(beyond)
     known = [ph for ph in (ph_edge, ph_next) if ph is not None]
     if far is None and not known:
         return _DEAD
     lo, up = far or (known[0], known[0])
     lo = None if lo is None else min(known + [lo])
     up = None if up is None else max(known + [up])
+    # the edge object's chain index in the point's labels
+    j_edge = point.m + window + 1 if hi else point.m - window
     if ph_edge is None or (j_edge < 1 if hi else j_edge > 0):
         # edge object dead, or the block edge outside the linear zone of
         # the K-classes: keep the hull
         return lo, up, None
-    edge = engine.charge_of(point, ExcObject(kind, j_edge, 0))
-    step = engine.charge_of(point, ExcObject(kind, j_edge + direction, 0)) - edge
-    turn = edge.cross(step)
+    z_edge = an.slot_charge(edge)
+    step = an.slot_charge(nxt) - z_edge
+    turn = z_edge.cross(step)
     if turn == 0:  # the step is zero or parallel to the edge charge
         return lo, up, None
     # the hull holds the edge phase, so the ray narrows it to that on one
@@ -306,7 +316,7 @@ def _tail_family_excluded(point, fid: str, bounds, window: int) -> bool:
         return True
     if rising is not None and bounds[rising][2] is False:
         return True
-    ph = engine.conditional_phase(point, ExcObject(fixed, 0, 0), window)
+    ph = point.analysis(window).slot_phase(engine.RIGID_SLOTS[fixed])
     if ph is None:  # the rigid object cannot be semistable at all
         return True
     for k, end, c in tests:

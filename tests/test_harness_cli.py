@@ -337,6 +337,7 @@ def test_cli_bad_input_exits_2_without_traceback(tmp_path, capsys):
     _assert_bad_input(["explain", sigma, "zz"], capsys)
     _assert_bad_input(["explain", sigma, "b[0]", "--window", "-1"], capsys)
     _assert_bad_input(["explain", sigma, "b[0]", "--window", "65"], capsys)
+    _assert_bad_input(["catalog", "--lo", "5", "--hi", "1"], capsys)
     _assert_bad_input(["hom", "zz", "M"], capsys)
     _assert_bad_input(["hom", "a[0]", "b[x]"], capsys)
     _assert_bad_input(["mutate", "a[0], M, q", "R0"], capsys)

@@ -13,7 +13,7 @@ import pytest
 import _reference
 from stabq import engine, harness, regions
 from stabq.catalog import ExcObject
-from stabq.exact import ExactError, Gaussian
+from stabq.exact import ExactError, Gaussian, window_arg
 from stabq.triples import (
     FAMILY_IDS,
     FAMILY_SHAPES,
@@ -275,6 +275,36 @@ def test_each_tail_exclusion_is_computed_once(monkeypatch):
     assert windows[8] and windows[8 + regions.TAIL_EXT]
 
 
+def test_classify_builds_no_object_once_the_plan_rows_exist(monkeypatch):
+    """``classify`` reads the block cells, the far tails and the fixed
+    objects M and M' by plan slot, so on points whose plan rows are
+    already built (an equal copy of each is classified first; the rows
+    are built on first use and shared by every point) it constructs no
+    ``catalog.ExcObject``.  On 200 sampled points of every family, the
+    widened-tail point and a point that reaches the exclusions of the
+    widened window."""
+    rng = random.Random("no-labels")
+    pts = [harness.sample_sigma((rng.choice(FAMILY_IDS), rng.randint(-2, 2)),
+                                rng=rng, bound=32) for _ in range(200)]
+    pts += [_widened_tail_point(), _ring_taker_point()]
+    for pt in pts:
+        regions.classify(_fresh(pt))
+    built = []
+    init = ExcObject.__init__
+
+    def counted(self, kind, m, shift):
+        built.append((kind, m, shift))
+        init(self, kind, m, shift)
+
+    monkeypatch.setattr(ExcObject, "__init__", counted)
+    for pt in pts:
+        regions.classify(pt)
+    assert built == []
+    assert 8 + regions.TAIL_EXT in pts[-1].analyses
+    ExcObject("a", 0, 0)  # the wrapper sees a construction
+    assert built == [("a", 0, 0)]
+
+
 def _fresh(pt):
     """An equal point with no analysis yet."""
     return engine.StabilityPoint.from_json(pt.to_json())
@@ -472,20 +502,79 @@ def test_tail_table_is_the_hand_reduction():
 def test_a_lone_family_reads_only_its_letters(monkeypatch):
     """A union of one family folds the far brackets of its own chain
     letter only, on each side (F3 reads a), and F2 and F5, excluded
-    outright, fold none."""
+    outright, fold none.  A far bracket is the fold on the plan slot of a
+    chain object past an end of its chain (``Analysis.slot_bracket``),
+    recorded as (letter, side) with the side read off that object's
+    index in the plan's coordinates."""
     read = []
-    bracket = engine.phase_bracket
+    bracket = engine.Analysis.slot_bracket
 
-    def recorded(point, xb, window=engine.DEFAULT_WINDOW):
-        read.append((xb.kind, xb.m > point.m))
-        return bracket(point, xb, window)
+    def recorded(an, s):
+        x = an.plan.reps[s]
+        read.append((x.kind, x.m > 0))
+        return bracket(an, s)
 
-    monkeypatch.setattr(engine, "phase_bracket", recorded)
+    monkeypatch.setattr(engine.Analysis, "slot_bracket", recorded)
     assert regions.in_cells_union(_std(), ("F3",)) is False
     assert set(read) == {("a", False), ("a", True)}, read
     read.clear()
     assert regions.in_cells_union(_std(), ("F2", "F5")) is False
     assert read == []
+
+
+def _far_phases_by_label(point, window, hi, kind):
+    """``regions._far_phases`` computed from the objects' labels through
+    the engine's public functions (``conditional_phase``,
+    ``phase_bracket``, ``charge_of``): the hull of the edge's and the
+    outer neighbour's conditional phases and the bracket of the object
+    two steps out, narrowed by the chain's charge ray where the block
+    edge lies in the linear zone of the K-classes."""
+    d = 1 if hi else -1
+    j = point.m + window + 1 if hi else point.m - window
+    ph_edge, ph_next = (engine.conditional_phase(
+        point, ExcObject(kind, j + k, 0), window) for k in (0, d))
+    far = engine.phase_bracket(point, ExcObject(kind, j + 2 * d, 0), window)
+    known = [ph for ph in (ph_edge, ph_next) if ph is not None]
+    if far is None and not known:
+        return regions._DEAD
+    lo, up = far or (known[0], known[0])
+    lo = None if lo is None else min(known + [lo])
+    up = None if up is None else max(known + [up])
+    if ph_edge is None or (j < 1 if hi else j > 0):
+        return lo, up, None
+    edge = engine.charge_of(point, ExcObject(kind, j, 0))
+    step = engine.charge_of(point, ExcObject(kind, j + d, 0)) - edge
+    turn = edge.cross(step)
+    if turn == 0:
+        return lo, up, None
+    if turn < 0:
+        limit = window_arg(step, ph_edge, -1)
+        return (limit if lo is None else max(lo, limit)), ph_edge, not hi
+    limit = window_arg(step, ph_edge, 0)
+    return ph_edge, (limit if up is None else min(up, limit)), hi
+
+
+def test_far_phases_read_by_slot_match_the_label_route():
+    """``_far_phases`` reads the plan slots of the block's edge object and
+    of the chain objects one and two steps past it, and builds no label;
+    its value is ``repr``-equal to the same bounds computed from labels
+    (``_far_phases_by_label``), on the six point sets of the superset
+    test and the height-1 points, at windows 0, 4, 8 and 32, on both
+    sides for both letters.  The narrowing by the charge ray and the
+    dead tails are both reached."""
+    pts = [pt for pts, _ in _tail_point_sets().values() for pt in pts]
+    pts += _height_one_points()
+    seen = Counter()
+    for pt in pts:
+        for window in (0, 4, 8, 32):
+            for hi in (False, True):
+                for kind in "ab":
+                    got = regions._far_phases(pt, window, hi, kind)
+                    want = _far_phases_by_label(pt, window, hi, kind)
+                    assert repr(got) == repr(want), (
+                        pt.to_json(), window, hi, kind)
+                    seen[got if got is regions._DEAD else got[2]] += 1
+    assert seen[regions._DEAD] and seen[None] and seen[True] and seen[False]
 
 
 def test_tail_exclusion_golden_digest():
