@@ -17,7 +17,7 @@ import re as _re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exact import frozen_guard
+from .exact import frozen_guard, int_of_digits
 from .quiver import Vec3, euler_form
 
 KINDS = ("a", "b", "M", "Mp")
@@ -79,17 +79,19 @@ _set_kind, _set_m, _set_shift = (
 
 
 _LABEL_RE = _re.compile(
-    r"^(?:(?P<ab>[ab])\[(?P<m>-?\d+)\]|(?P<sp>M'|M))(?:\[(?P<sh>-?\d+)\])?$"
+    r"^(?:(?P<ab>[ab])\[(?P<m>-?[0-9]+)\]|(?P<sp>M'|M))(?:\[(?P<sh>-?[0-9]+)\])?$"
 )
 
 
 def parse_label(s: str) -> ExcObject:
+    """The object a label such as "a[-1]", "b[2][1]", "M" or "M'[-1]"
+    names; its integers are ASCII digits (``exact.int_of_digits``)."""
     m = _LABEL_RE.match(s.strip())
     if not m:
         raise ValueError("cannot parse object label %r" % (s,))
-    shift = int(m.group("sh") or 0)
+    shift = int_of_digits(m.group("sh") or "0")
     if m.group("ab"):
-        return ExcObject(m.group("ab"), int(m.group("m")), shift)
+        return ExcObject(m.group("ab"), int_of_digits(m.group("m")), shift)
     return ExcObject("Mp" if m.group("sp") == "M'" else "M", 0, shift)
 
 

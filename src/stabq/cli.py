@@ -2,11 +2,14 @@
 
 Exit codes: 0 success, 1 a verification mismatch (`stab verify`), 2 input
 the command cannot use (a missing or malformed file, a bool, a float or
-a string where a file needs an integer, a bad label, an unknown lemma, a
-`catalog` range whose --lo is above its --hi, a sample count below 1, a window outside 0..MAX_WINDOW, a point outside the
-oracle's domain, an object beyond the oracle's size cap, an output path
-that cannot be written, a slice -o ending in .csv), reported as one
-`<command>: ...` line on stderr, and 3 an internal error (any other
+a string where a file needs an integer, a bad label, an integer option or
+label index that is not an optional "-" and ASCII digits, a number with
+more digits than Python reads from a string, an unknown lemma, a
+`catalog` range whose --lo is above its --hi, a sample count below 1, a
+window outside 0..MAX_WINDOW, a point outside the oracle's domain, an
+object beyond the oracle's size cap, an output path that cannot be
+written, a slice -o ending in .csv), reported as one `<command>: ...`
+line on stderr, and 3 an internal error (any other
 exception, such as an engine contradiction), reported as one
 `<command>: internal error: ...` line on stderr, and 141 (128 + SIGPIPE)
 when the reader of standard output closes it early, as `stab catalog |
@@ -29,7 +32,7 @@ from .catalog import (
     kclass,
     parse_label,
 )
-from .exact import digits_checked
+from .exact import int_of_digits
 from .triples import (
     ExcTriple,
     MUTATION_OPS,
@@ -56,27 +59,32 @@ def _label(s: str) -> ExcObject:
 def _load_json(path: str):
     try:
         with open(path) as f:
-            return json.load(f, parse_int=lambda s: _json_int(path, s))
+            return json.load(f, parse_int=lambda s: _int_of(path, s))
     except OSError as e:
         raise _BadInput("cannot read %s: %s" % (path, e.strerror or e))
     except (ValueError, RecursionError) as e:  # also UnicodeDecodeError
         raise _BadInput("%s is not valid JSON: %s" % (path, e))
 
 
-def _json_int(path: str, s: str) -> int:
+def _int_of(where: str, s: str) -> int:
+    """The integer s spells, read by one rule for JSON integers, label
+    indices and integer options (``exact.int_of_digits``), not by
+    argparse's ``int``; else bad input, named by ``where`` (a file or an
+    option)."""
     try:
-        return int(digits_checked(s))
+        return int_of_digits(s)
     except ValueError as e:
-        raise _BadInput("%s: %s" % (path, e))
+        raise _BadInput("%s: %s" % (where, e))
 
 
 def _cmd_catalog(args) -> int:
-    if args.lo > args.hi:
-        raise _BadInput("--lo %d is above --hi %d" % (args.lo, args.hi))
+    lo, hi = _int_of("--lo", args.lo), _int_of("--hi", args.hi)
+    if lo > hi:
+        raise _BadInput("--lo %d is above --hi %d" % (lo, hi))
     rows = []
     objs = [ExcObject("M", 0, 0), ExcObject("Mp", 0, 0)]
     for kind in ("a", "b"):
-        objs += [ExcObject(kind, m, 0) for m in range(args.lo, args.hi + 1)]
+        objs += [ExcObject(kind, m, 0) for m in range(lo, hi + 1)]
     for o in objs:
         rows.append(
             {
@@ -142,14 +150,13 @@ def _phase_json(ph, shift: int = 0):
 def _cmd_explain(args) -> int:
     pt = _load_point(args.sigma)
     x = _label(args.label)
-    if not 0 <= args.window <= MAX_WINDOW:
-        raise _BadInput(
-            "--window must be in 0..%d, got %d" % (MAX_WINDOW, args.window)
-        )
-    v = engine.semistable(pt, x, args.window)
+    window = _int_of("--window", args.window)
+    if not 0 <= window <= MAX_WINDOW:
+        raise _BadInput("--window must be in 0..%d, got %d" % (MAX_WINDOW, window))
+    v = engine.semistable(pt, x, window)
     out = {
         "label": str(x),
-        "window": args.window,
+        "window": window,
         "status": v.status,
         "phase": _phase_json(v.phase),
         "rules": list(v.rules),
@@ -159,9 +166,9 @@ def _cmd_explain(args) -> int:
         # phases of the base object, moved by the label's shift
         xb = x.base()
         out["conditional_phase"] = _phase_json(
-            engine.conditional_phase(pt, xb, args.window), x.shift
+            engine.conditional_phase(pt, xb, window), x.shift
         )
-        bracket = engine.phase_bracket(pt, xb, args.window)
+        bracket = engine.phase_bracket(pt, xb, window)
         out["bracket"] = None if bracket is None else [
             _phase_json(end, x.shift) for end in bracket
         ]
@@ -173,10 +180,11 @@ def _cmd_explain(args) -> int:
 def _cmd_verify(args) -> int:
     if args.lemma != "all" and args.lemma not in harness.LEMMA_IDS:
         raise _BadInput("unknown lemma id %r" % (args.lemma,))
-    if args.n < 1:
-        raise _BadInput("-n must be at least 1, got %d" % (args.n,))
+    n, seed = _int_of("-n", args.n), _int_of("--seed", args.seed)
+    if n < 1:
+        raise _BadInput("-n must be at least 1, got %d" % (n,))
     ids = harness.LEMMA_IDS if args.lemma == "all" else (args.lemma,)
-    reports = [harness.verify_lemma(lid, args.n, args.seed) for lid in ids]
+    reports = [harness.verify_lemma(lid, n, seed) for lid in ids]
     payload = [r.to_json() for r in reports]
     if args.out:
         try:
@@ -242,8 +250,9 @@ def main(argv=None) -> int:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("catalog", help="list the exceptional objects")
-    p.add_argument("--lo", type=int, default=-4)
-    p.add_argument("--hi", type=int, default=5)
+    # integer options stay strings here; each command reads its own
+    p.add_argument("--lo", default="-4")
+    p.add_argument("--hi", default="5")
     p.set_defaults(fn=_cmd_catalog)
 
     p = sub.add_parser("hom", help="hom dimensions between two objects")
@@ -263,13 +272,13 @@ def main(argv=None) -> int:
     p = sub.add_parser("explain", help="why the engine decided an object")
     p.add_argument("sigma", help="path to a sigma JSON file")
     p.add_argument("label", help='an object label, e.g. "b[0]"')
-    p.add_argument("--window", type=int, default=engine.DEFAULT_WINDOW)
+    p.add_argument("--window", default=str(engine.DEFAULT_WINDOW))
     p.set_defaults(fn=_cmd_explain)
 
     p = sub.add_parser("verify", help="run a lemma verification suite")
     p.add_argument("lemma", help='lemma id or "all"')
-    p.add_argument("-n", type=int, default=harness.DEFAULT_SAMPLES)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("-n", default=str(harness.DEFAULT_SAMPLES))
+    p.add_argument("--seed", default="0")
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(fn=_cmd_verify)
 

@@ -76,9 +76,11 @@ process-wide on points, so equal but distinct point objects each compute
 their own (identical) results.
 
 The phase comparisons on the hot paths (the fixpoint's unit shifts and
-rule comparisons, the hom bracket, the region clause test) read a phase
-shifted by an integer as an (offset, charge) pair and decide with one
-cross product (``exact.cmp_shifted``), building no Phase per comparison.
+rule comparisons, the region clause test) read a phase shifted by an
+integer as an (offset, charge) pair and decide with one cross product
+(``exact.cmp_shifted``), building no Phase per comparison; the hom
+bracket fold writes that order inline, integer parts first, with no
+call per slot.
 A rule that pins an object builds one Phase, its base object's: the
 window functions of ``exact`` take integer shifts of their ends or
 anchor, so a pin hands over the triple's phases with their shifts less
@@ -96,6 +98,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
+from math import inf
 from typing import Dict, List, Optional, Tuple
 
 from .catalog import ExcObject, hom_degrees, hom_dims, kclass
@@ -1001,24 +1004,40 @@ def _bracket(an: Analysis, degrees) -> Optional[Tuple[Optional[Phase], Optional[
     bounds it, and of equal bounds the first read is kept.  Returns None,
     reading no further slot, once the bracket is empty.
 
-    Each end is kept as a (phase, integer shift) pair and compared with
-    ``cmp_shifted``; a Phase is built only for the ends returned."""
+    Each end is kept as its integer part (a slot's offset + fwd for the
+    upper end, offset - bwd for the lower one) and the phase of the slot
+    that set it.  Bounds compare in exactly ``cmp_shifted``'s order,
+    written inline so that the fold makes no call per slot: a bound
+    n + arg(z)/pi with arg(z) in (0, pi] lies in (n, n + 1], so distinct
+    integer parts decide; on a tie, two upper-branch charges z, w have
+    arg z < arg w iff z.re * w.im - z.im * w.re > 0, a cross product
+    that is zero only when they have one direction (opposite ones cannot
+    both lie in the branch), that is for equal bounds.  A Phase is built
+    (``Phase.plus``) only for the ends returned."""
     row = an.row
-    lo = up = None
+    lo, up = -inf, inf  # the integer parts of the ends
+    lph = uph = None  # the phases they were read from
     for s in an.order:
         ph = row[s][1]
         if ph is None:
             continue
         fwd, bwd = degrees[s]
-        if fwd is not None and (up is None or cmp_shifted(ph, fwd, *up) < 0):
-            up = ph, fwd
-        if bwd is not None and (lo is None or cmp_shifted(ph, -bwd, *lo) > 0):
-            lo = ph, -bwd
-        if lo is not None and up is not None and cmp_shifted(*lo, *up) > 0:
+        if fwd is not None:
+            n = ph.offset + fwd
+            if n < up or n == up and (
+                    ph.charge.re * uph.charge.im > ph.charge.im * uph.charge.re):
+                up, uph = n, ph
+        if bwd is not None:
+            n = ph.offset - bwd
+            if n > lo or n == lo and (
+                    ph.charge.re * lph.charge.im < ph.charge.im * lph.charge.re):
+                lo, lph = n, ph
+        if lo >= up and (lo > up or (
+                lph.charge.re * uph.charge.im < lph.charge.im * uph.charge.re)):
             return None
     return (
-        None if lo is None else lo[0].plus(lo[1]),
-        None if up is None else up[0].plus(up[1]),
+        None if lph is None else lph.plus(lo - lph.offset),
+        None if uph is None else uph.plus(up - uph.offset),
     )
 
 

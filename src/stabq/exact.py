@@ -15,8 +15,9 @@ and represents the real number ``offset + arg(charge)/pi`` with the argument
 normalized into (0, 1].  No transcendental function is ever evaluated.  The
 kernel is one primitive: two checked charges (``branch_checked``) compare
 by argument with the sign of one cross product.  Every phase comparison
-(``cmp_shifted``, which ``Phase.cmp`` calls) and every representative
-search (``window_arg``, ``phase_in_closed_window``) reads offsets and that
+(``cmp_shifted``, which ``Phase.cmp`` calls, and ``engine._bracket``,
+which writes the same order inline) and every representative search
+(``window_arg``, ``phase_in_closed_window``) reads offsets and that
 sign, and builds only the ``Phase`` it returns.
 
 ``Gaussian`` and ``Phase`` are frozen, slotted dataclasses with their own
@@ -177,6 +178,19 @@ def digits_checked(s: str) -> str:
         raise ValueError("a number of %d digits exceeds the %d-digit limit"
                          % (n, limit))
     return s
+
+
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def int_of_digits(s: str) -> int:
+    """The integer s spells as an optional "-" and ASCII digits, read
+    through ``digits_checked``; anything else raises ValueError, where
+    ``int`` would also read "1_0", " 10 " and the digits of other
+    scripts."""
+    if not _INTEGER.fullmatch(s):
+        raise ValueError("%r is not an integer" % (s,))
+    return int(digits_checked(s))
 
 
 def primitive_multiple(zs) -> Tuple[Gaussian, ...]:

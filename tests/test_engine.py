@@ -588,6 +588,11 @@ _phases = st.builds(
 _degrees = st.none() | st.integers(-2, 2)
 _HALF, _HALF2 = Phase(0, Gaussian(0, 1)), Phase(0, Gaussian(0, 2))
 _ONE, _TWO = Phase(0, Gaussian(-1, 0)), Phase(1, Gaussian(-2, 0))
+# phases for bounds whose integer parts tie across different offsets and
+# degrees: 3/2 at two scales (offsets 1 and 2), 5/4, and -3/4 at a second
+# scale
+_3HALF, _3HALF2 = Phase(1, Gaussian(0, 1)), Phase(2, Gaussian(0, 3))
+_5QUARTER, _NEG3QUARTER = Phase(1, Gaussian(1, 1)), Phase(-1, Gaussian(2, 2))
 
 
 @settings(max_examples=500, deadline=None)
@@ -599,14 +604,28 @@ _ONE, _TWO = Phase(0, Gaussian(-1, 0)), Phase(1, Gaussian(-2, 0))
 @example(bounds=[(_HALF, 0, None), (_HALF, None, -1), (_ONE, 0, 0)])  # empty
 @example(bounds=[(_ONE, 1, None), (_TWO, None, 0)])  # one point, real ends
 @example(bounds=[(_ONE, 1, None), (_TWO, None, -1)])  # empty, real ends
+# integer parts that tie, each bound 1 + a charge: on up, parallel (the
+# first kept), lower and higher; on lo, parallel, higher and lower
+@example(bounds=[(_HALF, 1, None), (Phase(1, Gaussian(0, 2)), 0, None)])
+@example(bounds=[(_3HALF, 0, None), (_NEG3QUARTER, 2, None)])
+@example(bounds=[(_NEG3QUARTER, 2, None), (_3HALF, 0, None)])
+@example(bounds=[(_HALF, None, -1), (_3HALF2, None, 1)])
+@example(bounds=[(_5QUARTER, None, 0), (Phase(0, Gaussian(0, 3)), None, -1)])
+@example(bounds=[(_3HALF, None, 0), (_NEG3QUARTER, None, -2)])
+# the emptiness test on tied integer parts: lo above up, lo below up, and
+# one point at two scales
+@example(bounds=[(_NEG3QUARTER, 2, None), (_3HALF2, None, 1)])
+@example(bounds=[(_HALF, 1, None), (_5QUARTER, None, 0)])
+@example(bounds=[(_HALF, 1, None), (_3HALF2, None, 1)])
 def test_hom_bracket_matches_the_allocating_fold(bounds):
-    """_bracket compares (phase, shift) pairs and builds a Phase only for
-    the ends it returns; on a stand-in analysis whose decided-semistable
-    slots carry the drawn phases, in the drawn order, with the drawn
-    degrees as the row, it answers what the fold that built every bound
-    answers: the same ends in the same representation (of equal bounds
-    the first), the same unbounded ends, and None for an empty bracket.
-    An unstable slot between them is skipped."""
+    """_bracket compares integer parts, then one inline cross product on a
+    tie, and builds a Phase only for the ends it returns; on a stand-in
+    analysis whose decided-semistable slots carry the drawn phases, in the
+    drawn order, with the drawn degrees as the row, it answers what the
+    fold that built every bound answers: the same ends in the same
+    representation (of equal bounds the first), the same unbounded ends,
+    and None for an empty bracket.  An unstable slot between them is
+    skipped."""
     an = types.SimpleNamespace(row=[], order=[])
     degrees = []
     for ph, fwd, bwd in bounds:

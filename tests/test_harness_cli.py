@@ -346,6 +346,28 @@ def test_cli_bad_input_exits_2_without_traceback(tmp_path, capsys):
     _assert_bad_input(["verify", "coverage", "-n", "-5"], capsys)
     _assert_bad_input(["verify", "all", "-n", "0"], capsys)
     _assert_bad_input(["oracle", sigma, "a[7]"], capsys)  # beyond the size cap
+    # label indices and integer options are an optional "-" and ASCII
+    # digits, as in a JSON file: no other script's digits, no "_", no
+    # blanks, and no more digits than Python reads from a string
+    for label in ("a[\u0663]", "a[\uff11]", "M[\u0663]", "b[0][\u0661]"):
+        _assert_bad_input(["hom", label, "a[3]"], capsys)
+    long_labels = {5000: "a[%s]" % ("1" * 5000), 4301: "M'[-%s]" % ("7" * 4301)}
+    for digits, label in long_labels.items():
+        for argv in (["hom", label, "M"], ["explain", sigma, label],
+                     ["mutate", "%s, M, b[0]" % label, "R0"],
+                     ["oracle", sigma, label]):
+            assert cli.main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1
+            assert err == "%s: a number of %d digits exceeds the 4300-digit " \
+                          "limit\n" % (argv[0], digits), err
+    for bad in ("1_0", " 10 ", "\u0663", "+1", "1" * 4301):
+        for argv in (["catalog", "--lo", bad, "--hi", "20"],
+                     ["catalog", "--lo", "-1", "--hi", bad],
+                     ["explain", sigma, "b[0]", "--window", bad],
+                     ["verify", "coverage", "-n", bad],
+                     ["verify", "coverage", "-n", "1", "--seed", bad]):
+            _assert_bad_input(argv, capsys)
     # an output path in a missing directory
     nowhere = tmp_path / "missing"
     _assert_bad_input(

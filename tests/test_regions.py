@@ -4,6 +4,7 @@ and the registered inequality systems."""
 import gc
 import hashlib
 import random
+import sys
 import types
 from collections import Counter
 from fractions import Fraction
@@ -305,6 +306,47 @@ def test_classify_builds_no_object_once_the_plan_rows_exist(monkeypatch):
     assert built == [("a", 0, 0)]
 
 
+def test_warm_brackets_make_no_comparison_call(monkeypatch):
+    """Once an equal copy of each point is classified, ``classify`` folds
+    its hom brackets (``engine._bracket``) on integer parts and inline
+    cross products: the fold calls neither ``engine.cmp_shifted`` nor
+    ``Gaussian.cross``.  A call per decided slot costs about 15% of a
+    warm ``classify``.  Each wrapper records its caller's code object; the
+    rest of the engine still calls ``cmp_shifted``, so the wrapper is seen
+    to work.  The points of the no-object test."""
+    rng = random.Random("no-labels")
+    pts = [harness.sample_sigma((rng.choice(FAMILY_IDS), rng.randint(-2, 2)),
+                                rng=rng, bound=32) for _ in range(200)]
+    pts += [_widened_tail_point(), _ring_taker_point()]
+    for pt in pts:
+        regions.classify(_fresh(pt))
+    callers = Counter()
+    folds = []
+    cmp_shifted, cross, bracket = (engine.cmp_shifted, Gaussian.cross,
+                                   engine._bracket)
+
+    def counted_cmp(*args):
+        callers[sys._getframe(1).f_code] += 1
+        return cmp_shifted(*args)
+
+    def counted_cross(self, other):
+        callers[sys._getframe(1).f_code] += 1
+        return cross(self, other)
+
+    def counted_bracket(an, degrees):
+        folds.append(None)
+        return bracket(an, degrees)
+
+    monkeypatch.setattr(engine, "cmp_shifted", counted_cmp)
+    monkeypatch.setattr(Gaussian, "cross", counted_cross)
+    monkeypatch.setattr(engine, "_bracket", counted_bracket)
+    for pt in pts:
+        regions.classify(pt)
+    assert len(folds) > len(pts)
+    assert bracket.__code__ not in callers
+    assert callers[engine._sigma_triple_rules.__code__]
+
+
 def _fresh(pt):
     """An equal point with no analysis yet."""
     return engine.StabilityPoint.from_json(pt.to_json())
@@ -575,6 +617,30 @@ def test_far_phases_read_by_slot_match_the_label_route():
                         pt.to_json(), window, hi, kind)
                     seen[got if got is regions._DEAD else got[2]] += 1
     assert seen[regions._DEAD] and seen[None] and seen[True] and seen[False]
+
+
+def test_bracket_matches_the_reference_fold_on_every_plan_row():
+    """``engine._bracket`` on every ``reps`` row of the plan, for the
+    512 height-1 points at windows 0, 4 and 8, is ``repr``-equal to the
+    fold that builds every bound as a Phase (``_reference.hom_bracket``),
+    None included.  Empty brackets are reached, and so are ends with
+    equal integer parts, where the emptiness test reads a cross
+    product."""
+    seen = Counter()
+    for pt in _height_one_points():
+        for window in (0, 4, 8):
+            an = pt.analysis(window)
+            for s in range(len(an.plan.reps)):
+                degrees = an.plan.degrees_of(s)
+                bounds = [(an.row[t][1], *degrees[t]) for t in an.order
+                          if an.row[t][1] is not None]
+                got = engine._bracket(an, degrees)
+                want = _reference.hom_bracket(iter(bounds))
+                assert repr(got) == repr(want), (pt.to_json(), window, s)
+                seen["empty"] += got is None
+                seen["tied ends"] += (
+                    got is not None and got[0].offset == got[1].offset)
+    assert seen["empty"] and seen["tied ends"], seen
 
 
 def test_tail_exclusion_golden_digest():
