@@ -59,11 +59,23 @@ def _label(s: str) -> ExcObject:
 def _load_json(path: str):
     try:
         with open(path) as f:
-            return json.load(f, parse_int=lambda s: _int_of(path, s))
+            return json.load(f, parse_int=lambda s: _int_of(path, s),
+                             object_pairs_hook=lambda kv: _unique_keys(path, kv))
     except OSError as e:
         raise _BadInput("cannot read %s: %s" % (path, e.strerror or e))
     except (ValueError, RecursionError) as e:  # also UnicodeDecodeError
         raise _BadInput("%s is not valid JSON: %s" % (path, e))
+
+
+def _unique_keys(path: str, pairs) -> dict:
+    """A JSON object of the file ``path`` from its key-value pairs; a key
+    given twice is bad input, where ``json.load`` keeps its last value."""
+    d = {}
+    for k, v in pairs:
+        if k in d:
+            raise _BadInput("%s: duplicate key %r" % (path, k))
+        d[k] = v
+    return d
 
 
 def _int_of(where: str, s: str) -> int:

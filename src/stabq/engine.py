@@ -16,10 +16,17 @@ and ``charge_of`` returns integer Gaussians.  The point's rational charges
 are what it stores, serializes, compares and transforms.  A central
 charge is a homomorphism on K, so each point also stores, when it is
 built, the charges of the three simple classes (``StabilityPoint.simple``),
-and ``charge_of`` is three multiply-adds on a K-class.  They are read
-from a table built at import: per family, the Cramer cofactor rows of the
-simple classes in its triple's K-classes at m = 0, applied to the
-point's anchor charges signed by the shift, and moved to its m.
+and ``charge_of`` is three multiply-adds on a K-class.  A point is built
+in one pass over integers: its charges are normalised once
+(``primitive_multiple``) and their branch checked once, the anchor
+phases carry the integer charges unchecked, and the spread test reads
+their offsets and cross products.  The simple charges are computed once,
+at m = 0 (``StabilityPoint.plan_simple``): per family, the Cramer cofactor
+rows of the simple classes in its triple's K-classes at m = 0, a table
+built at import, applied to the integer anchor charges signed by the
+shift.  ``simple`` is those moved to the point's m, inline; its analyses
+read ``plan_simple`` as it is.  The shift set is tested against a
+per-family table of bounds, which are the same at every chain index.
 
 The rule fixpoint reads a plan, one per window and shared by every point
 (``_Plan``).  The plan numbers its objects (slots), and its rows are the
@@ -36,7 +43,7 @@ K-class, and, built on first use, the row of hom degrees to every slot
 objects one and two steps past each end of its chain, the latter shared
 by every object further out.  Moving n steps along the chains
 acts on K as T^n(c) = c + n (c_T - c_L) delta, so a fixpoint reads its
-slots' K-classes against the point's simple charges moved once by its m.
+slots' K-classes against the point's simple charges at m = 0.
 Per point the fixpoint computes only charges, window arguments and phase
 comparisons on lists indexed by slot, seeding the anchor from its
 family's cell (``_Plan.cells``) at the point's m; objects, rules and
@@ -98,6 +105,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 from math import inf
 from typing import Dict, List, Optional, Tuple
 
@@ -113,6 +121,7 @@ from .exact import (
     json_typed,
     phase_add,
     phase_in_closed_window,
+    phase_of_checked,
     primitive_multiple,
     window_arg,
 )
@@ -139,6 +148,24 @@ class UndecidedError(ValueError):
     """A predicate needed a verdict the rules could not supply."""
 
 
+# the keys of a point's JSON form, and of its anchor
+POINT_KEYS = frozenset(("anchor", "charges", "global_shift", "extra_offsets"))
+ANCHOR_KEYS = frozenset(("family", "m", "shift"))
+
+
+def _check_ints(point: "StabilityPoint") -> None:
+    """A ValueError naming the first integer field of point (m, an entry
+    of shift, global_shift, an entry of extra_offsets) that holds what
+    ``exact_int`` refuses: a bool, a float or a string."""
+    for name in ("m", "shift", "global_shift", "extra_offsets"):
+        v = getattr(point, name)
+        for x in v if isinstance(v, tuple) else (v,):
+            try:
+                exact_int(x)
+            except ValueError as e:
+                raise ValueError("%s: %s" % (name, e)) from None
+
+
 @dataclass(frozen=True)
 class StabilityPoint:
     family: str
@@ -155,10 +182,15 @@ class StabilityPoint:
         init=False, repr=False, compare=False
     )
     # the integer charges of the simple classes (1,0,0), (0,1,0), (0,0,1),
-    # so that charge_of is linear on K-classes: the family's row of
-    # _COFACTORS applied to the anchor charges, moved to m; derived like
-    # anchor_phases
+    # so that charge_of is linear on K-classes: plan_simple moved to m;
+    # derived like anchor_phases
     simple: Tuple[Gaussian, Gaussian, Gaussian] = field(
+        init=False, repr=False, compare=False
+    )
+    # the same at m = 0, in the coordinates of the plans, which seeds each
+    # analysis: the family's rows of _COFACTORS applied to the anchor
+    # charges signed by the shift; derived like anchor_phases
+    plan_simple: Tuple[Gaussian, Gaussian, Gaussian] = field(
         init=False, repr=False, compare=False
     )
     # window -> Analysis, filled on first lookup; derived like anchor_phases
@@ -171,36 +203,54 @@ class StabilityPoint:
             v = getattr(self, name)
             if not isinstance(v, tuple) or len(v) != 3:
                 raise ValueError("%s must be a 3-tuple, got %r" % (name, v))
-        if self.family not in FAMILY_IDS:
-            raise ValueError("unknown family %r" % (self.family,))
-        base = family_triple(self.family, self.m)
-        if not in_shift_set(base, self.shift):
-            raise ValueError(
-                "shift %r leaves %s outside Ext position" % (self.shift, base)
-            )
+        fid, m, shift, g, extra = (self.family, self.m, self.shift,
+                                   self.global_shift, self.extra_offsets)
+        (s0, s1, s2), (e0, e1, e2) = shift, extra
+        if not (type(m) is type(g) is type(s0) is type(s1) is type(s2)
+                is type(e0) is type(e1) is type(e2) is int):
+            _check_ints(self)
+        if fid not in FAMILY_IDS:
+            raise ValueError("unknown family %r" % (fid,))
+        a, b, c = _SHIFT_BOUNDS[fid]
+        if s0 != 0 or s1 > a or s2 > b or s2 - s1 > c:
+            raise ValueError("shift %r leaves %s outside Ext position"
+                             % (shift, family_triple(fid, m)))
         for z in self.charges:
             branch_checked(z)
         # a sigma-exceptional anchor: its phases lie in one unit interval,
-        # which bounds every conditional phase (see conditional_phase)
-        phases = tuple(
-            Phase(self.global_shift + e, z)
-            for e, z in zip(self.extra_offsets, primitive_multiple(self.charges))
-        )
-        if max(phases) >= min(phases).plus(1):
+        # which bounds every conditional phase (see conditional_phase).  A
+        # phase carries a positive multiple of its checked charge, so is
+        # not checked again, and phases of one offset spread by less than 1
+        ws = primitive_multiple(self.charges)
+        offsets = (g + e0, g + e1, g + e2)
+        phases = tuple(map(phase_of_checked, offsets, ws))
+        if (e0 or e1 or e2) and any(cmp_shifted(p, 0, q, 1) >= 0
+                                    for p, q in permutations(phases, 2)):
             raise ValueError(
                 "anchor phases %r spread by 1 or more (extra_offsets %r)"
-                % (phases, self.extra_offsets)
+                % (phases, extra)
             )
-        object.__setattr__(self, "anchor_phases", phases)
-        # the true integer charge of anchor i is its phase's direction, and
-        # that of the unshifted object is moved by shift i as well
-        signed = [ph.direction() if s % 2 == 0 else -ph.direction()
-                  for ph, s in zip(phases, self.shift)]
-        object.__setattr__(self, "simple", _translated_simple(
-            tuple(_charge(signed, c) for c in _COFACTORS[self.family]),
-            -self.m,
-        ))
-        object.__setattr__(self, "analyses", {})
+        # the true integer charge of anchor i is its phase's direction,
+        # (-1)^offset times its charge, and that of the unshifted object is
+        # moved by shift i as well
+        (x0, y0), (x1, y1), (x2, y2) = [
+            (-w.re, -w.im) if (o + s) % 2 else (w.re, w.im)
+            for w, o, s in zip(ws, offsets, shift)]
+        simple0 = tuple([Gaussian(c0 * x0 + c1 * x1 + c2 * x2,
+                                  c0 * y0 + c1 * y1 + c2 * y2)
+                         for c0, c1, c2 in _COFACTORS[fid]])
+        simple = simple0
+        if m:
+            # the point's K-class c is T^-m c at m = 0, and n steps along
+            # the chains act as T^n(c) = c + n (c_T - c_L) delta: so c reads
+            # against (W_L + m Z(delta), W_R, W_T - m Z(delta)), W = simple0
+            zl, zr, zt = simple0
+            dre, dim = m * (zl.re + zr.re + zt.re), m * (zl.im + zr.im + zt.im)
+            simple = (Gaussian(zl.re + dre, zl.im + dim), zr,
+                      Gaussian(zt.re - dre, zt.im - dim))
+        # the derived fields, written past the frozen guard
+        self.__dict__.update(anchor_phases=phases, simple=simple,
+                             plan_simple=simple0, analyses={})
 
     def analysis(self, window: int = DEFAULT_WINDOW) -> "Analysis":
         """The engine's analysis of this point at ``window``: the one
@@ -229,9 +279,10 @@ class StabilityPoint:
 
     @staticmethod
     def from_json(d: dict) -> "StabilityPoint":
-        """The inverse of ``to_json``; a mistyped field is a ValueError."""
-        a = json_typed(json_typed(d, dict, "the top level")["anchor"],
-                       dict, "anchor")
+        """The inverse of ``to_json``; a mistyped field or a key outside
+        ``POINT_KEYS`` (``ANCHOR_KEYS`` in the anchor) is a ValueError."""
+        a = json_typed(json_typed(d, dict, "the top level", POINT_KEYS)["anchor"],
+                       dict, "anchor", ANCHOR_KEYS)
         return StabilityPoint(
             a["family"],
             exact_int(a["m"]),
@@ -263,8 +314,9 @@ def _cofactor_rows(fid: str):
     A point's shifted anchor has the K-classes T^m M0 D, with M0 those at
     m = 0, T the chain step (determinant 1) and D the signs of the shift,
     so |det| is that of M0: the rows applied to the shift-signed anchor
-    charges give the point's simple charges at m = 0, and
-    ``_translated_simple`` moves them to its m."""
+    charges give the point's simple charges at m = 0
+    (``StabilityPoint.plan_simple``), which its constructor moves to its
+    m."""
     k0, k1, k2 = family_triple(fid, 0).kclasses()
     s = 1 if det3(k0, k1, k2) > 0 else -1
     return tuple(
@@ -276,6 +328,11 @@ def _cofactor_rows(fid: str):
 # the point-independent part of each point's ``simple``, eight solves
 _COFACTORS = {fid: _cofactor_rows(fid) for fid in FAMILY_IDS}
 
+# per family the shift-set bounds (alpha, beta, gamma) of its triples: they
+# are finite, and the same at every index of its chains
+_SHIFT_BOUNDS = {fid: alpha_beta_gamma(family_triple(fid, 0))
+                 for fid in FAMILY_IDS}
+
 
 def _charge(simple, c) -> Gaussian:
     """The charge of the K-class c = (c_L, c_R, c_T), given the charges of
@@ -283,17 +340,6 @@ def _charge(simple, c) -> Gaussian:
     (l, r, t), (zl, zr, zt) = c, simple
     return Gaussian(l * zl.re + r * zr.re + t * zt.re,
                     l * zl.im + r * zr.im + t * zt.im)
-
-
-def _translated_simple(simple, n: int):
-    """The simple charges of ``_charge`` read through n steps along the
-    chains (``ExcObject.translated``).  The step acts on K-classes as
-    T^n(c) = c + n * (c_T - c_L) * delta, so Z(T^n c) is c read against
-    (W_L - n Z(delta), W_R, W_T + n Z(delta))."""
-    zl, zr, zt = simple
-    dre, dim = n * (zl.re + zr.re + zt.re), n * (zl.im + zr.im + zt.im)
-    return (Gaussian(zl.re - dre, zl.im - dim), zr,
-            Gaussian(zt.re + dre, zt.im + dim))
 
 
 def charge_of(point: StabilityPoint, x) -> Gaussian:
@@ -413,10 +459,8 @@ class _Plan:
         ks = range(m - window, m + window + 1)
         ts = [family_triple(f, k) for f in FAMILY_IDS for k in ks]
         self.triples = [(t, tuple(map(self.index, t.objs)), {}) for t in ts]
-        # per triple its shift-set bounds, its family's: they are finite,
-        # and unchanged along the chains
-        self.bounds = [alpha_beta_gamma(family_triple(f, 0))
-                       for f in FAMILY_IDS for _ in ks]
+        # per triple its family's shift-set bounds
+        self.bounds = [_SHIFT_BOUNDS[f] for f in FAMILY_IDS for _ in ks]
         # per family the slots of its triples, a block of len(ks) cells
         n = len(ks)
         self.blocks = {f: [slots for _, slots, _ in self.triples[j:j + n]]
@@ -580,12 +624,12 @@ class Analysis:
     what ``lookup`` and ``regions`` read from it.
 
     ``simple`` holds the point's simple charges read through dm steps
-    (``_translated_simple``), so that a slot's charge is its plan K-class
-    against them.  Indexed by slot: ``row`` the ``lookup`` entries, each
-    a status with the conditional phase (None for an object that cannot
-    be semistable), ``rule`` the rule token that decided each decided
-    slot, and ``agrees`` whether each decided phase has the direction of
-    its charge.  A slot is decided when it has a ``rule``; ``set_ss`` and
+    (``StabilityPoint.plan_simple``), so that a slot's charge is its plan
+    K-class against them.  Indexed by slot: ``row`` the ``lookup``
+    entries, each a status with the conditional phase (None for an object
+    that cannot be semistable), ``rule`` the rule token that decided each
+    decided slot, and ``agrees`` whether each decided phase has the
+    direction of its charge.  A slot is decided when it has a ``rule``; ``set_ss`` and
     ``set_unstable`` write its entry then, and ``entry`` fills an
     undecided slot's ``unknown`` entry on its first read, after the
     fixpoint.  ``witness`` maps each slot a big gap killed to the chain
@@ -901,7 +945,7 @@ def _decide(point: StabilityPoint, window: int) -> Analysis:
     chain pair (slot, successor) of ``_Plan.gaps`` is compared for a big
     gap once, in the first round in which both ends are decided."""
     plan = _plan(window)
-    an = Analysis(plan, point.m, _translated_simple(point.simple, point.m))
+    an = Analysis(plan, point.m, point.plan_simple)
     simple, kclasses = an.simple, plan.kclasses
     # the charges by slot, computed on first use; no lookup reads them
     zs: List[Optional[Gaussian]] = [None] * len(plan.universe)

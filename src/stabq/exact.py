@@ -197,14 +197,14 @@ def primitive_multiple(zs) -> Tuple[Gaussian, ...]:
     """The Gaussians zs times the positive rational that clears every
     denominator and leaves their integer components with gcd 1; all-zero
     input comes back as integer zeros.  Arguments, and so every phase
-    comparison, are unchanged by a positive scaling."""
-    parts = [c for z in zs for c in (z.re, z.im)]
-    den = lcm(*(c.denominator for c in parts))
-    ints = [c.numerator * (den // c.denominator) for c in parts]
+    comparison, are unchanged by a positive scaling.  Each component is
+    read once, as its integer ratio, for one ``lcm`` and one ``gcd``."""
+    parts = [c.as_integer_ratio() for z in zs for c in (z.re, z.im)]
+    den = lcm(*[d for _, d in parts])
+    ints = [n * (den // d) for n, d in parts]
     g = gcd(*ints) or 1
-    return tuple(
-        Gaussian(ints[i] // g, ints[i + 1] // g) for i in range(0, len(ints), 2)
-    )
+    pairs = iter([i // g for i in ints])
+    return tuple(map(Gaussian, pairs, pairs))
 
 
 class ExactError(ValueError):
@@ -217,11 +217,14 @@ def branch_checked(z: Gaussian) -> Gaussian:
     argument with one cross product: arg z1 < arg z2 iff z1.cross(z2) > 0,
     and a vanishing cross product means equality (opposite directions
     cannot both be in the branch)."""
+    # in_upper_branch, so nonzero, read on numerators: a rational has the
+    # sign of its numerator, and an int is its own
+    im = z.im.numerator
+    if im > 0 or im == 0 and z.re.numerator < 0:
+        return z
     if z.is_zero():
         raise ExactError("zero charge")
-    if not z.in_upper_branch():
-        raise ExactError("charge outside the upper branch: %r" % (z,))
-    return z
+    raise ExactError("charge outside the upper branch: %r" % (z,))
 
 
 @frozen_guard
@@ -262,7 +265,7 @@ class Phase:
         return self.cmp(other) == 0
 
     def plus(self, n: int) -> "Phase":
-        return _checked_phase(self.offset + n, self.charge)
+        return phase_of_checked(self.offset + n, self.charge)
 
     def direction(self) -> Gaussian:
         """The actual direction of exp(i*pi*value): the stored charge for an
@@ -276,9 +279,11 @@ class Phase:
 _set_offset, _set_charge = Phase.offset.__set__, Phase.charge.__set__
 
 
-def _checked_phase(offset: int, charge: Gaussian) -> Phase:
+def phase_of_checked(offset: int, charge: Gaussian) -> Phase:
     """Phase(offset, charge) for a charge already known to be nonzero and
-    in the closed upper branch: skips ``branch_checked``."""
+    in the closed upper branch: skips ``branch_checked``.  A positive
+    multiple of a checked charge, such as ``primitive_multiple`` gives, is
+    one: scaling by a positive rational keeps the branch."""
     p = object.__new__(Phase)
     _set_offset(p, offset)
     _set_charge(p, charge)
@@ -295,13 +300,19 @@ def cmp_shifted(p: Phase, a: int, q: Phase, b: int) -> int:
     return -sign(p.charge.cross(q.charge))
 
 
-def json_typed(x, want: type, name: str):
+def json_typed(x, want: type, name: str, keys=None):
     """x when it is what ``json.load`` makes of a JSON object (want = dict)
-    or array (want = list); else a ValueError naming the field and the
-    type it wants, where indexing x would fail in Python's own words."""
+    or array (want = list), and, given ``keys``, an object with no key
+    outside them; else a ValueError naming the field and the type it wants
+    or its first unknown key, where indexing x would fail in Python's own
+    words and a misspelled key would be ignored."""
     if not isinstance(x, want):
         raise ValueError("%s must be a JSON %s" % (
             name, "object" if want is dict else "array"))
+    if keys is not None:
+        for k in x:
+            if k not in keys:
+                raise ValueError("%s has an unknown key %r" % (name, k))
     return x
 
 
@@ -363,7 +374,7 @@ def window_arg(z: Gaussian, anchor: Phase, k: int = 0) -> Phase:
         o += 1
     if (o - parity) % 2:  # pragma: no cover - the half-plane test excludes it
         raise ExactError("no window representative")
-    return _checked_phase(o, zb)
+    return phase_of_checked(o, zb)
 
 
 def phase_in_closed_window(z: Gaussian, low: Phase, high: Phase,
@@ -385,7 +396,7 @@ def phase_in_closed_window(z: Gaussian, low: Phase, high: Phase,
     d = o - high.offset - b
     if d > 0 or d == 0 and zb.cross(high.charge) < 0:
         return None
-    return _checked_phase(o, zb)
+    return phase_of_checked(o, zb)
 
 
 def int_phase(n: int) -> Phase:

@@ -43,8 +43,15 @@ def _rand_charge(rng: random.Random, bound: int) -> Gaussian:
     return Gaussian.of(_rand_frac(rng, bound), _rand_frac(rng, bound, positive=True))
 
 
-def _rand_shift(rng: random.Random, fid: str, m: int, depth: int = 2):
-    return rng.choice(shift_set_members(family_triple(fid, m), depth))
+# per family the members of its shift set within 2 of its largest shifts,
+# in increasing order: the shift set is the same at every index of the
+# family's chains
+_SHIFT_MEMBERS = {fid: tuple(shift_set_members(family_triple(fid, 0), 2))
+                  for fid in FAMILY_IDS}
+
+
+def _rand_shift(rng: random.Random, fid: str):
+    return rng.choice(_SHIFT_MEMBERS[fid])
 
 
 def sample_sigma(
@@ -69,6 +76,7 @@ def sample_sigma(
     if (fid not in FAMILY_IDS or type(m) is not int or len(anchor) > 3
             or shift is not None and not (
                 isinstance(shift, tuple) and len(shift) == 3
+                and all(type(x) is int for x in shift)
                 and in_shift_set(family_triple(fid, m), shift))):
         raise ValueError("no point has the anchor %r" % (anchor,))
     collinear = constraints is not None
@@ -84,7 +92,7 @@ def sample_sigma(
     if rng is None:
         rng = random.Random(seed)
     while True:
-        sh = shift if shift is not None else _rand_shift(rng, fid, m)
+        sh = shift if shift is not None else _rand_shift(rng, fid)
         if not collinear:
             return engine.StabilityPoint(
                 fid, m, sh, tuple(_rand_charge(rng, bound) for _ in range(3)))
@@ -645,6 +653,11 @@ def _grid_charge(i: int, res: int) -> Gaussian:
     return Gaussian.of(1 - u * u, 2 * u)
 
 
+# the keys of a slice spec: its own, and those of a point's JSON form, whose
+# anchor it reads and the rest of which it ignores
+SLICE_KEYS = frozenset(("regions", "resolution", "z2")) | engine.POINT_KEYS
+
+
 def slice_params(spec: dict):
     """The regions, anchor (family, m, shift), resolution and third charge
     of a slice spec, checked: a malformed spec raises KeyError, TypeError,
@@ -652,16 +665,19 @@ def slice_params(spec: dict):
     render.
 
     spec keys: regions (list of composite names), anchor {family,m,shift},
-    resolution (grid size per axis), z2 {re, im} (optional).
+    resolution (grid size per axis), z2 {re, im} (optional), and the other
+    keys of a point's JSON form, ignored (``SLICE_KEYS``); any other key,
+    or one outside the anchor's three, raises ValueError.
     """
     if not isinstance(spec, dict):
         raise TypeError("a slice spec is a JSON object")
+    json_typed(spec, dict, "the slice spec", SLICE_KEYS)
     names = list(spec.get("regions", ("Ta", "Tb", "MidM")))
     unknown = [n for n in names if n not in regions.COMPOSITES]
     if unknown:
         raise ValueError("unknown regions %s" % (unknown,))
     a = spec.get("anchor", {"family": "F8", "m": 0, "shift": [0, 0, -1]})
-    a = json_typed(a, dict, "anchor")
+    a = json_typed(a, dict, "anchor", engine.ANCHOR_KEYS)
     shift = json_typed(a["shift"], list, "anchor.shift")
     anchor = (a["family"], exact_int(a["m"]), tuple(exact_int(x) for x in shift))
     res = exact_int(spec.get("resolution", 16))

@@ -5,8 +5,10 @@ import gc
 import hashlib
 import random
 import re
+import sys
 import types
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -268,13 +270,23 @@ def test_charge_of_matches_the_cramer_solve(seed, turn, scale, gshift, labels,
     Cramer's rule on the anchor K-classes solved per call
     (_reference.charge_of) on sampled points turned, rescaled and shifted,
     at labels inside and far beyond the universe and at raw K-classes; and
-    the simple charges read through n chain steps, as each fixpoint reads
-    its slots, give the charges of the translated labels."""
+    the simple charges read through n chain steps give the charges of the
+    translated labels, and at n = m they are the point's ``plan_simple``,
+    which each fixpoint reads its slots against."""
     pt = harness._sample_point(random.Random(seed), FAMILY_IDS, -3, 3, 32)
     if turn:
         pt = engine.rotate_quarter(pt, turn)
     pt = engine.shift(engine.rescale(pt, scale), gshift)
-    moved = engine._translated_simple(pt.simple, n)
+
+    def moved_by(n):
+        # the simple classes moved n steps, T^n(c) = c + n (c_T - c_L) delta,
+        # solved by Cramer's rule
+        return tuple(_reference.charge_of(pt, v)
+                     for v in ((1 - n, -n, -n), (0, 1, 0), (n, n, 1 + n)))
+
+    assert pt.plan_simple == moved_by(pt.m)
+    assert pt.simple == moved_by(0)
+    moved = moved_by(n)
     for kind, d, sh in labels:
         x = ExcObject(kind, pt.m + d if kind in ("a", "b") else 0, sh)
         z = engine.charge_of(pt, x)
@@ -1218,3 +1230,250 @@ def test_invalid_points_rejected():
     ):
         with pytest.raises(ValueError):
             engine.StabilityPoint(*args)
+
+
+# ---------------------------------------------------------------------------
+# point construction
+
+
+def _construction_streams():
+    """Every point, in order, of the sampler streams the tests and the bench
+    workloads draw, and the text of each standard-heart draw that is
+    rejected: the first sample of ``verify_lemma`` on every lemma (the
+    lemma-suite stream), the ``classify`` workload's stream, the
+    ``oracle_agreement`` stream (the heart-oracle workload), the
+    test streams of ``_sample_point`` and ``sample_sigma``, the collinear
+    sampler, and the rescan points' quarter rotations and global
+    shifts."""
+    out = []
+    for seed in (0, 3101, 7501):
+        for k in range(8):
+            for lid in harness.LEMMA_IDS:
+                rng = random.Random(repr((lid, seed * 1_000_000 + k)))
+                if lid == "semi-stability of b" and rng.random() < 0.25:
+                    out.append(harness.sample_sigma(
+                        ("F8", rng.randint(-2, 2)),
+                        constraints="phi(M)=phi(M')", rng=rng, bound=32))
+                else:
+                    out.append(harness._sample_point(rng, harness._SUITES[lid][1]))
+    for seed in (7, 7401):
+        rng = random.Random(repr(("classify", seed)))
+        for _ in range(400):
+            fid = rng.choice(FAMILY_IDS)
+            out.append(harness.sample_sigma((fid, rng.randint(-2, 2)),
+                                            rng=rng, bound=32))
+    for seed in (0, 7601):
+        rng = random.Random(("oracle-agreement", seed).__repr__())
+        for _ in range(300):
+            charges = tuple(harness._rand_charge(rng, 16) for _ in range(3))
+            try:
+                out.append(engine.standard_heart_point(charges))
+            except ValueError as e:
+                out.append("%s: %s" % (type(e).__name__, e))
+    for seed in range(40):
+        for lo, hi, bound in ((-2, 2, 32), (-3, 3, 24), (-2, 2, 16)):
+            out.append(harness._sample_point(random.Random(seed), FAMILY_IDS,
+                                             lo, hi, bound))
+    rng = random.Random(17)
+    for fid in FAMILY_IDS * 10:
+        out.append(harness.sample_sigma((fid, rng.randint(-2, 2)), rng=rng,
+                                        bound=24))
+    for seed in range(60):
+        out.append(harness.sample_sigma(("F8", seed % 5 - 2),
+                                        constraints="phi(M)=phi(M')", seed=seed))
+    out += _rescan_points() + _digest_points()
+    return out
+
+
+def test_sampled_points_golden_digest():
+    """Each point of ``_construction_streams`` as its JSON form, the repr
+    of its anchor phases and its simple charges, and each rejected draw
+    as its exception, hashed.  The constant was computed before point
+    construction was rewritten as one pass (one integer normalisation,
+    the spread test on offsets, the shift set from a per-family table):
+    any change to a sampled point or to what its construction derives
+    changes it."""
+    h = hashlib.sha256()
+    families = set()
+    for p in _construction_streams():
+        if isinstance(p, str):
+            h.update(p.encode())
+            continue
+        families.add(p.family)
+        h.update(repr((p.to_json(), repr(p.anchor_phases), p.simple)).encode())
+    assert families == set(FAMILY_IDS)
+    assert h.hexdigest() == (
+        "07d35be86d3ccb03a25ccd4dab1cf8d2b9b84cc0067db22d41283b6b8a9882f7"
+    )
+
+
+# each construction that must be rejected, with its exception type and
+# text; the checks run in this order: the three tuples, the family, the
+# shift set, each charge's branch, the anchor spread
+_REJECTED = [
+    (("F8", 0, (0, 0, -1), (_g(0, 1), _g(0, 0), _g(0, 1))),
+     "ExactError", "zero charge"),
+    (("F8", 0, (0, 0, -1), (_g(0, 0),) * 3), "ExactError", "zero charge"),
+    (("F8", 0, (0, 0, -1), (_g(0, 1), _g(1, -1), _g(0, 1))),
+     "ExactError", "charge outside the upper branch: Gaussian(1, -1)"),
+    (("F8", 0, (0, 0, -1), (_g(0, 1), _g(0, 1), _g(1, 0))),
+     "ExactError", "charge outside the upper branch: Gaussian(1, 0)"),
+    (("F8", 0, (0, 0, -1), (_g(0, 0), _g(1, -1), _g(0, 1))),
+     "ExactError", "zero charge"),
+    (("F8", 0, (0, 0, -1), (_g(0, 1),) * 3, 0, (0, 3, 0)), "ValueError",
+     "anchor phases (Phase(0, Gaussian(0, 1)), Phase(3, Gaussian(0, 1)), "
+     "Phase(0, Gaussian(0, 1))) spread by 1 or more (extra_offsets (0, 3, 0))"),
+    # a spread of exactly 1, decided by a cross product
+    (("F8", 0, (0, 0, -1), (_g(-1, 0),) * 3, 0, (0, 1, 0)), "ValueError",
+     "anchor phases (Phase(0, Gaussian(-1, 0)), Phase(1, Gaussian(-1, 0)), "
+     "Phase(0, Gaussian(-1, 0))) spread by 1 or more (extra_offsets (0, 1, 0))"),
+    (("F8", 2, (0, 0, -1), (_g(1, 1), _g(-1, 1), _g(0, 1)), 5, (-1, 0, 0)),
+     "ValueError",
+     "anchor phases (Phase(4, Gaussian(1, 1)), Phase(5, Gaussian(-1, 1)), "
+     "Phase(5, Gaussian(0, 1))) spread by 1 or more (extra_offsets (-1, 0, 0))"),
+    (("F8", 0, (0, 5, 0), (_g(0, 1),) * 3), "ValueError",
+     "shift (0, 5, 0) leaves (a[0], M, b[1]) outside Ext position"),
+    (("F3", -4, (0, -1, 1), (_g(0, 1),) * 3), "ValueError",
+     "shift (0, -1, 1) leaves (a[-4], a[-3], M) outside Ext position"),
+    (("F1", 3, (1, -1, -1), (_g(0, 1),) * 3), "ValueError",
+     "shift (1, -1, -1) leaves (M', a[3], a[4]) outside Ext position"),
+    (("F8", 0, (0, 5, 0), (_g(0, 0),) * 3), "ValueError",
+     "shift (0, 5, 0) leaves (a[0], M, b[1]) outside Ext position"),
+    (("F9", 0, (0, 0, -1), (_g(0, 1),) * 3), "ValueError",
+     "unknown family 'F9'"),
+    (("F9", 0, (0, 9, 9), (_g(0, 0),) * 3), "ValueError",
+     "unknown family 'F9'"),
+    (("F8", 0, [0, 0, -1], (_g(0, 1),) * 3), "ValueError",
+     "shift must be a 3-tuple, got [0, 0, -1]"),
+    (("F8", 0, (0, 0, -1), [_g(0, 1)] * 3), "ValueError",
+     "charges must be a 3-tuple, got [Gaussian(0, 1), Gaussian(0, 1), "
+     "Gaussian(0, 1)]"),
+    (("F8", 0, (0, 0, -1), (_g(0, 1),) * 3, 0, [0, 0, 0]), "ValueError",
+     "extra_offsets must be a 3-tuple, got [0, 0, 0]"),
+    (("F8", 0, (0, 0, -1), (_g(0, 1),) * 2), "ValueError",
+     "charges must be a 3-tuple, got (Gaussian(0, 1), Gaussian(0, 1))"),
+    (("F9", 0, (0, 0), (_g(0, 1),) * 3), "ValueError",
+     "shift must be a 3-tuple, got (0, 0)"),
+]
+
+
+@pytest.mark.parametrize("args, kind, text", _REJECTED)
+def test_rejected_constructions_keep_their_type_and_text(args, kind, text):
+    """Each check of the constructor, in its order, with its exception
+    type and message; written before point construction became one pass,
+    which had to keep every check, message and order."""
+    with pytest.raises(ValueError) as info:
+        engine.StabilityPoint(*args)
+    assert (type(info.value).__name__, str(info.value)) == (kind, text)
+
+
+_branch_charges = st.tuples(st.integers(-3, 3), st.integers(0, 3)).filter(
+    lambda c: c[1] > 0 or c[0] < 0).map(lambda c: _g(*c))
+
+
+@settings(max_examples=300, deadline=None)
+@given(charges=st.tuples(*[_branch_charges] * 3),
+       extra=st.tuples(*[st.integers(-2, 2)] * 3), g=st.integers(-2, 2),
+       scale=st.sampled_from([Fraction(1), Fraction(2, 7)]))
+@example(charges=(_g(-1, 0),) * 3, extra=(0, 1, 0), g=0, scale=Fraction(1))
+@example(charges=(_g(1, 1), _g(-1, 1), _g(0, 1)), extra=(1, 0, 0), g=0,
+         scale=Fraction(1))
+def test_anchor_spread_matches_the_phase_order(charges, extra, g, scale):
+    """The constructor refuses anchor phases that spread by 1 or more
+    exactly when the ``Phase`` order says max >= min + 1, on offsets that
+    tie, differ by one (where a cross product decides) or by more."""
+    charges = tuple(z.scale(scale) for z in charges)
+    phases = [Phase(g + e, z) for e, z in zip(extra, charges)]
+    spread = max(phases) >= min(phases).plus(1)
+    try:
+        engine.StabilityPoint("F8", 0, (0, 0, -1), charges, g, extra)
+    except ValueError as e:
+        assert spread and "spread by 1 or more" in str(e)
+    else:
+        assert not spread
+
+
+def test_shift_tables_hold_at_every_chain_index():
+    """The per-family tables that construction and the shift draw read
+    at import, at m = 0, are those of every index m: the shift-set
+    bounds (alpha, beta, gamma), and the depth-2 members the sampler
+    draws from, in the order ``rng.choice`` indexes."""
+    for fid in FAMILY_IDS:
+        for m in range(-8, 9):
+            t = family_triple(fid, m)
+            assert engine._SHIFT_BOUNDS[fid] == alpha_beta_gamma(t), (fid, m)
+            assert harness._SHIFT_MEMBERS[fid] == tuple(
+                shift_set_members(t, 2)), (fid, m)
+
+
+def test_point_fields_must_hold_integers():
+    """m, global_shift and each entry of shift and extra_offsets are read
+    by the rule of ``exact.exact_int``: a bool, a float or a string is a
+    ValueError naming the field, where the point was once built with
+    phases whose offset was not an integer (and a later ``classify``
+    raised a false paper-rule inconsistency) or a JSON form that
+    ``from_json`` refused."""
+    pt = _std()
+    z = pt.charges
+    for make, text in (
+        (lambda: engine.shift(pt, 0.5), "global_shift: 0.5 is not an integer"),
+        (lambda: engine.StabilityPoint("F8", True, (0, 0, -1), z),
+         "m: True is not an integer"),
+        (lambda: engine.StabilityPoint("F8", 0, (0, 0.0, -1.0), z),
+         "shift: 0.0 is not an integer"),
+        (lambda: engine.StabilityPoint("F8", 0, (0, 0, -1), z, "0"),
+         "global_shift: '0' is not an integer"),
+        (lambda: engine.StabilityPoint("F8", 0, (0, 0, -1), z, 0, (0, 0.5, 0)),
+         "extra_offsets: 0.5 is not an integer"),
+        # read before the family, like from_json's integers
+        (lambda: engine.StabilityPoint("F9", 1.0, (0, 0, -1), z),
+         "m: 1.0 is not an integer"),
+    ):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == text
+    anchor = ("F8", 0, (0, 0.0, -1.0))
+    with pytest.raises(ValueError, match=re.escape(repr(anchor))):
+        harness.sample_sigma(anchor)
+    # what is accepted comes back from its JSON form
+    for p in _construction_streams():
+        if not isinstance(p, str):
+            for q in (p, engine.shift(p, -3), engine.rotate_quarter(p, 3)):
+                assert engine.StabilityPoint.from_json(q.to_json()) == q
+
+
+def test_sampling_reads_its_tables_and_checks_each_charge_once():
+    """Drawing and building 200 sampled points calls no ``Phase``
+    comparison or constructor (the anchor phases carry charges checked
+    once, by ``branch_checked``, and the spread test reads offsets and
+    cross products), no shift-set function of ``triples`` (the bounds
+    and the drawn members come from per-family tables) and no
+    translation of the simple charges (``simple`` and ``plan_simple`` are
+    computed once, in the constructor).  Every Python call is recorded by
+    its file and qualified name, so a function brought back under any
+    name or import is seen."""
+    rng = random.Random("one-pass")
+    calls = Counter()
+
+    def record(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            calls[(code.co_filename.rpartition("/")[2], code.co_qualname)] += 1
+
+    sys.setprofile(record)
+    try:
+        pts = [harness.sample_sigma((rng.choice(FAMILY_IDS), rng.randint(-2, 2)),
+                                    rng=rng, bound=32) for _ in range(200)]
+    finally:
+        sys.setprofile(None)
+    assert calls[("engine.py", "StabilityPoint.__post_init__")] == len(pts)
+    assert calls[("exact.py", "branch_checked")] == 3 * len(pts)
+    assert calls[("exact.py", "primitive_multiple")] == len(pts)
+    forbidden = [k for k in calls if k in {
+        ("exact.py", "Phase.__init__"), ("exact.py", "Phase.cmp"),
+        ("engine.py", "_translated_simple"), ("triples.py", "in_shift_set"),
+        ("triples.py", "shift_set_members"), ("triples.py", "alpha_beta_gamma"),
+    } or k[0] == "exact.py" and k[1] in (
+        "Phase.__lt__", "Phase.__le__", "Phase.__gt__", "Phase.__ge__")]
+    assert forbidden == []
+    assert {p.family for p in pts} == set(FAMILY_IDS)

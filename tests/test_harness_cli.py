@@ -46,7 +46,7 @@ def test_sample_sigma_rejects_an_anchor_no_point_has(monkeypatch):
     monkeypatch.setattr(harness, "_rand_charge", no_draw)
     monkeypatch.setattr(harness, "_rand_shift", no_draw)
     for anchor in (("F5", 0, (0, 5, 5)), ("F5", 0, (0, 0)), ("F9", 0),
-                   ("F5", 0, 5)):
+                   ("F5", 0, 5), ("F8", 0, (0, 0.0, -1.0))):
         with pytest.raises(ValueError, match=re.escape(repr(anchor))):
             harness.sample_sigma(anchor, seed=1)
     anchor = ("F8", 0, (0, 0, -2))
@@ -264,6 +264,25 @@ def test_cli_bad_input_exits_2_without_traceback(tmp_path, capsys):
         "spread.json": json.dumps(spread),
         "not_json.json": "{not json",
     }
+    # a key given twice, and a key outside a point's, at the top level and
+    # in the anchor: json.load would keep the last value, and from_json
+    # ignore the stray key
+    strict = {
+        "dup_key.json": (json.dumps(good).replace('"m": 0,', '"m": 0, "m": 1,'),
+                         "%s: duplicate key 'm'"),
+        "unknown_key.json": (json.dumps(dict(good, global_shfit=5)),
+                             "%s: not a stability point: the top level has an "
+                             "unknown key 'global_shfit'"),
+        "unknown_anchor_key.json": (
+            json.dumps(dict(good, anchor=dict(good["anchor"], n=1))),
+            "%s: not a stability point: anchor has an unknown key 'n'"),
+    }
+    for name, (text, message) in strict.items():
+        files[name] = text
+        path = tmp_path / name
+        path.write_text(text)
+        assert cli.main(["classify", str(path)]) == 2
+        assert capsys.readouterr().err == "classify: %s\n" % (message % path)
     # a component with more digits than Python reads from a string, as a
     # rational string and as a JSON integer: the message names its size
     int_charge = json.dumps(
