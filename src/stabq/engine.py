@@ -29,24 +29,24 @@ read ``plan_simple`` as it is.  The shift set is tested against a
 per-family table of bounds, which are the same at every chain index.
 
 The rule fixpoint reads a plan, one per window and shared by every point
-(``_Plan``).  The plan numbers its objects (slots), and its rows are the
-sigma-triple instances of the window's standard triples as (slot, shift)
-pairs relative to the point's m: closure contents inside the scope, and
-the outer step (the two-factor middle object or the three-factor
-extension, each K-class-checked against its factors).  The plan is keyed
-on the window alone, as all of this is unchanged when every chain index
-moves by one step; rows are built on first use, and it keeps each
-triple's shift-set bounds, so that a fixpoint builds and reads only the
-rows of shifts inside the shift set.  The plan also keeps each slot's
-K-class, and, built on first use, the row of hom degrees to every slot
-(``catalog.hom_degrees``) of each slot and, per letter, of the chain
-objects one and two steps past each end of its chain, the latter shared
-by every object further out.  Moving n steps along the chains
-acts on K as T^n(c) = c + n (c_T - c_L) delta, so a fixpoint reads its
+(``_Plan``).  The plan numbers its objects (slots), the objects the
+fixpoint decides and the chain objects just past them, and
+``_Plan.slot`` is the one map from an object to its slot: no other
+module knows the layout.  The plan's rows are the sigma-triple instances
+of the window's standard triples as (slot, shift) pairs relative to the
+point's m: closure contents inside the scope, and the outer step (the
+two-factor middle object or the three-factor extension, each
+K-class-checked against its factors).  The plan is keyed on the window
+alone, as all of this is unchanged when every chain index moves by one
+step; rows are built on first use, and it keeps each triple's shift-set
+bounds, so that a fixpoint builds and reads only the rows of shifts
+inside the shift set.  The plan also keeps each slot's K-class, and,
+built on first use, its row of hom degrees to every universe slot
+(``catalog.hom_degrees``).  Moving n steps along the chains acts on K as T^n(c) = c + n (c_T - c_L) delta, so a fixpoint reads its
 slots' K-classes against the point's simple charges at m = 0.
 Per point the fixpoint computes only charges, window arguments and phase
 comparisons on lists indexed by slot, seeding the anchor from its
-family's cell (``_Plan.cells``) at the point's m; objects, rules and
+family's cell at the point's m (``_Plan.columns``); objects, rules and
 witnesses are spelled in the point's own labels only when read.
 The plan also indexes, per slot, the standard triples holding it (the
 readiness index), so a point's fixpoint scans each triple once, in the
@@ -70,17 +70,15 @@ decided slots in the order of their verdicts.
 ``semistable`` builds one verdict at a time from these, and the
 verdict spells its rule and witness only when either is read, so a
 caller of the status alone (criterion 6) spells nothing.  A lookup
-takes a base object, finds its slot by arithmetic on its label
-(``_Plan.index``, the one map from objects to slots) and builds no
-object.  An object beyond the universe keeps no entry: each lookup of
-it folds its bracket anew.  ``regions``, which knows its objects by
-slot, skips the labels: the analysis's slot readers give a slot's
-charge, conditional phase and bracket, for the universe and for the
-chain objects one and two steps past its ends, from which ``regions``
-derives its far tail bounds.  An analysis is built on the first lookup at
-its window and lives exactly as long as its point; nothing is cached
-process-wide on points, so equal but distinct point objects each compute
-their own (identical) results.
+takes a base object, finds its slot from its label (``_Plan.index``)
+and builds no object.  An object beyond the universe keeps no entry:
+each lookup of it folds its bracket anew.  ``regions`` asks the plan
+for slots (``_Plan.slot``, ``_Plan.columns``) and skips the labels: the
+analysis's slot readers give a slot's charge, conditional phase and
+bracket, from which ``regions`` derives its cells and far tail bounds.
+An analysis is built on the first lookup at its window and lives exactly
+as long as its point; nothing is cached process-wide on points, so equal
+but distinct point objects each compute their own (identical) results.
 
 The phase comparisons on the hot paths (the fixpoint's unit shifts and
 rule comparisons, the region clause test) read a phase shifted by an
@@ -390,13 +388,9 @@ class Verdict:
 del Verdict.witness, Verdict.rules
 
 
-# the slots of M and M' in every plan: its universe begins with them
-RIGID_SLOTS = {"M": 0, "Mp": 1}
-
-
 def _universe(m: int, window: int) -> List[ExcObject]:
-    """The objects a fixpoint at index m and ``window`` decides, M and M'
-    first (``RIGID_SLOTS``)."""
+    """The objects a fixpoint at index m and ``window`` decides, in slot
+    order (``_Plan.slot``): M, M', the a chain, the b chain."""
     objs = [ExcObject("M", 0, 0), ExcObject("Mp", 0, 0)]
     for kind in ("a", "b"):
         for i in range(m - window, m + window + 2):
@@ -424,27 +418,24 @@ class _Row:
 
 class _Plan:
     """The point-independent part of the rule fixpoint at one window, in the
-    coordinates of a point with index ``m``.  A slot is an index into the
-    universe, found by ``index`` alone, and an object is a (slot, shift)
-    pair (``ref``).  ``triples`` holds the
-    window's standard triples in scan order with their slots and rows, the
-    rows built on first use and keyed by (s1, s2), None outside the shift
-    set.  ``bounds`` holds per triple the numbers (alpha, beta, gamma) that
-    ``in_shift_set`` reads, so that the fixpoint asks only for rows inside
-    the shift set.  ``holders`` holds per slot the indices
-    of the triples that contain it, and ``sizes`` per triple its number of
-    distinct slots: a triple is ready once that many of its slots are
-    decided semistable.
+    coordinates of a point with index ``m``.  ``reps`` holds the object
+    of each slot, laid out as ``slot``, the one map from an object to its
+    slot, says; ``index`` is that map restricted to the universe, and an
+    object is a (slot, shift) pair (``ref``).
+    ``triples`` holds the window's standard triples in scan order with
+    their slots and rows, the rows built on first use and keyed by
+    (s1, s2), None outside the shift set.  ``bounds`` holds per triple the
+    numbers (alpha, beta, gamma) that ``in_shift_set`` reads, so that the
+    fixpoint asks only for rows inside the shift set.  ``columns`` holds
+    per family the slots of its block of cells (its triples at the indices
+    m - window .. m + window) as three columns, one per object of the
+    cells.  ``holders`` holds per slot the indices of the triples that
+    contain it, and ``sizes`` per triple its number of distinct slots: a
+    triple is ready once that many of its slots are decided semistable.
     ``gaps`` holds, per a/b slot, None or its chain successor and the
-    slots a phase gap above it kills, in universe order.  ``reps`` holds
-    the slots' objects and then, per letter, the chain objects one and two
-    steps past each end of its chain; ``kclasses`` holds the K-class of
-    each of them, and ``degrees_of`` its row of ``hom_degrees`` to every
-    slot, built on first use.  ``ends`` holds per letter and end of its
-    chain the ``reps`` indices of the end object and of the objects one
-    and two steps past it.  ``blocks`` holds per family its block of
-    cells, read by ``cells``, and ``columns`` the same block as three
-    columns of slots, one per object of the cells.
+    slots a phase gap above it kills, in universe order.  ``kclasses``
+    holds the K-class of each of ``reps``, and ``degrees_of`` its row of
+    ``hom_degrees`` to every universe slot, built on first use.
 
     Hom dimensions, closure contents, the scope and K-class relations are
     unchanged when every chain index moves by the same step
@@ -461,12 +452,12 @@ class _Plan:
         self.triples = [(t, tuple(map(self.index, t.objs)), {}) for t in ts]
         # per triple its family's shift-set bounds
         self.bounds = [_SHIFT_BOUNDS[f] for f in FAMILY_IDS for _ in ks]
-        # per family the slots of its triples, a block of len(ks) cells
+        # per family the slots of its triples' block of len(ks) cells, as
+        # three slot columns, one per object of the cells
         n = len(ks)
-        self.blocks = {f: [slots for _, slots, _ in self.triples[j:j + n]]
-                       for f, j in zip(FAMILY_IDS, range(0, len(ts), n))}
-        # and the same block as three slot columns, one per object
-        self.columns = {f: tuple(zip(*b)) for f, b in self.blocks.items()}
+        self.columns = {f: tuple(zip(*(slots for _, slots, _
+                                       in self.triples[j:j + n])))
+                        for f, j in zip(FAMILY_IDS, range(0, len(ts), n))}
         # the readiness index: per slot the triples holding it, in plan
         # order, and per triple its number of distinct slots
         self.holders = [[] for _ in u]
@@ -476,20 +467,11 @@ class _Plan:
             for s in distinct:
                 self.holders[s].append(j)
             self.sizes.append(len(distinct))
-        # the slots, then per letter the chain objects two and one steps
-        # below its chain and one and two steps above it (``hom_row``)
+        # the universe, then the chain objects just past it (``slot``)
         self.reps = u + [ExcObject(k, self.low + j, 0) for k in ("a", "b")
                          for j in (-2, -1, self.span, self.span + 1)]
         self.kclasses = [kclass(o) for o in self.reps]
         self.degrees: List[Optional[tuple]] = [None] * len(self.reps)
-        # per letter and end of its chain (True for the high end) the
-        # slots of the end object and of the objects one and two steps
-        # past it
-        self.ends = {
-            (k, hi): (2 + self.span * (k == "b") + (self.span - 1) * hi,
-                      len(u) + 4 * (k == "b") + (2 if hi else 1),
-                      len(u) + 4 * (k == "b") + (3 if hi else 0))
-            for k in ("a", "b") for hi in (False, True)}
         self.gaps = [None] * len(u)
         for s, o in enumerate(u):
             nxt = self.index(o.translated(1))
@@ -508,18 +490,31 @@ class _Plan:
             row = self.degrees[s] = tuple(hom_degrees(x, y) for y in self.universe)
         return row
 
+    def slot(self, kind: str, m: int = 0, dm: int = 0) -> int:
+        """The ``reps`` slot of M, M' or the chain object of letter
+        ``kind`` at index m, in the labels of a point with index ``dm``:
+        the one map from objects to slots.  Inside the universe it is the
+        object's position (M, M', the a chain, the b chain); past either
+        end of a chain it is the chain object one or two steps out, which
+        stands for every object further out, as ``hom_degrees`` clamps
+        index differences to -2..2.  M and M' ignore m."""
+        if kind == "M":
+            return 0
+        if kind == "Mp":
+            return 1
+        j, span = m - dm - self.low, self.span
+        if 0 <= j < span:
+            return 2 + j if kind == "a" else 2 + span + j
+        # per letter: two and one steps below, one and two steps above
+        return len(self.universe) + (4 if kind == "b" else 0) + (
+            (j > -2) if j < 0 else 2 + (j > span))
+
     def hom_row(self, x: ExcObject, dm: int = 0) -> tuple:
-        """``degrees_of`` the base object x, in the labels of a point with
-        index ``dm``: its slot's, and beyond the universe that of its
-        letter's chain object one or two steps past the chain's end; the
-        degrees clamp index differences to -2..2, so every object further
-        out shares the latter."""
-        s = self.index(x, dm)
-        if s is None:  # j is below 0 or from span on
-            j = x.m - dm - self.low
-            s = len(self.universe) + 4 * (x.kind == "b") + (
-                max(j, -2) + 2 if j < 0 else min(j - self.span, 1) + 2)
-        return self.degrees_of(s)
+        """``degrees_of`` the slot of x's base object, in the labels of a
+        point with index ``dm`` (``slot``): beyond the universe, that of
+        its letter's chain object one or two steps past the chain's end,
+        shared by every object further out."""
+        return self.degrees_of(self.slot(x.kind, x.m, dm))
 
     def ref(self, obj: ExcObject) -> Optional[Tuple[int, int]]:
         """The object obj as a (slot, shift) pair; None beyond the universe."""
@@ -527,26 +522,11 @@ class _Plan:
         return None if s is None else (s, obj.shift)
 
     def index(self, x: ExcObject, dm: int = 0) -> Optional[int]:
-        """The slot of x's base object, in the labels of a point with index
-        ``dm``: the position of ``x.base().translated(-dm)`` in the
-        universe, None beyond it.  The only map from objects to slots, by
-        arithmetic on the universe's order (M, M', the a chain, the b
-        chain); it ignores the explicit shift and builds no object."""
-        if x.kind == "M":
-            return 0
-        if x.kind == "Mp":
-            return 1
-        j = x.m - dm - self.low
-        if not 0 <= j < self.span:
-            return None
-        return 2 + j if x.kind == "a" else 2 + self.span + j
-
-    def cells(self, fid: str) -> List[Tuple[int, int, int]]:
-        """The slots of family fid's standard triples at the indices
-        m - window .. m + window of the plan's m, in that order: at
-        ``window``, the cells of a point's block, relative to its m.  The
-        list is the plan's own, built with it."""
-        return self.blocks[fid]
+        """The universe slot of x's base object in the labels of a point
+        with index ``dm`` (``slot``), None beyond the universe; it ignores
+        the explicit shift and builds no object."""
+        s = self.slot(x.kind, x.m, dm)
+        return s if s < len(self.universe) else None
 
     def row(self, t: ExcTriple, rows: dict, s1: int, s2: int) -> Optional[_Row]:
         key = (s1, s2)
@@ -809,8 +789,7 @@ def _pin_in_window(an: Analysis, ref: Tuple[int, int], lo: Phase, a: int,
     and b.  ``charge`` maps an object to its charge.  Builds one Phase,
     that of ref's base object, in the window moved down by ref's shift
     (the ends are built only for an error message), and raises on a
-    contradiction; a slot already decided is direction-tested first
-    (``_agrees``).
+    contradiction.
 
     The window is shorter than 1: it runs between two phases of a scanned
     triple, and ``_unit_shifts`` keeps every pairwise gap of those below 1.
@@ -818,7 +797,6 @@ def _pin_in_window(an: Analysis, ref: Tuple[int, int], lo: Phase, a: int,
     of its charge, keeps that phase: it is the only one found here, and
     ``_sigma_triple_rules`` leaves such a re-pin out."""
     s, k = ref
-    _agrees(an, s, charge)
     z = charge(ref)
     if z.is_zero():
         raise EngineError(
@@ -958,8 +936,10 @@ def _decide(point: StabilityPoint, window: int) -> Analysis:
             z = zs[s] = _charge(simple, kclasses[s])
         return -z if ref[1] % 2 else z
 
-    # the anchor is the family's cell at the point's m, shifted
-    for ref, ph in zip(zip(plan.cells(point.family)[window], point.shift),
+    # the anchor is the family's cell at the point's m, the block's centre,
+    # shifted
+    c0, c1, c2 = plan.columns[point.family]
+    for ref, ph in zip(zip((c0[window], c1[window], c2[window]), point.shift),
                        point.anchor_phases):
         an.set_ss(ref, ph, "anchor")
 

@@ -144,8 +144,9 @@ class Gaussian:
         """The inverse of ``to_json``: each component a string "p" or "p/q"
         (an optional "-", ASCII digits, q >= 1), or an ``int``.  Anything
         else raises ValueError, where ``Fraction`` would read 0.1 as its
-        binary value, true as 1, and "1e5", "1_0" and " 1 " as numbers."""
-        json_typed(d, dict, "a charge")
+        binary value, true as 1, and "1e5", "1_0" and " 1 " as numbers; so
+        does a key other than "re" and "im"."""
+        json_typed(d, dict, "a charge", ("re", "im"))
         return Gaussian(_json_rat(d["re"]), _json_rat(d["im"]))
 
     def __repr__(self):

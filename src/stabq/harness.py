@@ -537,13 +537,11 @@ def verify_all(n_samples: int = DEFAULT_SAMPLES, seed: int = 0) -> List[Verifica
 # differential test: rule engine vs brute-force heart oracle
 
 
-HEART_MAX_ENTRY = 4  # the largest dimension entry of the oracle's objects
-
-
 @lru_cache(maxsize=None)
 def _heart_test_objects():
-    """Exceptional representations of the standard heart with every dimension
-    entry at most HEART_MAX_ENTRY, as (catalog object, FiniteRep, rays).
+    """Exceptional representations of the standard heart of total dimension
+    at most ``ff.MAX_TOTAL_DIM``, the objects ``stab oracle`` accepts, as
+    (catalog object, FiniteRep, rays).
 
     The rays are the extreme rays of the cone spanned by the proper nonzero
     dimension vectors of ``ff.all_subreps`` (``ff.extreme_rays``, in its
@@ -556,7 +554,7 @@ def _heart_test_objects():
     from .quiver import Vec3
 
     dims = [Vec3(0, 1, 0), Vec3(1, 0, 1)]
-    for k in range(0, HEART_MAX_ENTRY):
+    for k in range(ff.MAX_TOTAL_DIM // 3 + 1):
         dims += [
             Vec3(k + 1, k, k),
             Vec3(k, k + 1, k + 1),
@@ -565,7 +563,7 @@ def _heart_test_objects():
         ]
     out = []
     for d in dims:
-        if max(d) > HEART_MAX_ENTRY:
+        if sum(d) > ff.MAX_TOTAL_DIM:
             continue
         obj = object_from_kclass(d)
         rep = build_matrices(obj)

@@ -227,18 +227,22 @@ def _far_phases(point, window: int, hi: bool, kind: str):
     (``engine._Plan.hom_row``), so the bracket of the object two steps
     out holds all their phases.  The hull of the edge's and the
     neighbour's conditional phases and that bracket bounds the tail.
-    All three are read by plan slot (``_Plan.ends``: the edge object, a
-    universe slot, and the chain objects one and two steps past it) from
-    the analysis (``Analysis.slot_phase``, ``slot_bracket`` and
-    ``slot_charge``), the values ``engine.conditional_phase``,
-    ``phase_bracket`` and ``charge_of`` give for their labels, and no
-    label is built.  Beyond the block the chain K-classes move along
-    exact rays [x^(j -/+ 1)] = [x^j] +/- [delta], so the window arguments
-    of the charges move monotonically from the edge phase towards the
-    window representative of the ray direction, on the side the sign of
-    ``z_edge.cross(step)`` gives, and that interval narrows the hull."""
+    All three are read by the plan slots of their chain indices
+    (``_Plan.slot``) from the analysis (``Analysis.slot_phase``,
+    ``slot_bracket`` and ``slot_charge``), the values
+    ``engine.conditional_phase``, ``phase_bracket`` and ``charge_of`` give
+    for their labels, and no label is built.  Beyond the block the chain
+    K-classes move along exact rays [x^(j -/+ 1)] = [x^j] +/- [delta], so
+    the window arguments of the charges move monotonically from the edge
+    phase towards the window representative of the ray direction, on the
+    side the sign of ``z_edge.cross(step)`` gives, and that interval
+    narrows the hull."""
     an = point.analysis(window)
-    edge, nxt, beyond = an.plan.ends[kind, hi]
+    # the edge object's chain index in the point's labels, and the step out
+    j_edge, out = (point.m + window + 1, 1) if hi else (point.m - window, -1)
+    slot, m = an.plan.slot, point.m
+    edge, nxt, beyond = (slot(kind, j_edge, m), slot(kind, j_edge + out, m),
+                         slot(kind, j_edge + 2 * out, m))
     ph_edge, ph_next = an.slot_phase(edge), an.slot_phase(nxt)
     far = an.slot_bracket(beyond)
     known = [ph for ph in (ph_edge, ph_next) if ph is not None]
@@ -247,8 +251,6 @@ def _far_phases(point, window: int, hi: bool, kind: str):
     lo, up = far or (known[0], known[0])
     lo = None if lo is None else min(known + [lo])
     up = None if up is None else max(known + [up])
-    # the edge object's chain index in the point's labels
-    j_edge = point.m + window + 1 if hi else point.m - window
     if ph_edge is None or (j_edge < 1 if hi else j_edge > 0):
         # edge object dead, or the block edge outside the linear zone of
         # the K-classes: keep the hull
@@ -316,7 +318,8 @@ def _tail_family_excluded(point, fid: str, bounds, window: int) -> bool:
         return True
     if rising is not None and bounds[rising][2] is False:
         return True
-    ph = point.analysis(window).slot_phase(engine.RIGID_SLOTS[fixed])
+    an = point.analysis(window)
+    ph = an.slot_phase(an.plan.slot(fixed))
     if ph is None:  # the rigid object cannot be semistable at all
         return True
     for k, end, c in tests:

@@ -531,9 +531,9 @@ def test_plan_rows_are_translation_invariant(window):
 
 @pytest.mark.parametrize("window", (0, 4, 8, 32))
 def test_plan_layout_pins_index_and_cells(window):
-    """``_Plan.index`` is the one map from an object to its slot, and
-    ``_Plan.cells`` the map from a cell to its slots that ``regions``
-    reads.  For plans at m in -6..6, index maps each universe object, at
+    """``_Plan.index`` maps an object of the universe to its slot, and
+    ``_Plan.columns`` holds the slots of each cell of a family's block,
+    as three columns, which ``regions`` reads.  For plans at m in -6..6, index maps each universe object, at
     shifts -2..2 and in the labels of a point with index dm, to its
     position, and each chain object one step beyond either end of the
     universe to None.  The cell slots of (fid, k) are the positions of
@@ -553,9 +553,36 @@ def test_plan_layout_pins_index_and_cells(window):
         assert plan.bounds == [alpha_beta_gamma(t) for t, _, _ in plan.triples]
         for fid in FAMILY_IDS:
             ks = range(m - window, m + window + 1)
-            assert plan.cells(fid) == [
+            assert list(zip(*plan.columns[fid])) == [
                 tuple(u.index(o) for o in family_triple(fid, k).objs) for k in ks
             ], (fid, m)
+
+
+@pytest.mark.parametrize("window", (0, 1, 4, 8, 32))
+def test_plan_slot_is_the_one_map_to_reps(window):
+    """``_Plan.slot`` maps M to slot 0, M' to slot 1, and the chain object
+    of each letter at every index from 5 below the universe to 5 above
+    it, in the labels of a point with index dm, to the ``reps`` slot of
+    that object clamped to two steps past the chain's end.  ``index``
+    agrees with it inside the universe and is None outside, and
+    ``hom_row`` is the row of its slot."""
+    plan = engine._plan(window)
+    lo, hi = plan.low, plan.low + plan.span - 1
+    assert (plan.slot("M"), plan.slot("Mp")) == (0, 1)
+    for dm in (-3, 0, 5):
+        for label, s in (("M", 0), ("M'", 1)):
+            x = parse_label(label)
+            assert plan.index(x, dm) == s
+            assert plan.hom_row(x, dm) is plan.degrees_of(s)
+        for kind in "ab":
+            for j in range(lo - 5, hi + 6):
+                s = plan.slot(kind, j + dm, dm)
+                x = ExcObject(kind, j + dm, 0)
+                assert plan.reps[s] == ExcObject(kind, min(max(j, lo - 2), hi + 2), 0)
+                inside = lo <= j <= hi
+                assert plan.index(x, dm) == (s if inside else None)
+                assert (s < len(plan.universe)) == inside
+                assert plan.hom_row(x, dm) is plan.degrees_of(s)
 
 
 def test_plan_gaps_kill_the_rest_of_the_chain():
@@ -681,6 +708,8 @@ def test_rederivation_that_conflicts_still_raises():
         return st
 
     def pin(st, window, w, ref=a0):
+        # as in _sigma_triple_rules, the slot is direction-tested first
+        engine._agrees(st, ref[0], lambda r: w)
         engine._pin_in_window(st, ref, *window, lambda r: w, "closure(x)[0]")
 
     # a window that excludes the decided phase
@@ -1153,6 +1182,16 @@ _RARE_RULE_POINTS = [
         "anchor": {"family": "F6", "m": 1, "shift": [0, -1, -1]},
         "charges": [{"re": "5/4", "im": "21/13"}, {"re": "31/23", "im": "17/25"},
                     {"re": "25/29", "im": "17/23"}]}),
+    # the three-factor rule anchored at its third object (``anchor_low =
+    # p2, s2``), once per letter
+    ("three-factor", "M'", {
+        "anchor": {"family": "F3", "m": 1, "shift": [0, -1, -1]},
+        "charges": [{"re": "-13/11", "im": "0"}, {"re": "-11/9", "im": "0"},
+                    {"re": "2", "im": "1"}]}),
+    ("three-factor", "M", {
+        "anchor": {"family": "F6", "m": -2, "shift": [0, -1, -1]},
+        "charges": [{"re": "-1/8", "im": "0"}, {"re": "-7/8", "im": "0"},
+                    {"re": "1/5", "im": "6"}]}),
 ]
 
 

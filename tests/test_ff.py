@@ -144,6 +144,18 @@ def test_all_subreps_matches_fresh_enumeration():
         assert list(all_subreps(rep).items()) == list(ref.items()), obj
 
 
+def test_heart_test_objects_are_the_oracle_sized_heart_objects():
+    """Criterion 6 judges the exceptional objects of the standard heart of
+    total dimension at most ``ff.MAX_TOTAL_DIM``, the size ``stab oracle``
+    accepts, in this order."""
+    assert [str(o) for o, _, _ in harness._heart_test_objects()] == [
+        "M", "M'", "a[0]", "a[1][1]", "b[1][1]", "b[0]", "a[-1]", "a[2][1]",
+        "b[2][1]", "b[-1]", "a[-2]", "a[3][1]", "b[3][1]", "b[-2]", "a[-3]",
+        "a[4][1]", "b[4][1]", "b[-3]"]
+    for o, rep, _ in harness._heart_test_objects():
+        assert sum(rep.dims) <= ff.MAX_TOTAL_DIM, o
+
+
 def test_heart_test_objects_built_once_and_immutable():
     objs = harness._heart_test_objects()
     assert harness._heart_test_objects() is objs

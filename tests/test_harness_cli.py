@@ -263,6 +263,11 @@ def test_cli_bad_input_exits_2_without_traceback(tmp_path, capsys):
         ),
         "spread.json": json.dumps(spread),
         "not_json.json": "{not json",
+        # a charge with a key outside "re" and "im"
+        "stray_key_charge.json": json.dumps(
+            dict(good, charges=[{"re": "-1", "im": "1", "imag": 5}]
+                 + good["charges"][1:])
+        ),
     }
     # a key given twice, and a key outside a point's, at the top level and
     # in the anchor: json.load would keep the last value, and from_json
@@ -404,6 +409,7 @@ def test_cli_bad_input_exits_2_without_traceback(tmp_path, capsys):
                 {"z2": {"re": "1", "im": "-1"}},
                 {"z2": {"re": "1/0", "im": "1"}},
                 {"z2": {"re": "1", "im": 0.5}},
+                {"z2": {"re": "1", "im": "1", "imag": 5}},
                 {"resolution": 1.5}, {"resolution": True}, {"resolution": 2.0},
                 {"anchor": {"family": "F8", "m": 0.5, "shift": [0, 0, -1]}},
                 {"anchor": {"family": "F8", "m": False, "shift": [0, 0, -1]}},

@@ -1,8 +1,9 @@
 """Checks on the repository itself: with warnings as errors, a failing
 Hypothesis test is still reported as one failure of a finished session,
 every module reaches every other one only through its public names, only
-the catalog and the engine call ``hom_degrees``, and the only process-wide
-caches are point-independent tables."""
+the catalog and the engine call ``hom_degrees``, ``regions`` finds its
+slots only through the plan's slot map, and the only process-wide caches
+are point-independent tables."""
 
 import ast
 import os
@@ -105,6 +106,25 @@ def test_only_catalog_and_engine_call_hom_degrees():
                 calls.setdefault(fname, []).append(node.lineno)
     assert set(calls) <= {"catalog.py", "engine.py"}, calls
     assert "engine.py" in calls  # the check sees the calls there are
+
+
+def test_regions_reads_a_plan_only_through_its_slot_map():
+    """``regions`` reads no attribute of a rule plan but ``slot`` and
+    ``columns``: the engine's plan is the only module that knows where an
+    object sits among the slots, so ``regions`` can compute no slot of
+    its own from the plan's layout (its chain lengths, its universe)."""
+    path = os.path.join(ROOT, "src", "stabq", "regions.py")
+    with open(path) as f:
+        tree = ast.parse(f.read(), path)
+    parents = {child: node for node in ast.walk(tree)
+               for child in ast.iter_child_nodes(node)}
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("plan", "_plan"):
+            up = parents[node]
+            reads.append(up.attr if isinstance(up, ast.Attribute) else None)
+    assert set(reads) <= {"slot", "columns"}, reads
+    assert {"slot", "columns"} <= set(reads)  # the check sees the reads there are
 
 
 def test_readme_names_resolve():
