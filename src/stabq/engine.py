@@ -90,12 +90,16 @@ A rule that pins an object builds one Phase, its base object's: the
 window functions of ``exact`` take integer shifts of their ends or
 anchor, so a pin hands over the triple's phases with their shifts less
 the pinned object's, and an outer step reads its target slot's charge.
-Most closure pins re-derive an object already decided; whether its
-decided phase has the direction of its charge does not depend on the
-shift, so that is tested once per slot, and the closure loop decides
-such a re-pin itself, on the offsets and one integer cross product per
-window end.  A closure's contents leave out its pair's own two objects,
-which sit at the ends of its window.
+
+Every phase the fixpoint writes has the direction of its slot's plan
+charge: a pin (``phase_in_closed_window``) and an outer step
+(``window_arg``) take their phase from that charge, and ``_decide``
+checks the three anchor phases, which come from the point's own
+charges, as it seeds them.  So the closure loop decides a pin that
+re-derives an object already decided semistable from the slot's entry
+alone, on the offsets and one integer cross product per window end.  A
+closure's contents leave out its pair's own two objects, which sit at
+the ends of its window.
 """
 
 from __future__ import annotations
@@ -607,12 +611,11 @@ class Analysis:
     (``StabilityPoint.plan_simple``), so that a slot's charge is its plan
     K-class against them.  Indexed by slot: ``row`` the ``lookup``
     entries, each a status with the conditional phase (None for an object
-    that cannot be semistable), ``rule`` the rule token that decided each
-    decided slot, and ``agrees`` whether each decided phase has the
-    direction of its charge.  A slot is decided when it has a ``rule``; ``set_ss`` and
-    ``set_unstable`` write its entry then, and ``entry`` fills an
-    undecided slot's ``unknown`` entry on its first read, after the
-    fixpoint.  ``witness`` maps each slot a big gap killed to the chain
+    that cannot be semistable), and ``rule`` the rule token that decided
+    each decided slot.  A slot is decided when it has a ``rule``;
+    ``set_ss`` and ``set_unstable`` write its entry then, and ``entry``
+    fills an undecided slot's ``unknown`` entry on its first read, after
+    the fixpoint.  ``witness`` maps each slot a big gap killed to the chain
     object below the gap.  ``order`` holds the decided slots in
     first-verdict order, ``tails`` per side (True for the high tail) the
     far bounds of each chain letter beyond the block that ``regions`` has
@@ -630,9 +633,9 @@ class Analysis:
     Rules are tokens, the plan's own: a string ("anchor", "big-gap") or a
     row's (name, B, suffix).  Tokens and witnesses are spelled in the
     point's own labels only by ``verdict`` and in error messages.  The
-    fixpoint's charges are a local of ``_decide``, so an analysis keeps,
-    besides ``agrees``, only what a later lookup or ``regions`` reads, and
-    no reference to its point."""
+    fixpoint's charges are a local of ``_decide``, so an analysis keeps
+    only what a later lookup or ``regions`` reads, and no reference to its
+    point."""
 
     def __init__(self, plan: _Plan, dm: int = 0, simple=None):
         self.plan = plan
@@ -642,9 +645,6 @@ class Analysis:
         self.row: List[Optional[Tuple[str, Optional[Phase]]]] = [None] * n
         self.rule: List[Optional[object]] = [None] * n
         self.witness: Dict[int, ExcObject] = {}
-        # per slot, whether its decided phase has the direction of its
-        # charge; tested on the first re-pin (see _agrees)
-        self.agrees: List[Optional[bool]] = [None] * n
         self.order: List[int] = []
         self.tails: Dict[bool, Dict[str, object]] = {}
         self.cells: Dict[str, tuple] = {}
@@ -767,21 +767,6 @@ def _unit_shifts(p1: Phase, p0: Phase) -> Tuple[int, ...]:
     return (-k,)
 
 
-def _agrees(an: Analysis, s: int, charge) -> bool:
-    """Whether slot s is decided at a phase with the direction of its
-    charge.  Moving an object by k shifts negates both its charge and the
-    direction of its phase k times, so this does not depend on the shift:
-    it is tested once per decided slot and kept in ``Analysis.agrees``."""
-    ok = an.agrees[s]
-    if ok is None:
-        ph = (an.row[s] or _DEAD["unknown"])[1]
-        if ph is None:
-            return False
-        d, z = ph.direction(), charge((s, 0))
-        ok = an.agrees[s] = d.cross(z) == 0 and d.dot(z) > 0
-    return ok
-
-
 def _pin_in_window(an: Analysis, ref: Tuple[int, int], lo: Phase, a: int,
                    hi: Phase, b: int, charge, rule):
     """Declare the object ref semistable with its phase in the closed
@@ -793,9 +778,10 @@ def _pin_in_window(an: Analysis, ref: Tuple[int, int], lo: Phase, a: int,
 
     The window is shorter than 1: it runs between two phases of a scanned
     triple, and ``_unit_shifts`` keeps every pairwise gap of those below 1.
-    So a slot already decided at a phase in the window, with the direction
-    of its charge, keeps that phase: it is the only one found here, and
-    ``_sigma_triple_rules`` leaves such a re-pin out."""
+    So a slot already decided at a phase in the window keeps that phase,
+    which has the direction of its charge (the module's invariant): it is
+    the only one found here, and ``_sigma_triple_rules`` leaves such a
+    re-pin out."""
     s, k = ref
     z = charge(ref)
     if z.is_zero():
@@ -829,17 +815,17 @@ def _sigma_triple_rules(an: Analysis, row: _Row, phis, shifts, charge):
     phase.  An outer step reads the charge of its target's base object,
     whose K-class the plan checked against the sum of the factors'.
 
-    Most closure pins re-derive a slot decided at a phase with the
-    direction of its charge (``_agrees``); such a re-pin holds, and
-    changes nothing, exactly when the decided phase moved by the pin's
-    shift lies in the window, which the loop tests on the offsets and one
-    integer cross product per end.  Every other pin (a new slot, a
-    conflict) goes to ``_pin_in_window``.  The pair's own two objects are
-    not among the contents (``_Plan._build``): each is decided, from its
-    own charge, at exactly one end of the window, so its re-pin could
-    neither decide nor raise.
+    Most closure pins re-derive a slot decided semistable, whose phase
+    has the direction of its charge (the module's invariant); such a
+    re-pin holds, and changes nothing, exactly when the decided phase
+    moved by the pin's shift lies in the window, which the loop tests on
+    the offsets and one integer cross product per end.  Every other pin
+    (a new slot, a conflict) goes to ``_pin_in_window``.  The pair's own
+    two objects are not among the contents (``_Plan._build``): each is
+    decided, from its own charge, at exactly one end of the window, so
+    its re-pin could neither decide nor raise.
     """
-    entries, agrees = an.row, an.agrees
+    entries = an.row
     for i, content, rule in row.closures:
         hi, a, lo, b = phis[i], shifts[i], phis[i + 1], shifts[i + 1]
         if cmp_shifted(hi, a, lo, b) < 0:
@@ -848,8 +834,9 @@ def _sigma_triple_rules(an: Analysis, row: _Row, phis, shifts, charge):
         lo_o, lz, hi_o, hz = lo.offset + b, lo.charge, hi.offset + a, hi.charge
         for c in content:
             s, k = c
-            if agrees[s] or _agrees(an, s, charge):
-                ph = entries[s][1]
+            e = entries[s]
+            if e is not None and e[1] is not None:
+                ph = e[1]
                 o, z = ph.offset + k, ph.charge
                 if ((o > lo_o or o == lo_o and lz.re * z.im >= lz.im * z.re) and
                         (o < hi_o or o == hi_o and z.re * hz.im >= z.im * hz.re)):
@@ -879,11 +866,12 @@ def _sigma_triple_rules(an: Analysis, row: _Row, phis, shifts, charge):
         return
     anchor_low = None
     if c10 < 0 and c20 < 0:
-        try:
-            wa = window_arg(charge(B[0]) + charge(B[1]), p0, -1)
-        except ExactError:
-            wa = None
-        if wa is not None and cmp_shifted(wa, 0, p2, s2) > 0:
+        # B[0] sits at p0 and B[1] strictly inside (p0 - 1, p0), and their
+        # charges have the directions of those phases (the invariant), so
+        # their sum lies strictly inside that window's half-plane and
+        # window_arg cannot raise here
+        wa = window_arg(charge(B[0]) + charge(B[1]), p0, -1)
+        if cmp_shifted(wa, 0, p2, s2) > 0:
             anchor_low = p0, -1
     if anchor_low is None and c21 < 0 and c10 <= 0:
         anchor_low = p2, s2
@@ -937,10 +925,16 @@ def _decide(point: StabilityPoint, window: int) -> Analysis:
         return -z if ref[1] % 2 else z
 
     # the anchor is the family's cell at the point's m, the block's centre,
-    # shifted
+    # shifted; its phases come from the point's charges, so each is checked
+    # against its slot's charge (the module's invariant)
     c0, c1, c2 = plan.columns[point.family]
     for ref, ph in zip(zip((c0[window], c1[window], c2[window]), point.shift),
                        point.anchor_phases):
+        d, z = ph.direction(), charge(ref)
+        if d.cross(z) or d.dot(z) <= 0:
+            raise EngineError(
+                "paper-rule inconsistency: the anchor phase %r of %s is not "
+                "the direction of its charge %r" % (ph, an.name(*ref), z))
         an.set_ss(ref, ph, "anchor")
 
     row, holders, missing, bounds = an.row, plan.holders, plan.sizes[:], plan.bounds

@@ -22,7 +22,9 @@ from .catalog import ExcObject, parse_label
 from .exact import (
     ExactError, Gaussian, Phase, exact_int, json_typed, window_arg
 )
-from .triples import FAMILY_IDS, family_triple, in_shift_set, shift_set_members
+from .triples import (
+    A_SIDE, B_SIDE, FAMILY_IDS, family_triple, in_shift_set, shift_set_members
+)
 
 DEFAULT_BOUND = 64
 
@@ -452,16 +454,12 @@ def _chk_coverage(pt, rng):
         raise _Mismatch("sample escapes the four-piece decomposition")
 
 
-# anchor pools: where the sampler places each suite's points
-_A = ("F1", "F2", "F3")
-_B = ("F4", "F5", "F6")
-_ALL = FAMILY_IDS
-
-# suite id -> (checker, anchor pool); a None checker marks a suite backed by
-# the registered system of the same id, checked by _chk_system
+# suite id -> (checker, anchor pool: where the sampler places its points); a
+# None checker marks a suite backed by the registered system of the same
+# id, checked by _chk_system
 _SUITES: Dict[str, Tuple[Optional[Callable], Tuple[str, ...]]] = {
-    "(_,_,X)0": (None, _A + _B),
-    "(X,_,_)0": (None, _A + _B),
+    "(_,_,X)0": (None, A_SIDE + B_SIDE),
+    "(X,_,_)0": (None, A_SIDE + B_SIDE),
     "T12lemma1": (_chk_t12lemma1, ("F2", "F5", "F3", "F4")),
     "T12lemma3": (_chk_t12lemma3, ("F2", "F5")),
     "T12Zcap(E_1)": (None, ("F1", "F2", "F3")),
@@ -477,13 +475,42 @@ _SUITES: Dict[str, Tuple[Optional[Callable], Tuple[str, ...]]] = {
     "semi-stability of b": (_chk_ss_b, ("F8",)),
     "semi-stability of a'": (_chk_ss_ap, ("F7",)),
     "semi-stability of b'": (_chk_ss_bp, ("F7",)),
-    "disjointness-TaTb": (_chk_disjoint, _ALL),
-    "coverage": (_chk_coverage, _ALL),
+    "disjointness-TaTb": (_chk_disjoint, FAMILY_IDS),
+    "coverage": (_chk_coverage, FAMILY_IDS),
 }
 
 LEMMA_IDS = tuple(_SUITES)
 
 DEFAULT_SAMPLES = 500
+
+
+def _report(report_id: str, n_samples: int, seed: int, draw, check
+            ) -> VerificationReport:
+    """The report on ``n_samples`` points ``draw(rng)`` makes, with rng
+    seeded from (report_id, seed).  ``check(pt, rng)`` returns the
+    point's mismatches (dicts with a "detail"), or None for none, or
+    raises: ``_Mismatch`` is one mismatch, ``engine.EngineError`` one
+    "engine contradiction", and ``_SOFT`` (also raised by ``draw``) an
+    unknown sample.  Every other sample is decided."""
+    rng = random.Random((report_id, seed).__repr__())
+    rep = VerificationReport(report_id, seed=seed)
+    t0 = time.monotonic()
+    for _ in range(n_samples):
+        rep.attempted += 1
+        try:
+            pt = draw(rng)
+            found = check(pt, rng) or []
+        except _Mismatch as mm:
+            found = [{"detail": mm.detail}]
+        except engine.EngineError as ee:
+            found = [{"detail": "engine contradiction: %s" % ee}]
+        except _SOFT:
+            rep.unknown += 1
+            continue
+        rep.decided += 1
+        rep.mismatches += [dict(f, point=pt.to_json()) for f in found]
+    rep.wall_time = time.monotonic() - t0
+    return rep
 
 
 def verify_lemma(lemma_id: str, n_samples: int = DEFAULT_SAMPLES,
@@ -493,40 +520,14 @@ def verify_lemma(lemma_id: str, n_samples: int = DEFAULT_SAMPLES,
     checker, pool = _SUITES[lemma_id]
     if checker is None:
         checker = partial(_chk_system, lemma_id)
-    rng = random.Random((lemma_id, seed).__repr__())
-    rep = VerificationReport(lemma_id, seed=seed)
-    t0 = time.monotonic()
-    for _ in range(n_samples):
-        rep.attempted += 1
-        use_collinear = (
-            lemma_id == "semi-stability of b" and rng.random() < 0.25
-        )
-        try:
-            if use_collinear:
-                pt = sample_sigma(
-                    ("F8", rng.randint(-2, 2)),
-                    constraints="phi(M)=phi(M')",
-                    rng=rng,
-                    bound=32,
-                )
-            else:
-                pt = _sample_point(rng, pool)
-            checker(pt, rng)
-            rep.decided += 1
-        except _Mismatch as mm:
-            rep.decided += 1
-            rep.mismatches.append(
-                {"detail": mm.detail, "point": pt.to_json()}
-            )
-        except engine.EngineError as ee:
-            rep.decided += 1
-            rep.mismatches.append(
-                {"detail": "engine contradiction: %s" % ee, "point": pt.to_json()}
-            )
-        except _SOFT:
-            rep.unknown += 1
-    rep.wall_time = time.monotonic() - t0
-    return rep
+
+    def draw(rng):
+        if lemma_id == "semi-stability of b" and rng.random() < 0.25:
+            return sample_sigma(("F8", rng.randint(-2, 2)),
+                                constraints="phi(M)=phi(M')", rng=rng, bound=32)
+        return _sample_point(rng, pool)
+
+    return _report(lemma_id, n_samples, seed, draw, checker)
 
 
 def verify_all(n_samples: int = DEFAULT_SAMPLES, seed: int = 0) -> List[VerificationReport]:
@@ -597,18 +598,13 @@ def oracle_agreement(n_samples: int = 1000, seed: int = 0) -> VerificationReport
     from . import ff
 
     objs = _heart_test_objects()
-    rng = random.Random(("oracle-agreement", seed).__repr__())
-    rep_out = VerificationReport("oracle-agreement", seed=seed)
-    t0 = time.monotonic()
-    for _ in range(n_samples):
-        rep_out.attempted += 1
-        charges = tuple(_rand_charge(rng, 16) for _ in range(3))
-        try:
-            pt = engine.standard_heart_point(charges)
-        except ValueError:
-            rep_out.unknown += 1
-            continue
-        decided_any = False
+
+    def draw(rng):
+        return engine.standard_heart_point(
+            tuple(_rand_charge(rng, 16) for _ in range(3)))
+
+    def check(pt, rng):
+        found, decided_any = [], False
         for obj, frep, rays in objs:
             st = engine.semistable(pt, obj).status
             if st == "unknown":
@@ -616,20 +612,16 @@ def oracle_agreement(n_samples: int = 1000, seed: int = 0) -> VerificationReport
             decided_any = True
             ok, destab = ff.semistable_in_heart(frep, pt.simple, subreps=rays)
             if ok != (st == "semistable"):
-                rep_out.mismatches.append(
-                    {
-                        "detail": "engine %s vs oracle %s on %s"
-                        % (st, "semistable" if ok else "unstable", obj),
-                        "destabilizer": None if destab is None else list(destab),
-                        "point": pt.to_json(),
-                    }
-                )
-        if decided_any:
-            rep_out.decided += 1
-        else:
-            rep_out.unknown += 1
-    rep_out.wall_time = time.monotonic() - t0
-    return rep_out
+                found.append({
+                    "detail": "engine %s vs oracle %s on %s"
+                    % (st, "semistable" if ok else "unstable", obj),
+                    "destabilizer": None if destab is None else list(destab),
+                })
+        if not decided_any:
+            raise engine.UndecidedError("no test object decided")
+        return found
+
+    return _report("oracle-agreement", n_samples, seed, draw, check)
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +662,8 @@ def slice_params(spec: dict):
     if not isinstance(spec, dict):
         raise TypeError("a slice spec is a JSON object")
     json_typed(spec, dict, "the slice spec", SLICE_KEYS)
-    names = list(spec.get("regions", ("Ta", "Tb", "MidM")))
+    names = list(json_typed(spec.get("regions", ["Ta", "Tb", "MidM"]), list,
+                            "regions"))
     unknown = [n for n in names if n not in regions.COMPOSITES]
     if unknown:
         raise ValueError("unknown regions %s" % (unknown,))

@@ -708,8 +708,6 @@ def test_rederivation_that_conflicts_still_raises():
         return st
 
     def pin(st, window, w, ref=a0):
-        # as in _sigma_triple_rules, the slot is direction-tested first
-        engine._agrees(st, ref[0], lambda r: w)
         engine._pin_in_window(st, ref, *window, lambda r: w, "closure(x)[0]")
 
     # a window that excludes the decided phase
@@ -734,7 +732,6 @@ def test_rederivation_that_conflicts_still_raises():
         "paper-rule inconsistency: a[0] has phases Phase(0, Gaussian(-1, 1)) "
         "(('anchor',)) and Phase(0, Gaussian(0, 1)) (closure(x)[0])"
     )
-    assert st.agrees[a0[0]] is False
     # the agreeing re-derivation changes nothing, also one shift up, where
     # both the charge and the window move
     st = decided()
@@ -742,7 +739,7 @@ def test_rederivation_that_conflicts_still_raises():
     pin(st, (quarter, 0, Phase(0, z), 0), z.scale(3))
     pin(st, (quarter, 1, Phase(0, z), 1), -z, ref=(a0[0], 1))
     assert st.order == before and st.verdict(a0[0]).rules == ("anchor",)
-    assert st.order == [a0[0]] and st.agrees[a0[0]] is True
+    assert st.order == [a0[0]]
     # errors name the point's own objects: here m = 2
     st = engine.Analysis(plan, 2)
     st.set_ss((a0[0], -1), Phase(-1, z), ("closure", (ExcObject("a", 0, 0),) * 3, "[1]"))
@@ -756,11 +753,13 @@ def test_rederivation_that_conflicts_still_raises():
 
 def test_rederivation_that_conflicts_raises_through_the_closure_loop():
     """The closure loop of _sigma_triple_rules decides a re-pin itself only
-    when it holds; a re-pin of (a) a slot whose direction test has passed
-    but whose phase lies outside the window, or (b) a slot whose direction
-    test failed, still raises the message of the full path.  Each case
-    re-pins a[0], decided at the phase 3/4, by a closure between the
-    triple's phases p0 (the window's top) and p1 (its bottom)."""
+    when it holds; a re-pin of a slot decided semistable at a phase
+    outside the window still raises the message of the full path.  Each
+    case re-pins a[0], decided at the phase 3/4, by a closure between the
+    triple's phases p0 (the window's top) and p1 (its bottom).  A slot
+    whose decided phase has another direction than its charge is a state
+    the fixpoint cannot reach: its anchor check raises first
+    (``test_anchor_check_stops_a_point_with_negated_charges``)."""
     plan = engine._plan(0)
     a0 = plan.ref(ExcObject("a", 0, 0))
     z = Gaussian.of(-1, 1)  # the phase 3/4
@@ -776,11 +775,11 @@ def test_rederivation_that_conflicts_raises_through_the_closure_loop():
         engine._sigma_triple_rules(an, row, (hi, lo, hi), (0, 0, 0),
                                    lambda r: w)
 
-    # (a) the first re-pin passes the direction test and changes nothing;
-    # the next one, in a window that excludes 3/4, raises
+    # the first re-pins change nothing; the next one, in a window that
+    # excludes 3/4, raises
     an = decided()
     closure(an, quarter, Phase(0, z), z)
-    assert an.agrees[a0[0]] is True and an.order == [a0[0]]
+    assert an.order == [a0[0]]
     closure(an, quarter, Phase(0, z), z.scale(3))  # decided in the loop
     assert an.order == [a0[0]] and an.verdict(a0[0]).rules == ("anchor",)
     with pytest.raises(engine.EngineError) as ei:
@@ -789,17 +788,47 @@ def test_rederivation_that_conflicts_raises_through_the_closure_loop():
         "paper-rule inconsistency: phase of a[0] escapes "
         "[Phase(0, Gaussian(1, 1)), Phase(0, Gaussian(0, 1))]"
     )
-    # (b) a charge of another direction, in a window holding 3/4: raises on
-    # the first re-pin, and again once agrees is False
-    an = decided()
-    for _ in range(2):
-        with pytest.raises(engine.EngineError) as ei:
-            closure(an, quarter, Phase(0, z), Gaussian.of(0, 1))
-        assert str(ei.value) == (
-            "paper-rule inconsistency: a[0] has phases Phase(0, Gaussian(-1, 1)) "
-            "(('anchor',)) and Phase(0, Gaussian(0, 1)) (closure(x)[0])"
-        )
-        assert an.agrees[a0[0]] is False
+
+
+def test_every_decided_phase_has_the_direction_of_its_slot_charge():
+    """The engine's invariant: every phase the fixpoint decides is a
+    phase of its slot's plan charge, whose direction is a positive
+    multiple of ``Analysis.slot_charge``.  Checked on points of all eight
+    families, m in -6..6 and charge bounds 4 to 64, some rotated a
+    quarter turn or shifted, at windows 0, 4 and 8, and 32 on some."""
+    rng = random.Random("phase-directions")
+    families, n = set(), 0
+    for i in range(600):
+        pt = harness._sample_point(rng, FAMILY_IDS, -6, 6,
+                                   rng.choice((4, 8, 16, 32, 64)))
+        if i % 5 == 0:
+            pt = engine.rotate_quarter(pt, 1)
+        if i % 7 == 0:
+            pt = engine.shift(pt, 1)
+        families.add(pt.family)
+        for w in (0, 4, 8, 32) if i % 20 == 0 else (0, 4, 8):
+            an = pt.analysis(w)
+            for s in an.order:
+                ph = an.row[s][1]
+                if ph is not None:
+                    d, z = ph.direction(), an.slot_charge(s)
+                    assert d.cross(z) == 0 and d.dot(z) > 0, (pt, w, an.name(s))
+                    n += 1
+    assert families == set(FAMILY_IDS) and n > 6000
+
+
+def test_anchor_check_stops_a_point_with_negated_charges():
+    """A point whose plan charges all have the wrong sign breaks the
+    invariant at its anchor, and the fixpoint stops there, before any
+    rule reads a phase, with the anchor's message."""
+    rng = random.Random("negated-charges")
+    for _ in range(40):
+        pt = harness._sample_point(rng, FAMILY_IDS, -6, 6, 32)
+        pt.__dict__["plan_simple"] = tuple(-z for z in pt.plan_simple)
+        with pytest.raises(engine.EngineError, match=(
+                r"^paper-rule inconsistency: the anchor phase Phase\(.*\) of "
+                r"\S+ is not the direction of its charge Gaussian\(")):
+            engine._decide(pt, 8)
 
 
 def test_each_round_reads_the_phases_decided_before_it():

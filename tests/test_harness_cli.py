@@ -419,6 +419,16 @@ def test_cli_bad_input_exits_2_without_traceback(tmp_path, capsys):
             ["slice", "--spec", str(spec), "-o", str(tmp_path / "s.svg")], capsys
         )
     assert not (tmp_path / "s.svg").exists()
+    # regions given as an object or a string, which list() would read as
+    # its keys or its letters
+    for regions_field in ({"Ta": 1, "Tb": 2}, "Ta"):
+        spec.write_text(json.dumps({"regions": regions_field, "resolution": 2}))
+        assert cli.main(["slice", "--spec", str(spec), "-o",
+                         str(tmp_path / "s.svg")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith(": regions must be a JSON array\n")
+        assert err.count("\n") == 1
+    assert not (tmp_path / "s.svg").exists()
     # the .csv beside -o x.csv would be -o itself
     spec.write_text(json.dumps({"resolution": 1}))
     _assert_bad_input(
@@ -712,6 +722,28 @@ def test_harness_golden_digest(monkeypatch):
 def test_oracle_agreement_smoke():
     rep = harness.oracle_agreement(25, seed=11)
     assert rep.attempted == 25 and not rep.mismatches
+
+
+def test_an_engine_contradiction_is_a_reported_mismatch(monkeypatch):
+    """An ``EngineError`` from a verdict is reported as a mismatch of its
+    point, by ``oracle_agreement`` as by ``verify_lemma``, and the run goes
+    on to the next point."""
+    read, calls = engine.semistable, []
+
+    def contradicts_once(pt, x, *args, **kw):
+        calls.append(x)
+        if len(calls) == 1:
+            raise EngineError("paper-rule inconsistency: x")
+        return read(pt, x, *args, **kw)
+
+    monkeypatch.setattr(engine, "semistable", contradicts_once)
+    rep = harness.oracle_agreement(3, seed=11)
+    assert (rep.attempted, rep.decided, rep.unknown) == (3, 3, 0)
+    assert [m["detail"] for m in rep.mismatches] == [
+        "engine contradiction: paper-rule inconsistency: x"]
+    assert set(rep.mismatches[0]) == {"detail", "point"}
+    # every test object of the other two points
+    assert len(calls) == 1 + 2 * len(harness._heart_test_objects())
 
 
 def test_standard_heart_simple_charges_are_the_normalised_charges():

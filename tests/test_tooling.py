@@ -2,8 +2,9 @@
 Hypothesis test is still reported as one failure of a finished session,
 every module reaches every other one only through its public names, only
 the catalog and the engine call ``hom_degrees``, ``regions`` finds its
-slots only through the plan's slot map, and the only process-wide caches
-are point-independent tables."""
+slots only through the plan's slot map, every exception handler of the
+engine ends in a raise, and the only process-wide caches are
+point-independent tables."""
 
 import ast
 import os
@@ -125,6 +126,19 @@ def test_regions_reads_a_plan_only_through_its_slot_map():
             reads.append(up.attr if isinstance(up, ast.Attribute) else None)
     assert set(reads) <= {"slot", "columns"}, reads
     assert {"slot", "columns"} <= set(reads)  # the check sees the reads there are
+
+
+def test_every_engine_handler_ends_in_a_raise():
+    """Every ``except`` handler in ``stabq/engine.py`` ends in a
+    ``raise``: an exact error inside a rule is a rule inconsistency or a
+    bad input, never a reason to skip the rule, so no verdict can rest on
+    a rule that silently did not fire."""
+    path = os.path.join(ROOT, "src", "stabq", "engine.py")
+    with open(path) as f:
+        tree = ast.parse(f.read(), path)
+    handlers = [n for n in ast.walk(tree) if isinstance(n, ast.ExceptHandler)]
+    assert [h.lineno for h in handlers if not isinstance(h.body[-1], ast.Raise)] == []
+    assert len(handlers) >= 3  # the check sees the handlers there are
 
 
 def test_readme_names_resolve():
