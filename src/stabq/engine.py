@@ -1008,7 +1008,10 @@ def phase_of(point: StabilityPoint, x: ExcObject, window: int = DEFAULT_WINDOW) 
 
 def phase_bracket(point: StabilityPoint, xb: ExcObject, window: int = DEFAULT_WINDOW):
     """``_bracket`` of the base object xb in the point's analysis at
-    ``window``, on its plan row (``_Plan.hom_row``)."""
+    ``window``, on its plan row (``_Plan.hom_row``).  A shifted label is
+    a ValueError, as in ``lookup``."""
+    if xb.shift:
+        raise ValueError("%s is not a base object" % (xb,))
     an = point.analysis(window)
     return _bracket(an, an.plan.hom_row(xb, an.dm))
 

@@ -664,7 +664,8 @@ def slice_params(spec: dict):
     json_typed(spec, dict, "the slice spec", SLICE_KEYS)
     names = list(json_typed(spec.get("regions", ["Ta", "Tb", "MidM"]), list,
                             "regions"))
-    unknown = [n for n in names if n not in regions.COMPOSITES]
+    unknown = [n for n in names
+               if not isinstance(n, str) or n not in regions.COMPOSITES]
     if unknown:
         raise ValueError("unknown regions %s" % (unknown,))
     a = spec.get("anchor", {"family": "F8", "m": 0, "shift": [0, 0, -1]})

@@ -2,6 +2,10 @@
 their shifted unions, and six angular half-plane sets with explicit in-set
 deformation tracks.
 
+A shifted union is decided exactly, with no shift enumerated: membership
+is the feasibility of one integer difference system on the shift
+(``feasible``).
+
 Points of the angular sets live in (R_{>0} x R)^3, but every sample here is
 presented as a triple of Phases whose charges are Gaussian rationals: the
 radius is the (implicit) modulus of the charge and the angle is the phase.
@@ -12,8 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import ceil, lcm
+from math import ceil, floor, inf
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact import (
@@ -25,7 +28,7 @@ from .exact import (
     phase_in_closed_window,
     window_arg,
 )
-from .triples import ExcTriple, alpha_beta_gamma, theta_bounds
+from .triples import ExcTriple, theta_bounds
 
 Rat = Fraction
 RatVec = Sequence[Fraction]
@@ -68,76 +71,64 @@ def s_n_member(y: RatVec, fam: IntervalFamily) -> bool:
     return True
 
 
-def _gap_margin(y: Sequence[Fraction]) -> int:
-    g = max(abs(a - b) for a in y for b in y) if len(y) > 1 else Fraction(0)
-    return int(ceil(g)) + 2
+def feasible(n: int, bounds: Sequence[Tuple[int, int, int]]) -> bool:
+    """Whether some integers x_0..x_{n-1} meet every bound (i, j, w), w an
+    integer, meaning x_i - x_j <= w: exactly when the graph with an edge
+    i -> j of weight w per bound has no negative cycle (Cormen, Leiserson,
+    Rivest and Stein, Introduction to Algorithms, 24.4), found by
+    Floyd-Warshall as a negative diagonal entry."""
+    d = [[0 if i == j else inf for j in range(n)] for i in range(n)]
+    for i, j, w in bounds:
+        d[i][j] = min(d[i][j], w)
+    for k in range(n):
+        dk = d[k]
+        for di in d:
+            dik = di[k]
+            for j in range(n):
+                if dik + dk[j] < di[j]:
+                    di[j] = dik + dk[j]
+    return all(d[i][i] >= 0 for i in range(n))
 
 
 def union_square_member(y: RatVec, n: int) -> bool:
     """Membership in the union of S^n(-1,1) + v over nondecreasing integer
-    shift vectors v (v_0 = 0).  The union is infinite; shifts are enumerated
-    up to a margin that is sound for the given point.  The search runs on
-    integers: y scaled by its common denominator D, shifts by D, and the
-    unit bounds to +-D."""
+    shift vectors v (v_0 = 0).  An integer k has d - 1 < k < d + 1 exactly
+    when floor(d) <= k <= ceil(d), so y - v lies in S^n(-1,1) exactly when
+    floor(y_i - y_j) <= v_i - v_j <= ceil(y_i - y_j) for every i < j."""
     if n not in (1, 2, 3):
         raise ValueError("n must be 1, 2 or 3")
     y = [Fraction(v) for v in y]
     if len(y) != n + 1:
         raise ValueError("point dimension mismatch")
-    den = lcm(*(v.denominator for v in y))
-    ys = [v.numerator * (den // v.denominator) for v in y]
-    for inc in product(range(_gap_margin(y) + 1), repeat=n):
-        z, v = [ys[0]], 0
-        for yi, k in zip(ys[1:], inc):
-            v += k
-            z.append(yi - den * v)
-        if all(-den < a - b < den for i, a in enumerate(z) for b in z[i + 1:]):
-            return True
-    return False
+    bounds = [(i, i + 1, 0) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n + 1):
+            d = y[i] - y[j]
+            bounds += [(i, j, ceil(d)), (j, i, -floor(d))]
+    return feasible(n + 1, bounds)
 
 
 def a0_union_member(phi: RatVec, t: ExcTriple) -> bool:
-    """Membership of a rational phase triple in the union, over the shift
-    set of t, of shifted copies of S^2(-inf, 1).
+    """Membership of a rational phase triple p in the union, over the
+    shift set of t, of shifted copies of S^2(-inf, 1): exactly the three
+    inequalities p_i - p_j < 1 + bound of ``triples.theta_bounds``.
 
-    Evaluates both the truncated union and its three-inequality closed form
-    and insists they agree; the closed form is returned.
-    """
+    Proof.  With F_ij = floor(p_i - p_j), the copy at the shift (0, s1,
+    s2) holds p exactly when F01 <= s1, F02 <= s2 and F12 <= s2 - s1; the
+    shift set is s1 <= alpha, s2 <= beta, s2 - s1 <= gamma.  This system
+    on (0, s1, s2) is feasible exactly when no cycle of its graph is
+    negative (``feasible``): F01 <= alpha, F02 <= beta, F12 <= gamma,
+    F02 <= alpha + gamma and F01 + F12 <= beta, the last implied by the
+    second as F01 + F12 <= floor(p0 - p2) = F02.  A None bound removes
+    the cycles through it, hence min(beta, alpha + gamma) over the finite
+    ones; and F_ij <= b is p_i - p_j < 1 + b."""
     y = [Fraction(v) for v in phi]
     if len(y) != 3:
         raise ValueError("need a triple")
-    closed = all(
+    return all(
         bound is None or y[i] - y[j] < 1 + bound
         for (i, j), bound in zip(((0, 1), (0, 2), (1, 2)), theta_bounds(t))
     )
-
-    a, b, g = alpha_beta_gamma(t)
-
-    M = _gap_margin(y) + max(abs(v) for v in (a or 0, b or 0, g or 0)) + 2
-    hi1 = a if a is not None else M
-    direct = False
-    for p1 in range(hi1 - M, hi1 + 1):
-        hi2_opts = [M]
-        if b is not None:
-            hi2_opts.append(b)
-        if g is not None:
-            hi2_opts.append(p1 + g)
-        hi2 = min(hi2_opts)
-        for p2 in range(hi2 - M, hi2 + 1):
-            if (
-                y[0] - y[1] < 1 + p1
-                and y[0] - y[2] < 1 + p2
-                and y[1] - y[2] < 1 + p2 - p1
-            ):
-                direct = True
-                break
-        if direct:
-            break
-    if direct != closed:
-        raise RuntimeError(
-            "truncated union disagrees with the closed form at %s" % (y,)
-        )
-    return closed
 
 
 # ---------------------------------------------------------------------------

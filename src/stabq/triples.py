@@ -153,7 +153,9 @@ def shift_set_members(t: ExcTriple, depth: int = 4) -> List[Tuple[int, int, int]
 def theta_bounds(t: ExcTriple) -> Tuple[Optional[int], Optional[int], Optional[int]]:
     """(alpha, min(beta, alpha + gamma), gamma), None encoding +infinity:
     the largest p1, p2 and p2 - p1 over the shift set, which bound the
-    phase gaps of Theta(t).  Memoised like ``alpha_beta_gamma``."""
+    phase gaps of Theta(t) (``regions.in_theta``); the proof that they cut
+    out the union of the shifted copies is ``polyhedra.a0_union_member``'s.
+    Memoised like ``alpha_beta_gamma``."""
     a, b, g = alpha_beta_gamma(t)
     ag = None if a is None or g is None else a + g
     return a, min((v for v in (b, ag) if v is not None), default=None), g

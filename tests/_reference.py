@@ -187,6 +187,31 @@ def sample_angular_members(set_id, count, seed=0, budget=20000):
 
 
 # ---------------------------------------------------------------------------
+# the shifted union of unit squares by enumeration
+
+
+def union_square_by_shifts(y, n):
+    """polyhedra.union_square_member by enumerating the nondecreasing
+    integer shifts v (v_0 = 0) whose increments are at most a margin, the
+    largest gap |y_i - y_j| rounded up plus 2: y - v in S^n(-1,1) needs
+    |v_i - v_j| < |y_i - y_j| + 1, so no larger increment can serve."""
+    from fractions import Fraction
+    from itertools import product
+    from math import ceil
+
+    y = [Fraction(c) for c in y]
+    margin = ceil(max(abs(p - q) for p in y for q in y)) + 2
+    for inc in product(range(margin + 1), repeat=n):
+        v = [0]
+        for k in inc:
+            v.append(v[-1] + k)
+        z = [c - s for c, s in zip(y, v)]
+        if all(-1 < p - q < 1 for i, p in enumerate(z) for q in z[i + 1:]):
+            return True
+    return False
+
+
+# ---------------------------------------------------------------------------
 # the two-call lookup path of the region predicates
 
 

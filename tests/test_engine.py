@@ -376,6 +376,19 @@ def test_lookup_refuses_a_shifted_label():
         assert engine.lookup(pt, x.base()) == engine.lookup(pt, x.base(), 8)
 
 
+def test_phase_bracket_refuses_a_shifted_label():
+    """phase_bracket answers for base objects, as lookup does: a shifted
+    label raises the same ValueError, where it would return its base
+    object's bracket unmoved by the shift."""
+    pt = _std(_g(-3, 1), _g(-2, 1), _g(0, 1))
+    base = parse_label("a[-2]")
+    assert engine.phase_bracket(pt, base) is not None
+    for label in ("a[-2][1]", "a[-2][2]", "M'[-1]"):
+        with pytest.raises(ValueError,
+                           match="^%s is not a base object$" % re.escape(label)):
+            engine.phase_bracket(pt, parse_label(label))
+
+
 def test_unstable_verdict_from_big_gap():
     # phases of a^0 and a^1 more than one apart: the rest of the a-chain dies
     pt = engine.StabilityPoint(

@@ -428,6 +428,14 @@ def test_cli_bad_input_exits_2_without_traceback(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == "" and err.endswith(": regions must be a JSON array\n")
         assert err.count("\n") == 1
+    # an entry that is not a string, which the name lookup would refuse
+    # in Python's own words ("unhashable type: 'list'")
+    spec.write_text(json.dumps({"regions": [[1]], "resolution": 2}))
+    assert cli.main(["slice", "--spec", str(spec), "-o",
+                     str(tmp_path / "s.svg")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(": unknown regions [[1]]\n"), err
+    assert err.count("\n") == 1
     assert not (tmp_path / "s.svg").exists()
     # the .csv beside -o x.csv would be -o itself
     spec.write_text(json.dumps({"resolution": 1}))

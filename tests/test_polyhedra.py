@@ -3,6 +3,8 @@ angular sets with their deformation tracks."""
 
 import random
 from fractions import Fraction
+from itertools import product
+from math import floor
 
 import pytest
 
@@ -12,13 +14,14 @@ from stabq.polyhedra import (
     IntervalFamily,
     a0_union_member,
     appendix_member,
+    feasible,
     homotopy_track,
     s_n_member,
     union_square_member,
 )
-from stabq.triples import FAMILY_IDS, family_triple
+from stabq.triples import FAMILY_IDS, alpha_beta_gamma, family_triple
 
-from _reference import sample_angular_members
+from _reference import sample_angular_members, union_square_by_shifts
 
 F = Fraction
 
@@ -69,6 +72,75 @@ def test_union_square_rejects_small_range():
         union_square_member((0, 0), 4)
 
 
+def test_feasible_hand_cases():
+    # x0 - x1 <= 1, x1 - x2 <= -2, x2 - x0 <= 0: a cycle of weight -1
+    assert not feasible(3, [(0, 1, 1), (1, 2, -2), (2, 0, 0)])
+    # weight 0 around the cycle: x = (0, -1, 1) meets it with equality
+    assert feasible(3, [(0, 1, 1), (1, 2, -2), (2, 0, 1)])
+    # of two parallel bounds the lesser one counts
+    assert feasible(2, [(0, 1, 5), (1, 0, -5)])
+    assert not feasible(2, [(0, 1, 5), (0, 1, 4), (1, 0, -5)])
+    assert not feasible(2, [(0, 1, 4), (0, 1, 5), (1, 0, -5)])
+    assert feasible(1, [])
+    assert not feasible(1, [(0, 0, -1)])
+
+
+def _union_draws(rng, n, count):
+    """count points of dimension n + 1: random rationals, and every fourth
+    one with integer differences, the faces where floor(d) = ceil(d)."""
+    def rat():
+        return F(rng.randint(-6, 6), rng.randint(1, 3))
+
+    out = []
+    for k in range(count):
+        if k % 4:
+            out.append([rat() for _ in range(n + 1)])
+        else:
+            c = rat()
+            out.append([c + rng.randint(-3, 3) for _ in range(n + 1)])
+    return out
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_union_square_matches_the_shift_enumeration(n):
+    rng = random.Random(10 + n)
+    seen = set()
+    for y in _union_draws(rng, n, 200):
+        got = union_square_member(y, n)
+        assert got == union_square_by_shifts(y, n), y
+        seen.add(got)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("n", (1, 2))
+def test_union_square_equals_half_infinite_set_on_the_sixth_grid(n):
+    """Both sides of criterion 9 on every point (0, y_1..y_n) of the 1/6
+    grid with |y_i| <= 6, which meets every face type of the arrangement
+    {y_i - y_j in Z}: 73 points for n = 1, 5,329 for n = 2.  Both sides
+    read only differences, so y_0 = 0 loses nothing."""
+    fam = IntervalFamily.uniform(n, None, 1)
+    grid = [F(k, 6) for k in range(-36, 37)]
+    count = 0
+    for tail in product(grid, repeat=n):
+        y = (0,) + tail
+        assert union_square_member(y, n) == s_n_member(y, fam), y
+        count += 1
+    assert count == 73 ** n
+
+
+def _a0_by_shift_system(phi, t):
+    """Some shift (0, s1, s2) of the shift set of t whose copy of
+    S^2(-inf, 1) holds phi, decided as one difference system on
+    (s0, s1, s2): the copy holds phi exactly when floor(phi_i - phi_j) <=
+    s_j - s_i, and the set is s1 <= alpha, s2 <= beta, s2 - s1 <= gamma
+    (a None bound being no bound)."""
+    pairs = ((0, 1), (0, 2), (1, 2))
+    bounds = [(i, j, -floor(phi[i] - phi[j])) for i, j in pairs]
+    bounds += [(j, i, w) for (i, j), w in zip(pairs, alpha_beta_gamma(t))
+               if w is not None]
+    return feasible(3, bounds)
+
+
 @pytest.mark.parametrize("fid", FAMILY_IDS)
 def test_a0_union_closed_form_consistency(fid):
     t = family_triple(fid, 0)
@@ -76,8 +148,14 @@ def test_a0_union_closed_form_consistency(fid):
     hits = 0
     for _ in range(60):
         phi = _rand_vec(rng, 2)
-        hits += a0_union_member(phi, t)  # RuntimeError on any disagreement
+        got = a0_union_member(phi, t)
+        assert got == _a0_by_shift_system(phi, t), phi
+        hits += got
     assert 0 < hits < 60
+    # integer differences, where each copy's boundary sits
+    for d1, d2 in product(range(-4, 5), repeat=2):
+        phi = (F(1, 3), F(1, 3) + d1, F(1, 3) + d2)
+        assert a0_union_member(phi, t) == _a0_by_shift_system(phi, t), phi
 
 
 def test_a0_union_hand_values():

@@ -3,8 +3,8 @@ Hypothesis test is still reported as one failure of a finished session,
 every module reaches every other one only through its public names, only
 the catalog and the engine call ``hom_degrees``, ``regions`` finds its
 slots only through the plan's slot map, every exception handler of the
-engine ends in a raise, and the only process-wide caches are
-point-independent tables."""
+engine ends in a raise, no module raises ``RuntimeError``, and the only
+process-wide caches are point-independent tables."""
 
 import ast
 import os
@@ -139,6 +139,20 @@ def test_every_engine_handler_ends_in_a_raise():
     handlers = [n for n in ast.walk(tree) if isinstance(n, ast.ExceptHandler)]
     assert [h.lineno for h in handlers if not isinstance(h.body[-1], ast.Raise)] == []
     assert len(handlers) >= 3  # the check sees the handlers there are
+
+
+def test_no_module_raises_runtime_error():
+    """No module of the package raises ``RuntimeError``: a check that two
+    routes to one answer agree belongs in a test, not in a run-time
+    cross-check that every caller pays for."""
+    raised = []
+    for mod, path in _package_modules().items():
+        with open(path) as f:
+            tree = ast.parse(f.read(), path)
+        raised += [(mod, node.lineno, _decorator_name(node.exc))
+                   for node in ast.walk(tree) if isinstance(node, ast.Raise)]
+    assert [r for r in raised if r[2] == "RuntimeError"] == []
+    assert len(raised) >= 1  # the check sees the raises there are
 
 
 def test_readme_names_resolve():
