@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 a verification mismatch (`stab verify`), 2 input
 the command cannot use (a missing or malformed file, a bool, a float or
 a string where a file needs an integer, a bad label, an integer option or
-label index that is not an optional "-" and ASCII digits, a number with
-more digits than Python reads from a string, an unknown lemma, a
+label index that is not an optional "-" and ASCII digits, a shifted
+label for `oracle`, a number with more digits than Python reads from a
+string, an unknown lemma, a
 `catalog` range whose --lo is above its --hi, a sample count below 1, a
 window outside 0..MAX_WINDOW, a point outside the oracle's domain, an
 object beyond the oracle's size cap, an output path that cannot be
@@ -237,6 +238,8 @@ def _cmd_oracle(args) -> int:
             "global_shift 0, no extra_offsets) are in its domain"
         )
     obj = _label(args.object)
+    if obj.shift:  # a shifted object is not in the heart
+        raise _BadInput("%s is not a base object" % (obj,))
     total = sum(dim_vector(obj))
     if total > ff.MAX_TOTAL_DIM:  # checked before the matrices are built
         raise _BadInput(

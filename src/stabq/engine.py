@@ -59,6 +59,9 @@ direction inside its hom bracket against the decided-semistable objects,
 one fold (``_bracket``) for every object on its plan row
 (``_Plan.hom_row``).  The anchor alone bounds that bracket to less than
 one unit, so the phase is unique or absent and never left unresolved.
+The fold runs first, and the object's charge is built only when its
+bracket is not empty: most brackets of undecided objects are empty, and
+those objects share one dead entry (``_undecided``).
 
 Each point owns its analyses, one ``Analysis`` per window
 (``StabilityPoint.analysis``).  An analysis keeps each fact once, by
@@ -656,7 +659,7 @@ class Analysis:
         e = self.row[s]
         if e is None:
             e = self.row[s] = _undecided(
-                self, _charge(self.simple, self.plan.kclasses[s]),
+                self, self.simple, self.plan.kclasses[s],
                 self.plan.degrees_of(s))
         return e
 
@@ -671,7 +674,8 @@ class Analysis:
         on each call and kept nowhere."""
         if s < len(self.row):
             return self.entry(s)[1]
-        return _undecided(self, self.slot_charge(s), self.plan.degrees_of(s))[1]
+        return _undecided(self, self.simple, self.plan.kclasses[s],
+                          self.plan.degrees_of(s))[1]
 
     def slot_bracket(self, s: int):
         """``phase_bracket`` of the object ``plan.reps[s]``: the bracket
@@ -1100,15 +1104,20 @@ def lookup(point: StabilityPoint, xb: ExcObject,
     s = an.plan.index(xb, an.dm)
     if s is not None:
         return an.entry(s)
-    return _undecided(an, charge_of(point, xb), an.plan.hom_row(xb, an.dm))
+    return _undecided(an, point.simple, kclass(xb), an.plan.hom_row(xb, an.dm))
 
 
-def _undecided(an: Analysis, z: Gaussian, degrees) -> Tuple[str, Optional[Phase]]:
+def _undecided(an: Analysis, simple, c, degrees) -> Tuple[str, Optional[Phase]]:
     """The ``lookup`` entry of an object the rules left undecided, of
-    charge z and with the plan row ``degrees`` of its hom degrees: the
-    phase of its charge direction in its hom bracket, or None."""
-    bracket = None if z.is_zero() else _bracket(an, degrees)
-    ph = None if bracket is None else phase_in_closed_window(z, *bracket)
+    K-class c against the simple charges ``simple`` and with the plan row
+    ``degrees`` of its hom degrees: the phase of its charge direction in
+    its hom bracket, or None.  The bracket is folded first, and the
+    charge built only for a bracket that is not empty."""
+    bracket = _bracket(an, degrees)
+    if bracket is None:
+        return _DEAD["unknown"]
+    z = _charge(simple, c)
+    ph = None if z.is_zero() else phase_in_closed_window(z, *bracket)
     return _DEAD["unknown"] if ph is None else ("unknown", ph)
 
 

@@ -33,7 +33,10 @@ fixed objects M and M' of the tail tests are all read from the analysis
 by plan slot (``engine.Analysis.slot_phase``, ``slot_bracket``,
 ``slot_charge``), building no object label.  Each family's union is
 decided once per analysis (``_in_family_union``), and a composite's
-membership is the fold of its families' answers.
+membership is the fold of its families' answers: a composite reads the
+analysis once, and reads each family's kept block tuple (``cells``) and
+kept union answer (``unions``) directly, deciding only a family not
+kept yet.
 """
 
 from __future__ import annotations
@@ -356,7 +359,17 @@ def scan_cells(point, fids, window: int = WINDOW) -> bool:
     """Whether some cell of the families' blocks around the anchor holds
     the point: sound for the full infinite union, while False says nothing
     about the cells beyond the block."""
-    return any(True in _block_cells(point, fid, window) for fid in fids)
+    return _scan(point, point.analysis(window).cells, fids, window)
+
+
+def _scan(point, cells, fids, window: int) -> bool:
+    """``scan_cells`` on the analysis's kept block tuples ``cells``,
+    deciding (``_block_cells``) only the block of a family not kept
+    yet."""
+    for fid in fids:
+        if True in (cells.get(fid) or _block_cells(point, fid, window)):
+            return True
+    return False
 
 
 def _in_family_union(point, fid: str, window: int):
@@ -367,9 +380,10 @@ def _in_family_union(point, fid: str, window: int):
     Otherwise the same on the block and the ring of a widened block, the
     TAIL_EXT cells on either side, with "far cells" where the widened
     block's tails are not excluded either."""
-    unions = point.analysis(window).unions
+    an = point.analysis(window)
+    unions = an.unions
     if fid not in unions:
-        vs, far = _block_cells(point, fid, window), False
+        vs, far = an.cells.get(fid) or _block_cells(point, fid, window), False
         if True not in vs and not _tail_excluded(point, fid, window):
             ring = _block_cells(point, fid, window + TAIL_EXT)
             vs += ring[:TAIL_EXT] + ring[-TAIL_EXT:]
@@ -385,12 +399,15 @@ def in_cells_union(point, fids, window: int = WINDOW) -> bool:
     one block scan, so that a hit costs no tail work, the fold of the
     families' answers (``_in_family_union``): True if one is, else
     Undecidable if one is, for far cells before undecided cells, else
-    False."""
-    if scan_cells(point, fids, window):
+    False.  Both read the analysis, fetched once, for kept answers."""
+    an = point.analysis(window)
+    if _scan(point, an.cells, fids, window):
         return True
-    answers = set()
+    unions, answers = an.unions, set()
     for fid in fids:
-        answer = _in_family_union(point, fid, window)
+        answer = unions.get(fid)
+        if answer is None:
+            answer = _in_family_union(point, fid, window)
         if answer is True:
             return True
         answers.add(answer)
@@ -426,7 +443,8 @@ def classify(point, window: int = WINDOW) -> List[Tuple]:
     out: List[Tuple] = [
         ("cell", fid, m)
         for fid in FAMILY_IDS
-        for m, v in zip(_block(point, window), _block_cells(point, fid, window))
+        for m, v in enumerate(_block_cells(point, fid, window),
+                              point.m - window)
         if v
     ]
     for name, fids in COMPOSITES.items():

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _reference
-from stabq import catalog, engine, ff, harness, regions
+from stabq import catalog, engine, exact, ff, harness, regions
 from stabq.catalog import (
     ExcObject,
     build_matrices,
@@ -488,6 +488,90 @@ def test_zero_charge_has_no_conditional_phase():
     assert engine.charge_of(pt, M).is_zero()
     assert engine.semistable(pt, M).status == "unknown"
     assert engine.conditional_phase(pt, M) is None
+
+
+def _workload_points(n, seed):
+    """Points drawn as the ``classify`` benchmark workload draws them: a
+    random family, m in [-2, 2] and charge bound 32."""
+    rng = random.Random(seed)
+    return [harness._sample_point(rng, FAMILY_IDS, -2, 2, 32) for _ in range(n)]
+
+
+def _zero_charge_point():
+    """The point of ``test_zero_charge_has_no_conditional_phase``, where
+    M has zero charge."""
+    return engine.StabilityPoint(
+        "F1", 0, (0, -3, -5), (_g("3/4", "1/4"), _g("-3/4", "1/4"), _g(0, "1/2"))
+    )
+
+
+def test_empty_brackets_build_no_charge(monkeypatch):
+    """An undecided object's entry folds its bracket first: no
+    ``_undecided`` call whose bracket is empty builds a charge
+    (``_charge``), and every call whose bracket is not empty builds
+    one."""
+    made = [0]
+    charge, undecided = engine._charge, engine._undecided
+
+    def counted_charge(simple, c):
+        made[0] += 1
+        return charge(simple, c)
+
+    seen = Counter()
+
+    def watched(an, simple, c, degrees):
+        before = made[0]
+        out = undecided(an, simple, c, degrees)
+        empty = engine._bracket(an, degrees) is None
+        seen[empty, made[0] - before] += 1
+        return out
+
+    monkeypatch.setattr(engine, "_charge", counted_charge)
+    monkeypatch.setattr(engine, "_undecided", watched)
+    for pt in _workload_points(60, "bracket-first") + [_zero_charge_point()]:
+        regions.classify(pt)
+        for xb in (parse_label("M"), parse_label("a[%d]" % (pt.m + 11))):
+            engine.lookup(pt, xb)
+    assert set(seen) == {(True, 0), (False, 1)}, seen
+    # most folds come back empty, as on the workload
+    assert seen[True, 0] > 10 * seen[False, 1], seen
+
+
+def _charge_first(pt, xb, window):
+    """``lookup`` of the base object xb composed from the public calls,
+    charge first: a decided verdict as it is, and for an undecided object
+    the phase of its charge direction in ``phase_bracket``, None for a
+    zero charge."""
+    v = engine.semistable(pt, xb, window)
+    if v.status != "unknown":
+        return v.status, v.phase
+    z = engine.charge_of(pt, xb)
+    if z.is_zero():
+        return "unknown", None
+    bracket = engine.phase_bracket(pt, xb, window)
+    return "unknown", (None if bracket is None
+                       else exact.phase_in_closed_window(z, *bracket))
+
+
+def test_lookup_matches_the_charge_first_composition():
+    """``lookup`` on every universe slot, and on the two chain objects past
+    each end of both chains, answers what the charge-first composition
+    of ``phase_bracket``, ``charge_of`` and ``phase_in_closed_window``
+    answers, with the same phase representation, on workload points and
+    on a point with a zero-charge object, at windows 0, 4 and 8."""
+    met = Counter()
+    for pt in _workload_points(40, "charge-first") + [_zero_charge_point()]:
+        for window in (0, 4, 8):
+            lo, hi = pt.m - window, pt.m + window + 1
+            past = [ExcObject(k, i, 0) for k in ("a", "b")
+                    for i in (lo - 2, lo - 1, hi + 1, hi + 2)]
+            for xb in engine._universe(pt.m, window) + past:
+                got = engine.lookup(pt, xb, window)
+                assert repr(got) == repr(_charge_first(pt, xb, window)), (
+                    xb, window, pt.to_json())
+                met[got[0], got[1] is None] += 1
+    assert {("semistable", False), ("unstable", True), ("unknown", True),
+            ("unknown", False)} <= set(met), met
 
 
 def _moved(x, n):

@@ -370,6 +370,7 @@ def test_cli_bad_input_exits_2_without_traceback(tmp_path, capsys):
     _assert_bad_input(["verify", "coverage", "-n", "-5"], capsys)
     _assert_bad_input(["verify", "all", "-n", "0"], capsys)
     _assert_bad_input(["oracle", sigma, "a[7]"], capsys)  # beyond the size cap
+    _assert_bad_input(["oracle", sigma, "M[1]"], capsys)  # not in the heart
     # label indices and integer options are an optional "-" and ASCII
     # digits, as in a JSON file: no other script's digits, no "_", no
     # blanks, and no more digits than Python reads from a string

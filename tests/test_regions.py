@@ -1046,6 +1046,86 @@ def test_composites_are_folds_of_their_families():
     assert {True, False, "union not certified false (far cells)"} <= set(met), met
 
 
+def _workload_points(n, seed):
+    """Points drawn as the ``classify`` benchmark workload draws them: a
+    random family, m in [-2, 2] and charge bound 32."""
+    rng = random.Random(seed)
+    return [harness._sample_point(rng, FAMILY_IDS, -2, 2, 32) for _ in range(n)]
+
+
+def _fetched_answers(pt, fids, window):
+    """``scan_cells`` and ``in_cells_union`` with every family's block and
+    union fetched through ``_block_cells`` and ``_in_family_union``: the
+    block scan, then the fold of the families' answers."""
+    if any(True in regions._block_cells(pt, fid, window) for fid in fids):
+        return True, True
+    return False, _fold([regions._in_family_union(pt, fid, window) for fid in fids])
+
+
+def test_composite_answers_are_unchanged():
+    """On 400 workload points, every composite's ``scan_cells`` and
+    ``in_cells_union`` answer what the calls that fetch every family's
+    block and union answer, on a fresh point and after ``classify``, and
+    the answers on fresh points keep their digest."""
+    h = hashlib.sha256()
+    met = Counter()
+    for pt in _workload_points(400, "composite-answers"):
+        fetched, classified = _fresh(pt), _fresh(pt)
+        regions.classify(classified)
+        for name, fids in regions.COMPOSITES.items():
+            want = _fetched_answers(fetched, fids, regions.WINDOW)
+            for p in (pt, classified):
+                got = (regions.scan_cells(p, fids),
+                       _reason(regions.in_cells_union, p, fids))
+                assert got == want, (name, pt.to_json())
+            h.update(repr(want).encode())
+            met[want[1]] += 1
+    assert {True, False} <= set(met), met
+    assert h.hexdigest() == (
+        "1f6d16b08e9bfc6e70809576ec5059d9bc6e6e09d741d2900803bc5fc30fe2bf"
+    )
+
+
+def test_composites_read_kept_answers(monkeypatch):
+    """``in_cells_union`` calls ``_block_cells`` and ``_in_family_union``
+    only for a family whose block or union the analysis keeps no answer
+    for yet, so a second round of the composites on the same point calls
+    neither, and each of its calls fetches the point's analysis once."""
+    fetched = [0]
+    analysis = engine.StabilityPoint.analysis
+    block_cells, family_union = regions._block_cells, regions._in_family_union
+    calls = Counter()
+
+    def counted(self, window=engine.DEFAULT_WINDOW):
+        fetched[0] += 1
+        return analysis(self, window)
+
+    def block_not_kept(point, fid, window):
+        an = point.analyses.get(window)
+        assert an is None or fid not in an.cells, (fid, window)
+        calls["block"] += 1
+        return block_cells(point, fid, window)
+
+    def union_not_kept(point, fid, window):
+        assert fid not in point.analyses[window].unions, fid
+        calls["union"] += 1
+        return family_union(point, fid, window)
+
+    monkeypatch.setattr(engine.StabilityPoint, "analysis", counted)
+    monkeypatch.setattr(regions, "_block_cells", block_not_kept)
+    monkeypatch.setattr(regions, "_in_family_union", union_not_kept)
+    for pt in _workload_points(100, "kept-answers"):
+        for fids in regions.COMPOSITES.values():
+            _reason(regions.in_cells_union, pt, fids)
+        before = Counter(calls)
+        for name, fids in regions.COMPOSITES.items():
+            fetched[0] = 0
+            _reason(regions.in_cells_union, pt, fids)
+            assert fetched[0] == 1, name
+        assert calls == before
+    assert calls["block"] and calls["union"], calls
+
+
 def _predicate_answers(pt, window):
     """Every composite, block scan and single-family union of pt at window,
     the composites' families read in reverse as well."""
